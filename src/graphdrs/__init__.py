@@ -23,6 +23,7 @@ from .operators import (
     Resolvent,
     project_affine,
     project_capacity,
+    project_grid_divergence,
     prox_group_l1,
     prox_hinge_affine,
     prox_power_three_halves,

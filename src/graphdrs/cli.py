@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .operators import OperatorError, prox_translated_quadratic
 from .problems import (
+    build_svm,
     load_config,
     objective_svm,
     objective_transport,
@@ -37,6 +38,8 @@ from .solver import (
     NumericalError,
     SolverConfig,
     run,
+    step_tree,
+    step_wtilde,
     tree_decomposition,
     write_trace,
 )
@@ -148,16 +151,13 @@ def cmd_enumerate(args):
 
 
 def cmd_transport_sweep(args):
-    if args.config:
-        inst, ops = transport_from_config(load_config(args.config))
-    else:
-        from .problems import build_transport
-
-        if args.p > MAX_SWEEP_GRID:
-            raise InputError(f"grid size limited to p <= {MAX_SWEEP_GRID}")
-        inst, ops = build_transport(args.p, cap=args.cap)
-    if inst.p > MAX_SWEEP_GRID:
+    spec = load_config(args.config) if args.config else {}
+    spec.setdefault("p", args.p)
+    spec.setdefault("cap", args.cap)
+    # checked before building: the instance's memory grows with p^2
+    if int(spec["p"]) > MAX_SWEEP_GRID:
         raise InputError(f"grid size limited to p <= {MAX_SWEEP_GRID}")
+    inst, ops = transport_from_config(spec)
     graphs = enumerate_connected_digraphs(4)
     complete = OrderedDigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     cfg = SolverConfig(
@@ -182,8 +182,6 @@ def cmd_transport_sweep(args):
 
 
 def cmd_svm(args):
-    from .problems import build_svm
-
     inst, ops, bg = build_svm(
         args.n,
         args.officials,
@@ -235,22 +233,15 @@ def cmd_simulate(args):
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
     result = sim.run(args.rounds)
     # centralized re-run of the same formulation for the equivalence report
+    dim = result.x_history.shape[2]
     if args.protocol == "tree":
-        from .solver import step_tree
-
-        w = np.zeros((bg.base.n_edges, result.x_history.shape[2]))
-        max_dev = 0.0
-        for rnd in range(args.rounds):
-            x, w = step_tree(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
-            max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
+        step, w = step_tree, np.zeros((bg.base.n_edges, dim))
     else:
-        from .solver import step_wtilde
-
-        wt = np.zeros((bg.n_nodes, result.x_history.shape[2]))
-        max_dev = 0.0
-        for rnd in range(args.rounds):
-            x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
-            max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
+        step, w = step_wtilde, np.zeros((bg.n_nodes, dim))
+    max_dev = 0.0
+    for rnd in range(args.rounds):
+        x, w = step(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
     with open(args.out, "w") as fh:
         for line in _header(
             args,

@@ -33,9 +33,6 @@ class OntoDecomposition:
     def n_nodes(self):
         return self.z.shape[0]
 
-    def gram(self):
-        return self.z.T @ self.z
-
 
 def incidence_decomposition(tree):
     """Signed incidence matrix of a tree: one column per edge, +1 at the tail.

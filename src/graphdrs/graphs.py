@@ -89,16 +89,6 @@ class OrderedDigraph:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    """Per-node degree summary of a bilevel graph."""
-
-    degree: np.ndarray       # state-graph degree d_i
-    base_degree: np.ndarray  # base-graph degree d'_i
-    in_degree: np.ndarray    # d_i^+, neighbors with smaller label (state)
-    out_degree: np.ndarray   # d_i^-, neighbors with larger label (state)
-
-
-@dataclass(frozen=True)
 class BilevelGraph:
     """A state graph together with a connected base subgraph on the same nodes."""
 
@@ -122,15 +112,6 @@ class BilevelGraph:
         """State edges not in the base graph (the set E minus E')."""
         base = set(self.base.edges)
         return tuple(e for e in self.state.edges if e not in base)
-
-    def degree_profile(self):
-        n = self.n_nodes
-        return DegreeProfile(
-            degree=self.state.degrees(),
-            base_degree=self.base.degrees(),
-            in_degree=np.array([len(self.state.in_neighbors(i)) for i in range(n)]),
-            out_degree=np.array([len(self.state.out_neighbors(i)) for i in range(n)]),
-        )
 
 
 def laplacian(g):

@@ -153,6 +153,37 @@ def project_affine(lam, b, range_tol=1e-6):
     return Resolvent(n, fn, name="affine_projection")
 
 
+def project_grid_divergence(div, p, b):
+    """Projection onto {x : div @ x = b} for the p x p no-flux grid divergence.
+
+    The map of :func:`project_affine` (b recentered, zero mode dropped)
+    without densifying div: div @ div.T is the 5-point Neumann Laplacian,
+    which the orthonormal 2-D DCT-II diagonalizes with eigenvalues
+    (2 - 2 cos(pi i / p)) + (2 - 2 cos(pi j / p)), so a call costs O(p^2 log p).
+    """
+    from scipy.fft import dctn, idctn  # lazy: only grid problems load it
+
+    m = p * p
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,) or div.shape != (m, 2 * m):
+        raise OperatorError(f"need a ({m}, {2 * m}) divergence and b of length {m}")
+    b = b - b.mean()
+    line = 2.0 - 2.0 * np.cos(np.pi * np.arange(p) / p)
+    eig = line[:, None] + line[None, :]
+    inv_eig = np.divide(1.0, eig, out=np.zeros_like(eig), where=eig > 0)
+    div_t = div.T.tocsr()
+
+    def fn(tau, r):
+        v = dctn((div @ r - b).reshape(p, p), norm="ortho")
+        return r - div_t @ idctn(v * inv_eig, norm="ortho").ravel()
+
+    # the projected zero point is feasible only if div is the grid divergence
+    resid = np.linalg.norm(div @ fn(0.0, np.zeros(2 * m)) - b)
+    if resid > 1e-6 * max(np.linalg.norm(b), 1e-30):
+        raise OperatorError(f"div is not the {p}x{p} grid divergence ({resid:g})")
+    return Resolvent(2 * m, fn, name="affine_projection")
+
+
 def project_capacity(bridge_idx, water_idx, cap):
     """Blockwise projection: water blocks to zero, bridge blocks into a ball.
 

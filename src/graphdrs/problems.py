@@ -13,9 +13,8 @@ from scipy import sparse
 
 from .graphs import BilevelGraph, OrderedDigraph
 from .operators import (
-    OperatorError,
-    project_affine,
     project_capacity,
+    project_grid_divergence,
     prox_group_l1,
     prox_hinge_affine,
     prox_power_three_halves,
@@ -161,7 +160,7 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
         bridge=bridge_cells, water=water_cells, cap=cap,
     )
     ops = [
-        project_affine(div, nu - mu),
+        project_grid_divergence(div, p, nu - mu),
         prox_power_three_halves(),
         prox_group_l1(),
         project_capacity(bridge_cells, water_cells, cap),

@@ -39,14 +39,14 @@ class SolverConfig:
     tol: float = 0.0  # stop when ||Z^T x||^2 < tol; 0 disables early stopping
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not callable(self.theta) and not 0.0 < float(self.theta) < 2.0:
             raise ValueError("constant relaxation must lie in (0, 2)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
     def theta_at(self, k):
         if callable(self.theta):

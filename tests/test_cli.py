@@ -113,6 +113,37 @@ def test_transport_sweep_grid_guard(tmp_path):
     assert code == 2
 
 
+def test_transport_sweep_grid_guard_config(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("problem = transport\np = 65\n")
+    code = main(
+        ["transport-sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    assert "p <= 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--sigma", "nan"], ["--sigma", "inf"], ["--tol", "nan"]]
+)
+def test_transport_sweep_non_finite_is_input_error(tmp_path, capsys, flags):
+    code = main(
+        ["transport-sweep", "--p", "5", "--max-iter", "2", *flags,
+         "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "numerical failure" not in err
+
+
+def test_solve_non_finite_sigma_is_input_error(graph_file, quad_cfg, tmp_path):
+    code = main(
+        ["solve", "--graph", graph_file, "--config", quad_cfg,
+         "--sigma", "nan", "--out", str(tmp_path / "t.csv")]
+    )
+    assert code == 2
+
+
 def test_svm_sweep(tmp_path):
     out = str(tmp_path / "svm.csv")
     code = main(

@@ -5,6 +5,7 @@ from graphdrs.operators import (
     OperatorError,
     project_affine,
     project_capacity,
+    project_grid_divergence,
     prox_group_l1,
     prox_hinge_affine,
     prox_power_three_halves,
@@ -12,6 +13,7 @@ from graphdrs.operators import (
     prox_translated_quadratic,
     zero_operator,
 )
+from graphdrs.problems import divergence_matrix
 
 rng = np.random.default_rng(123)
 
@@ -114,6 +116,48 @@ def test_affine_projection_range_check():
     bad_b = np.array([1.0, 5.0])  # not proportional to (1, 2)
     with pytest.raises(OperatorError, match="range"):
         project_affine(lam, bad_b)
+
+
+GRID_SIDES = [3, 5, 12, 35]
+
+
+@pytest.mark.parametrize("p", GRID_SIDES)
+def test_grid_divergence_matches_dense_projection(p):
+    local = np.random.default_rng(500 + p)
+    div = divergence_matrix(p)
+    b = local.standard_normal(p * p)
+    dense = project_affine(div, b)
+    spectral = project_grid_divergence(div, p, b)
+    for tau in (0.0, 1.0):
+        r = local.standard_normal(2 * p * p)
+        assert np.abs(spectral(tau, r) - dense(tau, r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", GRID_SIDES)
+def test_grid_divergence_feasible_idempotent_firm(p):
+    local = np.random.default_rng(600 + p)
+    div = divergence_matrix(p)
+    b = local.standard_normal(p * p)
+    b_centered = b - b.mean()
+    op = project_grid_divergence(div, p, b)
+    for _ in range(20):
+        x, y = local.standard_normal((2, 2 * p * p)) * 3
+        jx, jy = op(1.0, x), op(1.0, y)
+        assert np.linalg.norm(div @ jx - b_centered) <= 1e-10
+        assert np.abs(op(1.0, jx) - jx).max() <= 1e-12
+        d = jx - jy
+        assert float(d @ d) <= float(d @ (x - y)) + 1e-9
+
+
+def test_grid_divergence_validation():
+    div = divergence_matrix(4)
+    with pytest.raises(OperatorError, match="length 16"):
+        project_grid_divergence(div, 4, np.zeros(15))
+    with pytest.raises(OperatorError):
+        project_grid_divergence(div, 5, np.zeros(25))
+    # right shape, wrong matrix: its Gram matrix is not the grid Laplacian
+    with pytest.raises(OperatorError, match="grid divergence"):
+        project_grid_divergence(2.0 * div, 4, np.arange(16.0))
 
 
 def test_capacity_projection():

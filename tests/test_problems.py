@@ -54,6 +54,14 @@ def test_build_transport_invariants():
     assert all(op.dim == 200 for op in ops)
 
 
+def test_build_transport_large_grid_stays_sparse():
+    # the dense projection would need gigabytes here; the spectral one does not
+    inst, ops = build_transport(128)
+    flow = ops[0](1.0, rng.standard_normal(2 * 128 * 128))
+    rhs = inst.nu - inst.mu
+    assert np.linalg.norm(inst.div @ flow - (rhs - rhs.mean())) <= 1e-10
+
+
 def test_build_transport_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
         build_transport(6, bridge=(2, 0, 3, 5), water=(2, 0, 3, 5))

@@ -65,6 +65,20 @@ def test_config_validation():
         SolverConfig(sigma=1.0, tol=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"sigma": 1.0, "tol": float("nan")},
+        {"sigma": 1.0, "tol": float("inf")},
+    ],
+)
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**kwargs)
+
+
 def test_theta_schedule_clamped():
     cfg = SolverConfig(sigma=1.0, theta=lambda k: 5.0 if k == 0 else -1.0)
     assert cfg.theta_at(0) == pytest.approx(2.0 - 1e-3)
