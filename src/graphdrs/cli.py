@@ -265,12 +265,16 @@ def cmd_simulate(args):
 # argument parsing
 
 
-def _add_common(p, sigma=1.0):
+def _add_common(p, sigma=1.0, stopping=True):
     p.add_argument("--sigma", type=float, default=sigma, help="step size > 0")
     p.add_argument("--theta", type=float, default=1.0, help="relaxation in (0, 2)")
-    p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
-    p.add_argument("--tol", type=float, default=0.0,
-                   help="stop when the squared residual drops below this; 0 = off")
+    if stopping:
+        p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+        p.add_argument("--tol", type=float, default=0.0,
+                       help="stop when the squared residual drops below this; 0 = off")
+    else:
+        # not flags, but the CSV header has always recorded these defaults
+        p.set_defaults(max_iter=1000, tol=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
 
@@ -317,8 +321,9 @@ def build_parser():
     p.add_argument("--graph", help="bilevel graph file")
     p.add_argument("--config", required=True, help="problem config")
     p.add_argument("--protocol", choices=("tree", "general"), default="tree")
-    p.add_argument("--rounds", type=int, default=50)
-    _add_common(p)
+    p.add_argument("--rounds", type=int, default=50,
+                   help="sweeps to simulate (no --max-iter/--tol stopping)")
+    _add_common(p, stopping=False)
     p.set_defaults(fn=cmd_simulate)
 
     return parser

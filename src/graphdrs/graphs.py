@@ -6,6 +6,7 @@ the node labeling is itself a topological ordering.  File formats use
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -60,26 +61,38 @@ class OrderedDigraph:
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "edges", tuple(norm))
 
+    @cached_property
+    def _neighbors(self):
+        """In- and out-neighbor lists of every node, built by one edge scan
+        on first use (most enumerated graphs never need them); the edges are
+        sorted, so each list is too."""
+        ins = [[] for _ in range(self.n_nodes)]
+        outs = [[] for _ in range(self.n_nodes)]
+        for i, j in self.edges:
+            outs[i].append(j)
+            ins[j].append(i)
+        return ins, outs
+
     @property
     def n_edges(self):
         return len(self.edges)
 
     def adjacency(self, i):
         """Sorted neighbors of node i in the undirected support."""
-        out = [j for (h, j) in self.edges if h == i]
-        out += [h for (h, j) in self.edges if j == i]
-        return sorted(out)
+        ins, outs = self._neighbors
+        return ins[i] + outs[i]
 
     def in_neighbors(self, i):
         """Sorted neighbors h < i, i.e. tails of edges entering i."""
-        return sorted(h for (h, j) in self.edges if j == i)
+        return self._neighbors[0][i][:]
 
     def out_neighbors(self, i):
         """Sorted neighbors j > i, i.e. heads of edges leaving i."""
-        return sorted(j for (h, j) in self.edges if h == i)
+        return self._neighbors[1][i][:]
 
     def degree(self, i):
-        return len(self.in_neighbors(i)) + len(self.out_neighbors(i))
+        ins, outs = self._neighbors
+        return len(ins[i]) + len(outs[i])
 
     def degrees(self):
         return np.array([self.degree(i) for i in range(self.n_nodes)])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import node_solution, tree_w_update, wtilde_node_update
+from .solver import node_dual_term, node_solution, tree_w_update, wtilde_node_update
 
 
 class ProtocolError(RuntimeError):
@@ -154,83 +154,84 @@ class NetworkSim:
 
     def _run_tree(self, rounds):
         bg = self.bg
-        edges = bg.base.edges
+        n = bg.n_nodes
+        edge_id = {e: k for k, e in enumerate(bg.base.edges)}
+        # per agent: owned duals (edges (h, i), h < i) then received duals
+        # (edges (i, j)); in edge-list order, i.e. the column order of Z
+        owned = [[(h, edge_id[(h, i)]) for h in bg.base.in_neighbors(i)] for i in range(n)]
+        w_from = [{j: edge_id[(i, j)] for j in bg.base.out_neighbors(i)} for i in range(n)]
+        degrees = [bg.state.degree(i) for i in range(n)]
+        x_to = [bg.state.out_neighbors(i) for i in range(n)]
         # round 0: owners initialize their duals and push them upstream
-        for e, (h, i) in enumerate(edges):
+        for e, (h, i) in enumerate(bg.base.edges):
             self.agents[i].owned_w[e] = np.zeros(self.dim)
             self._send(0, i, h, "w", self.agents[i].owned_w[e])
         history = []
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            for i in range(bg.n_nodes):
-                agent = self.agents[i]
+            x = np.empty((n, self.dim))
+            for i, agent in enumerate(self.agents):
                 for j in self.table[i]["w_recv"]:
-                    e = edges.index((i, j))
-                    agent.peer_w[e] = self._recv(rnd, i, j, "w")
+                    agent.peer_w[w_from[i][j]] = self._recv(rnd, i, j, "w")
                 for h in self.table[i]["x_recv"]:
                     agent.peer_x[h] = self._recv(rnd, i, h, "x")
-                w_terms = []
-                for e, (h, j) in enumerate(edges):
-                    if h == i:
-                        w_terms.append((1.0, agent.peer_w[e]))
-                    elif j == i:
-                        w_terms.append((-1.0, agent.owned_w[e]))
+                w_terms = [(-1.0, agent.owned_w[e]) for _, e in owned[i]]
+                w_terms += [(1.0, agent.peer_w[e]) for e in w_from[i].values()]
                 agent.x = node_solution(
                     agent.resolvent,
                     self.cfg.sigma,
-                    bg.state.degree(i),
+                    degrees[i],
                     [agent.peer_x[h] for h in self.table[i]["x_recv"]],
-                    w_terms,
-                    self.dim,
+                    node_dual_term(degrees[i], w_terms, self.dim),
+                    x[i],
                 )
-                for e, (h, j) in enumerate(edges):
-                    if j == i:
-                        agent.owned_w[e] = tree_w_update(
-                            agent.owned_w[e], theta, agent.x, agent.peer_x[h]
-                        )
-                for j in bg.state.out_neighbors(i):
+                for h, e in owned[i]:
+                    agent.owned_w[e] = tree_w_update(
+                        agent.owned_w[e], theta, agent.x, agent.peer_x[h]
+                    )
+                for j in x_to[i]:
                     self._send(rnd, i, j, "x", agent.x)
-                for e, (h, j) in enumerate(edges):
-                    if j == i:
-                        self._send(rnd, i, h, "w", agent.owned_w[e])
-            history.append(np.array([a.x for a in self.agents]))
+                for h, e in owned[i]:
+                    self._send(rnd, i, h, "w", agent.owned_w[e])
+            history.append(x)
         return SimResult(np.array(history), self.agents, self.log)
 
     def _run_general(self, rounds):
         bg = self.bg
+        n = bg.n_nodes
+        degrees = [bg.state.degree(i) for i in range(n)]
+        x_to = [bg.state.out_neighbors(i) + bg.base.in_neighbors(i) for i in range(n)]
+        base_adj = [bg.base.adjacency(i) for i in range(n)]
         for agent in self.agents:
             agent.wtilde = np.zeros(self.dim)
         history = []
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            for i in range(bg.n_nodes):
-                agent = self.agents[i]
+            x = np.empty((n, self.dim))
+            for i, agent in enumerate(self.agents):
                 for h in self.table[i]["x_recv"]:
                     agent.peer_x[h] = self._recv(rnd, i, h, "x")
                 agent.x = node_solution(
                     agent.resolvent,
                     self.cfg.sigma,
-                    bg.state.degree(i),
+                    degrees[i],
                     [agent.peer_x[h] for h in self.table[i]["x_recv"]],
-                    [(1.0, agent.wtilde)],
-                    self.dim,
+                    node_dual_term(degrees[i], [(1.0, agent.wtilde)], self.dim),
+                    x[i],
                 )
-                for j in bg.state.out_neighbors(i):
+                for j in x_to[i]:
                     self._send(rnd, i, j, "x", agent.x)
-                for h in bg.base.in_neighbors(i):
-                    self._send(rnd, i, h, "x", agent.x)
-            for i in range(bg.n_nodes):
-                agent = self.agents[i]
+            for i, agent in enumerate(self.agents):
                 for j in self.table[i]["x_recv_phase2"]:
                     agent.peer_x[j] = self._recv(rnd, i, j, "x")
                 agent.wtilde = wtilde_node_update(
                     agent.wtilde,
                     theta,
-                    bg.base.degree(i),
+                    len(base_adj[i]),
                     agent.x,
-                    [agent.peer_x[j] for j in bg.base.adjacency(i)],
+                    [agent.peer_x[j] for j in base_adj[i]],
                 )
-            history.append(np.array([a.x for a in self.agents]))
+            history.append(x)
         return SimResult(np.array(history), self.agents, self.log)
 
 

@@ -10,7 +10,11 @@ variables.  Three equivalent formulations are provided:
 * :func:`step_wtilde` -- node-local dual variables with zero sum, one per
   node, usable with any base graph.
 
-The per-node arithmetic lives in small shared kernels (:func:`node_solution`,
+A :class:`StepPlan`, built once, holds the sparsity a sweep reads: the state
+in-neighbor lists, 1/d_i and slot-wise gather tables of Z and Z^T, so the
+dual side of a sweep is a few whole-array gathers, each row summed from zero
+in ascending column order.  The per-node arithmetic lives in small shared
+kernels (:func:`node_solution`, :func:`node_dual_term`,
 :func:`tree_w_update`, :func:`wtilde_node_update`) that the message-passing
 simulator reuses verbatim, so centralized and simulated runs agree bit for
 bit.
@@ -50,8 +54,11 @@ class SolverConfig:
 
     def theta_at(self, k):
         if callable(self.theta):
+            theta = float(self.theta(k))
+            if math.isnan(theta):  # min/max below would pass it through
+                raise ValueError(f"relaxation schedule gave theta({k}) = {theta}")
             # keep user sequences bounded away from 0 and 2
-            return min(max(float(self.theta(k)), THETA_CLAMP), 2.0 - THETA_CLAMP)
+            return min(max(theta, THETA_CLAMP), 2.0 - THETA_CLAMP)
         return float(self.theta)
 
 
@@ -75,22 +82,31 @@ class TraceRecord:
 # ---------------------------------------------------------------------------
 # shared per-node kernels (also used by the distributed simulator)
 
-def node_solution(op, sigma, d_i, xs_in, w_terms, dim):
-    """One resolvent evaluation of the sweep.
+def node_solution(op, sigma, d_i, xs_in, w_term, out):
+    """One resolvent evaluation of the sweep, written into out (returned).
 
     xs_in are the already-updated estimates of the smaller-labeled state
-    neighbors, ascending; w_terms are (coefficient, dual vector) pairs in a
-    fixed order.  Both callers must pass identical orderings for bit-equal
-    results.
+    neighbors, ascending; w_term is the node's pre-scaled dual term
+    (1/d_i)(Z w)_i (see :func:`node_dual_term`).  Both callers must pass
+    identical orderings for bit-equal results.
     """
-    acc = np.zeros(dim)
+    acc = np.zeros(out.shape)
     for xh in xs_in:
         acc = acc + xh
-    wacc = np.zeros(dim)
+    out[...] = op(sigma / d_i, (2.0 / d_i) * acc + w_term)
+    return out
+
+
+def node_dual_term(d_i, w_terms, dim):
+    """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order.
+
+    Accumulates from zero in the order of the step's gather, so one node's
+    term equals its row of the whole-array form bit for bit.
+    """
+    acc = np.zeros(dim)
     for coeff, wv in w_terms:
-        wacc = wacc + coeff * wv
-    u = (2.0 / d_i) * acc + (1.0 / d_i) * wacc
-    return op(sigma / d_i, u)
+        acc = acc + coeff * wv
+    return (1.0 / d_i) * acc
 
 
 def tree_w_update(w_edge, theta, x_i, x_h):
@@ -109,129 +125,143 @@ def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
 # ---------------------------------------------------------------------------
 # step plans
 
+def _slots(m):
+    """Gather tables of a sparse matrix, one per slot.
+
+    Slot s holds (rows, cols, coef): the s-th nonzero, by ascending column,
+    of every row that has one.  rows is a plain slice when the slot covers
+    every row: index-array writes there made the transport sweep (N = 4,
+    dim 2450) 11 % slower.
+    """
+    nnz = [np.flatnonzero(row) for row in m]
+    slots = []
+    for s in range(max(map(len, nnz), default=0)):
+        rows = np.array([r for r, cols in enumerate(nnz) if len(cols) > s])
+        cols = np.array([nnz[r][s] for r in rows])
+        coef = m[rows, cols][:, None]
+        slots.append((slice(None) if len(rows) == len(m) else rows, cols, coef))
+    return slots
+
+
+def _gather(slots, src, n_rows):
+    """m @ src for the matrix m of the slots, each row summed from zero in
+    ascending column order, as a per-node loop would."""
+    out = np.zeros((n_rows, src.shape[1]))
+    for rows, cols, coef in slots:
+        out[rows] += coef * src[cols]
+    return out
+
+
 class StepPlan:
-    """Precomputed sparsity pattern of one solver configuration."""
+    """Precomputed sparsity of one sweep, built once and read by every step.
+
+    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, and the
+    gather tables of Z (for the dual terms Z w) and of Z^T (for Z^T x).
+    """
 
     def __init__(self, bg, z):
-        self.bg = bg
-        self.z = np.asarray(z, dtype=float)
+        z = np.asarray(z, dtype=float)
         n = bg.n_nodes
-        if self.z.shape != (n, n - 1):
-            raise ValueError(f"Z must be {n}x{n - 1}, got {self.z.shape}")
-        self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
-        self.degrees = bg.state.degrees()
-        # per node: nonzero (column, coefficient) pairs of Z, ascending column
-        self.wcols = [
-            [(j, self.z[i, j]) for j in range(n - 1) if self.z[i, j] != 0.0]
-            for i in range(n)
-        ]
-        # per column: nonzero (row, coefficient) pairs, ascending row
-        self.xrows = [
-            [(i, self.z[i, j]) for i in range(n) if self.z[i, j] != 0.0]
-            for j in range(n - 1)
-        ]
+        if z.shape != (n, n - 1):
+            raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
+        self._init_sweep(bg, z)
+        self.z_cols = _slots(z.T)
+
+    def _init_sweep(self, bg, z):
+        # no reference to bg: graphs keep their plans, and a cycle would
+        # outlive its last user until the cyclic collector runs
+        self.n_nodes = bg.n_nodes
+        self.in_nbrs = [bg.state.in_neighbors(i) for i in range(bg.n_nodes)]
+        degrees = bg.state.degrees()
+        self.degrees = degrees.tolist()
+        self.inv_d = 1.0 / degrees[:, None]
+        self.z_rows = _slots(z)
 
 
-def _check_finite(x, k):
+class _NodeLocalPlan(StepPlan):
+    """Plan of the node-local form: each dual enters its own node (Z = I)
+    and the update applies the base Laplacian, degree times x minus the
+    neighbor sum."""
+
+    def __init__(self, bg):
+        self._init_sweep(bg, np.eye(bg.n_nodes))
+        lap = laplacian(bg.base)
+        self.base_degrees = lap.diagonal()[:, None]
+        self.base_adj = _slots(np.diag(lap.diagonal()) - lap)
+
+
+def _graph_plan(bg, kind):
+    """The tree or node-local plan of bg, built on first use and kept on bg."""
+    plans = vars(bg).setdefault("_step_plans", {})
+    if kind not in plans:
+        if kind == "tree":
+            if not bg.base.is_tree():
+                raise ValueError("step_tree requires a tree base graph")
+            plans[kind] = StepPlan(bg, incidence_decomposition(bg.base).z)
+        else:
+            plans[kind] = _NodeLocalPlan(bg)
+    return plans[kind]
+
+
+def _check_finite(x, ops, k):
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"non-finite solution estimate at iteration {k}")
+        # failure path only: name the first offending node in sweep order
+        i = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        name = getattr(ops[i], "name", repr(ops[i]))
+        raise NumericalError(
+            f"non-finite solution estimate at iteration {k}: node {i} "
+            f"(resolvent {name!r})"
+        )
+
+
+def _sweep(plan, ops, sigma, w, k):
+    """The N resolvent calls of one sweep, in node order; returns x."""
+    n = plan.n_nodes
+    if len(ops) != n:
+        raise ValueError(f"need {n} operators, got {len(ops)}")
+    w_term = plan.inv_d * _gather(plan.z_rows, w, n)
+    x = np.empty_like(w_term)
+    for i, (op, d_i, nbrs) in enumerate(zip(ops, plan.degrees, plan.in_nbrs)):
+        node_solution(op, sigma, d_i, [x[h] for h in nbrs], w_term[i], x[i])
+    _check_finite(x, ops, k)
+    return x
+
+
+def _step(plan, ops, sigma, theta, w, k):
+    """The Z step behind step_general and step_tree.
+
+    Private so that neither public step calls the other: the benchmark's
+    layer trace counts each public step call as one sweep.
+    """
+    x = _sweep(plan, ops, sigma, w, k)
+    ztx = _gather(plan.z_cols, x, len(w))
+    return x, w - theta * ztx, ztx
 
 
 def step_general(plan, ops, sigma, theta, w, k=0):
     """One sweep of the general method; returns (x, w_new, z_t_x)."""
-    bg = plan.bg
-    n = bg.n_nodes
-    dim = w.shape[1]
-    if len(ops) != n:
-        raise ValueError(f"need {n} operators, got {len(ops)}")
-    xs = [None] * n
-    for i in range(n):
-        xs[i] = node_solution(
-            ops[i],
-            sigma,
-            plan.degrees[i],
-            [xs[h] for h in plan.in_nbrs[i]],
-            [(coeff, w[j]) for j, coeff in plan.wcols[i]],
-            dim,
-        )
-    x = np.array(xs)
-    _check_finite(x, k)
-    ztx = np.empty_like(w)
-    w_new = np.empty_like(w)
-    for j in range(n - 1):
-        acc = np.zeros(dim)
-        for i, coeff in plan.xrows[j]:
-            acc = acc + coeff * xs[i]
-        ztx[j] = acc
-        w_new[j] = w[j] - theta * acc
-    return x, w_new, ztx
+    return _step(plan, ops, sigma, theta, w, k)
 
 
 def step_tree(bg, ops, sigma, theta, w_edges, k=0):
     """One sweep with edge-indexed dual variables (tree base graphs).
 
-    w_edges rows follow the base edge-list order.  Produces the same x and,
-    bit for bit, the same duals as :func:`step_general` with the incidence
-    factorization.
+    w_edges rows follow the base edge-list order.  This is the general step
+    with the incidence factorization, whose plan is built once per graph.
     """
-    if not bg.base.is_tree():
-        raise ValueError("step_tree requires a tree base graph")
-    n = bg.n_nodes
-    dim = w_edges.shape[1]
-    edges = bg.base.edges
-    xs = [None] * n
-    for i in range(n):
-        w_terms = []
-        for e, (h, j) in enumerate(edges):
-            if h == i:
-                w_terms.append((1.0, w_edges[e]))
-            elif j == i:
-                w_terms.append((-1.0, w_edges[e]))
-        xs[i] = node_solution(
-            ops[i],
-            sigma,
-            bg.state.degree(i),
-            [xs[h] for h in bg.state.in_neighbors(i)],
-            w_terms,
-            dim,
-        )
-    x = np.array(xs)
-    _check_finite(x, k)
-    w_new = np.empty_like(w_edges)
-    for e, (h, i) in enumerate(edges):
-        w_new[e] = tree_w_update(w_edges[e], theta, xs[i], xs[h])
+    x, w_new, _ = _step(_graph_plan(bg, "tree"), ops, sigma, theta, w_edges, k)
     return x, w_new
 
 
 def step_wtilde(bg, ops, sigma, theta, wt, k=0):
     """One sweep of the node-local dual formulation; returns (x, wt_new)."""
-    n = bg.n_nodes
-    dim = wt.shape[1]
     scale = max(1.0, float(np.abs(wt).max(initial=0.0)))
     if np.abs(wt.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
         raise ValueError("node-local duals must sum to zero")
-    xs = [None] * n
-    for i in range(n):
-        xs[i] = node_solution(
-            ops[i],
-            sigma,
-            bg.state.degree(i),
-            [xs[h] for h in bg.state.in_neighbors(i)],
-            [(1.0, wt[i])],
-            dim,
-        )
-    x = np.array(xs)
-    _check_finite(x, k)
-    wt_new = np.empty_like(wt)
-    for i in range(n):
-        wt_new[i] = wtilde_node_update(
-            wt[i],
-            theta,
-            bg.base.degree(i),
-            xs[i],
-            [xs[j] for j in bg.base.adjacency(i)],
-        )
-    return x, wt_new
+    plan = _graph_plan(bg, "node_local")
+    x = _sweep(plan, ops, sigma, wt, k)
+    lx = plan.base_degrees * x - _gather(plan.base_adj, x, len(x))
+    return x, wt - theta * lx
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,18 @@ def test_simulate_general_protocol(graph_file, quad_cfg, tmp_path):
     assert "# max_deviation = 0\n" in open(out).read()
 
 
+@pytest.mark.parametrize("flag", ["--max-iter", "--tol"])
+def test_simulate_rejects_solver_only_flags(graph_file, quad_cfg, tmp_path, capsys, flag):
+    out = tmp_path / "log.csv"
+    code = main(
+        ["simulate", "--graph", graph_file, "--config", quad_cfg,
+         "--rounds", "3", flag, "1", "--out", str(out)]
+    )
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_recorded_in_header(graph_file, quad_cfg, tmp_path):
     out = str(tmp_path / "t.csv")
     main(["solve", "--graph", graph_file, "--config", quad_cfg,

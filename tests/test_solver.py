@@ -79,6 +79,15 @@ def test_config_rejects_non_finite(kwargs):
         SolverConfig(**kwargs)
 
 
+def test_theta_schedule_rejects_nan():
+    cfg = SolverConfig(sigma=1.0, theta=lambda k: math.nan if k == 3 else 1.0)
+    assert cfg.theta_at(2) == 1.0
+    with pytest.raises(ValueError, match=r"theta\(3\) = nan"):
+        cfg.theta_at(3)
+    # infinite values are clamped into (0, 2) as before
+    assert SolverConfig(sigma=1.0, theta=lambda k: math.inf).theta_at(0) < 2.0
+
+
 def test_theta_schedule_clamped():
     cfg = SolverConfig(sigma=1.0, theta=lambda k: 5.0 if k == 0 else -1.0)
     assert cfg.theta_at(0) == pytest.approx(2.0 - 1e-3)
@@ -372,6 +381,24 @@ def test_nonfinite_raises():
     ops = [Resolvent(1, blowup), zero_operator(1)]
     with pytest.raises(NumericalError):
         run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=5))
+
+
+def test_nonfinite_names_node_and_operator():
+    from graphdrs.operators import Resolvent
+
+    bg = make_malitsky_tam(3)
+    ops = [
+        prox_translated_quadratic(np.ones(2)),
+        Resolvent(2, lambda tau, r: np.full_like(r, np.inf), name="blowup"),
+        prox_translated_quadratic(np.zeros(2)),
+    ]
+    cfg = SolverConfig(sigma=1.0, max_iter=5)
+    with pytest.raises(NumericalError, match="iteration 0: node 1 .*'blowup'"):
+        run(bg, tree_decomposition(bg), ops, cfg)
+    with pytest.raises(NumericalError, match="node 1 .*'blowup'"):
+        run_wtilde(bg, ops, cfg)
+    with pytest.raises(NumericalError, match="node 1 .*'blowup'"):
+        step_tree(bg, ops, 1.0, 1.0, np.zeros((2, 2)))
 
 
 def test_run_wtilde_matches_run():
