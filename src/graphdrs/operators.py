@@ -6,7 +6,7 @@ call-time argument because the solver uses node-dependent steps.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
 
 class OperatorError(ValueError):
@@ -51,6 +51,7 @@ def prox_quadratic(k_matrix, weight):
         raise OperatorError("weight must be nonnegative")
     n = k_matrix.shape[0]
     eye = np.eye(n)
+    potrs = get_lapack_funcs("potrs", (eye,))
     cache = {}
 
     def fn(tau, r):
@@ -58,7 +59,13 @@ def prox_quadratic(k_matrix, weight):
             return r.copy()
         if tau not in cache:
             cache[tau] = cho_factor(eye + 2.0 * tau * weight * k_matrix)
-        return cho_solve(cache[tau], r)
+        # scipy's cho_solve without its per-call wrapping: the same finite
+        # check, then the same LAPACK solve (which checks the length)
+        c, lower = cache[tau]
+        x, info = potrs(c, np.asarray_chkfinite(r), lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
     return Resolvent(n, fn, name="quadratic")
 
@@ -86,7 +93,33 @@ def prox_hinge_affine(s, offset=1.0):
             pi = offset
         return r + ((pi - p) / s_sq) * s
 
-    return Resolvent(s.size, fn, name="hinge")
+    res = Resolvent(s.size, fn, name="hinge")
+    res.hinge = (s, float(offset))  # read by :func:`stack_hinges`
+    return res
+
+
+def stack_hinges(hinges, divisors):
+    """The resolvents of several hinges as one call on stacked inputs.
+
+    Row i of ``stacked(tau, r)`` is ``hinges[i](tau / divisors[i], r[i])``
+    bit for bit: the same operations elementwise, with each s.r taken by
+    ``np.matmul`` of (k, 1, d) by (k, d, 1), which calls the same BLAS dot
+    as the scalar form's ``s @ r`` (einsum and row sums round differently),
+    and the branch picked by ``np.where``.
+    """
+    s = np.stack([h.hinge[0] for h in hinges])
+    offset = np.array([h.hinge[1] for h in hinges])
+    s_sq = np.array([float(v @ v) for v in s])
+    s_row = s[:, None, :]
+    divisors = np.asarray(divisors, dtype=float)
+
+    def fn(tau, r):
+        p = np.matmul(s_row, r[:, :, None])[:, 0, 0]
+        q = (tau / divisors) * s_sq
+        pi = np.where(p >= offset, p, np.where(p <= offset - q, p + q, offset))
+        return r + ((pi - p) / s_sq)[:, None] * s
+
+    return Resolvent(s.shape[1], fn, name="hinge")
 
 
 def prox_power_three_halves():

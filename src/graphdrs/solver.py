@@ -1,8 +1,8 @@
 """Centralized graph-based Douglas-Rachford engine.
 
-One sweep evaluates each resolvent once, in ascending node order (forced by
-the topological structure of the state graph), then updates the dual
-variables.  Three equivalent formulations are provided:
+One sweep evaluates each resolvent once, each node after its state
+in-neighbors (the state graph is a DAG whose edges point to larger labels),
+then updates the dual variables.  Three equivalent formulations are provided:
 
 * :func:`step_general` -- dual variables w in H^(N-1), any factorization Z;
 * :func:`step_tree` -- dual variables indexed by base edges (tree bases,
@@ -11,13 +11,18 @@ variables.  Three equivalent formulations are provided:
   node, usable with any base graph.
 
 A :class:`StepPlan`, built once, holds the sparsity a sweep reads: the state
-in-neighbor lists, 1/d_i and slot-wise gather tables of Z and Z^T, so the
-dual side of a sweep is a few whole-array gathers, each row summed from zero
-in ascending column order.  The per-node arithmetic lives in small shared
-kernels (:func:`node_solution`, :func:`node_dual_term`,
-:func:`tree_w_update`, :func:`wtilde_node_update`) that the message-passing
-simulator reuses verbatim, so centralized and simulated runs agree bit for
-bit.
+in-neighbor lists, 1/d_i, the gathers of Z and Z^T and the level schedule
+of the state DAG.  Each gather is two whole-array blocks, one gather for
+the rows with a single nonzero and one zero-padded block summed over its
+slots, each row summed from zero in ascending column order.  A sweep walks
+the levels; nodes of one level never read each other, so a level's hinge
+nodes are one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`)
+and every other node is one :func:`node_solution`.  The per-node arithmetic
+lives in small shared kernels (:func:`node_solution`,
+:func:`node_dual_term`, :func:`tree_w_update`, :func:`wtilde_node_update`)
+that the message-passing simulator reuses verbatim; the stacked and gathered
+forms repeat their operations elementwise, so centralized and simulated
+runs agree bit for bit.
 """
 
 import math
@@ -27,6 +32,7 @@ import numpy as np
 
 from .factorization import external_decomposition, incidence_decomposition
 from .graphs import BilevelGraph, OrderedDigraph, laplacian, p_matrix, sigma_matrix
+from .operators import stack_hinges
 
 THETA_CLAMP = 1e-3
 
@@ -125,38 +131,74 @@ def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
 # ---------------------------------------------------------------------------
 # step plans
 
-def _slots(m):
-    """Gather tables of a sparse matrix, one per slot.
+class _Gather:
+    """m @ src for a fixed matrix m, each row summed from zero in ascending
+    column order, as a per-row loop would, in two whole-array blocks.
 
-    Slot s holds (rows, cols, coef): the s-th nonzero, by ascending column,
-    of every row that has one.  rows is a plain slice when the slot covers
-    every row: index-array writes there made the transport sweep (N = 4,
-    dim 2450) 11 % slower.
+    Rows with one nonzero are one gather.  Rows with more are one
+    zero-padded (slot, row) table of their nonzeros, summed over the slots by
+    one ``np.add.reduce``.  Padded slots are set to 0.0 after the product,
+    so a non-finite source entry cannot leak into them, and a lone
+    multi-nonzero row gets an all-padding companion, because numpy sums a
+    reduction with a single output element pairwise rather than in order.
+    rows is a plain slice when a block covers every row: index-array writes
+    there made the transport sweep (N = 4, dim 2450) 11 % slower.
     """
-    nnz = [np.flatnonzero(row) for row in m]
-    slots = []
-    for s in range(max(map(len, nnz), default=0)):
-        rows = np.array([r for r, cols in enumerate(nnz) if len(cols) > s])
-        cols = np.array([nnz[r][s] for r in rows])
-        coef = m[rows, cols][:, None]
-        slots.append((slice(None) if len(rows) == len(m) else rows, cols, coef))
-    return slots
 
+    def __init__(self, m):
+        m = np.asarray(m, dtype=float)
+        nnz = [np.flatnonzero(row) for row in m]
+        one = [r for r, cols in enumerate(nnz) if len(cols) == 1]
+        many = [r for r, cols in enumerate(nnz) if len(cols) > 1]
+        self.n_rows = len(m)
+        self.one = self.many = None
+        if one:
+            cols = np.array([nnz[r][0] for r in one])
+            self.one = (self._rows(one), cols, m[one, cols][:, None])
+        if many:
+            width, n_out = max(len(nnz[r]) for r in many), max(len(many), 2)
+            cols = np.zeros((width, n_out), dtype=int)
+            coef = np.zeros((width, n_out, 1))
+            pad = np.ones((width, n_out), dtype=bool)
+            for j, r in enumerate(many):
+                k = len(nnz[r])
+                cols[:k, j], coef[:k, j, 0], pad[:k, j] = nnz[r], m[r, nnz[r]], False
+            pad = np.nonzero(pad) if pad.any() else None
+            self.many = (self._rows(many), len(many), cols, coef, pad)
 
-def _gather(slots, src, n_rows):
-    """m @ src for the matrix m of the slots, each row summed from zero in
-    ascending column order, as a per-node loop would."""
-    out = np.zeros((n_rows, src.shape[1]))
-    for rows, cols, coef in slots:
-        out[rows] += coef * src[cols]
-    return out
+    def _rows(self, rows):
+        return slice(None) if len(rows) == self.n_rows else np.array(rows)
+
+    def __call__(self, src):
+        blocks = []
+        if self.one is not None:
+            rows, cols, coef = self.one
+            terms = src[cols]
+            terms *= coef
+            terms += 0.0  # a sum from zero is never -0.0
+            blocks.append((rows, terms))
+        if self.many is not None:
+            rows, n_many, cols, coef, pad = self.many
+            terms = src[cols]
+            terms *= coef
+            if pad is not None:
+                terms[pad] = 0.0
+            blocks.append((rows, np.add.reduce(terms, axis=0, initial=0.0)[:n_many]))
+        if len(blocks) == 1 and isinstance(blocks[0][0], slice):
+            return blocks[0][1]
+        out = np.zeros((self.n_rows, src.shape[1]))
+        for rows, block in blocks:
+            out[rows] = block
+        return out
 
 
 class StepPlan:
     """Precomputed sparsity of one sweep, built once and read by every step.
 
-    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, and the
-    gather tables of Z (for the dual terms Z w) and of Z^T (for Z^T x).
+    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, the
+    gathers of Z (for the dual terms Z w) and of Z^T (for Z^T x), and the
+    level schedule of the state DAG: a node's level is one above its
+    deepest in-neighbor, so the nodes of one level never read each other.
     """
 
     def __init__(self, bg, z):
@@ -165,7 +207,7 @@ class StepPlan:
         if z.shape != (n, n - 1):
             raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
         self._init_sweep(bg, z)
-        self.z_cols = _slots(z.T)
+        self.z_cols = _Gather(z.T)
 
     def _init_sweep(self, bg, z):
         # no reference to bg: graphs keep their plans, and a cycle would
@@ -175,7 +217,41 @@ class StepPlan:
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
         self.inv_d = 1.0 / degrees[:, None]
-        self.z_rows = _slots(z)
+        self.z_rows = _Gather(z)
+        depth = []
+        for nbrs in self.in_nbrs:
+            depth.append(1 + max((depth[h] for h in nbrs), default=-1))
+        self.levels = [[] for _ in range(max(depth) + 1)]
+        for i, level in enumerate(depth):
+            self.levels[level].append(i)
+        self._ops = self._schedule = None
+
+    def schedule(self, ops):
+        """Per level: the nodes solved one by one, and the level's hinge
+        nodes as (rows, stacked resolvent, in-neighbor gather, 2/d_i), or
+        None when the level has fewer than two.  Kept for the last ops."""
+        ops = tuple(ops)
+        if ops != self._ops:
+            self._schedule = [self._level(nodes, ops) for nodes in self.levels]
+            self._ops = ops
+        return self._schedule
+
+    def _level(self, nodes, ops):
+        hinges = [i for i in nodes if getattr(ops[i], "hinge", None) is not None]
+        if len(hinges) < 2:
+            return nodes, None
+        into = np.zeros((len(hinges), self.n_nodes))
+        for row, i in enumerate(hinges):
+            into[row, self.in_nbrs[i]] = 1.0
+        d = np.array([self.degrees[i] for i in hinges], dtype=float)
+        contiguous = hinges[-1] - hinges[0] == len(hinges) - 1
+        batch = (
+            slice(hinges[0], hinges[-1] + 1) if contiguous else np.array(hinges),
+            stack_hinges([ops[i] for i in hinges], d),
+            _Gather(into),
+            (2.0 / d)[:, None],
+        )
+        return [i for i in nodes if i not in hinges], batch
 
 
 class _NodeLocalPlan(StepPlan):
@@ -187,7 +263,7 @@ class _NodeLocalPlan(StepPlan):
         self._init_sweep(bg, np.eye(bg.n_nodes))
         lap = laplacian(bg.base)
         self.base_degrees = lap.diagonal()[:, None]
-        self.base_adj = _slots(np.diag(lap.diagonal()) - lap)
+        self.base_adj = _Gather(np.diag(lap.diagonal()) - lap)
 
 
 def _graph_plan(bg, kind):
@@ -215,14 +291,24 @@ def _check_finite(x, ops, k):
 
 
 def _sweep(plan, ops, sigma, w, k):
-    """The N resolvent calls of one sweep, in node order; returns x."""
+    """The N resolvent calls of one sweep, level by level; returns x.
+
+    A level's hinge nodes are one stacked call, every other node one
+    :func:`node_solution`; both give the bits of the per-node form.
+    """
     n = plan.n_nodes
     if len(ops) != n:
         raise ValueError(f"need {n} operators, got {len(ops)}")
-    w_term = plan.inv_d * _gather(plan.z_rows, w, n)
+    schedule = plan.schedule(ops)
+    w_term = plan.inv_d * plan.z_rows(w)
     x = np.empty_like(w_term)
-    for i, (op, d_i, nbrs) in enumerate(zip(ops, plan.degrees, plan.in_nbrs)):
-        node_solution(op, sigma, d_i, [x[h] for h in nbrs], w_term[i], x[i])
+    for nodes, batch in schedule:
+        for i in nodes:
+            xs_in = [x[h] for h in plan.in_nbrs[i]]
+            node_solution(ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
+        if batch is not None:
+            rows, hinges, into, two_over_d = batch
+            x[rows] = hinges(sigma, two_over_d * into(x) + w_term[rows])
     _check_finite(x, ops, k)
     return x
 
@@ -234,7 +320,7 @@ def _step(plan, ops, sigma, theta, w, k):
     layer trace counts each public step call as one sweep.
     """
     x = _sweep(plan, ops, sigma, w, k)
-    ztx = _gather(plan.z_cols, x, len(w))
+    ztx = plan.z_cols(x)
     return x, w - theta * ztx, ztx
 
 
@@ -260,7 +346,7 @@ def step_wtilde(bg, ops, sigma, theta, wt, k=0):
         raise ValueError("node-local duals must sum to zero")
     plan = _graph_plan(bg, "node_local")
     x = _sweep(plan, ops, sigma, wt, k)
-    lx = plan.base_degrees * x - _gather(plan.base_adj, x, len(x))
+    lx = plan.base_degrees * x - plan.base_adj(x)
     return x, wt - theta * lx
 
 
@@ -273,6 +359,14 @@ def state_variance(x):
     return float(np.mean(np.sum((x - xbar) ** 2, axis=1)))
 
 
+def _subgradient_map(bg, sigma):
+    """(Z w, x) -> a, the formula of :func:`compute_subgradients`, with the
+    graph matrices built once."""
+    lap = laplacian(bg.base)
+    sp = sigma_matrix(bg.base) + p_matrix(bg)
+    return lambda zw, x: (zw - lap @ x - sp @ x) / sigma
+
+
 def compute_subgradients(bg, z, sigma, w, x):
     """Subgradients a_i in A_i x_i, solved from the defining linear relation.
 
@@ -280,9 +374,7 @@ def compute_subgradients(bg, z, sigma, w, x):
     Laplacian and P from the state edges outside the base; w is the dual
     iterate that produced x.
     """
-    lap = laplacian(bg.base)
-    sp = sigma_matrix(bg.base) + p_matrix(bg)
-    return (np.asarray(z) @ w - lap @ x - sp @ x) / sigma
+    return _subgradient_map(bg, sigma)(np.asarray(z) @ w, x)
 
 
 def _infer_dim(ops, w0):
@@ -294,28 +386,17 @@ def _infer_dim(ops, w0):
     raise ValueError("cannot infer the ambient dimension; pass w0 explicitly")
 
 
-def run(bg, decomp, ops, cfg, w0=None, objective=None):
-    """Iterate the general method; returns (SolverState, [TraceRecord]).
+def _iterate(bg, cfg, w, sweep, objective):
+    """The run loop of both formulations; returns (SolverState, traces).
 
-    Stops after the update once residual^2 < tol (tol = 0 runs max_iter
-    sweeps exactly).  Non-convergence is not an error: inspect the trace.
+    sweep(w, theta, k) returns (x, w_new, residual^2, Z w), Z w being the
+    dual term of the subgradients of x.
     """
-    z = decomp.z if hasattr(decomp, "z") else np.asarray(decomp, dtype=float)
-    n = bg.n_nodes
-    dim = _infer_dim(ops, w0)
-    plan = StepPlan(bg, z)
-    lap = laplacian(bg.base)
-    sp = sigma_matrix(bg.base) + p_matrix(bg)
-    w = np.zeros((n - 1, dim)) if w0 is None else np.array(w0, dtype=float)
+    subgradients = _subgradient_map(bg, cfg.sigma)
     traces = []
-    x = np.zeros((n, dim))
-    a = np.zeros((n, dim))
-    k = 0
     for k in range(cfg.max_iter):
-        w_prev = w
-        x, w, ztx = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w_prev, k)
-        residual_sq = float(np.sum(ztx**2))
-        a = (z @ w_prev - lap @ x - sp @ x) / cfg.sigma
+        x, w, residual_sq, zw = sweep(w, cfg.theta_at(k), k)
+        a = subgradients(zw, x)
         obj = None
         if objective is not None:
             obj = float(objective(x.mean(axis=0)))
@@ -333,40 +414,38 @@ def run(bg, decomp, ops, cfg, w0=None, objective=None):
     return SolverState(w=w, x=x, a=a, k=k + 1), traces
 
 
+def run(bg, decomp, ops, cfg, w0=None, objective=None):
+    """Iterate the general method; returns (SolverState, [TraceRecord]).
+
+    Stops after the update once residual^2 < tol (tol = 0 runs max_iter
+    sweeps exactly).  Non-convergence is not an error: inspect the trace.
+    """
+    z = decomp.z if hasattr(decomp, "z") else np.asarray(decomp, dtype=float)
+    dim = _infer_dim(ops, w0)
+    plan = StepPlan(bg, z)
+    w = np.zeros((bg.n_nodes - 1, dim)) if w0 is None else np.array(w0, dtype=float)
+
+    def sweep(w, theta, k):
+        x, w_new, ztx = step_general(plan, ops, cfg.sigma, theta, w, k)
+        return x, w_new, float(np.sum(ztx**2)), z @ w
+
+    return _iterate(bg, cfg, w, sweep, objective)
+
+
 def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
     """Iterate the node-local dual formulation; returns (SolverState, traces).
 
     The residual ||Z^T x||^2 is computed factorization-free as <x, L x>.
     """
-    n = bg.n_nodes
-    dim = _infer_dim(ops, wt0)
     lap = laplacian(bg.base)
-    sp = sigma_matrix(bg.base) + p_matrix(bg)
-    wt = np.zeros((n, dim)) if wt0 is None else np.array(wt0, dtype=float)
-    traces = []
-    x = np.zeros((n, dim))
-    a = np.zeros((n, dim))
-    k = 0
-    for k in range(cfg.max_iter):
-        wt_prev = wt
-        x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(k), wt_prev, k)
-        residual_sq = float(np.sum(x * (lap @ x)))
-        a = (wt_prev - lap @ x - sp @ x) / cfg.sigma
-        obj = None
-        if objective is not None:
-            obj = float(objective(x.mean(axis=0)))
-        traces.append(
-            TraceRecord(
-                k=k,
-                residual_sq=residual_sq,
-                variance=state_variance(x),
-                subgrad_sum_norm=float(np.linalg.norm(a.sum(axis=0))),
-                objective=obj,
-            )
-        )
-        if cfg.tol > 0 and residual_sq < cfg.tol:
-            break
-    return SolverState(w=wt, x=x, a=a, k=k + 1), traces
+    dim = _infer_dim(ops, wt0)
+    wt = np.zeros((bg.n_nodes, dim)) if wt0 is None else np.array(wt0, dtype=float)
+
+    def sweep(wt, theta, k):
+        x, wt_new = step_wtilde(bg, ops, cfg.sigma, theta, wt, k)
+        return x, wt_new, float(np.sum(x * (lap @ x))), wt
+
+    return _iterate(bg, cfg, wt, sweep, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from graphdrs.operators import (
     prox_power_three_halves,
     prox_quadratic,
     prox_translated_quadratic,
+    stack_hinges,
     zero_operator,
 )
 from graphdrs.problems import divergence_matrix
@@ -186,3 +187,54 @@ def test_negative_tau_rejected():
     op = zero_operator(2)
     with pytest.raises(OperatorError):
         op(-1.0, np.zeros(2))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def hinge_input(s, target):
+    """A random input r with s.r at target, up to rounding."""
+    r = rng.standard_normal(s.size)
+    return r + ((target - s @ r) / (s @ s)) * s
+
+
+@pytest.mark.parametrize("branch", ["inactive", "kink", "deep"])
+@pytest.mark.parametrize("tau", [0.0, 0.4, 2.5])
+def test_stacked_hinge_equals_scalar_bitwise(branch, tau):
+    dim = 5
+    hinges = [prox_hinge_affine(rng.standard_normal(dim), off) for off in (1.0, -0.5, 0.3, 2.0)]
+    divisors = [1.0, 2.0, 3.0, 7.0]
+    stacked = stack_hinges(hinges, divisors)
+    rows = []
+    for h, dv in zip(hinges, divisors):
+        s, offset = h.hinge
+        q = (tau / dv) * (s @ s)
+        # p >= offset: inactive; offset - q < p < offset: kink; p <= offset - q: deep
+        target = {"inactive": offset + 1.0, "kink": offset - 0.5 * q,
+                  "deep": offset - q - 1.0}[branch]
+        rows.append(hinge_input(s, target))
+    r = np.array(rows)
+    want = np.array([h(tau / dv, ri) for h, dv, ri in zip(hinges, divisors, r)])
+    assert stacked.name == "hinge"
+    assert np.array_equal(bits(stacked(tau, r)), bits(want))
+
+
+def test_quadratic_solve_equals_cho_solve_bitwise():
+    from scipy.linalg import cho_factor, cho_solve
+
+    a = rng.standard_normal((7, 7))
+    k = a @ a.T
+    op = prox_quadratic(k, 0.3)
+    for tau in (0.2, 1.0, 5.0):
+        factor = cho_factor(np.eye(7) + 2.0 * tau * 0.3 * k)
+        for _ in range(20):
+            r = rng.standard_normal(7) * 10.0 ** rng.integers(-6, 7)
+            assert np.array_equal(bits(op(tau, r)), bits(cho_solve(factor, r)))
+    for bad in (np.inf, -np.inf, np.nan):
+        r = np.ones(7)
+        r[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            op(1.0, r)
+    with pytest.raises(ValueError, match="dimension"):
+        op(1.0, np.ones(6))

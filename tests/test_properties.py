@@ -2,7 +2,8 @@
 
 Each formulation is checked against a dense reference or against the
 formulation it must equal bit for bit, on random connected state graphs
-with random tree and non-tree bases and random dimensions.
+with random tree and non-tree bases and random dimensions.  Every catalogue
+resolvent is checked for firm nonexpansiveness on generated inputs.
 """
 
 import numpy as np
@@ -11,12 +12,32 @@ from hypothesis import strategies as st
 
 from graphdrs.factorization import incidence_decomposition, spectral_decomposition
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
-from graphdrs.operators import prox_hinge_affine, prox_translated_quadratic
+from graphdrs.operators import (
+    project_capacity,
+    project_grid_divergence,
+    prox_group_l1,
+    prox_hinge_affine,
+    prox_power_three_halves,
+    prox_quadratic,
+    prox_translated_quadratic,
+    zero_operator,
+)
+from graphdrs.problems import divergence_matrix
 from graphdrs.simulate import run_general_protocol, run_tree_protocol
-from graphdrs.solver import SolverConfig, StepPlan, step_general, step_tree, step_wtilde
+from graphdrs.solver import (
+    SolverConfig,
+    StepPlan,
+    _Gather,
+    node_dual_term,
+    node_solution,
+    step_general,
+    step_tree,
+    step_wtilde,
+    wtilde_node_update,
+)
 
 SWEEPS = 4
-PROPERTY = settings(max_examples=60, deadline=None)
+PROPERTY = settings.get_profile("derandomized")
 
 
 @st.composite
@@ -125,3 +146,207 @@ def test_protocols_equal_centralized_steps(problem):
         for k in range(SWEEPS):
             x, w = step_tree(bg, ops, cfg.sigma, cfg.theta_at(k), w, k)
             assert np.array_equal(tree.x_history[k], x)
+
+
+# ---------------------------------------------------------------------------
+# level-scheduled sweeps against a per-node reference, bit for bit
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, -0.0 against 0.0 included; NaNs only by position."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        bits(np.where(nan, 0.0, a)), bits(np.where(nan, 0.0, b))
+    )
+
+
+def with_signed_zeros(rng, a):
+    """a with a random share of its entries set to exact 0.0 or -0.0."""
+    zeros = rng.choice([0.0, -0.0], size=a.shape)
+    return np.where(rng.random(a.shape) < 0.3, zeros, a)
+
+
+def loop_gather(m, src):
+    """m @ src by a per-row loop, each row summed from zero by ascending column."""
+    out = np.zeros((len(m), src.shape[1]))
+    for r, row in enumerate(m):
+        acc = np.zeros(src.shape[1])
+        for c in np.flatnonzero(row):
+            acc = acc + row[c] * src[c]
+        out[r] = acc
+    return out
+
+
+def reference_sweep(bg, z, ops, sigma, w):
+    """x of one sweep, node by node in label order through node_solution."""
+    n, dim = bg.n_nodes, w.shape[1]
+    d = bg.state.degrees().tolist()
+    x = np.zeros((n, dim))
+    for i in range(n):
+        terms = [(z[i, c], w[c]) for c in np.flatnonzero(z[i])]
+        xs_in = [x[h] for h in bg.state.in_neighbors(i)]
+        node_solution(ops[i], sigma, d[i], xs_in, node_dual_term(d[i], terms, dim), x[i])
+    return x
+
+
+@st.composite
+def mixed_problems(draw, tree=None):
+    """(bilevel graph, resolvents, rng): random hinge, quadratic and
+    translated-quadratic resolvents, hinges most often, so that levels with
+    several hinges (the stacked path) are common."""
+    bg = draw(bilevel_graphs(tree))
+    dim = draw(st.integers(1, 4))
+    kinds = draw(st.lists(
+        st.sampled_from(["hinge", "hinge", "quadratic", "translated"]),
+        min_size=bg.n_nodes, max_size=bg.n_nodes,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for kind in kinds:
+        if kind == "hinge":
+            ops.append(prox_hinge_affine(rng.standard_normal(dim), rng.uniform(-1.0, 1.0)))
+        elif kind == "quadratic":
+            a = rng.standard_normal((dim, dim))
+            ops.append(prox_quadratic(a @ a.T, rng.uniform(0.1, 2.0)))
+        else:
+            ops.append(prox_translated_quadratic(rng.standard_normal(dim), rng.uniform(0.5, 2.0)))
+    return bg, ops, rng
+
+
+@PROPERTY
+@given(mixed_problems(), st.sampled_from(["incidence", "spectral"]))
+def test_step_general_equals_per_node_sweep_bitwise(problem, factorization):
+    bg, ops, rng = problem
+    if factorization == "incidence" and not bg.base.is_tree():
+        factorization = "spectral"
+    z = (incidence_decomposition if factorization == "incidence"
+         else spectral_decomposition)(bg.base).z
+    plan = StepPlan(bg, z)
+    sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
+    w = with_signed_zeros(rng, rng.standard_normal((bg.n_nodes - 1, ops[0].dim)))
+    for k in range(SWEEPS):
+        x, w_new, ztx = step_general(plan, ops, sigma, theta, w, k)
+        x_ref = reference_sweep(bg, z, ops, sigma, w)
+        ztx_ref = loop_gather(z.T, x_ref)
+        assert same_bits(x, x_ref)
+        assert same_bits(ztx, ztx_ref)
+        assert same_bits(w_new, w - theta * ztx_ref)
+        w = with_signed_zeros(rng, w_new)
+
+
+@PROPERTY
+@given(mixed_problems(tree=True))
+def test_step_tree_equals_per_node_sweep_bitwise(problem):
+    bg, ops, rng = problem
+    z = incidence_decomposition(bg.base).z
+    w = with_signed_zeros(rng, rng.standard_normal((bg.n_nodes - 1, ops[0].dim)))
+    for k in range(SWEEPS):
+        x, w_new = step_tree(bg, ops, 1.0, 1.3, w, k)
+        x_ref = reference_sweep(bg, z, ops, 1.0, w)
+        assert same_bits(x, x_ref)
+        assert same_bits(w_new, w - 1.3 * loop_gather(z.T, x_ref))
+        w = with_signed_zeros(rng, w_new)
+
+
+@PROPERTY
+@given(mixed_problems())
+def test_step_wtilde_equals_per_node_sweep_bitwise(problem):
+    bg, ops, rng = problem
+    n, dim = bg.n_nodes, ops[0].dim
+    wt = rng.standard_normal((n, dim))
+    wt -= wt.mean(axis=0)
+    # whole columns of signed zeros keep the zero sum exact
+    wt[:, rng.random(dim) < 0.3] = rng.choice([0.0, -0.0], size=n)[:, None]
+    for k in range(SWEEPS):
+        x, wt_new = step_wtilde(bg, ops, 0.8, 1.1, wt, k)
+        x_ref = reference_sweep(bg, np.eye(n), ops, 0.8, wt)
+        wt_ref = [
+            wtilde_node_update(wt[i], 1.1, len(adj), x_ref[i], [x_ref[j] for j in adj])
+            for i, adj in enumerate(map(bg.base.adjacency, range(n)))
+        ]
+        assert same_bits(x, x_ref)
+        assert same_bits(wt_new, np.array(wt_ref))
+        wt = wt_new
+
+
+@PROPERTY
+@given(
+    st.integers(1, 10), st.integers(1, 12), st.integers(1, 4),
+    st.integers(0, 2**32 - 1), st.booleans(),
+)
+def test_gather_equals_per_row_loop(n_rows, n_cols, dim, seed, non_finite):
+    rng = np.random.default_rng(seed)
+    coef = rng.choice([1.0, -1.0, 0.5, rng.standard_normal()], size=(n_rows, n_cols))
+    m = np.where(rng.random((n_rows, n_cols)) < rng.uniform(0.1, 1.0), coef, 0.0)
+    if rng.random() < 0.3:  # a lone row with every column set
+        m[rng.integers(n_rows)] = coef[0]
+    src = with_signed_zeros(rng, rng.standard_normal((n_cols, dim)))
+    if non_finite:
+        src[rng.integers(n_cols), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        assert same_bits(_Gather(m)(src), loop_gather(m, src))
+
+
+def test_gather_sums_a_lone_long_row_in_order():
+    # one row with many nonzeros and dim 1: numpy would sum that reduction
+    # pairwise, not from zero in column order
+    rng = np.random.default_rng(5)
+    m = np.zeros((3, 12))
+    m[1] = rng.standard_normal(12)
+    m[0, 3] = -1.0
+    src = rng.standard_normal((12, 1)) * 10.0 ** rng.integers(-8, 9, (12, 1))
+    assert same_bits(_Gather(m)(src), loop_gather(m, src))
+
+
+# ---------------------------------------------------------------------------
+# firm nonexpansiveness of the catalogue
+
+GRID = 3  # the grid divergence acts on 2 * GRID^2 = 18 entries
+DIM = 2 * GRID * GRID
+
+
+def catalogue(rng):
+    """One resolvent of each catalogue kind, all on DIM entries."""
+    a = rng.standard_normal((DIM, DIM))
+    div = divergence_matrix(GRID)
+    return {
+        "hinge": prox_hinge_affine(rng.standard_normal(DIM), rng.uniform(-1.0, 1.0)),
+        "quadratic": prox_quadratic(a @ a.T / DIM, rng.uniform(0.1, 2.0)),
+        "power32": prox_power_three_halves(),
+        "group_l1": prox_group_l1(),
+        "capacity": project_capacity([0, 4, 5], [1, 8], rng.uniform(0.1, 1.0)),
+        "grid_divergence": project_grid_divergence(
+            div, GRID, div @ rng.standard_normal(2 * GRID * GRID)
+        ),
+        "translated_quadratic": prox_translated_quadratic(rng.standard_normal(DIM), 1.5),
+        "zero": zero_operator(DIM),
+    }
+
+
+def blocks_zeroed(rng, v):
+    """v with a random subset of its 2-vector blocks set to exact zeros."""
+    keep = np.repeat(rng.random(DIM // 2) < 0.5, 2)
+    return np.where(keep, v, 0.0)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["hinge", "quadratic", "power32", "group_l1", "capacity",
+                     "grid_divergence", "translated_quadratic", "zero"]),
+    st.sampled_from([0.0, 1e-3, 0.5, 1.0, 10.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_catalogue_is_firmly_nonexpansive(name, tau, seed):
+    rng = np.random.default_rng(seed)
+    op = catalogue(rng)[name]
+    for _ in range(20):
+        x = blocks_zeroed(rng, 3.0 * rng.standard_normal(DIM))
+        y = blocks_zeroed(rng, x if rng.random() < 0.3 else 3.0 * rng.standard_normal(DIM))
+        jx, jy = op(tau, x), op(tau, y)
+        lhs = float(np.sum((jx - jy) ** 2))
+        rhs = float((jx - jy) @ (x - y))
+        assert lhs <= rhs + 1e-9 * (1.0 + x @ x + y @ y)

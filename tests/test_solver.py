@@ -16,7 +16,7 @@ from graphdrs.graphs import (
     laplacian,
     unbalance,
 )
-from graphdrs.operators import prox_translated_quadratic, zero_operator
+from graphdrs.operators import prox_hinge_affine, prox_translated_quadratic, zero_operator
 from graphdrs.solver import (
     NumericalError,
     SolverConfig,
@@ -399,6 +399,49 @@ def test_nonfinite_names_node_and_operator():
         run_wtilde(bg, ops, cfg)
     with pytest.raises(NumericalError, match="node 1 .*'blowup'"):
         step_tree(bg, ops, 1.0, 1.0, np.zeros((2, 2)))
+
+
+def star_of_hinges(n_leaves, dim):
+    """Node 0, a translated quadratic, feeding hinge leaves that share one level."""
+    g = OrderedDigraph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+    ops = [prox_translated_quadratic(rng.standard_normal(dim))] + [
+        prox_hinge_affine(rng.standard_normal(dim), 0.5) for _ in range(n_leaves)
+    ]
+    return BilevelGraph(g, g), ops
+
+
+def test_nonfinite_in_batched_level_names_first_bad_hinge():
+    bg, ops = star_of_hinges(4, dim=3)
+    # Z whose dual i enters leaf i + 1 alone, so a bad dual reaches one hinge
+    plan = StepPlan(bg, np.vstack([np.zeros((1, 4)), np.eye(4)]))
+    assert plan.schedule(ops)[1][1] is not None  # the leaves are one stacked call
+    w = np.zeros((4, 3))
+    w[1, 0], w[3, 2] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="iteration 7: node 2 .*'hinge'"):
+            step_general(plan, ops, 1.0, 1.0, w, 7)
+
+
+def test_single_hinges_use_the_scalar_kernel(monkeypatch):
+    import graphdrs.solver as solver_module
+
+    solved = []
+    node_solution = solver_module.node_solution
+
+    def counting(op, *args):
+        solved.append(op)
+        return node_solution(op, *args)
+
+    monkeypatch.setattr(solver_module, "node_solution", counting)
+    # a chain has one node per level, so each hinge is solved on its own
+    chain = OrderedDigraph(4, [(i, i + 1) for i in range(3)])
+    hinges = [prox_hinge_affine(rng.standard_normal(2), 0.5) for _ in range(4)]
+    step_tree(BilevelGraph(chain, chain), hinges, 1.0, 1.0, np.zeros((3, 2)))
+    assert solved == hinges
+    solved.clear()
+    bg, ops = star_of_hinges(3, dim=2)
+    step_tree(bg, ops, 1.0, 1.0, np.zeros((3, 2)))
+    assert solved == ops[:1]
 
 
 def test_run_wtilde_matches_run():
