@@ -7,6 +7,9 @@ error, 1 numerical failure.
 """
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
 
 import numpy as np
@@ -45,6 +48,7 @@ from .solver import (
 )
 
 MAX_SWEEP_GRID = 64
+MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
 
 
 class InputError(ValueError):
@@ -108,6 +112,26 @@ def _build_problem(cfg_path, graph_path, seed):
     raise InputError(f"{cfg_path}: unknown problem kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _rewrite(path):
+    """Open path for text writing from offset 0, without truncating first.
+
+    Truncating a file that an earlier run has just written can wait on the
+    writeback of that run's data; writing over it does not.  On leaving the
+    block, normally or by an exception, a regular file is cut to the bytes
+    written, so it holds exactly this run's output.  A process killed
+    mid-write leaves this run's prefix followed by the old file's tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _header(args, extra=()):
     lines = [f"seed = {args.seed}"]
     for name in ("sigma", "theta", "max_iter", "tol"):
@@ -134,14 +158,14 @@ def cmd_solve(args):
         sigma=args.sigma, theta=args.theta, max_iter=args.max_iter, tol=args.tol
     )
     _, traces = run(bg, _decomposition(bg), ops, cfg, objective=objective)
-    with open(args.out, "w") as fh:
+    with _rewrite(args.out) as fh:
         write_trace(traces, fh, comments=_header(args, [f"config = {args.config}"]))
     return 0
 
 
 def cmd_enumerate(args):
     graphs = enumerate_connected_digraphs(args.n)
-    with open(args.out, "w") as fh:
+    with _rewrite(args.out) as fh:
         fh.write(f"# seed = {args.seed}\n")
         fh.write("graph_id,edges,lambda1\n")
         for gid, g in enumerate(graphs, start=1):
@@ -155,15 +179,18 @@ def cmd_transport_sweep(args):
     spec.setdefault("p", args.p)
     spec.setdefault("cap", args.cap)
     # checked before building: the instance's memory grows with p^2
-    if int(spec["p"]) > MAX_SWEEP_GRID:
+    p = int(spec["p"])
+    if p > MAX_SWEEP_GRID:
         raise InputError(f"grid size limited to p <= {MAX_SWEEP_GRID}")
+    if p < MIN_SWEEP_GRID:
+        raise InputError(f"grid size needs --p >= {MIN_SWEEP_GRID}, got {p}")
     inst, ops = transport_from_config(spec)
     graphs = enumerate_connected_digraphs(4)
     complete = OrderedDigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     cfg = SolverConfig(
         sigma=args.sigma, theta=args.theta, max_iter=args.max_iter, tol=args.tol
     )
-    with open(args.out, "w") as fh:
+    with _rewrite(args.out) as fh:
         for line in _header(args, [f"p = {inst.p}", f"cap = {inst.cap:.17g}"]):
             fh.write(f"# {line}\n")
         fh.write("graph_id,mode,lambda1,iter,variance\n")
@@ -191,7 +218,7 @@ def cmd_svm(args):
         seed=args.seed,
     )
     sigmas = np.logspace(-2, 1, 10)
-    with open(args.out, "w") as fh:
+    with _rewrite(args.out) as fh:
         for line in _header(
             args,
             [
@@ -226,6 +253,8 @@ def cmd_svm(args):
 
 
 def cmd_simulate(args):
+    if args.rounds < 1:
+        raise InputError(f"--rounds must be >= 1, got {args.rounds}")
     ops, bg, _ = _build_problem(args.config, args.graph, args.seed)
     if bg is None:
         raise InputError("this problem kind needs --graph")
@@ -242,7 +271,7 @@ def cmd_simulate(args):
     for rnd in range(args.rounds):
         x, w = step(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
         max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
-    with open(args.out, "w") as fh:
+    with _rewrite(args.out) as fh:
         for line in _header(
             args,
             [

@@ -94,11 +94,6 @@ def validate(decomp, base, tol=1e-10):
         raise FactorizationError("Z is rank deficient")
 
 
-def export_csv(decomp, path):
-    """Debug export: one row per node, one column per coordinate."""
-    np.savetxt(path, decomp.z, delimiter=",", fmt="%.17g")
-
-
 def external_decomposition(z):
     """Wrap a user-supplied matrix (e.g. a published factorization)."""
     return OntoDecomposition(z=np.asarray(z, dtype=float), source="external")

@@ -266,7 +266,3 @@ def read_bilevel_graph(path):
     with open(path) as fh:
         return parse_bilevel_text(fh.read())
 
-
-def format_edges(g):
-    """Serialize edges as 1-based "i j" lines."""
-    return "\n".join(f"{i + 1} {j + 1}" for i, j in g.edges)

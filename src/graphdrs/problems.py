@@ -199,18 +199,6 @@ def transport_feasibility(inst, flow):
     }
 
 
-def write_flow_csv(inst, flow, fh):
-    """Export a flow field as rows i,j,sx,sy,magnitude (0-based grid coords)."""
-    blocks = np.asarray(flow, dtype=float).reshape(-1, 2)
-    fh.write("i,j,sx,sy,magnitude\n")
-    for k in range(inst.n_cells):
-        r, c = divmod(k, inst.p)
-        sx, sy = blocks[k]
-        fh.write(
-            f"{r},{c},{sx:.17g},{sy:.17g},{np.hypot(sx, sy):.17g}\n"
-        )
-
-
 # ---------------------------------------------------------------------------
 # distributed SVM
 

@@ -4,6 +4,12 @@ Agents execute in ascending label order within a synchronous round (the only
 causally consistent sequential schedule), exchange value copies over
 in-order reliable channels, and invoke the very same per-node kernels as the
 centralized solver, so simulated and centralized iterates are bit-identical.
+
+A run builds its channel tables once: one deque per directed pair, and per
+agent the (peer, channel) lists it receives from and sends to, so a round
+looks up no channel and no protocol-table entry.  Every message, payload
+included, stays in the log; the round estimates are written into a
+preallocated (rounds, N, dim) history.
 """
 
 from collections import deque
@@ -18,7 +24,7 @@ class ProtocolError(RuntimeError):
     """A protocol step referenced a value that is not locally available."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     round: int
     src: int
@@ -126,13 +132,23 @@ class NetworkSim:
 
     # -- channel primitives -------------------------------------------------
 
-    def _send(self, rnd, src, dst, kind, payload):
-        msg = Message(rnd, src, dst, kind, payload.copy())
-        self.channels.setdefault((src, dst), deque()).append(msg)
-        self.log.append(msg)
-
-    def _recv(self, rnd, dst, src, kind):
+    def _channel(self, src, dst):
+        """The in-order channel src -> dst, created on first use."""
         chan = self.channels.get((src, dst))
+        if chan is None:
+            chan = self.channels[src, dst] = deque()
+        return chan
+
+    def _send(self, rnd, src, outs, kind, payload):
+        """Send a copy of payload down each (dst, channel) of outs."""
+        log = self.log
+        for dst, chan in outs:
+            msg = Message(rnd, src, dst, kind, payload.copy())
+            chan.append(msg)
+            log.append(msg)
+
+    @staticmethod
+    def _recv(rnd, dst, src, chan, kind):
         if not chan:
             raise ProtocolError(
                 f"agent {dst} at round {rnd}: missing {kind} message from {src}"
@@ -154,85 +170,111 @@ class NetworkSim:
 
     def _run_tree(self, rounds):
         bg = self.bg
-        n = bg.n_nodes
+        dim = self.dim
+        sigma = self.cfg.sigma
+        recv, send, chan = self._recv, self._send, self._channel
         edge_id = {e: k for k, e in enumerate(bg.base.edges)}
-        # per agent: owned duals (edges (h, i), h < i) then received duals
-        # (edges (i, j)); in edge-list order, i.e. the column order of Z
-        owned = [[(h, edge_id[(h, i)]) for h in bg.base.in_neighbors(i)] for i in range(n)]
-        w_from = [{j: edge_id[(i, j)] for j in bg.base.out_neighbors(i)} for i in range(n)]
-        degrees = [bg.state.degree(i) for i in range(n)]
-        x_to = [bg.state.out_neighbors(i) for i in range(n)]
+        # per agent, built once: received duals (peer, edge, channel) and
+        # estimates (peer, channel) in table order; owned duals of edges
+        # (h, i), h < i, as (h, edge, [(h, channel to h)]); the received
+        # duals' edges (i, j) in Z's column order; x sends (dst, channel)
+        agents = []
+        for i, agent in enumerate(self.agents):
+            entry = self.table[i]
+            agents.append((
+                i,
+                agent,
+                bg.state.degree(i),
+                [(j, edge_id[(i, j)], chan(j, i)) for j in entry["w_recv"]],
+                [(h, chan(h, i)) for h in entry["x_recv"]],
+                [(h, edge_id[(h, i)], [(h, chan(i, h))])
+                 for h in bg.base.in_neighbors(i)],
+                [edge_id[(i, j)] for j in bg.base.out_neighbors(i)],
+                [(j, chan(i, j)) for j in bg.state.out_neighbors(i)],
+            ))
         # round 0: owners initialize their duals and push them upstream
         for e, (h, i) in enumerate(bg.base.edges):
-            self.agents[i].owned_w[e] = np.zeros(self.dim)
-            self._send(0, i, h, "w", self.agents[i].owned_w[e])
-        history = []
+            self.agents[i].owned_w[e] = np.zeros(dim)
+            send(0, i, [(h, chan(i, h))], "w", self.agents[i].owned_w[e])
+        x_history = np.empty((rounds, bg.n_nodes, dim))
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            x = np.empty((n, self.dim))
-            for i, agent in enumerate(self.agents):
-                for j in self.table[i]["w_recv"]:
-                    agent.peer_w[w_from[i][j]] = self._recv(rnd, i, j, "w")
-                for h in self.table[i]["x_recv"]:
-                    agent.peer_x[h] = self._recv(rnd, i, h, "x")
-                w_terms = [(-1.0, agent.owned_w[e]) for _, e in owned[i]]
-                w_terms += [(1.0, agent.peer_w[e]) for e in w_from[i].values()]
+            x = x_history[rnd - 1]
+            for i, agent, d_i, w_in, x_in, owned, w_cols, x_out in agents:
+                owned_w, peer_w, peer_x = agent.owned_w, agent.peer_w, agent.peer_x
+                for j, e, c in w_in:
+                    peer_w[e] = recv(rnd, i, j, c, "w")
+                for h, c in x_in:
+                    peer_x[h] = recv(rnd, i, h, c, "x")
+                w_terms = [(-1.0, owned_w[e]) for _, e, _ in owned]
+                w_terms += [(1.0, peer_w[e]) for e in w_cols]
                 agent.x = node_solution(
                     agent.resolvent,
-                    self.cfg.sigma,
-                    degrees[i],
-                    [agent.peer_x[h] for h in self.table[i]["x_recv"]],
-                    node_dual_term(degrees[i], w_terms, self.dim),
+                    sigma,
+                    d_i,
+                    [peer_x[h] for h, _ in x_in],
+                    node_dual_term(d_i, w_terms, dim),
                     x[i],
                 )
-                for h, e in owned[i]:
-                    agent.owned_w[e] = tree_w_update(
-                        agent.owned_w[e], theta, agent.x, agent.peer_x[h]
-                    )
-                for j in x_to[i]:
-                    self._send(rnd, i, j, "x", agent.x)
-                for h, e in owned[i]:
-                    self._send(rnd, i, h, "w", agent.owned_w[e])
-            history.append(x)
-        return SimResult(np.array(history), self.agents, self.log)
+                for h, e, _ in owned:
+                    owned_w[e] = tree_w_update(owned_w[e], theta, agent.x, peer_x[h])
+                send(rnd, i, x_out, "x", agent.x)
+                for _, e, to_h in owned:
+                    send(rnd, i, to_h, "w", owned_w[e])
+        return SimResult(x_history, self.agents, self.log)
 
     def _run_general(self, rounds):
         bg = self.bg
-        n = bg.n_nodes
-        degrees = [bg.state.degree(i) for i in range(n)]
-        x_to = [bg.state.out_neighbors(i) + bg.base.in_neighbors(i) for i in range(n)]
-        base_adj = [bg.base.adjacency(i) for i in range(n)]
+        dim = self.dim
+        sigma = self.cfg.sigma
+        recv, send, chan = self._recv, self._send, self._channel
+        # per agent, built once: phase-1 and phase-2 receives (peer, channel)
+        # in table order, x sends to state successors then base predecessors,
+        # and the base neighbours of the dual update
+        agents = []
+        for i, agent in enumerate(self.agents):
+            entry = self.table[i]
+            agents.append((
+                i,
+                agent,
+                bg.state.degree(i),
+                [(h, chan(h, i)) for h in entry["x_recv"]],
+                [(j, chan(j, i)) for j in entry["x_recv_phase2"]],
+                [(j, chan(i, j))
+                 for j in bg.state.out_neighbors(i) + bg.base.in_neighbors(i)],
+                bg.base.adjacency(i),
+            ))
         for agent in self.agents:
-            agent.wtilde = np.zeros(self.dim)
-        history = []
+            agent.wtilde = np.zeros(dim)
+        x_history = np.empty((rounds, bg.n_nodes, dim))
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            x = np.empty((n, self.dim))
-            for i, agent in enumerate(self.agents):
-                for h in self.table[i]["x_recv"]:
-                    agent.peer_x[h] = self._recv(rnd, i, h, "x")
+            x = x_history[rnd - 1]
+            for i, agent, d_i, x_in, _, x_out, _ in agents:
+                peer_x = agent.peer_x
+                for h, c in x_in:
+                    peer_x[h] = recv(rnd, i, h, c, "x")
                 agent.x = node_solution(
                     agent.resolvent,
-                    self.cfg.sigma,
-                    degrees[i],
-                    [agent.peer_x[h] for h in self.table[i]["x_recv"]],
-                    node_dual_term(degrees[i], [(1.0, agent.wtilde)], self.dim),
+                    sigma,
+                    d_i,
+                    [peer_x[h] for h, _ in x_in],
+                    node_dual_term(d_i, [(1.0, agent.wtilde)], dim),
                     x[i],
                 )
-                for j in x_to[i]:
-                    self._send(rnd, i, j, "x", agent.x)
-            for i, agent in enumerate(self.agents):
-                for j in self.table[i]["x_recv_phase2"]:
-                    agent.peer_x[j] = self._recv(rnd, i, j, "x")
+                send(rnd, i, x_out, "x", agent.x)
+            for i, agent, _, _, phase2, _, base_adj in agents:
+                peer_x = agent.peer_x
+                for j, c in phase2:
+                    peer_x[j] = recv(rnd, i, j, c, "x")
                 agent.wtilde = wtilde_node_update(
                     agent.wtilde,
                     theta,
-                    len(base_adj[i]),
+                    len(base_adj),
                     agent.x,
-                    [agent.peer_x[j] for j in base_adj[i]],
+                    [peer_x[j] for j in base_adj],
                 )
-            history.append(x)
-        return SimResult(np.array(history), self.agents, self.log)
+        return SimResult(x_history, self.agents, self.log)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds, dim=None):

@@ -1,6 +1,11 @@
+import hashlib
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from graphdrs import cli
 from graphdrs.cli import main
 
 GRAPH4 = "STATE\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\nBASE\n1 2\n2 3\n3 4\n"
@@ -202,3 +207,148 @@ def test_seed_recorded_in_header(graph_file, quad_cfg, tmp_path):
     main(["solve", "--graph", graph_file, "--config", quad_cfg,
           "--max-iter", "3", "--seed", "17", "--out", out])
     assert open(out).readline().strip() == "# seed = 17"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_simulate_rejects_non_positive_rounds(graph_file, quad_cfg, tmp_path, capsys, rounds):
+    out = tmp_path / "log.csv"
+    code = main(
+        ["simulate", "--graph", graph_file, "--config", quad_cfg,
+         "--rounds", rounds, "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--rounds" in err and "max_iter" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["0", "1", "2", "-5"])
+def test_transport_sweep_rejects_small_grid(tmp_path, capsys, p):
+    out = tmp_path / "s.csv"
+    code = main(["transport-sweep", "--p", p, "--max-iter", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--p" in err and "p >= 3" in err and "rectangle" not in err
+    assert not out.exists()
+
+
+def test_transport_sweep_rejects_small_grid_config(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("problem = transport\np = 2\n")
+    code = main(
+        ["transport-sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    assert "p >= 3" in capsys.readouterr().err
+
+
+def test_transport_sweep_smallest_grid(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["transport-sweep", "--p", "3", "--max-iter", "1", "--out", str(out)]) == 0
+    assert len([l for l in open(out) if not l.startswith("#")]) == 1 + 38 * 2
+
+
+# ---------------------------------------------------------------------------
+# --out is rewritten in place: opened without truncation, cut to length after
+
+
+def _runs(graph_file, quad_cfg):
+    return {
+        "solve": ["solve", "--graph", graph_file, "--config", quad_cfg,
+                  "--max-iter", "20"],
+        "enumerate": ["enumerate", "--n", "3"],
+        "transport-sweep": ["transport-sweep", "--p", "3", "--max-iter", "2"],
+        "svm": ["svm", "--n", "12", "--officials", "3", "--per-official", "4",
+                "--max-iter", "3"],
+        "simulate": ["simulate", "--graph", graph_file, "--config", quad_cfg,
+                     "--rounds", "5"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "enumerate", "transport-sweep", "svm", "simulate"]
+)
+def test_out_rewrite_leaves_exactly_the_new_bytes(graph_file, quad_cfg, tmp_path, command):
+    args = _runs(graph_file, quad_cfg)[command]
+    fresh = tmp_path / "fresh.csv"
+    assert main(args + ["--out", str(fresh)]) == 0
+    new = fresh.read_bytes()
+    out = tmp_path / "out.csv"
+    for stale in (b"x" * (3 * len(new) + 7), b"short\n", new[:-1] + b"?"):
+        out.write_bytes(stale)
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == new
+
+
+@pytest.mark.parametrize(
+    "protocol, digest",
+    [
+        ("tree", "741e2bbabc08857e3e1717023b2cf117115e2d3373b5d0ada6eb6041d1374787"),
+        ("general", "a28db0ca1cd2c23ff4f5fa3b7d13d0c7222ee669bad720fedea742a3ae84aec5"),
+    ],
+)
+def test_simulate_csv_bytes_are_pinned(graph_file, quad_cfg, tmp_path, protocol, digest):
+    # integers and flags only (max_deviation is exactly 0), so the bytes do
+    # not depend on the platform's floating-point libraries
+    out = tmp_path / "log.csv"
+    out.write_text("stale\n" * 1000)
+    assert main(
+        ["simulate", "--graph", graph_file, "--config", quad_cfg,
+         "--protocol", protocol, "--rounds", "5", "--out", str(out)]
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_out_symlink_rewrites_target_and_keeps_link(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    assert main(["enumerate", "--n", "3", "--out", str(fresh)]) == 0
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n" * 500)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["enumerate", "--n", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_dev_null(capsys):
+    assert main(["enumerate", "--n", "3", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_new_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o002)
+    try:
+        ref = tmp_path / "ref.csv"
+        open(ref, "w").close()
+        out = tmp_path / "new.csv"
+        assert main(["enumerate", "--n", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o664
+
+
+def test_failed_sweep_leaves_only_the_new_partial_rows(tmp_path, monkeypatch):
+    args = ["transport-sweep", "--p", "3", "--max-iter", "2"]
+    full = tmp_path / "full.csv"
+    assert main(args + ["--out", str(full)]) == 0
+    calls = []
+    real_run = cli.run
+
+    def run_failing_on_second_graph(*a, **kw):
+        calls.append(None)
+        if len(calls) == 3:  # mode "a" of graph 2
+            raise FloatingPointError("injected failure")
+        return real_run(*a, **kw)
+
+    monkeypatch.setattr(cli, "run", run_failing_on_second_graph)
+    out = tmp_path / "out.csv"
+    out.write_text("stale\n" * 10000)
+    assert main(args + ["--out", str(out)]) == 1
+    expected = "".join(
+        line
+        for line in full.read_text().splitlines(keepends=True)
+        if line.startswith(("#", "graph_id,", "1,"))
+    )
+    assert out.read_text() == expected

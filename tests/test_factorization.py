@@ -78,13 +78,3 @@ def test_validate_rejects_bad_matrix():
     with pytest.raises(FactorizationError):
         validate(bad, g)
 
-
-def test_export_csv_roundtrip(tmp_path):
-    from graphdrs.factorization import export_csv
-
-    g = complete(3)
-    d = spectral_decomposition(g)
-    path = tmp_path / "z.csv"
-    export_csv(d, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.abs(back - d.z).max() < 1e-15

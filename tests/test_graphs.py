@@ -10,7 +10,6 @@ from graphdrs.graphs import (
     algebraic_connectivity,
     connected_subgraphs,
     enumerate_connected_digraphs,
-    format_edges,
     laplacian,
     p_matrix,
     parse_bilevel_text,
@@ -116,11 +115,8 @@ def test_connected_subgraphs_of_complete4():
     assert len(connected_subgraphs(complete(4))) == 38
 
 
-def test_parse_and_format_roundtrip():
-    g = OrderedDigraph(3, [(0, 1), (1, 2)])
-    text = format_edges(g)
-    assert text == "1 2\n2 3"
-    assert parse_edge_lines(text.splitlines()) == [(0, 1), (1, 2)]
+def test_parse_edge_lines():
+    assert parse_edge_lines(["1 2", "2 3"]) == [(0, 1), (1, 2)]
 
 
 def test_parse_bilevel_sections():

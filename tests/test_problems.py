@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from graphdrs.problems import (
     svm_from_config,
     transport_feasibility,
     transport_from_config,
-    write_flow_csv,
 )
 from graphdrs.solver import SolverConfig, run, tree_decomposition
 
@@ -112,16 +109,6 @@ def test_transport_solver_decreases_objective():
     assert feas["divergence_residual"] < 1e-2
     assert feas["capacity_excess"] < 1e-3
     assert feas["water_norm"] < 1e-3
-
-
-def test_flow_csv_export():
-    inst, _ = build_transport(3, bridge=[], water=[])
-    buf = io.StringIO()
-    write_flow_csv(inst, np.zeros(18), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "i,j,sx,sy,magnitude"
-    assert len(lines) == 10
-    assert lines[1] == "0,0,0,0,0"
 
 
 # ---------------------------------------------------------------------------

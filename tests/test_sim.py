@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
 from graphdrs.operators import prox_translated_quadratic
 from graphdrs.simulate import (
+    Message,
     NetworkSim,
     ProtocolError,
     general_protocol_table,
@@ -37,6 +39,7 @@ def test_tree_protocol_bit_identical():
     ops = quad_ops(4)
     cfg = SolverConfig(sigma=1.0, theta=1.3)
     result = run_tree_protocol(bg, ops, cfg, rounds=40)
+    assert result.x_history.shape == (40, 4, 2)
     w = np.zeros((3, 2))
     for rnd in range(40):
         x, w = step_tree(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
@@ -49,6 +52,7 @@ def test_general_protocol_bit_identical():
     ops = quad_ops(4)
     cfg = SolverConfig(sigma=0.7)
     result = run_general_protocol(bg, ops, cfg, rounds=40)
+    assert result.x_history.shape == (40, 4, 2)
     wt = np.zeros((4, 2))
     for rnd in range(40):
         x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
@@ -138,3 +142,62 @@ def test_message_log_csv():
     # initialization: owners push zero duals upstream, 1-based labels
     assert lines[1].startswith("0,")
     assert len(lines) == 1 + len(result.log)
+
+
+def test_log_entries_keep_their_fields():
+    assert [f.name for f in dataclasses.fields(Message)] == [
+        "round", "src", "dst", "kind", "payload",
+    ]
+    result = run_tree_protocol(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0), rounds=3)
+    for msg in result.log:
+        assert msg.kind in ("x", "w")
+        assert msg.payload.shape == (2,)
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_logged_payloads_are_copies(protocol):
+    g = complete(4)
+    bg = tree_bg() if protocol == "tree" else BilevelGraph(g, g)
+    result = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol=protocol).run(6)
+    sent_x = [(m.round, m.src, m.payload) for m in result.log if m.kind == "x"]
+    for rnd, src, payload in sent_x:
+        assert np.array_equal(payload, result.x_history[rnd - 1, src])
+    logged = [m.payload.copy() for m in result.log]
+    # overwrite the senders' state: their estimates (views of x_history)
+    # and the duals they own
+    result.x_history[...] = np.nan
+    for agent in result.agents:
+        for vec in agent.owned_w.values():
+            vec[...] = np.nan
+        if agent.wtilde is not None:
+            agent.wtilde[...] = np.nan
+    for msg, before in zip(result.log, logged):
+        assert np.array_equal(msg.payload, before)
+
+
+def test_missing_message_names_round_agent_and_kind():
+    bg = tree_bg()
+    table = tree_protocol_table(bg)
+    table[0]["x_recv"] = [1]  # node 1 never sends x to node 0
+    sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), table=table)
+    with pytest.raises(ProtocolError, match="agent 0 at round 1: missing x message from 1"):
+        sim.run(2)
+
+    g = complete(4)
+    bg2 = BilevelGraph(g, g)
+    table2 = general_protocol_table(bg2)
+    table2[2]["x_recv_phase2"] = [3, 1]  # 1's only x to 2 was read in phase 1
+    sim2 = NetworkSim(bg2, quad_ops(4), SolverConfig(sigma=1.0), protocol="general",
+                      table=table2)
+    with pytest.raises(ProtocolError, match="agent 2 at round 1: missing x message from 1"):
+        sim2.run(2)
+
+
+def test_wrong_kind_message_names_round_agent_and_kind():
+    bg = tree_bg()
+    table = tree_protocol_table(bg)
+    table[0]["w_recv"] = []  # leave 1's round-0 dual in the channel
+    table[0]["x_recv"] = [1]
+    sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), table=table)
+    with pytest.raises(ProtocolError, match="agent 0 at round 1: expected x from 1, got w"):
+        sim.run(2)
