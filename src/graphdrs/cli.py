@@ -164,7 +164,10 @@ def cmd_solve(args):
 
 
 def cmd_enumerate(args):
-    graphs = enumerate_connected_digraphs(args.n)
+    try:
+        graphs = enumerate_connected_digraphs(args.n)
+    except GraphError as exc:
+        raise InputError(f"--n: {exc}") from exc
     with _rewrite(args.out) as fh:
         fh.write(f"# seed = {args.seed}\n")
         fh.write("graph_id,edges,lambda1\n")

@@ -191,8 +191,8 @@ def enumerate_connected_digraphs(n):
     Enumerates subsets of the n*(n-1)/2 upper-triangle edge slots and keeps
     the connected ones; each labeled graph appears exactly once.
     """
-    if n > MAX_ENUM_NODES:
-        raise GraphError(f"enumeration limited to n <= {MAX_ENUM_NODES}, got {n}")
+    if not 2 <= n <= MAX_ENUM_NODES:
+        raise GraphError(f"enumeration needs 2 <= n <= {MAX_ENUM_NODES}, got {n}")
     slots = list(combinations(range(n), 2))
     out = []
     for mask in range(1 << len(slots)):

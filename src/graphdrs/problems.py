@@ -6,6 +6,7 @@ the SVM problem is a kernelized hinge-loss classifier split across a ring of
 "officials" each serving a star of label-holding agents.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,8 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
     from :func:`default_transport_geometry`).  Operator order: divergence
     projection, 3/2-power prox, group-l1 prox, capacity projection.
     """
-    if cap <= 0:
-        raise ValueError("capacity must be positive")
+    if not cap > 0:
+        raise ValueError(f"capacity must be positive, got {cap}")
     geo = default_transport_geometry(p)
     if bridge is None:
         bridge = geo["bridge"]
@@ -269,6 +270,8 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
     """
     if n != officials * per_official:
         raise ValueError("need n = officials * per_official")
+    if not (math.isfinite(kernel_width) and kernel_width > 0):
+        raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
     points, labels = svm_dataset(n, seed=seed)
     kernel = gaussian_kernel(points, kernel_width)
     partition = tuple(

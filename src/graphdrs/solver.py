@@ -98,8 +98,10 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     """
     acc = np.zeros(out.shape)
     for xh in xs_in:
-        acc = acc + xh
-    out[...] = op(sigma / d_i, (2.0 / d_i) * acc + w_term)
+        acc += xh
+    acc *= 2.0 / d_i
+    acc += w_term
+    out[...] = op(sigma / d_i, acc)
     return out
 
 
@@ -355,16 +357,19 @@ def step_wtilde(bg, ops, sigma, theta, wt, k=0):
 
 def state_variance(x):
     """Mean squared deviation of the estimates from their average."""
-    xbar = x.mean(axis=0)
-    return float(np.mean(np.sum((x - xbar) ** 2, axis=1)))
+    dev = x - x.mean(axis=0)
+    dev *= dev
+    return float(np.mean(np.sum(dev, axis=1)))
 
 
 def _subgradient_map(bg, sigma):
     """(Z w, x) -> a, the formula of :func:`compute_subgradients`, with the
-    graph matrices built once."""
+    graph matrices built once; also 1^T M for M = L + Sigma + P, the state
+    graph's in-degree minus out-degree, so that sum_i a_i = (1^T Z w - 1^T M x)
+    / sigma."""
     lap = laplacian(bg.base)
     sp = sigma_matrix(bg.base) + p_matrix(bg)
-    return lambda zw, x: (zw - lap @ x - sp @ x) / sigma
+    return (lambda zw, x: (zw - lap @ x - sp @ x) / sigma), (lap + sp).sum(axis=0)
 
 
 def compute_subgradients(bg, z, sigma, w, x):
@@ -374,7 +379,7 @@ def compute_subgradients(bg, z, sigma, w, x):
     Laplacian and P from the state edges outside the base; w is the dual
     iterate that produced x.
     """
-    return _subgradient_map(bg, sigma)(np.asarray(z) @ w, x)
+    return _subgradient_map(bg, sigma)[0](np.asarray(z) @ w, x)
 
 
 def _infer_dim(ops, w0):
@@ -386,17 +391,22 @@ def _infer_dim(ops, w0):
     raise ValueError("cannot infer the ambient dimension; pass w0 explicitly")
 
 
-def _iterate(bg, cfg, w, sweep, objective):
+def _iterate(bg, cfg, w, z, sweep, objective):
     """The run loop of both formulations; returns (SolverState, traces).
 
-    sweep(w, theta, k) returns (x, w_new, residual^2, Z w), Z w being the
-    dual term of the subgradients of x.
+    sweep(w, theta, k) returns (x, w_new, residual^2).  z is the
+    factorization, or None for node-local duals (Z = I).  Each sweep sums the
+    subgradients of x as two row vectors applied to w and x; the full a is
+    built once, for the last sweep.
     """
-    subgradients = _subgradient_map(bg, cfg.sigma)
+    subgradients, m_sum = _subgradient_map(bg, cfg.sigma)
+    z_sum = None if z is None else z.sum(axis=0)
     traces = []
     for k in range(cfg.max_iter):
-        x, w, residual_sq, zw = sweep(w, cfg.theta_at(k), k)
-        a = subgradients(zw, x)
+        w_in = w
+        x, w, residual_sq = sweep(w_in, cfg.theta_at(k), k)
+        zw_sum = w_in.sum(axis=0) if z is None else z_sum @ w_in
+        a_sum = (zw_sum - m_sum @ x) / cfg.sigma
         obj = None
         if objective is not None:
             obj = float(objective(x.mean(axis=0)))
@@ -405,12 +415,13 @@ def _iterate(bg, cfg, w, sweep, objective):
                 k=k,
                 residual_sq=residual_sq,
                 variance=state_variance(x),
-                subgrad_sum_norm=float(np.linalg.norm(a.sum(axis=0))),
+                subgrad_sum_norm=float(np.linalg.norm(a_sum)),
                 objective=obj,
             )
         )
         if cfg.tol > 0 and residual_sq < cfg.tol:
             break
+    a = subgradients(w_in if z is None else z @ w_in, x)
     return SolverState(w=w, x=x, a=a, k=k + 1), traces
 
 
@@ -427,9 +438,9 @@ def run(bg, decomp, ops, cfg, w0=None, objective=None):
 
     def sweep(w, theta, k):
         x, w_new, ztx = step_general(plan, ops, cfg.sigma, theta, w, k)
-        return x, w_new, float(np.sum(ztx**2)), z @ w
+        return x, w_new, float(np.sum(ztx**2))
 
-    return _iterate(bg, cfg, w, sweep, objective)
+    return _iterate(bg, cfg, w, z, sweep, objective)
 
 
 def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
@@ -443,9 +454,9 @@ def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
 
     def sweep(wt, theta, k):
         x, wt_new = step_wtilde(bg, ops, cfg.sigma, theta, wt, k)
-        return x, wt_new, float(np.sum(x * (lap @ x))), wt
+        return x, wt_new, float(np.sum(x * (lap @ x)))
 
-    return _iterate(bg, cfg, wt, sweep, objective)
+    return _iterate(bg, cfg, wt, None, sweep, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_enumerate_guard(tmp_path, capsys):
     assert main(["enumerate", "--n", "7", "--out", str(tmp_path / "e.csv")]) == 2
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_enumerate_rejects_fewer_than_two_nodes(tmp_path, capsys, n):
+    out = tmp_path / "e.csv"
+    assert main(["enumerate", "--n", n, "--out", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enumerate_four_nodes(tmp_path):
     out = str(tmp_path / "enum4.csv")
     assert main(["enumerate", "--n", "4", "--out", out]) == 0
@@ -139,6 +147,26 @@ def test_transport_sweep_non_finite_is_input_error(tmp_path, capsys, flags):
     assert code == 2
     err = capsys.readouterr().err
     assert "finite" in err and "numerical failure" not in err
+
+
+def test_transport_sweep_rejects_nan_capacity(tmp_path, capsys):
+    code = main(
+        ["transport-sweep", "--p", "5", "--max-iter", "2", "--cap", "nan",
+         "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["0", "nan"])
+def test_svm_rejects_bad_kernel_width(tmp_path, capsys, width):
+    code = main(
+        ["svm", "--n", "12", "--officials", "3", "--per-official", "4",
+         "--max-iter", "2", "--kernel-width", width, "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "kernel width" in err and "symmetric" not in err
 
 
 def test_solve_non_finite_sigma_is_input_error(graph_file, quad_cfg, tmp_path):

@@ -109,6 +109,9 @@ def test_enumeration_counts():
     assert len(enumerate_connected_digraphs(4)) == 38
     with pytest.raises(GraphError):
         enumerate_connected_digraphs(7)
+    for n in (1, 0, -2):
+        with pytest.raises(GraphError, match="2 <= n"):
+            enumerate_connected_digraphs(n)
 
 
 def test_connected_subgraphs_of_complete4():

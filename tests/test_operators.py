@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphdrs.operators import (
     OperatorError,
+    _block_norms,
     project_affine,
     project_capacity,
     project_grid_divergence,
@@ -171,6 +175,11 @@ def test_capacity_projection():
     assert np.array_equal(out[4:6], np.zeros(2))  # water block zeroed
     with pytest.raises(OperatorError):
         project_capacity([0], [0], 1.0)
+    for cap in (0.0, -1.0, np.nan):
+        with pytest.raises(OperatorError, match="capacity"):
+            project_capacity([0], [2], cap)
+    # an infinite capacity is a ball that clips nothing
+    assert np.array_equal(project_capacity([0], [2], np.inf)(1.0, r)[:4], r[:4])
 
 
 def test_translated_quadratic_fixed_point():
@@ -238,3 +247,101 @@ def test_quadratic_solve_equals_cho_solve_bitwise():
             op(1.0, r)
     with pytest.raises(ValueError, match="dimension"):
         op(1.0, np.ones(6))
+
+
+# ---------------------------------------------------------------------------
+# 2-block kernels against their np.linalg.norm forms, bit for bit
+
+PROPERTY = settings.get_profile("derandomized")
+SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-160, -1e-200, 1.0, -3.5,
+           1e154, -1e200, 1.7e308, np.inf, -np.inf, np.nan]
+TAUS = [0.0, 1e-3, 0.5, 10.0]
+
+
+def norm_power32(tau, r):
+    blocks = r.reshape(-1, 2)
+    norms = np.linalg.norm(blocks, axis=1)
+    half = 0.75 * tau
+    u = -half + np.sqrt(half * half + norms)
+    scale = np.zeros_like(norms)
+    nz = norms > 0
+    scale[nz] = (u[nz] ** 2) / norms[nz]
+    return (blocks * scale[:, None]).reshape(r.shape)
+
+
+def norm_group_l1(tau, r):
+    blocks = r.reshape(-1, 2)
+    norms = np.linalg.norm(blocks, axis=1)
+    scale = np.zeros_like(norms)
+    nz = norms > tau
+    scale[nz] = 1.0 - tau / norms[nz]
+    return (blocks * scale[:, None]).reshape(r.shape)
+
+
+def norm_capacity(bridge, water, cap):
+    def fn(tau, r):
+        blocks = r.reshape(-1, 2).copy()
+        blocks[water] = 0.0
+        norms = np.linalg.norm(blocks[bridge], axis=1)
+        over = norms > cap
+        if np.any(over):
+            blocks[bridge[over]] *= (cap / norms[over])[:, None]
+        return blocks.reshape(r.shape)
+
+    return fn
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def test_block_norms_equal_linalg_norm_on_special_values():
+    pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL])
+    with np.errstate(over="ignore"):
+        assert same_bits(_block_norms(pairs), np.linalg.norm(pairs, axis=1))
+
+
+block_arrays = arrays(
+    np.float64, st.tuples(st.integers(1, 40), st.just(2)),
+    elements=st.one_of(st.floats(), st.sampled_from(SPECIAL)),
+)
+
+
+@PROPERTY
+@given(block_arrays)
+def test_block_norms_equal_linalg_norm(blocks):
+    with np.errstate(over="ignore"):
+        assert same_bits(_block_norms(blocks), np.linalg.norm(blocks, axis=1))
+
+
+def kernel_pairs(cap):
+    bridge, water = np.array([0, 2, 3, 6]), np.array([1, 5])
+    return [
+        (prox_power_three_halves(), norm_power32),
+        (prox_group_l1(), norm_group_l1),
+        (project_capacity(bridge, water, cap), norm_capacity(bridge, water, cap)),
+    ]
+
+
+@PROPERTY
+@given(
+    arrays(np.float64, 16, elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))),
+    st.sampled_from(TAUS),
+    st.sampled_from([1e-3, 0.5, 10.0]),
+)
+def test_block_kernels_equal_norm_forms(r, tau, cap):
+    for op, ref in kernel_pairs(cap):
+        with np.errstate(all="ignore"):
+            assert same_bits(op(tau, r), ref(tau, r)), op.name
+
+
+@pytest.mark.parametrize("tau", TAUS)
+def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
+    for scale in (1e-170, 1e-3, 1.0, 30.0, 1e160):
+        r = scale * rng.standard_normal(16)
+        r[rng.random(16) < 0.4] = rng.choice([0.0, -0.0, 5e-324])
+        r[2:4] = r[10:12] = 0.0
+        r[12:14] = -0.0
+        for op, ref in kernel_pairs(0.5):
+            with np.errstate(all="ignore"):
+                assert same_bits(op(tau, r), ref(tau, r)), (op.name, scale)

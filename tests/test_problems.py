@@ -134,6 +134,9 @@ def test_build_svm_validation():
         build_svm(50, 5, 9)
     with pytest.raises(ValueError):
         build_svm(4, 2, 2)  # fewer than 3 officials
+    for width in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kernel width"):
+            build_svm(12, 3, 4, kernel_width=width)
 
 
 def test_svm_objective_trivial_and_hand_values():

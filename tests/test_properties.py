@@ -2,8 +2,11 @@
 
 Each formulation is checked against a dense reference or against the
 formulation it must equal bit for bit, on random connected state graphs
-with random tree and non-tree bases and random dimensions.  Every catalogue
-resolvent is checked for firm nonexpansiveness on generated inputs.
+with random tree and non-tree bases and random dimensions.  The run loop's
+diagnostics are checked against the full subgradients, and the runs against
+the paper's subgradient <= variance <= residual chain and the monotone
+residual of a constant relaxation.  Every catalogue resolvent is checked
+for firm nonexpansiveness on generated inputs.
 """
 
 import numpy as np
@@ -11,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphdrs.factorization import incidence_decomposition, spectral_decomposition
-from graphdrs.graphs import BilevelGraph, OrderedDigraph
+from graphdrs.graphs import (
+    BilevelGraph,
+    OrderedDigraph,
+    algebraic_connectivity,
+    laplacian,
+    p_matrix,
+    sigma_matrix,
+    unbalance,
+)
 from graphdrs.operators import (
     project_capacity,
     project_grid_divergence,
@@ -28,8 +39,12 @@ from graphdrs.solver import (
     SolverConfig,
     StepPlan,
     _Gather,
+    compute_subgradients,
     node_dual_term,
     node_solution,
+    run,
+    run_wtilde,
+    state_variance,
     step_general,
     step_tree,
     step_wtilde,
@@ -300,6 +315,130 @@ def test_gather_sums_a_lone_long_row_in_order():
     m[0, 3] = -1.0
     src = rng.standard_normal((12, 1)) * 10.0 ** rng.integers(-8, 9, (12, 1))
     assert same_bits(_Gather(m)(src), loop_gather(m, src))
+
+
+# ---------------------------------------------------------------------------
+# run diagnostics against full subgradients, and the paper's run invariants
+
+FORMS = ["incidence", "spectral", "node_local"]
+
+
+def square_mean(xbar):
+    return float(xbar @ xbar)
+
+
+def solve_form(bg, ops, cfg, form, rng):
+    """run (Z by incidence or spectral factorization, or any n x (n-1)
+    matrix) or run_wtilde from a random start; returns (state, traces,
+    z or None, start)."""
+    n, dim = bg.n_nodes, ops[0].dim
+    if form == "any_z":
+        z = rng.standard_normal((n, n - 1))
+        w0 = rng.standard_normal((n - 1, dim))
+        return (*run(bg, z, ops, cfg, w0, square_mean), z, w0)
+    if form == "node_local":
+        wt0 = rng.standard_normal((n, dim))
+        wt0 -= wt0.mean(axis=0)
+        return (*run_wtilde(bg, ops, cfg, wt0, square_mean), None, wt0)
+    if form == "incidence" and not bg.base.is_tree():
+        form = "spectral"
+    z = (incidence_decomposition if form == "incidence"
+         else spectral_decomposition)(bg.base).z
+    w0 = rng.standard_normal((n - 1, dim))
+    return (*run(bg, z, ops, cfg, w0, square_mean), z, w0)
+
+
+def reference_run(bg, ops, cfg, z, w):
+    """The run loop sweep by sweep with the full subgradients of every sweep;
+    returns (x, w, a, rows), a row being (residual^2, variance, objective,
+    ||sum_i a_i||, rounding floor of that sum, ||x||^2)."""
+    n = bg.n_nodes
+    lap = laplacian(bg.base)
+    m = lap + sigma_matrix(bg.base) + p_matrix(bg)
+    plan = None if z is None else StepPlan(bg, z)
+    rows = []
+    for k in range(cfg.max_iter):
+        theta = cfg.theta_at(k)
+        if z is None:
+            x, w_new = step_wtilde(bg, ops, cfg.sigma, theta, w, k)
+            residual_sq, zw = float(np.sum(x * (lap @ x))), w
+        else:
+            x, w_new, ztx = step_general(plan, ops, cfg.sigma, theta, w, k)
+            residual_sq, zw = float(np.sum(ztx**2)), z @ w
+        a = compute_subgradients(bg, np.eye(n) if z is None else z, cfg.sigma, w, x)
+        floor = 1e-12 * (np.linalg.norm(zw) + np.linalg.norm(m @ x)) / cfg.sigma
+        rows.append((residual_sq, state_variance(x), square_mean(x.mean(axis=0)),
+                     float(np.linalg.norm(a.sum(axis=0))), floor, float(np.sum(x**2))))
+        w = w_new
+    return x, w, a, rows
+
+
+def relaxed_config(rng, sweeps):
+    return SolverConfig(sigma=rng.uniform(0.3, 3.0), theta=rng.uniform(0.1, 1.9),
+                        max_iter=sweeps)
+
+
+@PROPERTY
+@given(mixed_problems(), st.sampled_from(FORMS + ["any_z"]))
+def test_subgradient_sum_matches_full_subgradients(problem, form):
+    # any Z: the sum's formula holds for every matrix, not only where 1^T Z = 0
+    bg, ops, rng = problem
+    cfg = relaxed_config(rng, SWEEPS)
+    state, traces, z, w0 = solve_form(bg, ops, cfg, form, rng)
+    x, w, a, rows = reference_run(bg, ops, cfg, z, w0)
+    assert state.k == len(traces) == SWEEPS
+    assert np.array_equal(state.x, x)
+    assert np.array_equal(state.w, w)
+    assert np.array_equal(state.a, a)
+    for k, (rec, (residual_sq, variance, objective, sum_norm, floor, _)) in enumerate(
+        zip(traces, rows)
+    ):
+        assert (rec.k, rec.residual_sq, rec.variance, rec.objective) == (
+            k, residual_sq, variance, objective)
+        # balanced graphs sum the subgradients to rounding noise
+        assert abs(rec.subgrad_sum_norm - sum_norm) <= max(1e-12 * sum_norm, floor)
+
+
+CHAIN_SWEEPS = 12
+
+
+@PROPERTY
+@given(mixed_problems(), st.sampled_from(FORMS))
+def test_subgradient_variance_residual_chain(problem, form):
+    # sigma^2/n^2 ||sum_i a_i||^2 <= u^2 var <= u^2/(n lambda_1) ||Z^T x||^2,
+    # u the state graph's unbalance and lambda_1 the base's connectivity
+    # the middle bound is tight for complete bases, and variance and residual
+    # both cancel to rounding noise of the order of eps ||x||^2
+    bg, ops, rng = problem
+    n = bg.n_nodes
+    cfg = relaxed_config(rng, CHAIN_SWEEPS)
+    _, traces, z, w0 = solve_form(bg, ops, cfg, form, rng)
+    rows = reference_run(bg, ops, cfg, z, w0)[3]
+    u, lam1 = unbalance(bg.state), algebraic_connectivity(bg.base)
+    for rec, (*_, sum_norm, floor, x_sq) in zip(traces, rows):
+        left = (cfg.sigma / n) ** 2 * rec.subgrad_sum_norm**2
+        mid = u**2 * rec.variance
+        right = u**2 / (n * lam1) * rec.residual_sq
+        noise = 1e-12 * u**2 * x_sq
+        sum_noise = (cfg.sigma / n) ** 2 * (2.0 * sum_norm + floor) * floor
+        assert left <= mid + noise + sum_noise
+        assert mid <= right + 2.0 * noise
+
+
+KM_SWEEPS = 30
+
+
+@PROPERTY
+@given(mixed_problems(), st.sampled_from(FORMS))
+def test_residual_never_rises_at_constant_theta(problem, form):
+    # Krasnosel'skii-Mann: ||w_{k+1} - w_k|| = theta ||Z^T x_k|| is
+    # nonincreasing for a constant theta in (0, 2)
+    bg, ops, rng = problem
+    cfg = relaxed_config(rng, KM_SWEEPS)
+    _, traces, _, _ = solve_form(bg, ops, cfg, form, rng)
+    residuals = [rec.residual_sq for rec in traces]
+    for before, after in zip(residuals, residuals[1:]):
+        assert after <= before * (1.0 + 1e-9) + 1e-24
 
 
 # ---------------------------------------------------------------------------
