@@ -22,8 +22,8 @@ class Resolvent:
         self._fn = fn
 
     def __call__(self, tau, r):
-        if tau < 0:
-            raise OperatorError("step size must be nonnegative")
+        if not tau >= 0:  # NaN fails this too
+            raise OperatorError(f"step size must be nonnegative, got {tau}")
         return self._fn(tau, np.asarray(r, dtype=float))
 
     def __repr__(self):

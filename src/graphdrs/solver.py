@@ -382,13 +382,16 @@ def compute_subgradients(bg, z, sigma, w, x):
     return _subgradient_map(bg, sigma)[0](np.asarray(z) @ w, x)
 
 
-def _infer_dim(ops, w0):
+def _infer_dim(ops, w0=None):
+    """w0's last dimension, else the first one a resolvent fixes."""
     if w0 is not None:
         return w0.shape[-1]
     for op in ops:
         if op.dim > 0:
             return op.dim
-    raise ValueError("cannot infer the ambient dimension; pass w0 explicitly")
+    raise ValueError(
+        "cannot infer the ambient dimension: every resolvent is dimension-free"
+    )
 
 
 def _iterate(bg, cfg, w, z, sweep, objective):

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_solve_quadratic_tol(graph_file, quad_cfg, tmp_path):
          "--max-iter", "2000", "--tol", "1e-16", "--out", out]
     )
     assert code == 0
-    rows = [l for l in open(out) if not l.startswith("#")]
+    rows = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert rows[0].startswith("iter,")
     last = rows[-1].split(",")
     assert float(last[1]) < 1e-16
@@ -45,7 +46,7 @@ def test_solve_byte_identical_reruns(graph_file, quad_cfg, tmp_path):
             "--max-iter", "50"]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_solve_missing_base_section(tmp_path, quad_cfg, capsys):
@@ -81,7 +82,7 @@ def test_solve_missing_file(tmp_path, quad_cfg):
 def test_enumerate_small(tmp_path):
     out = str(tmp_path / "enum.csv")
     assert main(["enumerate", "--n", "2", "--out", out]) == 0
-    rows = [l.strip() for l in open(out) if not l.startswith("#")]
+    rows = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert rows == ["graph_id,edges,lambda1", "1,1-2,2"]
 
 
@@ -100,7 +101,7 @@ def test_enumerate_rejects_fewer_than_two_nodes(tmp_path, capsys, n):
 def test_enumerate_four_nodes(tmp_path):
     out = str(tmp_path / "enum4.csv")
     assert main(["enumerate", "--n", "4", "--out", out]) == 0
-    rows = [l for l in open(out) if not l.startswith("#")][1:]
+    rows = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 38
 
 
@@ -111,7 +112,7 @@ def test_transport_sweep_row_count(tmp_path):
          "--out", out]
     )
     assert code == 0
-    rows = [l for l in open(out) if not l.startswith("#")]
+    rows = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert rows[0].strip() == "graph_id,mode,lambda1,iter,variance"
     body = rows[1:]
     assert len(body) == 38 * 2 * 4
@@ -184,7 +185,7 @@ def test_svm_sweep(tmp_path):
          "--max-iter", "10", "--out", out]
     )
     assert code == 0
-    rows = [l for l in open(out) if not l.startswith("#")]
+    rows = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert rows[0].strip() == "sigma,iter,residual_sq,variance,objective"
     body = rows[1:]
     assert len(body) == 10 * 10
@@ -202,7 +203,7 @@ def test_simulate_report(graph_file, quad_cfg, tmp_path, capsys):
          "--protocol", "tree", "--rounds", "10", "--out", out]
     )
     assert code == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "# max_deviation = 0\n" in text
     assert "round,from,to,kind" in text
     assert "max_deviation=0" in capsys.readouterr().out
@@ -215,7 +216,7 @@ def test_simulate_general_protocol(graph_file, quad_cfg, tmp_path):
          "--protocol", "general", "--rounds", "10", "--out", out]
     )
     assert code == 0
-    assert "# max_deviation = 0\n" in open(out).read()
+    assert "# max_deviation = 0\n" in Path(out).read_text()
 
 
 @pytest.mark.parametrize("flag", ["--max-iter", "--tol"])
@@ -234,7 +235,7 @@ def test_seed_recorded_in_header(graph_file, quad_cfg, tmp_path):
     out = str(tmp_path / "t.csv")
     main(["solve", "--graph", graph_file, "--config", quad_cfg,
           "--max-iter", "3", "--seed", "17", "--out", out])
-    assert open(out).readline().strip() == "# seed = 17"
+    assert Path(out).read_text().splitlines()[0].strip() == "# seed = 17"
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
@@ -273,7 +274,8 @@ def test_transport_sweep_rejects_small_grid_config(tmp_path, capsys):
 def test_transport_sweep_smallest_grid(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["transport-sweep", "--p", "3", "--max-iter", "1", "--out", str(out)]) == 0
-    assert len([l for l in open(out) if not l.startswith("#")]) == 1 + 38 * 2
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 38 * 2
 
 
 # ---------------------------------------------------------------------------

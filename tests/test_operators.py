@@ -198,6 +198,17 @@ def test_negative_tau_rejected():
         op(-1.0, np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [prox_group_l1(), prox_translated_quadratic(np.zeros(2)),
+     prox_hinge_affine(np.array([1.0, 1.0]))],
+    ids=lambda op: op.name,
+)
+def test_nan_tau_rejected(op):
+    with pytest.raises(OperatorError, match="got nan"):
+        op(float("nan"), np.ones(2))
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
-from graphdrs.operators import prox_translated_quadratic
+from graphdrs.operators import prox_group_l1, prox_translated_quadratic
 from graphdrs.simulate import (
     Message,
     NetworkSim,
     ProtocolError,
-    general_protocol_table,
     message_stats,
     run_general_protocol,
     run_tree_protocol,
-    tree_protocol_table,
     write_message_log,
 )
 from graphdrs.solver import SolverConfig, step_tree, step_wtilde
@@ -32,6 +30,12 @@ def quad_ops(n, dim=2):
 
 def tree_bg():
     return BilevelGraph(complete(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
+
+
+def k4_bg(protocol):
+    """Complete K4 state with a tree base, or with itself as base (general)."""
+    g = complete(4)
+    return tree_bg() if protocol == "tree" else BilevelGraph(g, g)
 
 
 def test_tree_protocol_bit_identical():
@@ -81,32 +85,22 @@ def test_general_message_counts():
     assert stats["total"] == 7 * (e + ep)
 
 
-def test_messages_only_on_graph_edges():
-    bg = tree_bg()
-    result = run_tree_protocol(bg, quad_ops(4), SolverConfig(sigma=1.0), rounds=5)
-    state_pairs = set(bg.state.edges)
-    for (src, dst), _count in message_stats(result.log)["per_edge"].items():
-        assert tuple(sorted((src, dst))) in state_pairs
-
-
-def test_corrupted_table_rejected():
-    # a table asking to read from a non-neighbor must fail fast
-    bg = tree_bg()
-    table = tree_protocol_table(bg)
-    table[3]["x_recv"] = [0]  # (0, 3) is a state edge; (2, 3) is not in base
-    table[3]["w_recv"] = [2]
-    with pytest.raises(ProtocolError, match="non-base-adjacent"):
-        NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), table=table)
-
-    g = complete(4)
-    bg2 = BilevelGraph(g, OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)]))
-    table2 = general_protocol_table(bg2)
-    table2[0]["x_recv_phase2"] = [3]  # 3 is state-adjacent but not base-adjacent
-    with pytest.raises(ProtocolError, match="non-base-adjacent"):
-        NetworkSim(
-            bg2, quad_ops(4), SolverConfig(sigma=1.0),
-            protocol="general", table=table2,
-        )
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_messages_only_on_graph_edges(protocol):
+    bg = k4_bg(protocol)
+    sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol=protocol)
+    sim.run(5)
+    state_pairs, base_edges = set(bg.state.edges), set(bg.base.edges)
+    for msg in sim.log:
+        if msg.kind == "x":
+            assert tuple(sorted((msg.src, msg.dst))) in state_pairs
+        else:  # a dual travels its base edge (h, i) from its owner i to h
+            assert msg.kind == "w" and (msg.dst, msg.src) in base_edges
+    # every message but the last round's |E'| duals (tree) has been received
+    left = [(m.round, m.dst, m.src, m.kind)
+            for chan in sim.channels.values() for m in chan]
+    expected = [(5, h, i, "w") for h, i in bg.base.edges] if protocol == "tree" else []
+    assert sorted(left) == sorted(expected)
 
 
 def test_protocol_validation():
@@ -118,6 +112,15 @@ def test_protocol_validation():
         NetworkSim(bg, quad_ops(3), SolverConfig(sigma=1.0), protocol="general")
     with pytest.raises(ValueError):
         NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol="gossip")
+
+
+def test_dimension_comes_from_the_resolvents():
+    bg = tree_bg()
+    ops = [prox_group_l1()] * 3 + [prox_translated_quadratic(np.zeros(6))]
+    assert NetworkSim(bg, ops, SolverConfig(sigma=1.0)).dim == 6
+    with pytest.raises(ValueError, match="every resolvent is dimension-free") as exc:
+        NetworkSim(bg, [prox_group_l1()] * 4, SolverConfig(sigma=1.0))
+    assert "pass" not in str(exc.value)
 
 
 def test_determinism():
@@ -156,8 +159,7 @@ def test_log_entries_keep_their_fields():
 
 @pytest.mark.parametrize("protocol", ["tree", "general"])
 def test_logged_payloads_are_copies(protocol):
-    g = complete(4)
-    bg = tree_bg() if protocol == "tree" else BilevelGraph(g, g)
+    bg = k4_bg(protocol)
     result = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol=protocol).run(6)
     sent_x = [(m.round, m.src, m.payload) for m in result.log if m.kind == "x"]
     for rnd, src, payload in sent_x:
@@ -175,29 +177,36 @@ def test_logged_payloads_are_copies(protocol):
         assert np.array_equal(msg.payload, before)
 
 
-def test_missing_message_names_round_agent_and_kind():
-    bg = tree_bg()
-    table = tree_protocol_table(bg)
-    table[0]["x_recv"] = [1]  # node 1 never sends x to node 0
-    sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), table=table)
-    with pytest.raises(ProtocolError, match="agent 0 at round 1: missing x message from 1"):
-        sim.run(2)
+def tamper_x_from_1_to_3(monkeypatch, kind):
+    """Fake NetworkSim._send: the round-1 x from 1 to 3 is dropped (kind
+    None) or relabelled as kind; every other message goes through."""
+    send = NetworkSim._send
 
-    g = complete(4)
-    bg2 = BilevelGraph(g, g)
-    table2 = general_protocol_table(bg2)
-    table2[2]["x_recv_phase2"] = [3, 1]  # 1's only x to 2 was read in phase 1
-    sim2 = NetworkSim(bg2, quad_ops(4), SolverConfig(sigma=1.0), protocol="general",
-                      table=table2)
-    with pytest.raises(ProtocolError, match="agent 2 at round 1: missing x message from 1"):
-        sim2.run(2)
+    def fake_send(self, rnd, src, outs, msg_kind, payload):
+        for dst, chan in outs:
+            if (rnd, src, dst, msg_kind) != (1, 1, 3, "x"):
+                send(self, rnd, src, [(dst, chan)], msg_kind, payload)
+            elif kind is not None:
+                send(self, rnd, src, [(dst, chan)], kind, payload)
+
+    monkeypatch.setattr(NetworkSim, "_send", fake_send)
 
 
-def test_wrong_kind_message_names_round_agent_and_kind():
-    bg = tree_bg()
-    table = tree_protocol_table(bg)
-    table[0]["w_recv"] = []  # leave 1's round-0 dual in the channel
-    table[0]["x_recv"] = [1]
-    sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), table=table)
-    with pytest.raises(ProtocolError, match="agent 0 at round 1: expected x from 1, got w"):
-        sim.run(2)
+def test_missing_message_names_round_agent_and_kind(monkeypatch):
+    tamper_x_from_1_to_3(monkeypatch, None)
+    for protocol in ("tree", "general"):
+        sim = NetworkSim(k4_bg(protocol), quad_ops(4), SolverConfig(sigma=1.0),
+                         protocol=protocol)
+        with pytest.raises(ProtocolError,
+                           match="^agent 3 at round 1: missing x message from 1$"):
+            sim.run(2)
+
+
+def test_wrong_kind_message_names_round_agent_and_kind(monkeypatch):
+    tamper_x_from_1_to_3(monkeypatch, "w")
+    for protocol in ("tree", "general"):
+        sim = NetworkSim(k4_bg(protocol), quad_ops(4), SolverConfig(sigma=1.0),
+                         protocol=protocol)
+        with pytest.raises(ProtocolError,
+                           match="^agent 3 at round 1: expected x from 1, got w$"):
+            sim.run(2)
