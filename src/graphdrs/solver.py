@@ -11,24 +11,25 @@ then updates the dual variables.  Three equivalent formulations are provided:
   node, usable with any base graph.
 
 A :class:`StepPlan`, built once, holds the sparsity a sweep reads: the state
-in-neighbor lists, 1/d_i, the gathers of Z and Z^T and the level schedule
-of the state DAG.  Each gather is two whole-array blocks, one gather for
-the rows with a single nonzero and one zero-padded block summed over its
-slots, each row summed from zero in ascending column order.  A sweep walks
+in-neighbor lists, 1/d_i, Z and Z^T as CSR matrices and the level schedule
+of the state DAG.  A CSR product sums each row from zero in ascending
+column order, the order :func:`node_dual_term` uses.  A sweep walks
 the levels; nodes of one level never read each other, so a level's hinge
 nodes are one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`)
 and every other node is one :func:`node_solution`.  The per-node arithmetic
 lives in small shared kernels (:func:`node_solution`,
 :func:`node_dual_term`, :func:`tree_w_update`, :func:`wtilde_node_update`)
-that the message-passing simulator reuses verbatim; the stacked and gathered
+that the message-passing simulator reuses verbatim; the stacked and CSR
 forms repeat their operations elementwise, so centralized and simulated
 runs agree bit for bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .factorization import external_decomposition, incidence_decomposition
 from .graphs import BilevelGraph, OrderedDigraph, laplacian, p_matrix, sigma_matrix
@@ -53,8 +54,9 @@ class SolverConfig:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not callable(self.theta) and not 0.0 < float(self.theta) < 2.0:
             raise ValueError("constant relaxation must lie in (0, 2)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        it = self.max_iter
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {it!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
 
@@ -108,8 +110,8 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
 def node_dual_term(d_i, w_terms, dim):
     """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order.
 
-    Accumulates from zero in the order of the step's gather, so one node's
-    term equals its row of the whole-array form bit for bit.
+    Accumulates from zero in column order, as the step's CSR product does,
+    so one node's term equals its row of the whole-array form bit for bit.
     """
     acc = np.zeros(dim)
     for coeff, wv in w_terms:
@@ -133,74 +135,15 @@ def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
 # ---------------------------------------------------------------------------
 # step plans
 
-class _Gather:
-    """m @ src for a fixed matrix m, each row summed from zero in ascending
-    column order, as a per-row loop would, in two whole-array blocks.
-
-    Rows with one nonzero are one gather.  Rows with more are one
-    zero-padded (slot, row) table of their nonzeros, summed over the slots by
-    one ``np.add.reduce``.  Padded slots are set to 0.0 after the product,
-    so a non-finite source entry cannot leak into them, and a lone
-    multi-nonzero row gets an all-padding companion, because numpy sums a
-    reduction with a single output element pairwise rather than in order.
-    rows is a plain slice when a block covers every row: index-array writes
-    there made the transport sweep (N = 4, dim 2450) 11 % slower.
-    """
-
-    def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        nnz = [np.flatnonzero(row) for row in m]
-        one = [r for r, cols in enumerate(nnz) if len(cols) == 1]
-        many = [r for r, cols in enumerate(nnz) if len(cols) > 1]
-        self.n_rows = len(m)
-        self.one = self.many = None
-        if one:
-            cols = np.array([nnz[r][0] for r in one])
-            self.one = (self._rows(one), cols, m[one, cols][:, None])
-        if many:
-            width, n_out = max(len(nnz[r]) for r in many), max(len(many), 2)
-            cols = np.zeros((width, n_out), dtype=int)
-            coef = np.zeros((width, n_out, 1))
-            pad = np.ones((width, n_out), dtype=bool)
-            for j, r in enumerate(many):
-                k = len(nnz[r])
-                cols[:k, j], coef[:k, j, 0], pad[:k, j] = nnz[r], m[r, nnz[r]], False
-            pad = np.nonzero(pad) if pad.any() else None
-            self.many = (self._rows(many), len(many), cols, coef, pad)
-
-    def _rows(self, rows):
-        return slice(None) if len(rows) == self.n_rows else np.array(rows)
-
-    def __call__(self, src):
-        blocks = []
-        if self.one is not None:
-            rows, cols, coef = self.one
-            terms = src[cols]
-            terms *= coef
-            terms += 0.0  # a sum from zero is never -0.0
-            blocks.append((rows, terms))
-        if self.many is not None:
-            rows, n_many, cols, coef, pad = self.many
-            terms = src[cols]
-            terms *= coef
-            if pad is not None:
-                terms[pad] = 0.0
-            blocks.append((rows, np.add.reduce(terms, axis=0, initial=0.0)[:n_many]))
-        if len(blocks) == 1 and isinstance(blocks[0][0], slice):
-            return blocks[0][1]
-        out = np.zeros((self.n_rows, src.shape[1]))
-        for rows, block in blocks:
-            out[rows] = block
-        return out
-
-
 class StepPlan:
     """Precomputed sparsity of one sweep, built once and read by every step.
 
-    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, the
-    gathers of Z (for the dual terms Z w) and of Z^T (for Z^T x), and the
-    level schedule of the state DAG: a node's level is one above its
-    deepest in-neighbor, so the nodes of one level never read each other.
+    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, Z (for
+    the dual terms Z w) and Z^T (for Z^T x) as CSR matrices, whose products
+    sum each row from zero in ascending column order as
+    :func:`node_dual_term` does, and the level schedule of the state DAG: a
+    node's level is one above its deepest in-neighbor, so the nodes of one
+    level never read each other.
     """
 
     def __init__(self, bg, z):
@@ -209,7 +152,7 @@ class StepPlan:
         if z.shape != (n, n - 1):
             raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
         self._init_sweep(bg, z)
-        self.z_cols = _Gather(z.T)
+        self.z_cols = sparse.csr_matrix(z.T)
 
     def _init_sweep(self, bg, z):
         # no reference to bg: graphs keep their plans, and a cycle would
@@ -219,7 +162,7 @@ class StepPlan:
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
         self.inv_d = 1.0 / degrees[:, None]
-        self.z_rows = _Gather(z)
+        self.z_rows = sparse.csr_matrix(z)
         depth = []
         for nbrs in self.in_nbrs:
             depth.append(1 + max((depth[h] for h in nbrs), default=-1))
@@ -230,7 +173,7 @@ class StepPlan:
 
     def schedule(self, ops):
         """Per level: the nodes solved one by one, and the level's hinge
-        nodes as (rows, stacked resolvent, in-neighbor gather, 2/d_i), or
+        nodes as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or
         None when the level has fewer than two.  Kept for the last ops."""
         ops = tuple(ops)
         if ops != self._ops:
@@ -250,7 +193,7 @@ class StepPlan:
         batch = (
             slice(hinges[0], hinges[-1] + 1) if contiguous else np.array(hinges),
             stack_hinges([ops[i] for i in hinges], d),
-            _Gather(into),
+            sparse.csr_matrix(into),
             (2.0 / d)[:, None],
         )
         return [i for i in nodes if i not in hinges], batch
@@ -265,7 +208,7 @@ class _NodeLocalPlan(StepPlan):
         self._init_sweep(bg, np.eye(bg.n_nodes))
         lap = laplacian(bg.base)
         self.base_degrees = lap.diagonal()[:, None]
-        self.base_adj = _Gather(np.diag(lap.diagonal()) - lap)
+        self.base_adj = sparse.csr_matrix(np.diag(lap.diagonal()) - lap)
 
 
 def _graph_plan(bg, kind):
@@ -302,7 +245,7 @@ def _sweep(plan, ops, sigma, w, k):
     if len(ops) != n:
         raise ValueError(f"need {n} operators, got {len(ops)}")
     schedule = plan.schedule(ops)
-    w_term = plan.inv_d * plan.z_rows(w)
+    w_term = plan.inv_d * (plan.z_rows @ w)
     x = np.empty_like(w_term)
     for nodes, batch in schedule:
         for i in nodes:
@@ -310,7 +253,7 @@ def _sweep(plan, ops, sigma, w, k):
             node_solution(ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
         if batch is not None:
             rows, hinges, into, two_over_d = batch
-            x[rows] = hinges(sigma, two_over_d * into(x) + w_term[rows])
+            x[rows] = hinges(sigma, two_over_d * (into @ x) + w_term[rows])
     _check_finite(x, ops, k)
     return x
 
@@ -322,7 +265,7 @@ def _step(plan, ops, sigma, theta, w, k):
     layer trace counts each public step call as one sweep.
     """
     x = _sweep(plan, ops, sigma, w, k)
-    ztx = plan.z_cols(x)
+    ztx = plan.z_cols @ x
     return x, w - theta * ztx, ztx
 
 
@@ -348,7 +291,7 @@ def step_wtilde(bg, ops, sigma, theta, wt, k=0):
         raise ValueError("node-local duals must sum to zero")
     plan = _graph_plan(bg, "node_local")
     x = _sweep(plan, ops, sigma, wt, k)
-    lx = plan.base_degrees * x - plan.base_adj(x)
+    lx = plan.base_degrees * x - plan.base_adj @ x
     return x, wt - theta * lx
 
 
@@ -382,16 +325,28 @@ def compute_subgradients(bg, z, sigma, w, x):
     return _subgradient_map(bg, sigma)[0](np.asarray(z) @ w, x)
 
 
-def _infer_dim(ops, w0=None):
-    """w0's last dimension, else the first one a resolvent fixes."""
-    if w0 is not None:
-        return w0.shape[-1]
+def _infer_dim(ops):
+    """The first dimension a resolvent fixes."""
     for op in ops:
         if op.dim > 0:
             return op.dim
     raise ValueError(
         "cannot infer the ambient dimension: every resolvent is dimension-free"
     )
+
+
+def _initial_dual(ops, w0, n_rows, name, rows):
+    """w0 as a float array, or zeros when None, checked to be (n_rows, dim):
+    dim is the first one a resolvent fixes, else w0's last."""
+    if w0 is None:
+        return np.zeros((n_rows, _infer_dim(ops)))
+    w = np.array(w0, dtype=float)
+    dim = next((op.dim for op in ops if op.dim > 0), w.shape[-1] if w.ndim else None)
+    if w.shape != (n_rows, dim):
+        raise ValueError(
+            f"{name} must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
+        )
+    return w
 
 
 def _iterate(bg, cfg, w, z, sweep, objective):
@@ -435,9 +390,8 @@ def run(bg, decomp, ops, cfg, w0=None, objective=None):
     sweeps exactly).  Non-convergence is not an error: inspect the trace.
     """
     z = decomp.z if hasattr(decomp, "z") else np.asarray(decomp, dtype=float)
-    dim = _infer_dim(ops, w0)
+    w = _initial_dual(ops, w0, bg.n_nodes - 1, "w0", "N-1")
     plan = StepPlan(bg, z)
-    w = np.zeros((bg.n_nodes - 1, dim)) if w0 is None else np.array(w0, dtype=float)
 
     def sweep(w, theta, k):
         x, w_new, ztx = step_general(plan, ops, cfg.sigma, theta, w, k)
@@ -452,8 +406,7 @@ def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
     The residual ||Z^T x||^2 is computed factorization-free as <x, L x>.
     """
     lap = laplacian(bg.base)
-    dim = _infer_dim(ops, wt0)
-    wt = np.zeros((bg.n_nodes, dim)) if wt0 is None else np.array(wt0, dtype=float)
+    wt = _initial_dual(ops, wt0, bg.n_nodes, "wt0", "N")
 
     def sweep(wt, theta, k):
         x, wt_new = step_wtilde(bg, ops, cfg.sigma, theta, wt, k)

@@ -12,6 +12,7 @@ for firm nonexpansiveness on generated inputs.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from graphdrs.factorization import incidence_decomposition, spectral_decomposition
 from graphdrs.graphs import (
@@ -38,7 +39,6 @@ from graphdrs.simulate import run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
-    _Gather,
     compute_subgradients,
     node_dual_term,
     node_solution,
@@ -294,6 +294,8 @@ def test_step_wtilde_equals_per_node_sweep_bitwise(problem):
     st.integers(0, 2**32 - 1), st.booleans(),
 )
 def test_gather_equals_per_row_loop(n_rows, n_cols, dim, seed, non_finite):
+    # the sweep's CSR products must sum each row from zero in ascending
+    # column order, as node_dual_term does; bit-identity rests on it
     rng = np.random.default_rng(seed)
     coef = rng.choice([1.0, -1.0, 0.5, rng.standard_normal()], size=(n_rows, n_cols))
     m = np.where(rng.random((n_rows, n_cols)) < rng.uniform(0.1, 1.0), coef, 0.0)
@@ -303,18 +305,18 @@ def test_gather_equals_per_row_loop(n_rows, n_cols, dim, seed, non_finite):
     if non_finite:
         src[rng.integers(n_cols), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
     with np.errstate(invalid="ignore"):
-        assert same_bits(_Gather(m)(src), loop_gather(m, src))
+        assert same_bits(sparse.csr_matrix(m) @ src, loop_gather(m, src))
 
 
 def test_gather_sums_a_lone_long_row_in_order():
-    # one row with many nonzeros and dim 1: numpy would sum that reduction
-    # pairwise, not from zero in column order
+    # one row with many nonzeros and dim 1 (a single-vector product): it must
+    # be summed from zero in column order, not pairwise
     rng = np.random.default_rng(5)
     m = np.zeros((3, 12))
     m[1] = rng.standard_normal(12)
     m[0, 3] = -1.0
     src = rng.standard_normal((12, 1)) * 10.0 ** rng.integers(-8, 9, (12, 1))
-    assert same_bits(_Gather(m)(src), loop_gather(m, src))
+    assert same_bits(sparse.csr_matrix(m) @ src, loop_gather(m, src))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_config_validation():
 def test_config_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, "10", None, True])
+def test_config_rejects_non_integer_max_iter(max_iter):
+    expected = re.escape(f"max_iter must be a positive integer, got {max_iter!r}")
+    with pytest.raises(ValueError, match=expected):
+        SolverConfig(sigma=1.0, max_iter=max_iter)
+
+
+def test_config_accepts_numpy_integer_max_iter():
+    assert SolverConfig(sigma=1.0, max_iter=np.int64(3)).max_iter == 3
 
 
 def test_theta_schedule_rejects_nan():
@@ -245,6 +257,39 @@ def test_wtilde_matches_general():
         assert np.abs(xg - xw).max() < 1e-10
         # wt tracks Z w
         assert np.abs(wt - decomp.z @ w).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape, dim",
+    [((4, 2), 2), ((2, 2), 2), ((3, 3), 2), ((3,), 2), ((), 2), ((3, 2), 3)],
+)
+def test_run_rejects_wrong_shape_w0(shape, dim):
+    bg = make_malitsky_tam(4)
+    ops = quad_ops([np.zeros(dim)] * 4)
+    expected = re.escape(f"w0 must have shape (N-1, dim) = (3, {dim}), got {shape}")
+    with pytest.raises(ValueError, match=expected):
+        run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=2),
+            w0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (5, 2), (4, 3)])
+def test_run_wtilde_rejects_wrong_shape_wt0(shape):
+    bg = make_malitsky_tam(4)
+    ops = quad_ops([np.zeros(2)] * 4)
+    expected = re.escape(f"wt0 must have shape (N, dim) = (4, 2), got {shape}")
+    with pytest.raises(ValueError, match=expected):
+        run_wtilde(bg, ops, SolverConfig(sigma=1.0, max_iter=2), wt0=np.zeros(shape))
+
+
+def test_initial_dual_of_dimension_free_resolvents_sets_the_dimension():
+    bg = make_malitsky_tam(4)
+    ops = [zero_operator(0)] * 4
+    st, _ = run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=2),
+                w0=np.ones((3, 5)))
+    assert st.x.shape == (4, 5)
+    with pytest.raises(ValueError, match=re.escape("got (4, 5)")):
+        run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=2),
+            w0=np.ones((4, 5)))
 
 
 def test_wtilde_rejects_nonzero_sum():
