@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, enumerate, transport-sweep, svm, simulate.  Every output
-is a CSV file with a comment header recording the flags (including the seed),
-so repeated invocations are byte-identical.  Exit codes: 0 success, 2 input
-error, 1 numerical failure.
+is a CSV file whose comment header, written by one helper, records the seed,
+the solver flags and the subcommand's own inputs, so repeated invocations are
+byte-identical.  Exit codes: 0 success, 2 input error (every input error is a
+ValueError, KeyError or OSError), 1 numerical failure.
 """
 
 import argparse
@@ -14,20 +15,16 @@ import sys
 
 import numpy as np
 
-from .factorization import (
-    FactorizationError,
-    incidence_decomposition,
-    spectral_decomposition,
-)
+from .factorization import incidence_decomposition, spectral_decomposition
 from .graphs import (
     BilevelGraph,
     GraphError,
-    OrderedDigraph,
     algebraic_connectivity,
+    complete_digraph,
     enumerate_connected_digraphs,
     read_bilevel_graph,
 )
-from .operators import OperatorError, prox_translated_quadratic
+from .operators import prox_translated_quadratic
 from .problems import (
     build_svm,
     load_config,
@@ -43,7 +40,6 @@ from .solver import (
     run,
     step_tree,
     step_wtilde,
-    tree_decomposition,
     write_trace,
 )
 
@@ -75,7 +71,11 @@ def _parse_vectors(text):
 
 
 def _build_problem(cfg_path, graph_path, seed):
-    """Return (ops, bilevel graph or None, objective callable or None)."""
+    """Return (ops, bilevel graph, objective callable), one operator per node.
+
+    The graph is --graph's; only an SVM config builds its own when --graph
+    is absent.
+    """
     cfg = load_config(cfg_path)
     kind = cfg.get("problem", "quadratic")
     bg = read_bilevel_graph(graph_path) if graph_path else None
@@ -97,19 +97,25 @@ def _build_problem(cfg_path, graph_path, seed):
                 0.5 * m * float(np.sum((xbar - c) ** 2))
                 for c, m in zip(centers, mus)
             )
-
-        return ops, bg, objective
-    if kind == "transport":
+    elif kind == "transport":
         inst, ops = transport_from_config(cfg)
-        return ops, bg, lambda xbar: objective_transport(inst, xbar)
-    if kind == "svm":
+        objective = lambda xbar: objective_transport(inst, xbar)
+    elif kind == "svm":
         if "seed" not in cfg:
             cfg = dict(cfg, seed=str(seed))
         inst, ops, built_bg = svm_from_config(cfg)
-        return ops, bg if bg is not None else built_bg, (
-            lambda xbar: objective_svm(inst, xbar)
+        bg = built_bg if bg is None else bg
+        objective = lambda xbar: objective_svm(inst, xbar)
+    else:
+        raise InputError(f"{cfg_path}: unknown problem kind {kind!r}")
+    if bg is None:
+        raise InputError("this problem kind needs --graph")
+    if len(ops) != bg.n_nodes:
+        raise InputError(
+            f"graph has {bg.n_nodes} nodes but the problem provides {len(ops)} "
+            f"operators"
         )
-    raise InputError(f"{cfg_path}: unknown problem kind {kind!r}")
+    return ops, bg, objective
 
 
 @contextlib.contextmanager
@@ -132,13 +138,25 @@ def _rewrite(path):
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _header(args, extra=()):
+SOLVER_FLAGS = ("sigma", "theta", "max_iter", "tol")
+
+
+@contextlib.contextmanager
+def _output(args, *extra):
+    """Open --out through :func:`_rewrite` and write the '#' header lines:
+    the seed, the solver flags the subcommand has, then extra."""
     lines = [f"seed = {args.seed}"]
-    for name in ("sigma", "theta", "max_iter", "tol"):
-        if hasattr(args, name):
-            lines.append(f"{name} = {getattr(args, name):.17g}")
-    lines.extend(extra)
-    return lines
+    lines += [f"{name} = {getattr(args, name):.17g}"
+              for name in SOLVER_FLAGS if hasattr(args, name)]
+    with _rewrite(args.out) as fh:
+        fh.writelines(f"# {line}\n" for line in [*lines, *extra])
+        yield fh
+
+
+def _solver_config(args, **overrides):
+    """The SolverConfig of the solver flags, with overrides replacing flags."""
+    flags = {name: getattr(args, name) for name in SOLVER_FLAGS}
+    return SolverConfig(**(flags | overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +165,10 @@ def _header(args, extra=()):
 
 def cmd_solve(args):
     ops, bg, objective = _build_problem(args.config, args.graph, args.seed)
-    if bg is None:
-        raise InputError("this problem kind needs --graph")
-    if len(ops) != bg.n_nodes:
-        raise InputError(
-            f"graph has {bg.n_nodes} nodes but the problem provides {len(ops)} "
-            f"operators"
-        )
-    cfg = SolverConfig(
-        sigma=args.sigma, theta=args.theta, max_iter=args.max_iter, tol=args.tol
-    )
+    cfg = _solver_config(args)
     _, traces = run(bg, _decomposition(bg), ops, cfg, objective=objective)
-    with _rewrite(args.out) as fh:
-        write_trace(traces, fh, comments=_header(args, [f"config = {args.config}"]))
+    with _output(args, f"config = {args.config}") as fh:
+        write_trace(traces, fh)
     return 0
 
 
@@ -168,8 +177,7 @@ def cmd_enumerate(args):
         graphs = enumerate_connected_digraphs(args.n)
     except GraphError as exc:
         raise InputError(f"--n: {exc}") from exc
-    with _rewrite(args.out) as fh:
-        fh.write(f"# seed = {args.seed}\n")
+    with _output(args) as fh:
         fh.write("graph_id,edges,lambda1\n")
         for gid, g in enumerate(graphs, start=1):
             edges = ";".join(f"{i + 1}-{j + 1}" for i, j in g.edges)
@@ -189,13 +197,9 @@ def cmd_transport_sweep(args):
         raise InputError(f"grid size needs --p >= {MIN_SWEEP_GRID}, got {p}")
     inst, ops = transport_from_config(spec)
     graphs = enumerate_connected_digraphs(4)
-    complete = OrderedDigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    cfg = SolverConfig(
-        sigma=args.sigma, theta=args.theta, max_iter=args.max_iter, tol=args.tol
-    )
-    with _rewrite(args.out) as fh:
-        for line in _header(args, [f"p = {inst.p}", f"cap = {inst.cap:.17g}"]):
-            fh.write(f"# {line}\n")
+    complete = complete_digraph(4)
+    cfg = _solver_config(args)
+    with _output(args, f"p = {inst.p}", f"cap = {inst.cap:.17g}") as fh:
         fh.write("graph_id,mode,lambda1,iter,variance\n")
         for gid, g in enumerate(graphs, start=1):
             lam1 = algebraic_connectivity(g)
@@ -221,32 +225,14 @@ def cmd_svm(args):
         seed=args.seed,
     )
     sigmas = np.logspace(-2, 1, 10)
-    with _rewrite(args.out) as fh:
-        for line in _header(
-            args,
-            [
-                f"n = {args.n}",
-                f"officials = {args.officials}",
-                f"gamma = {args.gamma:.17g}",
-                f"kernel_width = {args.kernel_width:.17g}",
-            ],
-        ):
-            fh.write(f"# {line}\n")
+    with _output(args, f"n = {args.n}", f"officials = {args.officials}",
+                 f"gamma = {args.gamma:.17g}",
+                 f"kernel_width = {args.kernel_width:.17g}") as fh:
         fh.write("sigma,iter,residual_sq,variance,objective\n")
         for sigma in sigmas:
-            cfg = SolverConfig(
-                sigma=float(sigma),
-                theta=args.theta,
-                max_iter=args.max_iter,
-                tol=args.tol,
-            )
-            _, traces = run(
-                bg,
-                tree_decomposition(bg),
-                ops,
-                cfg,
-                objective=lambda xbar: objective_svm(inst, xbar),
-            )
+            cfg = _solver_config(args, sigma=float(sigma))
+            _, traces = run(bg, _decomposition(bg), ops, cfg,
+                            objective=lambda xbar: objective_svm(inst, xbar))
             for rec in traces:
                 fh.write(
                     f"{sigma:.17g},{rec.k},{rec.residual_sq:.17g},"
@@ -259,9 +245,7 @@ def cmd_simulate(args):
     if args.rounds < 1:
         raise InputError(f"--rounds must be >= 1, got {args.rounds}")
     ops, bg, _ = _build_problem(args.config, args.graph, args.seed)
-    if bg is None:
-        raise InputError("this problem kind needs --graph")
-    cfg = SolverConfig(sigma=args.sigma, theta=args.theta, max_iter=args.rounds)
+    cfg = _solver_config(args, max_iter=args.rounds)
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
     result = sim.run(args.rounds)
     # centralized re-run of the same formulation for the equivalence report
@@ -274,17 +258,9 @@ def cmd_simulate(args):
     for rnd in range(args.rounds):
         x, w = step(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
         max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
-    with _rewrite(args.out) as fh:
-        for line in _header(
-            args,
-            [
-                f"protocol = {args.protocol}",
-                f"rounds = {args.rounds}",
-                f"max_deviation = {max_dev:.17g}",
-                f"total_messages = {len(result.log)}",
-            ],
-        ):
-            fh.write(f"# {line}\n")
+    with _output(args, f"protocol = {args.protocol}", f"rounds = {args.rounds}",
+                 f"max_deviation = {max_dev:.17g}",
+                 f"total_messages = {len(result.log)}") as fh:
         write_message_log(result.log, fh)
     print(
         f"protocol={args.protocol} rounds={args.rounds} "
@@ -370,15 +346,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (
-        InputError,
-        GraphError,
-        FactorizationError,
-        OperatorError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ProtocolError, FloatingPointError) as exc:

@@ -7,7 +7,6 @@ the node labeling is itself a topological ordering.  File formats use
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -182,34 +181,30 @@ def p_matrix(bg):
     return p
 
 
+def complete_digraph(n):
+    """The complete ordered digraph on n nodes: every edge (i, j), i < j."""
+    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 MAX_ENUM_NODES = 6
 
 
 def enumerate_connected_digraphs(n):
-    """All connected ordered digraphs on n labeled nodes, low-to-high edges.
-
-    Enumerates subsets of the n*(n-1)/2 upper-triangle edge slots and keeps
-    the connected ones; each labeled graph appears exactly once.
-    """
+    """All connected ordered digraphs on n labeled nodes, each exactly once:
+    the connected subgraphs of the complete graph."""
     if not 2 <= n <= MAX_ENUM_NODES:
         raise GraphError(f"enumeration needs 2 <= n <= {MAX_ENUM_NODES}, got {n}")
-    slots = list(combinations(range(n), 2))
-    out = []
-    for mask in range(1 << len(slots)):
-        edges = [slots[b] for b in range(len(slots)) if mask >> b & 1]
-        if len(edges) < n - 1 or not _check_connected(n, edges):
-            continue
-        out.append(OrderedDigraph(n, edges))
-    return out
+    return connected_subgraphs(complete_digraph(n))
 
 
 def connected_subgraphs(g):
-    """All connected spanning subgraphs of g (candidate base graphs)."""
+    """All connected spanning subgraphs of g (candidate base graphs), in the
+    binary-counting order of edge subsets, bit b standing for g.edges[b]."""
     out = []
-    for k in range(g.n_nodes - 1, g.n_edges + 1):
-        for sub in combinations(g.edges, k):
-            if _check_connected(g.n_nodes, sub):
-                out.append(OrderedDigraph(g.n_nodes, sub))
+    for mask in range(1 << g.n_edges):
+        edges = [e for b, e in enumerate(g.edges) if mask >> b & 1]
+        if len(edges) >= g.n_nodes - 1 and _check_connected(g.n_nodes, edges):
+            out.append(OrderedDigraph(g.n_nodes, edges))
     return out
 
 

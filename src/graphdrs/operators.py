@@ -5,6 +5,8 @@ single-valued, everywhere defined and firmly nonexpansive.  The step is a
 call-time argument because the solver uses node-dependent steps.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
 
@@ -28,6 +30,15 @@ class Resolvent:
 
     def __repr__(self):
         return f"Resolvent({self.name}, dim={self.dim})"
+
+
+def _finite(name, vec):
+    """vec as a float array; an OperatorError names its first non-finite entry."""
+    vec = np.asarray(vec, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise OperatorError(f"{name}[{bad[0]}] must be finite, got {vec.flat[bad[0]]}")
+    return vec
 
 
 def _as_blocks(r):
@@ -54,8 +65,8 @@ def prox_quadratic(k_matrix, weight):
         raise OperatorError("K must be square")
     if not np.allclose(k_matrix, k_matrix.T, atol=1e-10):
         raise OperatorError("K must be symmetric")
-    if weight < 0:
-        raise OperatorError("weight must be nonnegative")
+    if not (math.isfinite(weight) and weight >= 0):
+        raise OperatorError(f"weight must be nonnegative and finite, got {weight}")
     n = k_matrix.shape[0]
     eye = np.eye(n)
     potrs = get_lapack_funcs("potrs", (eye,))
@@ -86,6 +97,10 @@ def prox_hinge_affine(s, offset=1.0):
     """
     s = np.asarray(s, dtype=float)
     s_sq = float(s @ s)
+    if not math.isfinite(s_sq):  # one dot tests s; an SVM builds a hinge per point
+        _finite("s", s)
+    if not math.isfinite(offset):
+        raise OperatorError(f"offset must be finite, got {offset}")
     if s_sq == 0.0:
         raise OperatorError("direction vector s must be nonzero")
 
@@ -253,9 +268,9 @@ def project_capacity(bridge_idx, water_idx, cap):
 
 def prox_translated_quadratic(c, mu=1.0):
     """Resolvent of the affine operator x -> mu (x - c); a test workhorse."""
-    c = np.asarray(c, dtype=float)
-    if mu <= 0:
-        raise OperatorError("mu must be positive")
+    c = _finite("c", c)
+    if not (math.isfinite(mu) and mu > 0):
+        raise OperatorError(f"mu must be positive and finite, got {mu}")
 
     def fn(tau, r):
         return (r + tau * mu * c) / (1.0 + tau * mu)

@@ -272,6 +272,8 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
         raise ValueError("need n = officials * per_official")
     if not (math.isfinite(kernel_width) and kernel_width > 0):
         raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     points, labels = svm_dataset(n, seed=seed)
     kernel = gaussian_kernel(points, kernel_width)
     partition = tuple(

@@ -8,9 +8,10 @@ centralized solver, so simulated and centralized iterates are bit-identical.
 The bilevel graph is the protocol: an agent receives estimates only along
 state edges and duals only along base edges.  A run reads each agent's
 (peer, channel) receive and send lists off the graph once, with one deque per
-directed pair, so a round looks up no channel.  Every message, payload
-included, stays in the log; the round estimates are written into a
-preallocated (rounds, N, dim) history.
+directed pair, so a round looks up no channel.  Every message of a run,
+payload included, stays in its log; the round estimates are written into a
+preallocated (rounds, N, dim) history.  Each run starts from a fresh network,
+so a second run on one simulator repeats the first.
 """
 
 from collections import deque
@@ -76,9 +77,6 @@ class NetworkSim:
         self.ops = ops
         self.cfg = cfg
         self.protocol = protocol
-        self.agents = [Agent(id=i) for i in range(bg.n_nodes)]
-        self.channels = {}
-        self.log = []
 
     # -- channel primitives -------------------------------------------------
 
@@ -114,6 +112,10 @@ class NetworkSim:
     # -- protocols ----------------------------------------------------------
 
     def run(self, rounds):
+        """Simulate rounds sweeps on a fresh network: new agents, channels and log."""
+        self.agents = [Agent(id=i) for i in range(self.bg.n_nodes)]
+        self.channels = {}
+        self.log = []
         if self.protocol == "tree":
             return self._run_tree(rounds)
         return self._run_general(rounds)

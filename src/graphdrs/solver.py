@@ -32,7 +32,14 @@ import numpy as np
 from scipy import sparse
 
 from .factorization import external_decomposition, incidence_decomposition
-from .graphs import BilevelGraph, OrderedDigraph, laplacian, p_matrix, sigma_matrix
+from .graphs import (
+    BilevelGraph,
+    OrderedDigraph,
+    complete_digraph,
+    laplacian,
+    p_matrix,
+    sigma_matrix,
+)
 from .operators import stack_hinges
 
 THETA_CLAMP = 1e-3
@@ -50,6 +57,11 @@ class SolverConfig:
     tol: float = 0.0  # stop when ||Z^T x||^2 < tol; 0 disables early stopping
 
     def __post_init__(self):
+        reals = ("sigma", "tol") if callable(self.theta) else ("sigma", "theta", "tol")
+        for name in reals:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not callable(self.theta) and not 0.0 < float(self.theta) < 2.0:
@@ -422,18 +434,9 @@ MAX_LIFTED_NODES = 6
 
 
 def _affine_terms(ops):
-    terms = []
-    for op in ops:
-        if isinstance(op, tuple) and len(op) == 2:
-            mu, c = op
-        elif hasattr(op, "affine_mu"):
-            mu, c = op.affine_mu, op.affine_center
-        else:
-            raise TypeError(
-                "the lifted step requires affine operators given as (mu, center)"
-            )
-        terms.append((float(mu), np.asarray(c, dtype=float)))
-    return terms
+    if not all(hasattr(op, "affine_mu") for op in ops):
+        raise TypeError("the lifted step requires translated quadratic operators")
+    return [(op.affine_mu, op.affine_center) for op in ops]
 
 
 def _lifted_system(bg, z, affine_ops, sigma):
@@ -492,10 +495,6 @@ def lifted_resolvent_w(bg, decomp, affine_ops, sigma, w):
 # ---------------------------------------------------------------------------
 # named special cases
 
-def _complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def make_classical_drs():
     """N = 2, single edge: the textbook Douglas-Rachford method."""
     g = OrderedDigraph(2, [(0, 1)])
@@ -507,7 +506,7 @@ def make_ryu(n):
     if n < 3:
         raise ValueError("need n >= 3")
     base = OrderedDigraph(n, [(i, n - 1) for i in range(n - 1)])
-    return BilevelGraph(_complete(n), base)
+    return BilevelGraph(complete_digraph(n), base)
 
 
 def make_malitsky_tam(n):
@@ -526,7 +525,7 @@ def make_three_op_complete():
     Returns (bilevel graph, decomposition); the decomposition is the
     explicit closed-form choice used in the three-operator examples.
     """
-    g = _complete(3)
+    g = complete_digraph(3)
     zt = np.array(
         [
             [math.sqrt(2.0), -math.sqrt(0.5), -math.sqrt(0.5)],
@@ -551,10 +550,8 @@ def _fmt(v):
     return "" if v is None else format(v, ".17g")
 
 
-def write_trace(records, fh, comments=()):
+def write_trace(records, fh):
     """Write TraceRecords as CSV with 17 significant digits."""
-    for line in comments:
-        fh.write(f"# {line}\n")
     fh.write(TRACE_HEADER + "\n")
     for r in records:
         fh.write(

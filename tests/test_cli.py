@@ -170,6 +170,38 @@ def test_svm_rejects_bad_kernel_width(tmp_path, capsys, width):
     assert "kernel width" in err and "symmetric" not in err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("centers = 1 0; 0 1; -1 0; 0 -1\nmus = 1 nan 1 1\n",
+         "mu must be positive and finite, got nan"),
+        ("centers = 1 0; 0 1; -1 0; 0 -1\nmus = 1 inf 1 1\n",
+         "mu must be positive and finite, got inf"),
+        ("centers = 1 0; nan 1; -1 0; 0 -1\n", "c[0] must be finite, got nan"),
+        ("centers = 1 0; 0 inf; -1 0; 0 -1\n", "c[1] must be finite, got inf"),
+    ],
+    ids=["nan-mu", "inf-mu", "nan-center", "inf-center"],
+)
+def test_solve_rejects_non_finite_quadratic_parameters(graph_file, tmp_path, capsys,
+                                                       lines, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("problem = quadratic\n" + lines)
+    code = main(["solve", "--graph", graph_file, "--config", str(cfg),
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_svm_rejects_nan_gamma(tmp_path, capsys):
+    code = main(
+        ["svm", "--n", "12", "--officials", "3", "--per-official", "4",
+         "--max-iter", "2", "--gamma", "nan", "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: gamma must be nonnegative and finite, got nan\n"
+
+
 def test_solve_non_finite_sigma_is_input_error(graph_file, quad_cfg, tmp_path):
     code = main(
         ["solve", "--graph", graph_file, "--config", quad_cfg,
@@ -236,6 +268,39 @@ def test_seed_recorded_in_header(graph_file, quad_cfg, tmp_path):
     main(["solve", "--graph", graph_file, "--config", quad_cfg,
           "--max-iter", "3", "--seed", "17", "--out", out])
     assert Path(out).read_text().splitlines()[0].strip() == "# seed = 17"
+
+
+SOLVER_LINES = ["# max_iter = 2", "# tol = 0"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, expected",
+    [
+        ("solve", ["--max-iter", "2", "--theta", "1.5"],
+         ["# seed = 0", "# sigma = 1", "# theta = 1.5", *SOLVER_LINES,
+          "# config = {config}"]),
+        ("enumerate", ["--n", "3", "--seed", "5"], ["# seed = 5"]),
+        ("transport-sweep", ["--p", "3", "--max-iter", "2", "--cap", "0.125"],
+         ["# seed = 0", "# sigma = 2", "# theta = 1", *SOLVER_LINES,
+          "# p = 3", "# cap = 0.125"]),
+        ("svm", ["--n", "12", "--officials", "3", "--per-official", "4",
+                 "--max-iter", "2", "--gamma", "0.25"],
+         ["# seed = 0", "# sigma = 1", "# theta = 1", *SOLVER_LINES,
+          "# n = 12", "# officials = 3", "# gamma = 0.25", "# kernel_width = 1"]),
+        ("simulate", ["--rounds", "3", "--sigma", "0.5"],
+         ["# seed = 0", "# sigma = 0.5", "# theta = 1", "# max_iter = 1000",
+          "# tol = 0", "# protocol = tree", "# rounds = 3",
+          "# max_deviation = 0", "# total_messages = 30"]),
+    ],
+)
+def test_header_lines_of_every_subcommand(graph_file, quad_cfg, tmp_path,
+                                          command, flags, expected):
+    inputs = ["--graph", graph_file, "--config", quad_cfg]
+    out = tmp_path / "out.csv"
+    argv = [command, *(inputs if command in ("solve", "simulate") else []), *flags]
+    assert main(argv + ["--out", str(out)]) == 0
+    header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert header == [line.format(config=quad_cfg) for line in expected]
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])

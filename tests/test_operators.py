@@ -71,6 +71,24 @@ def test_quadratic_validation():
         prox_quadratic(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: prox_translated_quadratic([0.0, v]), r"c\[1\] must be finite"),
+        (lambda v: prox_translated_quadratic([0.0, 1.0], v),
+         "mu must be positive and finite"),
+        (lambda v: prox_hinge_affine([1.0, v]), r"s\[1\] must be finite"),
+        (lambda v: prox_hinge_affine([1.0, 2.0], v), "offset must be finite"),
+        (lambda v: prox_quadratic(np.eye(2), v),
+         "weight must be nonnegative and finite"),
+    ],
+)
+def test_non_finite_parameters_rejected(build, message, value):
+    with pytest.raises(OperatorError, match=rf"^{message}, got {value}$"):
+        build(value)
+
+
 def test_hinge_against_minimization_oracle():
     # frozen values from a direct Nelder-Mead minimization of
     # 0.5|x-r|^2 + tau*max(1 - s.x, 0) with s=(1,2), r=(0.1, 0.2)

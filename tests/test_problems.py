@@ -137,6 +137,10 @@ def test_build_svm_validation():
     for width in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="kernel width"):
             build_svm(12, 3, 4, kernel_width=width)
+    for gamma in (-0.1, np.nan, np.inf):
+        expected = f"gamma must be nonnegative and finite, got {gamma}"
+        with pytest.raises(ValueError, match=expected):
+            build_svm(12, 3, 4, gamma=gamma)
 
 
 def test_svm_objective_trivial_and_hand_values():

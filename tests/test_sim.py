@@ -15,7 +15,7 @@ from graphdrs.simulate import (
     run_tree_protocol,
     write_message_log,
 )
-from graphdrs.solver import SolverConfig, step_tree, step_wtilde
+from graphdrs.solver import SolverConfig, make_malitsky_tam, step_tree, step_wtilde
 
 rng = np.random.default_rng(5)
 
@@ -132,6 +132,19 @@ def test_determinism():
     assert np.array_equal(r1.x_history, r2.x_history)
     assert [(m.round, m.src, m.dst, m.kind) for m in r1.log] == [
         (m.round, m.src, m.dst, m.kind) for m in r2.log
+    ]
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_second_run_starts_from_a_clean_network(protocol):
+    bg, ops, cfg = make_malitsky_tam(4), quad_ops(4), SolverConfig(sigma=1.0)
+    sim = NetworkSim(bg, ops, cfg, protocol=protocol)
+    sim.run(5)
+    again = sim.run(5)
+    fresh = NetworkSim(bg, ops, cfg, protocol=protocol).run(5)
+    assert np.array_equal(again.x_history, fresh.x_history)
+    assert [(m.round, m.src, m.dst, m.kind, m.payload.tolist()) for m in again.log] == [
+        (m.round, m.src, m.dst, m.kind, m.payload.tolist()) for m in fresh.log
     ]
 
 

@@ -91,6 +91,28 @@ def test_config_accepts_numpy_integer_max_iter():
     assert SolverConfig(sigma=1.0, max_iter=np.int64(3)).max_iter == 3
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"sigma": "1"}, "sigma"),
+        ({"sigma": True}, "sigma"),
+        ({"sigma": 1.0, "tol": "0"}, "tol"),
+        ({"sigma": 1.0, "theta": None}, "theta"),
+        ({"sigma": 1.0, "theta": True}, "theta"),
+        ({"sigma": 1.0, "theta": "1"}, "theta"),
+    ],
+)
+def test_config_rejects_non_real_values(kwargs, name):
+    expected = re.escape(f"{name} must be a real number, got {kwargs[name]!r}")
+    with pytest.raises(ValueError, match=expected):
+        SolverConfig(**kwargs)
+
+
+def test_config_accepts_numpy_floats():
+    cfg = SolverConfig(sigma=np.float64(0.5), theta=np.float32(1.5), tol=np.float64(0))
+    assert (cfg.sigma, cfg.theta_at(0), cfg.tol) == (0.5, 1.5, 0.0)
+
+
 def test_theta_schedule_rejects_nan():
     cfg = SolverConfig(sigma=1.0, theta=lambda k: math.nan if k == 3 else 1.0)
     assert cfg.theta_at(2) == 1.0
@@ -511,12 +533,11 @@ def test_trace_csv_format():
         objective=lambda xbar: float(np.sum(xbar**2)),
     )
     buf = io.StringIO()
-    write_trace(traces, buf, comments=["seed = 0"])
+    write_trace(traces, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# seed = 0"
-    assert lines[1] == "iter,residual_sq,variance,subgrad_sum_norm,objective"
-    assert len(lines) == 5
-    fields = lines[2].split(",")
+    assert lines[0] == "iter,residual_sq,variance,subgrad_sum_norm,objective"
+    assert len(lines) == 4
+    fields = lines[1].split(",")
     assert fields[0] == "0"
     # 17 significant digits survive a parse roundtrip
     assert float(fields[1]) == traces[0].residual_sq
