@@ -9,6 +9,7 @@ ValueError, KeyError or OSError), 1 numerical failure.
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import stat
 import sys
@@ -34,14 +35,7 @@ from .problems import (
     transport_from_config,
 )
 from .simulate import NetworkSim, ProtocolError, write_message_log
-from .solver import (
-    NumericalError,
-    SolverConfig,
-    run,
-    step_tree,
-    step_wtilde,
-    write_trace,
-)
+from .solver import NumericalError, SolverConfig, StepPlan, run, step_general, write_trace
 
 MAX_SWEEP_GRID = 64
 MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
@@ -225,12 +219,13 @@ def cmd_svm(args):
         seed=args.seed,
     )
     sigmas = np.logspace(-2, 1, 10)
+    cfg = _solver_config(args)  # checks every flag before --out is opened
     with _output(args, f"n = {args.n}", f"officials = {args.officials}",
                  f"gamma = {args.gamma:.17g}",
                  f"kernel_width = {args.kernel_width:.17g}") as fh:
         fh.write("sigma,iter,residual_sq,variance,objective\n")
         for sigma in sigmas:
-            cfg = _solver_config(args, sigma=float(sigma))
+            cfg = dataclasses.replace(cfg, sigma=float(sigma))
             _, traces = run(bg, _decomposition(bg), ops, cfg,
                             objective=lambda xbar: objective_svm(inst, xbar))
             for rec in traces:
@@ -249,14 +244,12 @@ def cmd_simulate(args):
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
     result = sim.run(args.rounds)
     # centralized re-run of the same formulation for the equivalence report
-    dim = result.x_history.shape[2]
-    if args.protocol == "tree":
-        step, w = step_tree, np.zeros((bg.base.n_edges, dim))
-    else:
-        step, w = step_wtilde, np.zeros((bg.n_nodes, dim))
+    tree = args.protocol == "tree"
+    plan = StepPlan(bg, incidence_decomposition(bg.base).z if tree else None)
+    w = np.zeros_like(result.w)
     max_dev = 0.0
     for rnd in range(args.rounds):
-        x, w = step(bg, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        x, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
         max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
     with _output(args, f"protocol = {args.protocol}", f"rounds = {args.rounds}",
                  f"max_deviation = {max_dev:.17g}",

@@ -199,7 +199,17 @@ def enumerate_connected_digraphs(n):
 
 def connected_subgraphs(g):
     """All connected spanning subgraphs of g (candidate base graphs), in the
-    binary-counting order of edge subsets, bit b standing for g.edges[b]."""
+    binary-counting order of edge subsets, bit b standing for g.edges[b].
+
+    Walks all 2^|E| subsets, so g may have at most the edges of the largest
+    complete graph :func:`enumerate_connected_digraphs` takes.
+    """
+    limit = MAX_ENUM_NODES * (MAX_ENUM_NODES - 1) // 2
+    if g.n_edges > limit:
+        raise GraphError(
+            f"subgraph enumeration walks 2^|E| edge subsets and is limited to "
+            f"{limit} edges, got {g.n_edges} edges"
+        )
     out = []
     for mask in range(1 << g.n_edges):
         edges = [e for b, e in enumerate(g.edges) if mask >> b & 1]

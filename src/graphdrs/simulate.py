@@ -10,12 +10,15 @@ state edges and duals only along base edges.  A run reads each agent's
 (peer, channel) receive and send lists off the graph once, with one deque per
 directed pair, so a round looks up no channel.  Every message of a run,
 payload included, stays in its log; the round estimates are written into a
-preallocated (rounds, N, dim) history.  Each run starts from a fresh network,
-so a second run on one simulator repeats the first.
+preallocated (rounds, N, dim) history.  The duals are a list of per-row
+arrays, one row per base edge (tree) or node (general), each updated only by
+its owner; a run returns them stacked, rows as in the centralized duals.
+Each run starts from a fresh network, so a second run on one simulator
+repeats the first.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +45,9 @@ class Message:
 
 
 @dataclass
-class Agent:
-    """The state an agent keeps from one round to the next."""
-
-    id: int
-    owned_w: dict = field(default_factory=dict)   # tree: base-edge index -> vector
-    wtilde: np.ndarray = None                     # general protocol
-
-
-@dataclass
 class SimResult:
     x_history: np.ndarray  # (rounds, N, dim)
-    agents: list
+    w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
     log: list
 
 
@@ -112,19 +106,18 @@ class NetworkSim:
     # -- protocols ----------------------------------------------------------
 
     def run(self, rounds):
-        """Simulate rounds sweeps on a fresh network: new agents, channels and log."""
-        self.agents = [Agent(id=i) for i in range(self.bg.n_nodes)]
+        """Simulate rounds sweeps on a fresh network: new duals, channels and log."""
         self.channels = {}
         self.log = []
-        if self.protocol == "tree":
-            return self._run_tree(rounds)
-        return self._run_general(rounds)
+        protocol = self._run_tree if self.protocol == "tree" else self._run_general
+        x_history, w = protocol(rounds)
+        return SimResult(x_history, np.reshape(w, (-1, self.dim)), self.log)
 
     def _run_tree(self, rounds):
         """Agent i owns the duals of its base in-edges (h, i), receives those
         of its base out-edges (i, j) and the estimates of its state
         in-neighbours, and sends its estimate to its state out-neighbours and
-        each owned dual back to h."""
+        each owned dual back to h.  Returns (x_history, duals by edge)."""
         bg, ops, dim = self.bg, self.ops, self.dim
         sigma = self.cfg.sigma
         recv, send, chan = self._recv, self._send, self._channel
@@ -135,7 +128,6 @@ class NetworkSim:
         agents = [
             (
                 i,
-                agent.owned_w,
                 bg.state.degree(i),
                 [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
                 [(h, chan(h, i)) for h in bg.state.in_neighbors(i)],
@@ -143,18 +135,18 @@ class NetworkSim:
                  for h in bg.base.in_neighbors(i)],
                 [(j, chan(i, j)) for j in bg.state.out_neighbors(i)],
             )
-            for i, agent in enumerate(self.agents)
+            for i in range(bg.n_nodes)
         ]
         # round 0: owners initialize their duals and push them upstream
+        w = [np.zeros(dim) for _ in bg.base.edges]
         for e, (h, i) in enumerate(bg.base.edges):
-            self.agents[i].owned_w[e] = np.zeros(dim)
-            send(0, i, [(h, chan(i, h))], "w", self.agents[i].owned_w[e])
+            send(0, i, [(h, chan(i, h))], "w", w[e])
         x_history = np.empty((rounds, bg.n_nodes, dim))
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
             x = x_history[rnd - 1]
-            for i, owned_w, d_i, w_in, x_in, owned, x_out in agents:
-                w_terms = [(-1.0, owned_w[e]) for _, e, _ in owned]
+            for i, d_i, w_in, x_in, owned, x_out in agents:
+                w_terms = [(-1.0, w[e]) for _, e, _ in owned]
                 w_terms += [(1.0, recv(rnd, i, j, c, "w")) for j, c in w_in]
                 peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
                 node_solution(
@@ -162,17 +154,18 @@ class NetworkSim:
                     node_dual_term(d_i, w_terms, dim), x[i],
                 )
                 for h, e, _ in owned:
-                    owned_w[e] = tree_w_update(owned_w[e], theta, x[i], peer_x[h])
+                    w[e] = tree_w_update(w[e], theta, x[i], peer_x[h])
                 send(rnd, i, x_out, "x", x[i])
                 for _, e, to_h in owned:
-                    send(rnd, i, to_h, "w", owned_w[e])
-        return SimResult(x_history, self.agents, self.log)
+                    send(rnd, i, to_h, "w", w[e])
+        return x_history, w
 
     def _run_general(self, rounds):
         """Phase 1: agent i receives its state in-neighbours' estimates and
         sends its own to its state out-neighbours, then to its base
         in-neighbours.  Phase 2: it receives its base out-neighbours'
-        estimates and updates its node-local dual over all base neighbours."""
+        estimates and updates its node-local dual over all base neighbours.
+        Returns (x_history, duals by node)."""
         bg, ops, dim = self.bg, self.ops, self.dim
         sigma = self.cfg.sigma
         recv, send, chan = self._recv, self._send, self._channel
@@ -181,7 +174,6 @@ class NetworkSim:
         agents = [
             (
                 i,
-                agent,
                 bg.state.degree(i),
                 [(h, chan(h, i)) for h in bg.state.in_neighbors(i)],
                 [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
@@ -189,31 +181,29 @@ class NetworkSim:
                  for j in bg.state.out_neighbors(i) + bg.base.in_neighbors(i)],
                 bg.base.adjacency(i),
             )
-            for i, agent in enumerate(self.agents)
+            for i in range(bg.n_nodes)
         ]
-        for agent in self.agents:
-            agent.wtilde = np.zeros(dim)
+        wt = [np.zeros(dim) for _ in range(bg.n_nodes)]
         x_history = np.empty((rounds, bg.n_nodes, dim))
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
             x = x_history[rnd - 1]
             received = []  # per agent: the estimates it holds this round
-            for i, agent, d_i, x_in, _, x_out, _ in agents:
+            for i, d_i, x_in, _, x_out, _ in agents:
                 peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
                 node_solution(
                     ops[i], sigma, d_i, list(peer_x.values()),
-                    node_dual_term(d_i, [(1.0, agent.wtilde)], dim), x[i],
+                    node_dual_term(d_i, [(1.0, wt[i])], dim), x[i],
                 )
                 send(rnd, i, x_out, "x", x[i])
                 received.append(peer_x)
-            for (i, agent, _, _, phase2, _, base_adj), peer_x in zip(agents, received):
+            for (i, _, _, phase2, _, base_adj), peer_x in zip(agents, received):
                 for j, c in phase2:
                     peer_x[j] = recv(rnd, i, j, c, "x")
-                agent.wtilde = wtilde_node_update(
-                    agent.wtilde, theta, len(base_adj), x[i],
-                    [peer_x[j] for j in base_adj],
+                wt[i] = wtilde_node_update(
+                    wt[i], theta, len(base_adj), x[i], [peer_x[j] for j in base_adj],
                 )
-        return SimResult(x_history, self.agents, self.log)
+        return x_history, wt
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):

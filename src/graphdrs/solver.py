@@ -10,10 +10,12 @@ then updates the dual variables.  Three equivalent formulations are provided:
 * :func:`step_wtilde` -- node-local dual variables with zero sum, one per
   node, usable with any base graph.
 
-A :class:`StepPlan`, built once, holds the sparsity a sweep reads: the state
-in-neighbor lists, 1/d_i, Z and Z^T as CSR matrices and the level schedule
-of the state DAG.  A CSR product sums each row from zero in ascending
-column order, the order :func:`node_dual_term` uses.  A sweep walks
+Each sweeps one :class:`StepPlan`: the state in-neighbor lists, 1/d_i, Z
+and the update map as CSR matrices and the level schedule of the state DAG;
+``StepPlan(bg)`` is the node-local form (Z = I).  A caller holds its plan and
+calls :func:`step_general`; the other two steps build a plan per call.  A
+CSR product sums each row from zero in ascending column order, the order
+:func:`node_dual_term` uses.  A sweep walks
 the levels; nodes of one level never read each other, so a level's hinge
 nodes are one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`)
 and every other node is one :func:`node_solution`.  The per-node arithmetic
@@ -155,26 +157,27 @@ class StepPlan:
     sum each row from zero in ascending column order as
     :func:`node_dual_term` does, and the level schedule of the state DAG: a
     node's level is one above its deepest in-neighbor, so the nodes of one
-    level never read each other.
+    level never read each other.  Without z the duals are node-local: Z = I,
+    z_cols is the base adjacency A and the update is L x = D x - A x, D
+    being base_degrees (None when z is given).
     """
 
-    def __init__(self, bg, z):
-        z = np.asarray(z, dtype=float)
-        n = bg.n_nodes
-        if z.shape != (n, n - 1):
-            raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
-        self._init_sweep(bg, z)
-        self.z_cols = sparse.csr_matrix(z.T)
-
-    def _init_sweep(self, bg, z):
-        # no reference to bg: graphs keep their plans, and a cycle would
-        # outlive its last user until the cyclic collector runs
-        self.n_nodes = bg.n_nodes
-        self.in_nbrs = [bg.state.in_neighbors(i) for i in range(bg.n_nodes)]
+    def __init__(self, bg, z=None):
+        n = self.n_nodes = bg.n_nodes
+        if z is None:
+            lap = laplacian(bg.base)
+            self.base_degrees = lap.diagonal()[:, None]
+            self.z, to_duals = np.eye(n), np.diag(lap.diagonal()) - lap
+        else:
+            z = np.asarray(z, dtype=float)
+            if z.shape != (n, n - 1):
+                raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
+            self.base_degrees, self.z, to_duals = None, z, z.T
+        self.z_rows, self.z_cols = sparse.csr_matrix(self.z), sparse.csr_matrix(to_duals)
+        self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
         self.inv_d = 1.0 / degrees[:, None]
-        self.z_rows = sparse.csr_matrix(z)
         depth = []
         for nbrs in self.in_nbrs:
             depth.append(1 + max((depth[h] for h in nbrs), default=-1))
@@ -209,31 +212,6 @@ class StepPlan:
             (2.0 / d)[:, None],
         )
         return [i for i in nodes if i not in hinges], batch
-
-
-class _NodeLocalPlan(StepPlan):
-    """Plan of the node-local form: each dual enters its own node (Z = I)
-    and the update applies the base Laplacian, degree times x minus the
-    neighbor sum."""
-
-    def __init__(self, bg):
-        self._init_sweep(bg, np.eye(bg.n_nodes))
-        lap = laplacian(bg.base)
-        self.base_degrees = lap.diagonal()[:, None]
-        self.base_adj = sparse.csr_matrix(np.diag(lap.diagonal()) - lap)
-
-
-def _graph_plan(bg, kind):
-    """The tree or node-local plan of bg, built on first use and kept on bg."""
-    plans = vars(bg).setdefault("_step_plans", {})
-    if kind not in plans:
-        if kind == "tree":
-            if not bg.base.is_tree():
-                raise ValueError("step_tree requires a tree base graph")
-            plans[kind] = StepPlan(bg, incidence_decomposition(bg.base).z)
-        else:
-            plans[kind] = _NodeLocalPlan(bg)
-    return plans[kind]
 
 
 def _check_finite(x, ops, k):
@@ -271,18 +249,23 @@ def _sweep(plan, ops, sigma, w, k):
 
 
 def _step(plan, ops, sigma, theta, w, k):
-    """The Z step behind step_general and step_tree.
+    """The step behind every public step; returns (x, w_new, update).
 
-    Private so that neither public step calls the other: the benchmark's
-    layer trace counts each public step call as one sweep.
+    Private so that no public step calls another: the benchmark's layer
+    trace counts each public step call as one sweep.
     """
     x = _sweep(plan, ops, sigma, w, k)
-    ztx = plan.z_cols @ x
-    return x, w - theta * ztx, ztx
+    update = plan.z_cols @ x
+    if plan.base_degrees is not None:
+        update = plan.base_degrees * x - update
+    return x, w - theta * update, update
 
 
 def step_general(plan, ops, sigma, theta, w, k=0):
-    """One sweep of the general method; returns (x, w_new, z_t_x)."""
+    """One sweep over plan; returns (x, w_new, update).
+
+    The update is Z^T x, or L x for a node-local plan.
+    """
     return _step(plan, ops, sigma, theta, w, k)
 
 
@@ -290,21 +273,29 @@ def step_tree(bg, ops, sigma, theta, w_edges, k=0):
     """One sweep with edge-indexed dual variables (tree base graphs).
 
     w_edges rows follow the base edge-list order.  This is the general step
-    with the incidence factorization, whose plan is built once per graph.
+    with the incidence factorization, whose plan is built on each call: a
+    loop should hold that :class:`StepPlan` and call :func:`step_general`.
     """
-    x, w_new, _ = _step(_graph_plan(bg, "tree"), ops, sigma, theta, w_edges, k)
+    plan = StepPlan(bg, incidence_decomposition(bg.base).z)
+    x, w_new, _ = _step(plan, ops, sigma, theta, w_edges, k)
     return x, w_new
 
 
-def step_wtilde(bg, ops, sigma, theta, wt, k=0):
-    """One sweep of the node-local dual formulation; returns (x, wt_new)."""
+def _check_zero_sum(wt):
     scale = max(1.0, float(np.abs(wt).max(initial=0.0)))
     if np.abs(wt.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
         raise ValueError("node-local duals must sum to zero")
-    plan = _graph_plan(bg, "node_local")
-    x = _sweep(plan, ops, sigma, wt, k)
-    lx = plan.base_degrees * x - plan.base_adj @ x
-    return x, wt - theta * lx
+
+
+def step_wtilde(bg, ops, sigma, theta, wt, k=0):
+    """One sweep of the node-local dual formulation; returns (x, wt_new).
+
+    The plan, ``StepPlan(bg)``, is built on each call: a loop should hold
+    it and call :func:`step_general`.
+    """
+    _check_zero_sum(wt)
+    x, wt_new, _ = _step(StepPlan(bg), ops, sigma, theta, wt, k)
+    return x, wt_new
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +352,22 @@ def _initial_dual(ops, w0, n_rows, name, rows):
     return w
 
 
-def _iterate(bg, cfg, w, z, sweep, objective):
+def _iterate(bg, plan, ops, cfg, w, objective):
     """The run loop of both formulations; returns (SolverState, traces).
 
-    sweep(w, theta, k) returns (x, w_new, residual^2).  z is the
-    factorization, or None for node-local duals (Z = I).  Each sweep sums the
-    subgradients of x as two row vectors applied to w and x; the full a is
-    built once, for the last sweep.
+    The residual ||Z^T x||^2 comes from the step's update: its squared norm,
+    or <x, L x> for node-local duals.  Each sweep sums the subgradients of x
+    as two row vectors applied to w and x; the full a is built once, for the
+    last sweep.
     """
     subgradients, m_sum = _subgradient_map(bg, cfg.sigma)
-    z_sum = None if z is None else z.sum(axis=0)
+    z_sum, node_local = plan.z.sum(axis=0), plan.base_degrees is not None
     traces = []
     for k in range(cfg.max_iter):
         w_in = w
-        x, w, residual_sq = sweep(w_in, cfg.theta_at(k), k)
-        zw_sum = w_in.sum(axis=0) if z is None else z_sum @ w_in
-        a_sum = (zw_sum - m_sum @ x) / cfg.sigma
+        x, w, u = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w_in, k)
+        residual_sq = float(np.sum((x if node_local else u) * u))
+        a_sum = (z_sum @ w_in - m_sum @ x) / cfg.sigma
         obj = None
         if objective is not None:
             obj = float(objective(x.mean(axis=0)))
@@ -391,7 +382,7 @@ def _iterate(bg, cfg, w, z, sweep, objective):
         )
         if cfg.tol > 0 and residual_sq < cfg.tol:
             break
-    a = subgradients(w_in if z is None else z @ w_in, x)
+    a = subgradients(plan.z @ w_in, x)
     return SolverState(w=w, x=x, a=a, k=k + 1), traces
 
 
@@ -401,30 +392,20 @@ def run(bg, decomp, ops, cfg, w0=None, objective=None):
     Stops after the update once residual^2 < tol (tol = 0 runs max_iter
     sweeps exactly).  Non-convergence is not an error: inspect the trace.
     """
-    z = decomp.z if hasattr(decomp, "z") else np.asarray(decomp, dtype=float)
     w = _initial_dual(ops, w0, bg.n_nodes - 1, "w0", "N-1")
-    plan = StepPlan(bg, z)
-
-    def sweep(w, theta, k):
-        x, w_new, ztx = step_general(plan, ops, cfg.sigma, theta, w, k)
-        return x, w_new, float(np.sum(ztx**2))
-
-    return _iterate(bg, cfg, w, z, sweep, objective)
+    plan = StepPlan(bg, decomp.z if hasattr(decomp, "z") else decomp)
+    return _iterate(bg, plan, ops, cfg, w, objective)
 
 
 def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
     """Iterate the node-local dual formulation; returns (SolverState, traces).
 
     The residual ||Z^T x||^2 is computed factorization-free as <x, L x>.
+    wt0 must sum to zero; sweeps keep the sum.
     """
-    lap = laplacian(bg.base)
     wt = _initial_dual(ops, wt0, bg.n_nodes, "wt0", "N")
-
-    def sweep(wt, theta, k):
-        x, wt_new = step_wtilde(bg, ops, cfg.sigma, theta, wt, k)
-        return x, wt_new, float(np.sum(x * (lap @ x)))
-
-    return _iterate(bg, cfg, wt, None, sweep, objective)
+    _check_zero_sum(wt)
+    return _iterate(bg, StepPlan(bg), ops, cfg, wt, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,27 @@ def test_svm_rejects_nan_gamma(tmp_path, capsys):
     assert err == "error: gamma must be nonnegative and finite, got nan\n"
 
 
+SMALL_SVM = ["svm", "--n", "12", "--officials", "3", "--per-official", "4",
+             "--max-iter", "2"]
+
+
+def test_svm_bad_theta_opens_no_output(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(SMALL_SVM + ["--theta", "2.5", "--out", str(out)]) == 2
+    assert not out.exists()
+    out.write_bytes(b"earlier run\n")
+    assert main(SMALL_SVM + ["--theta", "2.5", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier run\n"
+    assert "relaxation" in capsys.readouterr().err
+
+
+def test_svm_rejects_nan_sigma(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(SMALL_SVM + ["--sigma", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "sigma" in capsys.readouterr().err
+
+
 def test_solve_non_finite_sigma_is_input_error(graph_file, quad_cfg, tmp_path):
     code = main(
         ["solve", "--graph", graph_file, "--config", quad_cfg,

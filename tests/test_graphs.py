@@ -118,6 +118,13 @@ def test_connected_subgraphs_of_complete4():
     assert len(connected_subgraphs(complete(4))) == 38
 
 
+def test_connected_subgraphs_is_bounded_by_the_enumeration_limit():
+    assert len(enumerate_connected_digraphs(6)) == 26704
+    path = OrderedDigraph(18, [(i, i + 1) for i in range(17)])
+    with pytest.raises(GraphError, match="17 edges"):
+        connected_subgraphs(path)
+
+
 def test_parse_edge_lines():
     assert parse_edge_lines(["1 2", "2 3"]) == [(0, 1), (1, 2)]
 

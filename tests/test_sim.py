@@ -4,8 +4,10 @@ import io
 import numpy as np
 import pytest
 
+from graphdrs.factorization import incidence_decomposition
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
 from graphdrs.operators import prox_group_l1, prox_translated_quadratic
+from graphdrs.problems import build_svm
 from graphdrs.simulate import (
     Message,
     NetworkSim,
@@ -15,7 +17,17 @@ from graphdrs.simulate import (
     run_tree_protocol,
     write_message_log,
 )
-from graphdrs.solver import SolverConfig, make_malitsky_tam, step_tree, step_wtilde
+from graphdrs.solver import (
+    SolverConfig,
+    StepPlan,
+    make_malitsky_tam,
+    run,
+    run_wtilde,
+    step_general,
+    step_tree,
+    step_wtilde,
+    tree_decomposition,
+)
 
 rng = np.random.default_rng(5)
 
@@ -61,6 +73,38 @@ def test_general_protocol_bit_identical():
     for rnd in range(40):
         x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
         assert np.array_equal(result.x_history[rnd], x)
+
+
+@pytest.mark.parametrize("protocol,graph", [
+    ("tree", "svm"), ("general", "svm"), ("general", "k4"),
+])
+def test_final_duals_equal_centralized_duals(protocol, graph):
+    if graph == "svm":
+        _, ops, bg = build_svm(50, 5, 10)
+    else:
+        bg, ops = BilevelGraph(complete(4), complete(4)), quad_ops(4)
+    cfg = SolverConfig(sigma=0.7, theta=1.4)
+    result = NetworkSim(bg, ops, cfg, protocol=protocol).run(60)
+    plan = StepPlan(bg, incidence_decomposition(bg.base).z if protocol == "tree" else None)
+    w = np.zeros_like(result.w)
+    assert w.shape == (bg.base.n_edges if protocol == "tree" else bg.n_nodes,
+                       result.x_history.shape[2])
+    for rnd in range(60):
+        x, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        assert np.array_equal(result.x_history[rnd], x)
+    assert np.array_equal(result.w, w)
+
+
+def test_solving_leaves_no_state_on_the_graph():
+    bg, ops = tree_bg(), quad_ops(4)
+    cfg = SolverConfig(sigma=1.0, max_iter=3)
+    step_tree(bg, ops, 1.0, 1.0, np.zeros((3, 2)))
+    step_wtilde(bg, ops, 1.0, 1.0, np.zeros((4, 2)))
+    run(bg, tree_decomposition(bg), ops, cfg)
+    run_wtilde(bg, ops, cfg)
+    for protocol in ("tree", "general"):
+        NetworkSim(bg, ops, cfg, protocol=protocol).run(3)
+    assert vars(bg).keys() == {"state", "base"}
 
 
 def test_tree_message_counts():
@@ -178,14 +222,9 @@ def test_logged_payloads_are_copies(protocol):
     for rnd, src, payload in sent_x:
         assert np.array_equal(payload, result.x_history[rnd - 1, src])
     logged = [m.payload.copy() for m in result.log]
-    # overwrite the senders' state: their estimates (views of x_history)
-    # and the duals they own
+    # overwrite the senders' estimates (views of x_history) and the duals
     result.x_history[...] = np.nan
-    for agent in result.agents:
-        for vec in agent.owned_w.values():
-            vec[...] = np.nan
-        if agent.wtilde is not None:
-            agent.wtilde[...] = np.nan
+    result.w[...] = np.nan
     for msg, before in zip(result.log, logged):
         assert np.array_equal(msg.payload, before)
 

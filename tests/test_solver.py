@@ -17,7 +17,12 @@ from graphdrs.graphs import (
     laplacian,
     unbalance,
 )
-from graphdrs.operators import prox_hinge_affine, prox_translated_quadratic, zero_operator
+from graphdrs.operators import (
+    Resolvent,
+    prox_hinge_affine,
+    prox_translated_quadratic,
+    zero_operator,
+)
 from graphdrs.solver import (
     NumericalError,
     SolverConfig,
@@ -322,6 +327,16 @@ def test_wtilde_rejects_nonzero_sum():
         step_wtilde(bg, ops, 1.0, 1.0, np.ones((3, 2)))
 
 
+def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
+    g = complete(3)
+    bg = BilevelGraph(g, g)
+    calls = []
+    ops = [Resolvent(2, lambda tau, r: calls.append(tau) or r)] * 3
+    with pytest.raises(ValueError, match="sum to zero"):
+        run_wtilde(bg, ops, SolverConfig(sigma=1.0, max_iter=3), wt0=np.ones((3, 2)))
+    assert calls == []
+
+
 def test_decomposition_independence_orthogonal():
     g = complete(4)
     bg = BilevelGraph(g, g)
@@ -443,16 +458,12 @@ def test_nonfinite_raises():
     def blowup(tau, r):
         return np.full_like(r, np.inf)
 
-    from graphdrs.operators import Resolvent
-
     ops = [Resolvent(1, blowup), zero_operator(1)]
     with pytest.raises(NumericalError):
         run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=5))
 
 
 def test_nonfinite_names_node_and_operator():
-    from graphdrs.operators import Resolvent
-
     bg = make_malitsky_tam(3)
     ops = [
         prox_translated_quadratic(np.ones(2)),
