@@ -15,15 +15,16 @@ and the update map as CSR matrices and the level schedule of the state DAG;
 ``StepPlan(bg)`` is the node-local form (Z = I).  A caller holds its plan and
 calls :func:`step_general`; the other two steps build a plan per call.  A
 CSR product sums each row from zero in ascending column order, the order
-:func:`node_dual_term` uses.  A sweep walks
-the levels; nodes of one level never read each other, so a level's hinge
-nodes are one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`)
-and every other node is one :func:`node_solution`.  The per-node arithmetic
-lives in small shared kernels (:func:`node_solution`,
-:func:`node_dual_term`, :func:`tree_w_update`, :func:`wtilde_node_update`)
-that the message-passing simulator reuses verbatim; the stacked and CSR
-forms repeat their operations elementwise, so centralized and simulated
-runs agree bit for bit.
+:func:`node_dual_term` uses.  A sweep walks the levels, each node on the
+latest it can take: one below its shallowest state out-neighbor, every sink
+(such as an SVM hinge agent) on the last.  Nodes of one level never read
+each other, so a level's hinge nodes are one stacked resolvent call
+(:func:`~graphdrs.operators.stack_hinges`) and every other node is one
+:func:`node_solution`.  The per-node arithmetic lives in small shared
+kernels (:func:`node_solution`, :func:`node_dual_term`, :func:`tree_w_update`,
+:func:`wtilde_node_update`) that the message-passing simulator reuses
+verbatim; the stacked and CSR forms repeat their operations elementwise, so
+centralized and simulated runs agree bit for bit.
 """
 
 import math
@@ -156,10 +157,11 @@ class StepPlan:
     the dual terms Z w) and Z^T (for Z^T x) as CSR matrices, whose products
     sum each row from zero in ascending column order as
     :func:`node_dual_term` does, and the level schedule of the state DAG: a
-    node's level is one above its deepest in-neighbor, so the nodes of one
-    level never read each other.  Without z the duals are node-local: Z = I,
-    z_cols is the base adjacency A and the update is L x = D x - A x, D
-    being base_degrees (None when z is given).
+    node sits one level below its shallowest out-neighbor, a sink on the
+    last of longest-path + 1 levels, so one level's nodes never read each
+    other.  Without z the duals are node-local: Z = I, z_cols is the base
+    adjacency A and the update is L x = D x - A x, D being base_degrees
+    (None when z is given).
     """
 
     def __init__(self, bg, z=None):
@@ -178,12 +180,13 @@ class StepPlan:
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
         self.inv_d = 1.0 / degrees[:, None]
-        depth = []
-        for nbrs in self.in_nbrs:
-            depth.append(1 + max((depth[h] for h in nbrs), default=-1))
-        self.levels = [[] for _ in range(max(depth) + 1)]
-        for i, level in enumerate(depth):
-            self.levels[level].append(i)
+        height = [0] * n  # longest state path from each node to a sink
+        for i in reversed(range(n)):
+            outs = bg.state.out_neighbors(i)
+            height[i] = 1 + max((height[j] for j in outs), default=-1)
+        self.levels = [[] for _ in range(max(height) + 1)]
+        for i, h in enumerate(height):
+            self.levels[-1 - h].append(i)
         self._ops = self._schedule = None
 
     def schedule(self, ops):
@@ -216,7 +219,8 @@ class StepPlan:
 
 def _check_finite(x, ops, k):
     if not np.all(np.isfinite(x)):
-        # failure path only: name the first offending node in sweep order
+        # failure path only: name the lowest-labelled non-finite node, where
+        # the failure started, as its in-neighbors have smaller labels
         i = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
         name = getattr(ops[i], "name", repr(ops[i]))
         raise NumericalError(

@@ -396,21 +396,31 @@ def test_out_rewrite_leaves_exactly_the_new_bytes(graph_file, quad_cfg, tmp_path
         assert out.read_bytes() == new
 
 
+SVM_CFG = "problem = svm\nn = 50\nofficials = 5\nper_official = 10\n"
+SIMULATE_PINS = [
+    ("tree", "741e2bbabc08857e3e1717023b2cf117115e2d3373b5d0ada6eb6041d1374787", QUAD_CFG, 5),
+    ("general", "a28db0ca1cd2c23ff4f5fa3b7d13d0c7222ee669bad720fedea742a3ae84aec5", QUAD_CFG, 5),
+    # the replay solves all 50 hinge agents as one stacked call per sweep
+    ("tree", "325a650a0de0b0f36343f977d93e75c22affc081dc22a482eff1829db7ea9fcf", SVM_CFG, 30),
+    ("general", "1b0424b902f6affb75c62242bf705ce8b3794f544de4b048711fc87e059f1b4f", SVM_CFG, 30),
+]
+
+
 @pytest.mark.parametrize(
-    "protocol, digest",
-    [
-        ("tree", "741e2bbabc08857e3e1717023b2cf117115e2d3373b5d0ada6eb6041d1374787"),
-        ("general", "a28db0ca1cd2c23ff4f5fa3b7d13d0c7222ee669bad720fedea742a3ae84aec5"),
-    ],
+    "protocol, digest, config, rounds",
+    [pytest.param(*pin, id=f"{pin[0]}-{pin[1]}") for pin in SIMULATE_PINS],
 )
-def test_simulate_csv_bytes_are_pinned(graph_file, quad_cfg, tmp_path, protocol, digest):
+def test_simulate_csv_bytes_are_pinned(graph_file, tmp_path, protocol, digest, config, rounds):
     # integers and flags only (max_deviation is exactly 0), so the bytes do
     # not depend on the platform's floating-point libraries
+    cfg = tmp_path / "problem.cfg"
+    cfg.write_text(config)
+    graph = ["--graph", graph_file] if config == QUAD_CFG else []  # SVM builds its own
     out = tmp_path / "log.csv"
     out.write_text("stale\n" * 1000)
     assert main(
-        ["simulate", "--graph", graph_file, "--config", quad_cfg,
-         "--protocol", protocol, "--rounds", "5", "--out", str(out)]
+        ["simulate", *graph, "--config", str(cfg), "--protocol", protocol,
+         "--rounds", str(rounds), "--out", str(out)]
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

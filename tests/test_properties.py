@@ -6,7 +6,9 @@ with random tree and non-tree bases and random dimensions.  The run loop's
 diagnostics are checked against the full subgradients, and the runs against
 the paper's subgradient <= variance <= residual chain and the monotone
 residual of a constant relaxation.  Every catalogue resolvent is checked
-for firm nonexpansiveness on generated inputs.
+for firm nonexpansiveness on generated inputs.  The level schedule is
+checked to put each node on the latest level it can take, after all of its
+state in-neighbors.
 """
 
 import numpy as np
@@ -108,6 +110,34 @@ def test_neighbor_lists_match_edge_scans(bg):
             assert g.adjacency(i) == sorted(ins + outs)
             assert g.degree(i) == len(ins) + len(outs)
         assert g.degrees().tolist() == [g.degree(i) for i in range(g.n_nodes)]
+
+
+def longest_state_path(bg):
+    """Edges on the longest state path, by relaxing the edge list n times."""
+    dist = [0] * bg.n_nodes
+    for _ in range(bg.n_nodes):
+        for h, i in bg.state.edges:
+            dist[i] = max(dist[i], dist[h] + 1)
+    return max(dist)
+
+
+@PROPERTY
+@given(bilevel_graphs())
+def test_level_schedule_is_a_topological_layering(bg):
+    z = spectral_decomposition(bg.base).z
+    for plan in (StepPlan(bg, z), StepPlan(bg)):
+        level = {}
+        for depth, nodes in enumerate(plan.levels):
+            for i in nodes:
+                assert i not in level
+                level[i] = depth
+        assert sorted(level) == list(range(bg.n_nodes))
+        assert all(level[h] < level[i] for h, i in bg.state.edges)
+        assert len(plan.levels) == longest_state_path(bg) + 1
+        # the latest level each node can take
+        for i in range(bg.n_nodes):
+            outs = bg.state.out_neighbors(i)
+            assert level[i] == min((level[j] for j in outs), default=len(plan.levels)) - 1
 
 
 @PROPERTY

@@ -23,6 +23,7 @@ from graphdrs.operators import (
     prox_translated_quadratic,
     zero_operator,
 )
+from graphdrs.problems import build_svm
 from graphdrs.solver import (
     NumericalError,
     SolverConfig,
@@ -44,6 +45,7 @@ from graphdrs.solver import (
     tree_decomposition,
     write_trace,
 )
+from test_properties import reference_sweep, same_bits
 
 rng = np.random.default_rng(42)
 
@@ -498,6 +500,47 @@ def test_nonfinite_in_batched_level_names_first_bad_hinge():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration 7: node 2 .*'hinge'"):
             step_general(plan, ops, 1.0, 1.0, w, 7)
+
+
+def test_nonfinite_names_the_lowest_bad_node_not_the_first_solved():
+    _, ops, bg = build_svm(50, 5, 10)
+    # the kernel quadratic rejects non-finite input itself, so the officials
+    # here are translated quadratics that pass it on
+    ops = [prox_translated_quadratic(np.zeros(50)) if i % 11 == 0 else op
+           for i, op in enumerate(ops)]
+    plan = StepPlan(bg)
+    assert plan.levels[1] == [11] and 1 in plan.levels[-1]
+    w = np.zeros((55, 50))
+    w[1, 0], w[11, 3] = np.inf, np.nan  # official 11 fails first, agent 1 last
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="iteration 3: node 1 .*'hinge'"):
+            step_general(plan, ops, 1.0, 1.0, w, 3)
+
+
+def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
+    _, ops, bg = build_svm(50, 5, 10)
+    hinges = [i for i in range(bg.n_nodes) if i % 11]
+    calls = []
+    call = Resolvent.__call__
+
+    def counting(self, tau, r):
+        calls.append(self.name)
+        return call(self, tau, r)
+
+    monkeypatch.setattr(Resolvent, "__call__", counting)
+    z = incidence_decomposition(bg.base).z
+    for plan, z_ref in ((StepPlan(bg, z), z), (StepPlan(bg), np.eye(bg.n_nodes))):
+        schedule = plan.schedule(ops)
+        assert [nodes for nodes, _ in schedule] == [[0], [11], [22], [33], [44], []]
+        assert [batch is None for _, batch in schedule] == [True] * 5 + [False]
+        assert list(schedule[-1][1][0]) == hinges
+        w = 0.5 * rng.standard_normal((z_ref.shape[1], 50))
+        for k in range(20):
+            calls.clear()
+            x, w_new, _ = step_general(plan, ops, 0.7, 1.4, w, k)
+            assert calls == ["quadratic"] * 5 + ["hinge"]
+            assert same_bits(x, reference_sweep(bg, z_ref, ops, 0.7, w))
+            w = w_new
 
 
 def test_single_hinges_use_the_scalar_kernel(monkeypatch):
