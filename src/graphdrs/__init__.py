@@ -4,6 +4,7 @@ from .factorization import (
     FactorizationError,
     OntoDecomposition,
     align,
+    choose_decomposition,
     external_decomposition,
     incidence_decomposition,
     spectral_decomposition,

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .factorization import incidence_decomposition, spectral_decomposition
+from .factorization import choose_decomposition, incidence_decomposition
 from .graphs import (
     BilevelGraph,
     GraphError,
@@ -43,12 +43,6 @@ MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
 
 class InputError(ValueError):
     """Bad command-line input or malformed file."""
-
-
-def _decomposition(bg):
-    if bg.base.is_tree():
-        return incidence_decomposition(bg.base)
-    return spectral_decomposition(bg.base)
 
 
 def _parse_vectors(text):
@@ -160,7 +154,7 @@ def _solver_config(args, **overrides):
 def cmd_solve(args):
     ops, bg, objective = _build_problem(args.config, args.graph, args.seed)
     cfg = _solver_config(args)
-    _, traces = run(bg, _decomposition(bg), ops, cfg, objective=objective)
+    _, traces = run(bg, choose_decomposition(bg.base), ops, cfg, objective=objective)
     with _output(args, f"config = {args.config}") as fh:
         write_trace(traces, fh)
     return 0
@@ -201,7 +195,7 @@ def cmd_transport_sweep(args):
                 ("a", BilevelGraph(g, g)),
                 ("b", BilevelGraph(complete, g)),
             ):
-                _, traces = run(bg, _decomposition(bg), ops, cfg)
+                _, traces = run(bg, choose_decomposition(bg.base), ops, cfg)
                 for rec in traces:
                     fh.write(
                         f"{gid},{mode},{lam1:.17g},{rec.k},{rec.variance:.17g}\n"
@@ -226,7 +220,7 @@ def cmd_svm(args):
         fh.write("sigma,iter,residual_sq,variance,objective\n")
         for sigma in sigmas:
             cfg = dataclasses.replace(cfg, sigma=float(sigma))
-            _, traces = run(bg, _decomposition(bg), ops, cfg,
+            _, traces = run(bg, choose_decomposition(bg.base), ops, cfg,
                             objective=lambda xbar: objective_svm(inst, xbar))
             for rec in traces:
                 fh.write(

@@ -69,6 +69,11 @@ def spectral_decomposition(g):
     return OntoDecomposition(z=z, source="spectral")
 
 
+def choose_decomposition(base):
+    """The factorization a run uses: incidence for a tree base, else spectral."""
+    return (incidence_decomposition if base.is_tree() else spectral_decomposition)(base)
+
+
 def align(z1, z2, tol=1e-8):
     """Orthogonal O with z1 = z2 @ O, for two factorizations of one Laplacian."""
     a, b = z1.z, z2.z

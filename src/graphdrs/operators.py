@@ -3,8 +3,13 @@
 Every operator is a :class:`Resolvent`: a map (step tau, input r) -> output,
 single-valued, everywhere defined and firmly nonexpansive.  The step is a
 call-time argument because the solver uses node-dependent steps.
+
+``op(tau, r, out=None)`` writes into ``out`` (allocated when None) and returns
+it; ``r`` may be ``out``.  Kernels keep their temporaries in scratch arrays
+made once per input shape, so calls on one resolvent must not overlap.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,17 +21,21 @@ class OperatorError(ValueError):
 
 
 class Resolvent:
-    """A maximal monotone operator accessed solely through (I + tau*A)^(-1)."""
+    """A maximal monotone operator accessed solely through (I + tau*A)^(-1):
+    fn(tau, r, out) writes J_tau(r) into out, and r may be out."""
 
     def __init__(self, dim, fn, name="resolvent"):
         self.dim = dim
         self.name = name
         self._fn = fn
 
-    def __call__(self, tau, r):
+    def __call__(self, tau, r, out=None):
         if not tau >= 0:  # NaN fails this too
             raise OperatorError(f"step size must be nonnegative, got {tau}")
-        return self._fn(tau, np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        out = np.empty(r.shape) if out is None else out
+        self._fn(tau, r, out)
+        return out
 
     def __repr__(self):
         return f"Resolvent({self.name}, dim={self.dim})"
@@ -41,17 +50,26 @@ def _finite(name, vec):
     return vec
 
 
-def _as_blocks(r):
+def _as_blocks(r, copy=None):
     if r.size % 2:
         raise OperatorError("input length must be even for 2-vector blocks")
-    return r.reshape(-1, 2)
+    return np.reshape(r, (-1, 2), copy=copy)
 
 
-def _block_norms(blocks):
+def _block_norms(blocks, out=None, tmp=None):
     """The norms of 2-vector blocks, bit for bit ``np.linalg.norm(blocks,
-    axis=1)``, which squares and adds without rescaling, at a fifth of its cost."""
+    axis=1)``, which squares and adds without rescaling, at a fifth of its
+    cost; into out, with tmp as scratch, when given."""
     x0, x1 = blocks[:, 0], blocks[:, 1]
-    return np.sqrt(x0 * x0 + x1 * x1)
+    out = np.multiply(x0, x0, out=out)
+    out += np.multiply(x1, x1, out=tmp)
+    return np.sqrt(out, out=out)
+
+
+def _scratch(floats):
+    """n -> floats float arrays and one bool array of length n, made once per n."""
+    return functools.cache(lambda n: (*(np.empty(n) for _ in range(floats)),
+                                      np.empty(n, bool)))
 
 
 def prox_quadratic(k_matrix, weight):
@@ -72,18 +90,20 @@ def prox_quadratic(k_matrix, weight):
     potrs = get_lapack_funcs("potrs", (eye,))
     cache = {}
 
-    def fn(tau, r):
+    def fn(tau, r, out):
+        np.copyto(out, r)
         if tau == 0.0 or weight == 0.0:
-            return r.copy()
+            return
         if tau not in cache:
             cache[tau] = cho_factor(eye + 2.0 * tau * weight * k_matrix)
-        # scipy's cho_solve without its per-call wrapping: the same finite
-        # check, then the same LAPACK solve (which checks the length)
+        # scipy's cho_solve without its wrapping or finite check (a non-finite
+        # r gives a non-finite out, which the sweep reports), in place in out
         c, lower = cache[tau]
-        x, info = potrs(c, np.asarray_chkfinite(r), lower=lower)
+        x, info = potrs(c, out, lower=lower, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
-        return x
+        if x is not out:  # potrs solved a copy of a non-contiguous out
+            out[...] = x
 
     return Resolvent(n, fn, name="quadratic")
 
@@ -104,7 +124,9 @@ def prox_hinge_affine(s, offset=1.0):
     if s_sq == 0.0:
         raise OperatorError("direction vector s must be nonzero")
 
-    def fn(tau, r):
+    step = np.empty_like(s)
+
+    def fn(tau, r, out):
         p = float(s @ r)
         q = tau * s_sq
         if p >= offset:
@@ -113,7 +135,7 @@ def prox_hinge_affine(s, offset=1.0):
             pi = p + q
         else:
             pi = offset
-        return r + ((pi - p) / s_sq) * s
+        np.add(r, np.multiply((pi - p) / s_sq, s, out=step), out=out)
 
     res = Resolvent(s.size, fn, name="hinge")
     res.hinge = (s, float(offset))  # read by :func:`stack_hinges`
@@ -127,19 +149,30 @@ def stack_hinges(hinges, divisors):
     bit for bit: the same operations elementwise, with each s.r taken by
     ``np.matmul`` of (k, 1, d) by (k, d, 1), which calls the same BLAS dot
     as the scalar form's ``s @ r`` (einsum and row sums round differently),
-    and the branch picked by ``np.where``.
+    and the branch picked by masked writes, the first branch last.  The
+    steps q = (tau / divisors) |s|^2 and offset - q are kept per tau.
     """
     s = np.stack([h.hinge[0] for h in hinges])
     offset = np.array([h.hinge[1] for h in hinges])
     s_sq = np.array([float(v @ v) for v in s])
     s_row = s[:, None, :]
     divisors = np.asarray(divisors, dtype=float)
+    dots, step = np.empty((len(s), 1, 1)), np.empty_like(s)
+    pi, hit = np.empty(len(s)), np.empty(len(s), bool)
+    p = dots[:, 0, 0]
+    cache = {}
 
-    def fn(tau, r):
-        p = np.matmul(s_row, r[:, :, None])[:, 0, 0]
-        q = (tau / divisors) * s_sq
-        pi = np.where(p >= offset, p, np.where(p <= offset - q, p + q, offset))
-        return r + ((pi - p) / s_sq)[:, None] * s
+    def fn(tau, r, out):
+        if tau not in cache:
+            q = (tau / divisors) * s_sq
+            cache[tau] = q, offset - q
+        q, low = cache[tau]
+        np.matmul(s_row, r[:, :, None], out=dots)
+        np.copyto(pi, offset)
+        np.add(p, q, out=pi, where=np.less_equal(p, low, out=hit))
+        np.copyto(pi, p, where=np.greater_equal(p, offset, out=hit))
+        np.divide(np.subtract(pi, p, out=pi), s_sq, out=pi)
+        np.add(r, np.multiply(pi[:, None], s, out=step), out=out)
 
     return Resolvent(s.shape[1], fn, name="hinge")
 
@@ -151,28 +184,34 @@ def prox_power_three_halves():
     nonnegative root of u^2 + (3 tau / 2) u - |r| = 0 (closed form, exact and
     branch-free; the discriminant is always nonnegative).
     """
+    scratch = _scratch(3)
 
-    def fn(tau, r):
+    def fn(tau, r, out):
         blocks = _as_blocks(r)
-        norms = _block_norms(blocks)
+        norms, u, scale, nz = scratch(len(blocks))
+        _block_norms(blocks, norms, scale)
         half = 0.75 * tau  # (3 tau / 2) / 2
-        u = -half + np.sqrt(half * half + norms)
-        scale = np.divide(u * u, norms, out=np.zeros_like(norms), where=norms > 0)
-        return (blocks * scale[:, None]).reshape(r.shape)
+        np.add(-half, np.sqrt(np.add(half * half, norms, out=u), out=u), out=u)
+        u *= u
+        scale.fill(0.0)
+        np.divide(u, norms, out=scale, where=np.greater(norms, 0, out=nz))
+        np.multiply(blocks, scale[:, None], out=_as_blocks(out, copy=False))
 
     return Resolvent(-1, fn, name="power32")
 
 
 def prox_group_l1():
     """Blockwise resolvent of tau * |block| (group soft-thresholding)."""
+    scratch = _scratch(2)
 
-    def fn(tau, r):
+    def fn(tau, r, out):
         blocks = _as_blocks(r)
-        norms = _block_norms(blocks)
-        nz = norms > tau
-        scale = np.divide(tau, norms, out=np.zeros_like(norms), where=nz)
+        norms, scale, nz = scratch(len(blocks))
+        _block_norms(blocks, norms, scale)
+        scale.fill(0.0)
+        np.divide(tau, norms, out=scale, where=np.greater(norms, tau, out=nz))
         np.subtract(1.0, scale, out=scale, where=nz)
-        return (blocks * scale[:, None]).reshape(r.shape)
+        np.multiply(blocks, scale[:, None], out=_as_blocks(out, copy=False))
 
     return Resolvent(-1, fn, name="group_l1")
 
@@ -200,8 +239,8 @@ def project_affine(lam, b, range_tol=1e-6):
             f"b is not in the range of the constraint matrix (residual {resid:g})"
         )
 
-    def fn(tau, r):
-        return r - lam.T @ (gram_pinv @ (lam @ r - b))
+    def fn(tau, r, out):
+        np.subtract(r, lam.T @ (gram_pinv @ (lam @ r - b)), out=out)
 
     return Resolvent(n, fn, name="affine_projection")
 
@@ -226,12 +265,12 @@ def project_grid_divergence(div, p, b):
     inv_eig = np.divide(1.0, eig, out=np.zeros_like(eig), where=eig > 0)
     div_t = div.T.tocsr()
 
-    def fn(tau, r):
+    def fn(tau, r, out):
         v = dctn((div @ r - b).reshape(p, p), norm="ortho")
-        return r - div_t @ idctn(v * inv_eig, norm="ortho").ravel()
+        return np.subtract(r, div_t @ idctn(v * inv_eig, norm="ortho").ravel(), out=out)
 
     # the projected zero point is feasible only if div is the grid divergence
-    resid = np.linalg.norm(div @ fn(0.0, np.zeros(2 * m)) - b)
+    resid = np.linalg.norm(div @ fn(0.0, np.zeros(2 * m), np.empty(2 * m)) - b)
     if resid > 1e-6 * max(np.linalg.norm(b), 1e-30):
         raise OperatorError(f"div is not the {p}x{p} grid divergence ({resid:g})")
     return Resolvent(2 * m, fn, name="affine_projection")
@@ -251,17 +290,19 @@ def project_capacity(bridge_idx, water_idx, cap):
     if not cap > 0:  # also rejects nan; inf clips nothing
         raise OperatorError(f"capacity must be positive, got {cap}")
 
-    def fn(tau, r):
-        blocks = _as_blocks(r).copy()
-        if water.size:
-            blocks[water] = 0.0
-        if bridge.size:
-            norms = _block_norms(blocks[bridge])
-            over = norms > cap
-            if np.any(over):
-                idx = bridge[over]
-                blocks[idx] *= (cap / norms[over])[:, None]
-        return blocks.reshape(r.shape)
+    norms, scale = np.empty(bridge.size), np.empty(bridge.size)
+    over = np.empty(bridge.size, bool)
+
+    def fn(tau, r, out):
+        np.copyto(out, r)
+        blocks = _as_blocks(out, copy=False)
+        blocks[water] = 0.0
+        near = blocks[bridge]
+        if np.greater(_block_norms(near, norms, scale), cap, out=over).any():
+            scale.fill(1.0)  # x * 1.0 is x: the others keep their bits
+            np.divide(cap, norms, out=scale, where=over)
+            near *= scale[:, None]
+            blocks[bridge] = near
 
     return Resolvent(-1, fn, name="capacity_projection")
 
@@ -272,8 +313,9 @@ def prox_translated_quadratic(c, mu=1.0):
     if not (math.isfinite(mu) and mu > 0):
         raise OperatorError(f"mu must be positive and finite, got {mu}")
 
-    def fn(tau, r):
-        return (r + tau * mu * c) / (1.0 + tau * mu)
+    def fn(tau, r, out):
+        np.add(r, tau * mu * c, out=out)
+        out /= 1.0 + tau * mu
 
     res = Resolvent(c.size, fn, name="translated_quadratic")
     # closed-form parameters, consumed by the lifted verification step
@@ -284,4 +326,4 @@ def prox_translated_quadratic(c, mu=1.0):
 
 def zero_operator(dim):
     """Resolvent of the zero operator: the identity map."""
-    return Resolvent(dim, lambda tau, r: r.copy(), name="zero")
+    return Resolvent(dim, lambda tau, r, out: np.copyto(out, r), name="zero")

@@ -111,15 +111,15 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     xs_in are the already-updated estimates of the smaller-labeled state
     neighbors, ascending; w_term is the node's pre-scaled dual term
     (1/d_i)(Z w)_i (see :func:`node_dual_term`).  Both callers must pass
-    identical orderings for bit-equal results.
+    identical orderings for bit-equal results.  The input is summed in out
+    from 0.0, so signed zeros round as in a fresh sum, and resolved in place.
     """
-    acc = np.zeros(out.shape)
+    out.fill(0.0)
     for xh in xs_in:
-        acc += xh
-    acc *= 2.0 / d_i
-    acc += w_term
-    out[...] = op(sigma / d_i, acc)
-    return out
+        out += xh
+    out *= 2.0 / d_i
+    out += w_term
+    return op(sigma / d_i, out, out=out)
 
 
 def node_dual_term(d_i, w_terms, dim):
@@ -128,10 +128,10 @@ def node_dual_term(d_i, w_terms, dim):
     Accumulates from zero in column order, as the step's CSR product does,
     so one node's term equals its row of the whole-array form bit for bit.
     """
-    acc = np.zeros(dim)
+    acc, term = np.zeros(dim), np.empty(dim)
     for coeff, wv in w_terms:
-        acc = acc + coeff * wv
-    return (1.0 / d_i) * acc
+        acc += np.multiply(coeff, wv, out=term)
+    return np.multiply(1.0 / d_i, acc, out=acc)
 
 
 def tree_w_update(w_edge, theta, x_i, x_h):
@@ -143,8 +143,9 @@ def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
     """Node-local dual update: one Laplacian row applied to the estimates."""
     acc = np.zeros_like(x_i)
     for xj in neighbor_xs:
-        acc = acc + xj
-    return wt_i - theta * (dprime_i * x_i - acc)
+        acc += xj
+    np.subtract(np.multiply(dprime_i, x_i), acc, out=acc)
+    return np.subtract(wt_i, np.multiply(theta, acc, out=acc), out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,17 @@ class StepPlan:
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
         self._ops = self._schedule = None
+        self._workspaces = {}
+
+    def workspace(self, dim):
+        """(w_term, scratch, finite), two float and one bool (N, dim) array
+        made on first use per dim: a step writes (1/d) Z w into w_term, stacks
+        hinge inputs in scratch and tests x in finite; the run loop's
+        diagnostics then reuse scratch.  So a plan serves one step at a time."""
+        if dim not in self._workspaces:
+            buf = np.empty((self.n_nodes, dim))
+            self._workspaces[dim] = buf, np.empty_like(buf), np.empty_like(buf, bool)
+        return self._workspaces[dim]
 
     def schedule(self, ops):
         """Per level: the nodes solved one by one, and the level's hinge
@@ -217,8 +229,8 @@ class StepPlan:
         return [i for i in nodes if i not in hinges], batch
 
 
-def _check_finite(x, ops, k):
-    if not np.all(np.isfinite(x)):
+def _check_finite(x, ops, k, finite):
+    if not np.isfinite(x, out=finite).all():
         # failure path only: name the lowest-labelled non-finite node, where
         # the failure started, as its in-neighbors have smaller labels
         i = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
@@ -239,7 +251,8 @@ def _sweep(plan, ops, sigma, w, k):
     if len(ops) != n:
         raise ValueError(f"need {n} operators, got {len(ops)}")
     schedule = plan.schedule(ops)
-    w_term = plan.inv_d * (plan.z_rows @ w)
+    w_term, scratch, finite = plan.workspace(w.shape[1])
+    np.multiply(plan.inv_d, plan.z_rows @ w, out=w_term)
     x = np.empty_like(w_term)
     for nodes, batch in schedule:
         for i in nodes:
@@ -247,8 +260,10 @@ def _sweep(plan, ops, sigma, w, k):
             node_solution(ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
         if batch is not None:
             rows, hinges, into, two_over_d = batch
-            x[rows] = hinges(sigma, two_over_d * (into @ x) + w_term[rows])
-    _check_finite(x, ops, k)
+            r = np.multiply(two_over_d, into @ x, out=scratch[: len(two_over_d)])
+            r += w_term[rows]
+            x[rows] = hinges(sigma, r, out=r)
+    _check_finite(x, ops, k, finite)
     return x
 
 
@@ -261,12 +276,15 @@ def _step(plan, ops, sigma, theta, w, k):
     x = _sweep(plan, ops, sigma, w, k)
     update = plan.z_cols @ x
     if plan.base_degrees is not None:
-        update = plan.base_degrees * x - update
-    return x, w - theta * update, update
+        scratch = plan.workspace(x.shape[1])[1]
+        np.subtract(np.multiply(plan.base_degrees, x, out=scratch), update, out=update)
+    w_new = np.multiply(theta, update)
+    return x, np.subtract(w, w_new, out=w_new), update
 
 
 def step_general(plan, ops, sigma, theta, w, k=0):
-    """One sweep over plan; returns (x, w_new, update).
+    """One sweep over plan; returns (x, w_new, update), fresh arrays that
+    no later step on the plan overwrites.
 
     The update is Z^T x, or L x for a node-local plan.
     """
@@ -305,11 +323,12 @@ def step_wtilde(bg, ops, sigma, theta, wt, k=0):
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def state_variance(x):
-    """Mean squared deviation of the estimates from their average."""
-    dev = x - x.mean(axis=0)
+def state_variance(x, xbar=None, dev=None):
+    """Mean squared deviation of the estimates from their average xbar (taken
+    when None), with dev, when given, as the (N, dim) scratch buffer."""
+    dev = np.subtract(x, x.mean(axis=0) if xbar is None else xbar, out=dev)
     dev *= dev
-    return float(np.mean(np.sum(dev, axis=1)))
+    return float(np.add.reduce(np.add.reduce(dev, axis=1)) / len(x))
 
 
 def _subgradient_map(bg, sigma):
@@ -353,6 +372,9 @@ def _initial_dual(ops, w0, n_rows, name, rows):
         raise ValueError(
             f"{name} must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
         )
+    if not np.isfinite(w).all():
+        bad = tuple(np.argwhere(~np.isfinite(w))[0].tolist())
+        raise ValueError(f"{name}{list(bad)} must be finite, got {w[bad]}")
     return w
 
 
@@ -362,7 +384,7 @@ def _iterate(bg, plan, ops, cfg, w, objective):
     The residual ||Z^T x||^2 comes from the step's update: its squared norm,
     or <x, L x> for node-local duals.  Each sweep sums the subgradients of x
     as two row vectors applied to w and x; the full a is built once, for the
-    last sweep.
+    last sweep.  The diagnostics work in the plan's scratch buffer.
     """
     subgradients, m_sum = _subgradient_map(bg, cfg.sigma)
     z_sum, node_local = plan.z.sum(axis=0), plan.base_degrees is not None
@@ -370,20 +392,16 @@ def _iterate(bg, plan, ops, cfg, w, objective):
     for k in range(cfg.max_iter):
         w_in = w
         x, w, u = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w_in, k)
-        residual_sq = float(np.sum((x if node_local else u) * u))
-        a_sum = (z_sum @ w_in - m_sum @ x) / cfg.sigma
-        obj = None
-        if objective is not None:
-            obj = float(objective(x.mean(axis=0)))
-        traces.append(
-            TraceRecord(
-                k=k,
-                residual_sq=residual_sq,
-                variance=state_variance(x),
-                subgrad_sum_norm=float(np.linalg.norm(a_sum)),
-                objective=obj,
-            )
-        )
+        scratch = plan.workspace(x.shape[1])[1]
+        prod = np.multiply(x if node_local else u, u, out=scratch[: len(u)])
+        residual_sq = float(np.add.reduce(prod, axis=None))
+        a_sum = np.matmul(z_sum, w_in, out=scratch[0])
+        a_sum -= np.matmul(m_sum, x, out=scratch[1])
+        subgrad_sum_norm = float(np.linalg.norm(np.divide(a_sum, cfg.sigma, out=a_sum)))
+        xbar = np.add.reduce(x, axis=0) / len(x)  # x.mean(axis=0) bit for bit
+        obj = None if objective is None else float(objective(xbar))
+        variance = state_variance(x, xbar, scratch)
+        traces.append(TraceRecord(k, residual_sq, variance, subgrad_sum_norm, obj))
         if cfg.tol > 0 and residual_sq < cfg.tol:
             break
     a = subgradients(plan.z @ w_in, x)

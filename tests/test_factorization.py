@@ -4,6 +4,7 @@ import pytest
 from graphdrs.factorization import (
     FactorizationError,
     align,
+    choose_decomposition,
     external_decomposition,
     incidence_decomposition,
     spectral_decomposition,
@@ -23,6 +24,20 @@ def test_incidence_of_path():
     d = incidence_decomposition(g)
     expected = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
     assert np.array_equal(d.z, expected)
+    validate(d, g)
+
+
+@pytest.mark.parametrize(
+    "g, source",
+    [
+        (OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]), "incidence"),
+        (OrderedDigraph(3, [(0, 1), (1, 2), (0, 2)]), "spectral"),
+        (complete(4), "spectral"),
+    ],
+)
+def test_choose_decomposition_takes_incidence_only_for_trees(g, source):
+    d = choose_decomposition(g)
+    assert d.source == source
     validate(d, g)
 
 

@@ -269,11 +269,12 @@ def test_quadratic_solve_equals_cho_solve_bitwise():
         for _ in range(20):
             r = rng.standard_normal(7) * 10.0 ** rng.integers(-6, 7)
             assert np.array_equal(bits(op(tau, r)), bits(cho_solve(factor, r)))
+    # no finite check: a non-finite input gives a non-finite output, which
+    # the sweep reports as a NumericalError naming the node and operator
     for bad in (np.inf, -np.inf, np.nan):
         r = np.ones(7)
         r[2] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            op(1.0, r)
+        assert not np.isfinite(op(1.0, r)).all()
     with pytest.raises(ValueError, match="dimension"):
         op(1.0, np.ones(6))
 

@@ -6,7 +6,8 @@ with random tree and non-tree bases and random dimensions.  The run loop's
 diagnostics are checked against the full subgradients, and the runs against
 the paper's subgradient <= variance <= residual chain and the monotone
 residual of a constant relaxation.  Every catalogue resolvent is checked
-for firm nonexpansiveness on generated inputs.  The level schedule is
+for firm nonexpansiveness on generated inputs, and for the out= contract:
+alias-safe, and no scratch state carried from one input shape to another.  The level schedule is
 checked to put each node on the latest level it can take, after all of its
 state in-neighbors.
 """
@@ -27,6 +28,7 @@ from graphdrs.graphs import (
     unbalance,
 )
 from graphdrs.operators import (
+    project_affine,
     project_capacity,
     project_grid_divergence,
     prox_group_l1,
@@ -34,6 +36,7 @@ from graphdrs.operators import (
     prox_power_three_halves,
     prox_quadratic,
     prox_translated_quadratic,
+    stack_hinges,
     zero_operator,
 )
 from graphdrs.problems import divergence_matrix
@@ -482,8 +485,10 @@ DIM = 2 * GRID * GRID
 def catalogue(rng):
     """One resolvent of each catalogue kind, all on DIM entries."""
     a = rng.standard_normal((DIM, DIM))
+    lam = rng.standard_normal((3, DIM))
     div = divergence_matrix(GRID)
     return {
+        "affine": project_affine(lam, lam @ rng.standard_normal(DIM)),
         "hinge": prox_hinge_affine(rng.standard_normal(DIM), rng.uniform(-1.0, 1.0)),
         "quadratic": prox_quadratic(a @ a.T / DIM, rng.uniform(0.1, 2.0)),
         "power32": prox_power_three_halves(),
@@ -505,7 +510,7 @@ def blocks_zeroed(rng, v):
 
 @PROPERTY
 @given(
-    st.sampled_from(["hinge", "quadratic", "power32", "group_l1", "capacity",
+    st.sampled_from(["affine", "hinge", "quadratic", "power32", "group_l1", "capacity",
                      "grid_divergence", "translated_quadratic", "zero"]),
     st.sampled_from([0.0, 1e-3, 0.5, 1.0, 10.0]),
     st.integers(0, 2**32 - 1),
@@ -520,3 +525,35 @@ def test_catalogue_is_firmly_nonexpansive(name, tau, seed):
         lhs = float(np.sum((jx - jy) ** 2))
         rhs = float((jx - jy) @ (x - y))
         assert lhs <= rhs + 1e-9 * (1.0 + x @ x + y @ y)
+
+
+# ---------------------------------------------------------------------------
+# the out= contract of every resolvent
+
+# the blockwise kernels and the identity take any even length; each of these
+# is called on DIM entries, on more, then on DIM again, so scratch sized for
+# one shape must not leak into the results for another
+ANY_LENGTH = {"power32", "group_l1", "capacity", "zero"}
+
+
+@PROPERTY
+@given(st.sampled_from([0.0, 1e-3, 0.5, 10.0]), st.integers(0, 2**32 - 1))
+def test_out_is_alias_safe_and_scratch_keeps_no_state_between_shapes(tau, seed):
+    rng = np.random.default_rng(seed)
+    cases = [(op, [(DIM,), (DIM + 6,), (DIM,)] if name in ANY_LENGTH else [(DIM,)])
+             for name, op in catalogue(rng).items()]
+    hinges = [prox_hinge_affine(rng.standard_normal(DIM), 1.0) for _ in range(5)]
+    cases.append((stack_hinges(hinges, rng.integers(1, 6, size=5)), [(5, DIM)]))
+    for op, shapes in cases:
+        inputs = {s: with_signed_zeros(rng, 3.0 * rng.standard_normal(s)) for s in shapes}
+        first = {}
+        for shape in shapes:
+            r = inputs[shape]
+            kept = r.copy()
+            fresh = op(tau, r)
+            buf = np.full(shape, np.nan)
+            alias = r.copy()
+            assert op(tau, r, out=buf) is buf and op(tau, alias, out=alias) is alias
+            assert same_bits(r, kept), op.name
+            assert same_bits(buf, fresh) and same_bits(alias, fresh), op.name
+            assert same_bits(first.setdefault(shape, fresh), fresh), op.name

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from graphdrs.graphs import (
 )
 from graphdrs.operators import (
     Resolvent,
+    prox_quadratic,
     prox_hinge_affine,
     prox_translated_quadratic,
     zero_operator,
 )
-from graphdrs.problems import build_svm
+from graphdrs.problems import build_svm, build_transport
 from graphdrs.solver import (
     NumericalError,
     SolverConfig,
@@ -333,7 +335,7 @@ def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
     g = complete(3)
     bg = BilevelGraph(g, g)
     calls = []
-    ops = [Resolvent(2, lambda tau, r: calls.append(tau) or r)] * 3
+    ops = [Resolvent(2, lambda tau, r, out: calls.append(tau))] * 3
     with pytest.raises(ValueError, match="sum to zero"):
         run_wtilde(bg, ops, SolverConfig(sigma=1.0, max_iter=3), wt0=np.ones((3, 2)))
     assert calls == []
@@ -457,8 +459,8 @@ def test_residual_tol_stops_early():
 def test_nonfinite_raises():
     bg = make_classical_drs()
 
-    def blowup(tau, r):
-        return np.full_like(r, np.inf)
+    def blowup(tau, r, out):
+        out.fill(np.inf)
 
     ops = [Resolvent(1, blowup), zero_operator(1)]
     with pytest.raises(NumericalError):
@@ -469,7 +471,7 @@ def test_nonfinite_names_node_and_operator():
     bg = make_malitsky_tam(3)
     ops = [
         prox_translated_quadratic(np.ones(2)),
-        Resolvent(2, lambda tau, r: np.full_like(r, np.inf), name="blowup"),
+        Resolvent(2, lambda tau, r, out: out.fill(np.inf), name="blowup"),
         prox_translated_quadratic(np.zeros(2)),
     ]
     cfg = SolverConfig(sigma=1.0, max_iter=5)
@@ -504,10 +506,6 @@ def test_nonfinite_in_batched_level_names_first_bad_hinge():
 
 def test_nonfinite_names_the_lowest_bad_node_not_the_first_solved():
     _, ops, bg = build_svm(50, 5, 10)
-    # the kernel quadratic rejects non-finite input itself, so the officials
-    # here are translated quadratics that pass it on
-    ops = [prox_translated_quadratic(np.zeros(50)) if i % 11 == 0 else op
-           for i, op in enumerate(ops)]
     plan = StepPlan(bg)
     assert plan.levels[1] == [11] and 1 in plan.levels[-1]
     w = np.zeros((55, 50))
@@ -523,9 +521,9 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
     calls = []
     call = Resolvent.__call__
 
-    def counting(self, tau, r):
+    def counting(self, tau, r, out=None):
         calls.append(self.name)
-        return call(self, tau, r)
+        return call(self, tau, r, out)
 
     monkeypatch.setattr(Resolvent, "__call__", counting)
     z = incidence_decomposition(bg.base).z
@@ -600,3 +598,95 @@ def test_trace_csv_format():
 def test_state_variance_hand_value():
     x = np.array([[0.0, 0.0], [2.0, 0.0]])
     assert state_variance(x) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("node_local", [False, True])
+def test_nonfinite_duals_into_an_official_name_its_quadratic(node_local):
+    _, ops, bg = build_svm(50, 5, 10)
+    if node_local:
+        plan, w = StepPlan(bg), np.zeros((55, 50))
+        w[11, 3] = np.nan  # reaches official 11 and what follows it
+        expected = "iteration 2: node 11 .*'quadratic'"
+    else:
+        plan = StepPlan(bg, incidence_decomposition(bg.base).z)
+        w = np.zeros((54, 50))
+        w[bg.base.edges.index((0, 11)), 3] = np.nan  # both ends of the edge
+        expected = "iteration 2: node 0 .*'quadratic'"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match=expected):
+            step_general(plan, ops, 1.0, 1.0, w, 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("form", ["w0", "wt0"])
+def test_run_rejects_non_finite_initial_duals(bad, form):
+    _, ops, bg = build_svm(12, 3, 4)
+    cfg = SolverConfig(sigma=1.0, max_iter=3)
+    w0 = np.zeros((bg.n_nodes - (form == "w0"), 12))
+    w0[2, 5] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{form}[2, 5] must be finite, got {bad}")):
+        if form == "w0":
+            run(bg, incidence_decomposition(bg.base), ops, cfg, w0=w0)
+        else:
+            run_wtilde(bg, ops, cfg, wt0=w0)
+
+
+# ---------------------------------------------------------------------------
+# the plan's workspace: memory per step and ownership of what a step returns
+
+
+def step_peak_and_returned(plan, ops, w):
+    """Peak traced bytes of one warmed-up step above its start, and the
+    bytes of the three arrays it returns."""
+    step_general(plan, ops, 1.0, 1.0, w)  # sizes the workspace and fills caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        returned = step_general(plan, ops, 1.0, 1.0, w)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak, sum(a.nbytes for a in returned)
+
+
+def test_a_step_allocates_little_beyond_what_it_returns():
+    _, transport_ops = build_transport(35)
+    g = complete(4)
+    transport = (StepPlan(BilevelGraph(g, g), spectral_decomposition(g).z),
+                 transport_ops, rng.standard_normal((3, 2450)))
+    _, svm_ops, bg = build_svm(50, 5, 10)
+    svm = (StepPlan(bg, incidence_decomposition(bg.base).z), svm_ops,
+           0.5 * rng.standard_normal((54, 50)))
+    for plan, ops, w in (transport, svm):
+        peak, returned = step_peak_and_returned(plan, ops, w)
+        assert peak <= 1.05 * returned, (peak, returned)
+
+
+def svm_layout_ops(bg, dim):
+    """A kernel quadratic per official and a hinge per agent, on dim entries."""
+    ops = []
+    for i in range(bg.n_nodes):
+        if i % 11:
+            ops.append(prox_hinge_affine(rng.standard_normal(dim), 1.0))
+        else:
+            a = rng.standard_normal((dim, dim))
+            ops.append(prox_quadratic(a @ a.T, 0.1))
+    return ops
+
+
+def test_step_returns_fresh_arrays_and_one_plan_serves_two_dims():
+    _, ops50, bg = build_svm(50, 5, 10)
+    ops7 = svm_layout_ops(bg, 7)
+    z = incidence_decomposition(bg.base).z
+    plan = StepPlan(bg, z)
+    w = 0.5 * rng.standard_normal((54, 50))
+    first = step_general(plan, ops50, 0.7, 1.4, w, 0)
+    kept = [a.copy() for a in first]
+    step_general(plan, ops50, 0.7, 1.4, first[1], 1)
+    step_general(plan, ops7, 0.7, 1.4, rng.standard_normal((54, 7)), 0)
+    assert all(same_bits(a, b) for a, b in zip(first, kept))
+    for ops, dim in ((ops7, 7), (ops50, 50), (ops7, 7)):
+        w = 0.5 * rng.standard_normal((54, dim))
+        got = step_general(plan, ops, 0.7, 1.4, w, 0)
+        want = step_general(StepPlan(bg, z), ops, 0.7, 1.4, w, 0)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
