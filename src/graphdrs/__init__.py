@@ -60,7 +60,6 @@ from .solver import (
     state_variance,
     step_general,
     step_tree,
-    step_wtilde,
     tree_decomposition,
 )
 

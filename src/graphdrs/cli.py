@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .factorization import choose_decomposition, incidence_decomposition
+from .factorization import choose_decomposition
 from .graphs import (
     BilevelGraph,
     GraphError,
@@ -35,7 +35,7 @@ from .problems import (
     transport_from_config,
 )
 from .simulate import NetworkSim, ProtocolError, write_message_log
-from .solver import NumericalError, SolverConfig, StepPlan, run, step_general, write_trace
+from .solver import NumericalError, SolverConfig, run, step_general
 
 MAX_SWEEP_GRID = 64
 MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
@@ -141,6 +141,14 @@ def _output(args, *extra):
         yield fh
 
 
+def _row(*values):
+    """A CSV line: floats to 17 significant digits, None empty, else str."""
+    return ",".join(
+        "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+        for v in values
+    ) + "\n"
+
+
 def _solver_config(args, **overrides):
     """The SolverConfig of the solver flags, with overrides replacing flags."""
     flags = {name: getattr(args, name) for name in SOLVER_FLAGS}
@@ -156,7 +164,8 @@ def cmd_solve(args):
     cfg = _solver_config(args)
     _, traces = run(bg, choose_decomposition(bg.base), ops, cfg, objective=objective)
     with _output(args, f"config = {args.config}") as fh:
-        write_trace(traces, fh)
+        fh.write("iter,residual_sq,variance,subgrad_sum_norm,objective\n")
+        fh.writelines(_row(*dataclasses.astuple(r)) for r in traces)
     return 0
 
 
@@ -169,7 +178,7 @@ def cmd_enumerate(args):
         fh.write("graph_id,edges,lambda1\n")
         for gid, g in enumerate(graphs, start=1):
             edges = ";".join(f"{i + 1}-{j + 1}" for i, j in g.edges)
-            fh.write(f"{gid},{edges},{algebraic_connectivity(g):.17g}\n")
+            fh.write(_row(gid, edges, algebraic_connectivity(g)))
     return 0
 
 
@@ -196,10 +205,7 @@ def cmd_transport_sweep(args):
                 ("b", BilevelGraph(complete, g)),
             ):
                 _, traces = run(bg, choose_decomposition(bg.base), ops, cfg)
-                for rec in traces:
-                    fh.write(
-                        f"{gid},{mode},{lam1:.17g},{rec.k},{rec.variance:.17g}\n"
-                    )
+                fh.writelines(_row(gid, mode, lam1, r.k, r.variance) for r in traces)
     return 0
 
 
@@ -222,11 +228,8 @@ def cmd_svm(args):
             cfg = dataclasses.replace(cfg, sigma=float(sigma))
             _, traces = run(bg, choose_decomposition(bg.base), ops, cfg,
                             objective=lambda xbar: objective_svm(inst, xbar))
-            for rec in traces:
-                fh.write(
-                    f"{sigma:.17g},{rec.k},{rec.residual_sq:.17g},"
-                    f"{rec.variance:.17g},{rec.objective:.17g}\n"
-                )
+            fh.writelines(_row(sigma, r.k, r.residual_sq, r.variance, r.objective)
+                          for r in traces)
     return 0
 
 
@@ -238,12 +241,10 @@ def cmd_simulate(args):
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
     result = sim.run(args.rounds)
     # centralized re-run of the same formulation for the equivalence report
-    tree = args.protocol == "tree"
-    plan = StepPlan(bg, incidence_decomposition(bg.base).z if tree else None)
     w = np.zeros_like(result.w)
     max_dev = 0.0
     for rnd in range(args.rounds):
-        x, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        x, w, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
         max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
     with _output(args, f"protocol = {args.protocol}", f"rounds = {args.rounds}",
                  f"max_deviation = {max_dev:.17g}",

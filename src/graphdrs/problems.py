@@ -71,6 +71,8 @@ def divergence_matrix(p):
 
 def gaussian_density(p, center, width, zero_cells=()):
     """Gaussian blob on the grid, clipped on the given cells, sum normalized to 1."""
+    if not width > 0:  # NaN fails this too; an infinite width gives a uniform density
+        raise ValueError(f"blob width must be > 0, got {width}")
     rr, cc = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     dens = np.exp(-((rr - center[0]) ** 2 + (cc - center[1]) ** 2) / (2.0 * width**2))
     dens = dens.ravel()

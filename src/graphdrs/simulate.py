@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .factorization import incidence_decomposition
 from .solver import (
+    StepPlan,
     _infer_dim,
     node_dual_term,
     node_solution,
@@ -55,8 +57,9 @@ class NetworkSim:
     """Synchronous event loop over per-pair in-order channels.
 
     Agent i runs ops[i] and talks only along the bilevel graph: estimates
-    over state edges, duals over base edges.  The dimension is the first one
-    a resolvent fixes.
+    over state edges, duals over base edges.  Its in-neighbours, degrees and
+    dimension come from plan, the :class:`StepPlan` of the protocol's
+    centralized form (incidence Z for tree, node-local for general).
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -64,11 +67,10 @@ class NetworkSim:
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "tree" and not bg.base.is_tree():
             raise ValueError("tree protocol requires a tree base graph")
-        if len(ops) != bg.n_nodes:
-            raise ValueError("one resolvent per agent required")
-        self.dim = _infer_dim(ops)
+        z = incidence_decomposition(bg.base).z if protocol == "tree" else None
+        self.plan = StepPlan(bg, ops, z)
+        self.dim = _infer_dim(self.plan)
         self.bg = bg
-        self.ops = ops
         self.cfg = cfg
         self.protocol = protocol
 
@@ -118,7 +120,7 @@ class NetworkSim:
         of its base out-edges (i, j) and the estimates of its state
         in-neighbours, and sends its estimate to its state out-neighbours and
         each owned dual back to h.  Returns (x_history, duals by edge)."""
-        bg, ops, dim = self.bg, self.ops, self.dim
+        bg, plan, dim = self.bg, self.plan, self.dim
         sigma = self.cfg.sigma
         recv, send, chan = self._recv, self._send, self._channel
         edge_id = {e: k for k, e in enumerate(bg.base.edges)}
@@ -128,9 +130,9 @@ class NetworkSim:
         agents = [
             (
                 i,
-                bg.state.degree(i),
+                plan.degrees[i],
                 [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
-                [(h, chan(h, i)) for h in bg.state.in_neighbors(i)],
+                [(h, chan(h, i)) for h in plan.in_nbrs[i]],
                 [(h, edge_id[(h, i)], [(h, chan(i, h))])
                  for h in bg.base.in_neighbors(i)],
                 [(j, chan(i, j)) for j in bg.state.out_neighbors(i)],
@@ -150,7 +152,7 @@ class NetworkSim:
                 w_terms += [(1.0, recv(rnd, i, j, c, "w")) for j, c in w_in]
                 peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
                 node_solution(
-                    ops[i], sigma, d_i, list(peer_x.values()),
+                    plan.ops[i], sigma, d_i, list(peer_x.values()),
                     node_dual_term(d_i, w_terms, dim), x[i],
                 )
                 for h, e, _ in owned:
@@ -166,7 +168,7 @@ class NetworkSim:
         in-neighbours.  Phase 2: it receives its base out-neighbours'
         estimates and updates its node-local dual over all base neighbours.
         Returns (x_history, duals by node)."""
-        bg, ops, dim = self.bg, self.ops, self.dim
+        bg, plan, dim = self.bg, self.plan, self.dim
         sigma = self.cfg.sigma
         recv, send, chan = self._recv, self._send, self._channel
         # per agent, built once: phase-1 and phase-2 receives (peer, channel),
@@ -174,8 +176,8 @@ class NetworkSim:
         agents = [
             (
                 i,
-                bg.state.degree(i),
-                [(h, chan(h, i)) for h in bg.state.in_neighbors(i)],
+                plan.degrees[i],
+                [(h, chan(h, i)) for h in plan.in_nbrs[i]],
                 [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
                 [(j, chan(i, j))
                  for j in bg.state.out_neighbors(i) + bg.base.in_neighbors(i)],
@@ -192,7 +194,7 @@ class NetworkSim:
             for i, d_i, x_in, _, x_out, _ in agents:
                 peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
                 node_solution(
-                    ops[i], sigma, d_i, list(peer_x.values()),
+                    plan.ops[i], sigma, d_i, list(peer_x.values()),
                     node_dual_term(d_i, [(1.0, wt[i])], dim), x[i],
                 )
                 send(rnd, i, x_out, "x", x[i])

@@ -2,19 +2,19 @@
 
 One sweep evaluates each resolvent once, each node after its state
 in-neighbors (the state graph is a DAG whose edges point to larger labels),
-then updates the dual variables.  Three equivalent formulations are provided:
+then updates the dual variables.  One step, :func:`step_general`, serves two
+dual formulations, both sweeping a :class:`StepPlan` bound to the graph, Z
+and the N operators:
 
-* :func:`step_general` -- dual variables w in H^(N-1), any factorization Z;
-* :func:`step_tree` -- dual variables indexed by base edges (tree bases,
-  equal to the general step with the incidence factorization);
-* :func:`step_wtilde` -- node-local dual variables with zero sum, one per
-  node, usable with any base graph.
+* ``StepPlan(bg, ops, z)`` -- dual variables w in H^(N-1), any factorization Z
+  (with the incidence Z of a tree base, w is indexed by base edges; the
+  one-shot :func:`step_tree` builds that plan on each call);
+* ``StepPlan(bg, ops)`` -- node-local dual variables with zero sum, one per
+  node, usable with any base graph (Z = I).
 
-Each sweeps one :class:`StepPlan`: the state in-neighbor lists, 1/d_i, Z
-and the update map as CSR matrices and the level schedule of the state DAG;
-``StepPlan(bg)`` is the node-local form (Z = I).  A caller holds its plan and
-calls :func:`step_general`; the other two steps build a plan per call.  A
-CSR product sums each row from zero in ascending column order, the order
+The plan holds the state in-neighbor lists, 1/d_i, Z and the update map as
+CSR matrices and the level schedule of the state DAG.  A CSR product sums
+each row from zero in ascending column order, the order
 :func:`node_dual_term` uses.  A sweep walks the levels, each node on the
 latest it can take: one below its shallowest state out-neighbor, every sink
 (such as an SVM hinge agent) on the last.  Nodes of one level never read
@@ -162,11 +162,21 @@ class StepPlan:
     last of longest-path + 1 levels, so one level's nodes never read each
     other.  Without z the duals are node-local: Z = I, z_cols is the base
     adjacency A and the update is L x = D x - A x, D being base_degrees
-    (None when z is given).
+    (None when z is given).  A plan belongs to its graph, Z and the N
+    operators ops; dim is the first dimension a resolvent fixes, which
+    every other fixed one must equal (None when all are dimension-free).
     """
 
-    def __init__(self, bg, z=None):
+    def __init__(self, bg, ops, z=None):
         n = self.n_nodes = bg.n_nodes
+        if len(ops) != n:
+            raise ValueError(f"need {n} operators, got {len(ops)}")
+        self.bg, self.ops = bg, tuple(ops)
+        self.dim = next((op.dim for op in ops if op.dim > 0), None)
+        for i, op in enumerate(ops):
+            if op.dim > 0 and op.dim != self.dim:
+                raise ValueError(f"node {i} (resolvent {op.name!r}) has dimension "
+                                 f"{op.dim}, but an earlier resolvent fixes {self.dim}")
         if z is None:
             lap = laplacian(bg.base)
             self.base_degrees = lap.diagonal()[:, None]
@@ -188,7 +198,10 @@ class StepPlan:
         self.levels = [[] for _ in range(max(height) + 1)]
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
-        self._ops = self._schedule = None
+        # per level: the nodes solved one by one, and the level's hinge nodes
+        # as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or None
+        # when the level has fewer than two
+        self.schedule = [self._level(nodes) for nodes in self.levels]
         self._workspaces = {}
 
     def workspace(self, dim):
@@ -201,18 +214,8 @@ class StepPlan:
             self._workspaces[dim] = buf, np.empty_like(buf), np.empty_like(buf, bool)
         return self._workspaces[dim]
 
-    def schedule(self, ops):
-        """Per level: the nodes solved one by one, and the level's hinge
-        nodes as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or
-        None when the level has fewer than two.  Kept for the last ops."""
-        ops = tuple(ops)
-        if ops != self._ops:
-            self._schedule = [self._level(nodes, ops) for nodes in self.levels]
-            self._ops = ops
-        return self._schedule
-
-    def _level(self, nodes, ops):
-        hinges = [i for i in nodes if getattr(ops[i], "hinge", None) is not None]
+    def _level(self, nodes):
+        hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
         if len(hinges) < 2:
             return nodes, None
         into = np.zeros((len(hinges), self.n_nodes))
@@ -222,7 +225,7 @@ class StepPlan:
         contiguous = hinges[-1] - hinges[0] == len(hinges) - 1
         batch = (
             slice(hinges[0], hinges[-1] + 1) if contiguous else np.array(hinges),
-            stack_hinges([ops[i] for i in hinges], d),
+            stack_hinges([self.ops[i] for i in hinges], d),
             sparse.csr_matrix(into),
             (2.0 / d)[:, None],
         )
@@ -241,54 +244,41 @@ def _check_finite(x, ops, k, finite):
         )
 
 
-def _sweep(plan, ops, sigma, w, k):
+def _sweep(plan, sigma, w, k):
     """The N resolvent calls of one sweep, level by level; returns x.
 
     A level's hinge nodes are one stacked call, every other node one
     :func:`node_solution`; both give the bits of the per-node form.
     """
-    n = plan.n_nodes
-    if len(ops) != n:
-        raise ValueError(f"need {n} operators, got {len(ops)}")
-    schedule = plan.schedule(ops)
     w_term, scratch, finite = plan.workspace(w.shape[1])
     np.multiply(plan.inv_d, plan.z_rows @ w, out=w_term)
     x = np.empty_like(w_term)
-    for nodes, batch in schedule:
+    for nodes, batch in plan.schedule:
         for i in nodes:
             xs_in = [x[h] for h in plan.in_nbrs[i]]
-            node_solution(ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
+            node_solution(plan.ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
         if batch is not None:
             rows, hinges, into, two_over_d = batch
             r = np.multiply(two_over_d, into @ x, out=scratch[: len(two_over_d)])
             r += w_term[rows]
             x[rows] = hinges(sigma, r, out=r)
-    _check_finite(x, ops, k, finite)
+    _check_finite(x, plan.ops, k, finite)
     return x
 
 
-def _step(plan, ops, sigma, theta, w, k):
-    """The step behind every public step; returns (x, w_new, update).
+def step_general(plan, sigma, theta, w, k=0):
+    """One sweep over plan; returns (x, w_new, update), fresh arrays that
+    no later step on the plan overwrites.
 
-    Private so that no public step calls another: the benchmark's layer
-    trace counts each public step call as one sweep.
+    The update is Z^T x, or L x for a node-local plan.
     """
-    x = _sweep(plan, ops, sigma, w, k)
+    x = _sweep(plan, sigma, w, k)
     update = plan.z_cols @ x
     if plan.base_degrees is not None:
         scratch = plan.workspace(x.shape[1])[1]
         np.subtract(np.multiply(plan.base_degrees, x, out=scratch), update, out=update)
     w_new = np.multiply(theta, update)
     return x, np.subtract(w, w_new, out=w_new), update
-
-
-def step_general(plan, ops, sigma, theta, w, k=0):
-    """One sweep over plan; returns (x, w_new, update), fresh arrays that
-    no later step on the plan overwrites.
-
-    The update is Z^T x, or L x for a node-local plan.
-    """
-    return _step(plan, ops, sigma, theta, w, k)
 
 
 def step_tree(bg, ops, sigma, theta, w_edges, k=0):
@@ -298,26 +288,9 @@ def step_tree(bg, ops, sigma, theta, w_edges, k=0):
     with the incidence factorization, whose plan is built on each call: a
     loop should hold that :class:`StepPlan` and call :func:`step_general`.
     """
-    plan = StepPlan(bg, incidence_decomposition(bg.base).z)
-    x, w_new, _ = _step(plan, ops, sigma, theta, w_edges, k)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
+    x, w_new, _ = step_general(plan, sigma, theta, w_edges, k)
     return x, w_new
-
-
-def _check_zero_sum(wt):
-    scale = max(1.0, float(np.abs(wt).max(initial=0.0)))
-    if np.abs(wt.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
-        raise ValueError("node-local duals must sum to zero")
-
-
-def step_wtilde(bg, ops, sigma, theta, wt, k=0):
-    """One sweep of the node-local dual formulation; returns (x, wt_new).
-
-    The plan, ``StepPlan(bg)``, is built on each call: a loop should hold
-    it and call :func:`step_general`.
-    """
-    _check_zero_sum(wt)
-    x, wt_new, _ = _step(StepPlan(bg), ops, sigma, theta, wt, k)
-    return x, wt_new
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +324,23 @@ def compute_subgradients(bg, z, sigma, w, x):
     return _subgradient_map(bg, sigma)[0](np.asarray(z) @ w, x)
 
 
-def _infer_dim(ops):
-    """The first dimension a resolvent fixes."""
-    for op in ops:
-        if op.dim > 0:
-            return op.dim
-    raise ValueError(
-        "cannot infer the ambient dimension: every resolvent is dimension-free"
-    )
+def _infer_dim(plan):
+    """The plan's dimension, which its resolvents fix."""
+    if plan.dim is None:
+        raise ValueError(
+            "cannot infer the ambient dimension: every resolvent is dimension-free"
+        )
+    return plan.dim
 
 
-def _initial_dual(ops, w0, n_rows, name, rows):
-    """w0 as a float array, or zeros when None, checked to be (n_rows, dim):
-    dim is the first one a resolvent fixes, else w0's last."""
+def _initial_dual(plan, w0, name, rows):
+    """w0 as a float array, or zeros when None, checked to be one row per
+    column of Z by dim: the plan's, else w0's last."""
+    n_rows = plan.z.shape[1]
     if w0 is None:
-        return np.zeros((n_rows, _infer_dim(ops)))
+        return np.zeros((n_rows, _infer_dim(plan)))
     w = np.array(w0, dtype=float)
-    dim = next((op.dim for op in ops if op.dim > 0), w.shape[-1] if w.ndim else None)
+    dim = plan.dim or (w.shape[-1] if w.ndim else None)
     if w.shape != (n_rows, dim):
         raise ValueError(
             f"{name} must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
@@ -378,7 +351,7 @@ def _initial_dual(ops, w0, n_rows, name, rows):
     return w
 
 
-def _iterate(bg, plan, ops, cfg, w, objective):
+def _iterate(plan, cfg, w, objective):
     """The run loop of both formulations; returns (SolverState, traces).
 
     The residual ||Z^T x||^2 comes from the step's update: its squared norm,
@@ -386,12 +359,12 @@ def _iterate(bg, plan, ops, cfg, w, objective):
     as two row vectors applied to w and x; the full a is built once, for the
     last sweep.  The diagnostics work in the plan's scratch buffer.
     """
-    subgradients, m_sum = _subgradient_map(bg, cfg.sigma)
+    subgradients, m_sum = _subgradient_map(plan.bg, cfg.sigma)
     z_sum, node_local = plan.z.sum(axis=0), plan.base_degrees is not None
     traces = []
     for k in range(cfg.max_iter):
         w_in = w
-        x, w, u = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w_in, k)
+        x, w, u = step_general(plan, cfg.sigma, cfg.theta_at(k), w_in, k)
         scratch = plan.workspace(x.shape[1])[1]
         prod = np.multiply(x if node_local else u, u, out=scratch[: len(u)])
         residual_sq = float(np.add.reduce(prod, axis=None))
@@ -414,9 +387,8 @@ def run(bg, decomp, ops, cfg, w0=None, objective=None):
     Stops after the update once residual^2 < tol (tol = 0 runs max_iter
     sweeps exactly).  Non-convergence is not an error: inspect the trace.
     """
-    w = _initial_dual(ops, w0, bg.n_nodes - 1, "w0", "N-1")
-    plan = StepPlan(bg, decomp.z if hasattr(decomp, "z") else decomp)
-    return _iterate(bg, plan, ops, cfg, w, objective)
+    plan = StepPlan(bg, ops, decomp.z if hasattr(decomp, "z") else decomp)
+    return _iterate(plan, cfg, _initial_dual(plan, w0, "w0", "N-1"), objective)
 
 
 def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
@@ -425,9 +397,12 @@ def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
     The residual ||Z^T x||^2 is computed factorization-free as <x, L x>.
     wt0 must sum to zero; sweeps keep the sum.
     """
-    wt = _initial_dual(ops, wt0, bg.n_nodes, "wt0", "N")
-    _check_zero_sum(wt)
-    return _iterate(bg, StepPlan(bg), ops, cfg, wt, objective)
+    plan = StepPlan(bg, ops)
+    wt = _initial_dual(plan, wt0, "wt0", "N")
+    scale = max(1.0, float(np.abs(wt).max(initial=0.0)))
+    if np.abs(wt.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
+        raise ValueError("node-local duals must sum to zero")
+    return _iterate(plan, cfg, wt, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +517,3 @@ def tree_decomposition(bg):
     """Incidence factorization of a tree base graph."""
     return incidence_decomposition(bg.base)
 
-
-# ---------------------------------------------------------------------------
-# trace serialization
-
-TRACE_HEADER = "iter,residual_sq,variance,subgrad_sum_norm,objective"
-
-
-def _fmt(v):
-    return "" if v is None else format(v, ".17g")
-
-
-def write_trace(records, fh):
-    """Write TraceRecords as CSV with 17 significant digits."""
-    fh.write(TRACE_HEADER + "\n")
-    for r in records:
-        fh.write(
-            f"{r.k},{_fmt(r.residual_sq)},{_fmt(r.variance)},"
-            f"{_fmt(r.subgrad_sum_norm)},{_fmt(r.objective)}\n"
-        )

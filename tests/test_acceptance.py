@@ -40,7 +40,6 @@ from graphdrs.solver import (
     state_variance,
     step_general,
     step_tree,
-    step_wtilde,
     tree_decomposition,
 )
 
@@ -82,7 +81,7 @@ def test_criterion_02_classical_drs():
     c1, c2 = np.array([1.0, -3.0]), np.array([5.0, 7.0])
     sigma, theta = 1.3, 1.0
     ops = quad_ops([c1, c2])
-    plan = StepPlan(bg, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
     w_ref = np.zeros(2)
     w = np.zeros((1, 2))
     max_dev = 0.0
@@ -91,7 +90,7 @@ def test_criterion_02_classical_drs():
         x1 = (1.0 * (1.0 * w_ref) + sigma * c1) / (1.0 + sigma)
         x2 = (2.0 * x1 + 1.0 * (-1.0 * w_ref) + sigma * c2) / (1.0 + sigma)
         w_ref = w_ref + theta * (x2 - x1)
-        x, w, _ = step_general(plan, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
         max_dev = max(max_dev, float(np.abs(x - np.array([x1, x2])).max()))
     ok = max_dev <= 1e-12 and time.time() - t0 < 1.0
     report(2, ok, f"max_dev={max_dev:.3g}")
@@ -108,7 +107,7 @@ def test_criterion_03_golden_special_cases():
     def j(i, r, tau):
         return (r + tau * centers[i]) / (1.0 + tau)
 
-    plan = StepPlan(bg, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
     w_ref = [np.zeros(2), np.zeros(2)]
     w = np.zeros((2, 2))
     dev_ryu = 0.0
@@ -117,13 +116,13 @@ def test_criterion_03_golden_special_cases():
         x2 = j(1, x1 + 0.5 * w_ref[1], sigma / 2)
         x3 = j(2, x1 + x2 - 0.5 * (w_ref[0] + w_ref[1]), sigma / 2)
         w_ref = [w_ref[0] + theta * (x3 - x1), w_ref[1] + theta * (x3 - x2)]
-        x, w, _ = step_general(plan, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
         dev_ryu = max(dev_ryu, float(np.abs(x - np.array([x1, x2, x3])).max()))
         dev_ryu = max(dev_ryu, float(np.abs(w - np.array(w_ref)).max()))
 
     # three operators, complete base, fixed factorization and rescaled duals
     bg3, decomp = make_three_op_complete()
-    plan3 = StepPlan(bg3, decomp.z)
+    plan3 = StepPlan(bg3, ops, decomp.z)
     wt1 = np.zeros(2)
     wt2 = np.zeros(2)
     w = np.zeros((2, 2))
@@ -134,7 +133,7 @@ def test_criterion_03_golden_special_cases():
         x3 = j(2, x1 + x2 - 0.75 * wt2 - 0.25 * wt1, sigma / 2)
         wt1 = wt1 - theta * (2 * x1 - x2 - x3)
         wt2 = wt2 - theta * (x2 - x3)
-        x, w, _ = step_general(plan3, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan3, sigma, theta, w, k)
         dev3 = max(dev3, float(np.abs(x - np.array([x1, x2, x3])).max()))
         dev3 = max(dev3, float(np.abs(math.sqrt(2.0) * w[0] - wt1).max()))
         dev3 = max(dev3, float(np.abs(math.sqrt(2.0 / 3.0) * w[1] - wt2).max()))
@@ -155,19 +154,19 @@ def test_criterion_04_lifted_reduction():
             for mu in rng.uniform(0.5, 2.0, size=n)
         ]
         cfg = SolverConfig(sigma=1.2, theta=1.3)
-        plan = StepPlan(bg, decomp.z)
+        plan = StepPlan(bg, ops, decomp.z)
         u = np.zeros((2 * n - 1, 3))
         w = np.zeros((n - 1, 3))
         for k in range(50):
             u = lifted_ppp_step(bg, decomp, ops, cfg, u, k)
-            _, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w, k)
+            _, w, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), w, k)
             worst_track = max(
                 worst_track, float(np.abs(lifted_reduce(decomp, u) - w).max())
             )
         for _ in range(20):
             wr = rng.standard_normal((n - 1, 3))
             reduced = lifted_resolvent_w(bg, decomp, ops, cfg.sigma, wr)
-            _, w_new, _ = step_general(plan, ops, cfg.sigma, 1.0, wr, 0)
+            _, w_new, _ = step_general(plan, cfg.sigma, 1.0, wr, 0)
             worst_ident = max(worst_ident, float(np.abs(reduced - w_new).max()))
     ok = worst_track < 1e-9 and worst_ident < 1e-9 and time.time() - t0 < 5.0
     report(4, ok, f"reduction_dev={worst_track:.3g} identity_dev={worst_ident:.3g}")
@@ -211,21 +210,21 @@ def test_criterion_06_decomposition_independence():
     # incidence vs spectral on a tree base
     base = OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)])
     bg = BilevelGraph(complete(4), base)
-    p1 = StepPlan(bg, incidence_decomposition(base).z)
-    p2 = StepPlan(bg, spectral_decomposition(base).z)
+    p1 = StepPlan(bg, ops, incidence_decomposition(base).z)
+    p2 = StepPlan(bg, ops, spectral_decomposition(base).z)
     # Z vs Z Q for random orthogonal Q on a complete base
     g = complete(4)
     bgc = BilevelGraph(g, g)
     z = spectral_decomposition(g).z
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    p3, p4 = StepPlan(bgc, z), StepPlan(bgc, z @ q)
+    p3, p4 = StepPlan(bgc, ops, z), StepPlan(bgc, ops, z @ q)
     w1 = w2 = w3 = w4 = np.zeros((3, 2))
     dev = 0.0
     for k in range(100):
-        x1, w1, _ = step_general(p1, ops, 1.0, 1.0, w1, k)
-        x2, w2, _ = step_general(p2, ops, 1.0, 1.0, w2, k)
-        x3, w3, _ = step_general(p3, ops, 1.0, 1.0, w3, k)
-        x4, w4, _ = step_general(p4, ops, 1.0, 1.0, w4, k)
+        x1, w1, _ = step_general(p1, 1.0, 1.0, w1, k)
+        x2, w2, _ = step_general(p2, 1.0, 1.0, w2, k)
+        x3, w3, _ = step_general(p3, 1.0, 1.0, w3, k)
+        x4, w4, _ = step_general(p4, 1.0, 1.0, w4, k)
         dev = max(dev, float(np.abs(x1 - x2).max()), float(np.abs(x3 - x4).max()))
     ok = dev <= 1e-9 and time.time() - t0 < 5.0
     report(6, ok, f"max_x_dev={dev:.3g}")
@@ -253,10 +252,10 @@ def test_criterion_07_distributed_equivalence():
     )
 
     res_gen = run_general_protocol(bg, ops, cfg, rounds=rounds)
-    wt = np.zeros((bg.n_nodes, 50))
+    plan, wt = StepPlan(bg, ops), np.zeros((bg.n_nodes, 50))
     dev_gen = 0.0
     for rnd in range(rounds):
-        x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
+        x, wt, _ = step_general(plan, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
         if not np.array_equal(res_gen.x_history[rnd], x):
             dev_gen = max(dev_gen, float(np.abs(res_gen.x_history[rnd] - x).max()))
     stats_gen = message_stats(res_gen.log)
@@ -288,13 +287,13 @@ def test_criterion_08_consensus_all_graphs():
     for gid, g in enumerate(enumerate_connected_digraphs(4), start=1):
         bg = BilevelGraph(g, g)
         decomp = spectral_decomposition(g)
-        plan = StepPlan(bg, decomp.z)
+        plan = StepPlan(bg, ops, decomp.z)
         u = unbalance(g)
         w = np.zeros((3, 2))
         converged_at = None
         for k in range(5000):
             w_prev = w
-            x, w, _ = step_general(plan, ops, sigma, 1.0, w_prev, k)
+            x, w, _ = step_general(plan, sigma, 1.0, w_prev, k)
             if np.abs(x - target).max() < 1e-8:
                 converged_at = k + 1
                 break
@@ -320,11 +319,11 @@ def test_criterion_09_connectivity_trend():
         bg = BilevelGraph(g, g)
         lam1 = round(algebraic_connectivity(g), 6)
         decomp = spectral_decomposition(g)
-        plan = StepPlan(bg, decomp.z)
+        plan = StepPlan(bg, ops, decomp.z)
         w = np.zeros((3, dim))
         hit = cap_iter
         for k in range(cap_iter):
-            x, w, _ = step_general(plan, ops, 2.0, 1.0, w, k)
+            x, w, _ = step_general(plan, 2.0, 1.0, w, k)
             if state_variance(x) < 1e-6:
                 hit = k + 1
                 break
@@ -344,12 +343,12 @@ def test_criterion_10_svm_desk_run():
     obj_at_zero = objective_svm(inst, np.zeros(50))
     best = None
     for sigma in np.logspace(-2, 1, 10):
-        plan = StepPlan(bg, decomp.z)
+        plan = StepPlan(bg, ops, decomp.z)
         w = np.zeros((54, 50))
         hit = None
         x = np.zeros((55, 50))
         for k in range(2000):
-            x, w, _ = step_general(plan, ops, float(sigma), 1.0, w, k)
+            x, w, _ = step_general(plan, float(sigma), 1.0, w, k)
             if hit is None and state_variance(x) <= 1e-2:
                 hit = k + 1
             if state_variance(x) <= 1e-8:

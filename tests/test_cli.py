@@ -478,3 +478,66 @@ def test_failed_sweep_leaves_only_the_new_partial_rows(tmp_path, monkeypatch):
         if line.startswith(("#", "graph_id,", "1,"))
     )
     assert out.read_text() == expected
+
+
+K4_GRAPH = "STATE\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\nBASE\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+SVM12_CFG = "problem = svm\nn = 12\nofficials = 3\nper_official = 4\n"
+TRANSPORT8_CFG = "problem = transport\np = 8\n"
+# (id, sha256, solve config or None, solve on K4, arguments before --out)
+CLI_PINS = [
+    ("solve-quadratic-k4",
+     "ff9b98dd101f057cfd57a96637bf7c86c208c3fda99bbdf95fd60eba5552cb41",
+     QUAD_CFG, True, ["--max-iter", "40"]),
+    ("solve-svm-n12",
+     "0fdec99a56e9c3baddf4e56381e8048d2a35c99b681966af218660d182e35061",
+     SVM12_CFG, False, ["--max-iter", "30"]),
+    ("solve-transport-p8-k4",
+     "d5570cd710d40d69c4c4c25fbae47bc2885a38de17c7c6c9a8e7522e2cb8ffe1",
+     TRANSPORT8_CFG, True, ["--sigma", "2", "--max-iter", "30"]),
+    ("svm",
+     "bbc2fc2dd8a20e459bc945dd757623528360987f5260dc2369ab4e65c883caa3",
+     None, False, ["svm", "--n", "12", "--officials", "3", "--per-official", "4"]),
+    ("transport-sweep",
+     "a61cd7801dd0e9a19c5b105759c5223464664338165050ab6a1c685dc09653cc",
+     None, False, ["transport-sweep", "--p", "6", "--max-iter", "30"]),
+    ("enumerate",
+     "d9332d84b9ae7a45464a42a9d104a9d9d98111eab6a871760e7314d09e2d1737",
+     None, False, ["enumerate", "--n", "4"]),
+]
+
+
+@pytest.mark.parametrize(
+    "digest, config, on_k4, argv",
+    [pytest.param(*pin[1:], id=pin[0]) for pin in CLI_PINS],
+)
+def test_cli_csv_bytes_are_pinned(tmp_path, digest, config, on_k4, argv):
+    # floats are written with 17 significant digits, so these pin every bit
+    # of the traces; the config path in solve's header is replaced by a token
+    if config is not None:
+        cfg = tmp_path / "problem.cfg"
+        cfg.write_text(config)
+        graph = tmp_path / "k4.txt"
+        graph.write_text(K4_GRAPH)
+        argv = ["solve", *(["--graph", str(graph)] if on_k4 else []),
+                "--config", str(cfg), *argv]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    if config is not None:
+        data = data.replace(str(tmp_path / "problem.cfg").encode(), b"CONFIG")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["solve", "transport-sweep"])
+@pytest.mark.parametrize("width", ["0", "nan"])
+def test_transport_non_positive_blob_width_opens_no_output(graph_file, tmp_path, capsys,
+                                                           command, width):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"problem = transport\np = 6\nblob_width = {width}\n")
+    graph = ["--graph", graph_file] if command == "solve" else []
+    out = tmp_path / "out.csv"
+    code = main([command, *graph, "--config", str(cfg), "--max-iter", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "blob width" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,7 @@ from graphdrs.problems import (
     build_svm,
     build_transport,
     divergence_matrix,
+    gaussian_density,
     gaussian_kernel,
     load_config,
     objective_svm,
@@ -232,3 +233,13 @@ def test_svm_from_config(tmp_path):
     assert inst.per_official == 4
     assert bg.n_nodes == 15
     assert len(ops) == 15
+
+
+@pytest.mark.parametrize("width", [0.0, -1.5, float("nan")])
+def test_gaussian_density_rejects_a_non_positive_width(width):
+    with pytest.raises(ValueError, match=f"blob width must be > 0, got {width}"):
+        gaussian_density(8, (2, 3), width)
+
+
+def test_gaussian_density_of_infinite_width_is_uniform():
+    assert np.array_equal(gaussian_density(4, (1, 1), float("inf")), np.full(16, 1 / 16))

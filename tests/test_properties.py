@@ -52,7 +52,6 @@ from graphdrs.solver import (
     state_variance,
     step_general,
     step_tree,
-    step_wtilde,
     wtilde_node_update,
 )
 
@@ -127,8 +126,8 @@ def longest_state_path(bg):
 @PROPERTY
 @given(bilevel_graphs())
 def test_level_schedule_is_a_topological_layering(bg):
-    z = spectral_decomposition(bg.base).z
-    for plan in (StepPlan(bg, z), StepPlan(bg)):
+    z, ops = spectral_decomposition(bg.base).z, [zero_operator(1)] * bg.n_nodes
+    for plan in (StepPlan(bg, ops, z), StepPlan(bg, ops)):
         level = {}
         for depth, nodes in enumerate(plan.levels):
             for i in nodes:
@@ -151,11 +150,11 @@ def test_step_general_matches_dense_sweep(problem, factorization):
         factorization = "spectral"
     decomp = (incidence_decomposition if factorization == "incidence"
               else spectral_decomposition)(bg.base)
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
     w = w_ref = rng.standard_normal((bg.n_nodes - 1, ops[0].dim))
     for k in range(SWEEPS):
-        x, w, ztx = step_general(plan, ops, sigma, theta, w, k)
+        x, w, ztx = step_general(plan, sigma, theta, w, k)
         x_ref, w_ref = dense_sweep(bg, decomp.z, ops, sigma, theta, w_ref)
         scale = max(1.0, np.abs(w_ref).max(), np.abs(x_ref).max())
         assert np.abs(x - x_ref).max() <= 1e-12 * scale
@@ -167,10 +166,10 @@ def test_step_general_matches_dense_sweep(problem, factorization):
 @given(problems(tree=True))
 def test_tree_step_equals_general_step(problem):
     bg, ops, rng = problem
-    plan = StepPlan(bg, incidence_decomposition(bg.base).z)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
     w = we = rng.standard_normal((bg.n_nodes - 1, ops[0].dim))
     for k in range(SWEEPS):
-        xg, w, _ = step_general(plan, ops, 1.0, 1.3, w, k)
+        xg, w, _ = step_general(plan, 1.0, 1.3, w, k)
         xt, we = step_tree(bg, ops, 1.0, 1.3, we, k)
         assert np.array_equal(xg, xt)
         assert np.array_equal(w, we)
@@ -183,9 +182,9 @@ def test_protocols_equal_centralized_steps(problem):
     dim = ops[0].dim
     cfg = SolverConfig(sigma=rng.uniform(0.3, 3.0), theta=lambda k: 1.0 + 0.5 * np.sin(k))
     general = run_general_protocol(bg, ops, cfg, rounds=SWEEPS)
-    wt = np.zeros((bg.n_nodes, dim))
+    plan, wt = StepPlan(bg, ops), np.zeros((bg.n_nodes, dim))
     for k in range(SWEEPS):
-        x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(k), wt, k)
+        x, wt, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), wt, k)
         assert np.array_equal(general.x_history[k], x)
     assert np.array_equal(general.w, wt)
     if bg.base.is_tree():
@@ -273,11 +272,11 @@ def test_step_general_equals_per_node_sweep_bitwise(problem, factorization):
         factorization = "spectral"
     z = (incidence_decomposition if factorization == "incidence"
          else spectral_decomposition)(bg.base).z
-    plan = StepPlan(bg, z)
+    plan = StepPlan(bg, ops, z)
     sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
     w = with_signed_zeros(rng, rng.standard_normal((bg.n_nodes - 1, ops[0].dim)))
     for k in range(SWEEPS):
-        x, w_new, ztx = step_general(plan, ops, sigma, theta, w, k)
+        x, w_new, ztx = step_general(plan, sigma, theta, w, k)
         x_ref = reference_sweep(bg, z, ops, sigma, w)
         ztx_ref = loop_gather(z.T, x_ref)
         assert same_bits(x, x_ref)
@@ -309,8 +308,9 @@ def test_step_wtilde_equals_per_node_sweep_bitwise(problem):
     wt -= wt.mean(axis=0)
     # whole columns of signed zeros keep the zero sum exact
     wt[:, rng.random(dim) < 0.3] = rng.choice([0.0, -0.0], size=n)[:, None]
+    plan = StepPlan(bg, ops)
     for k in range(SWEEPS):
-        x, wt_new = step_wtilde(bg, ops, 0.8, 1.1, wt, k)
+        x, wt_new, _ = step_general(plan, 0.8, 1.1, wt, k)
         x_ref = reference_sweep(bg, np.eye(n), ops, 0.8, wt)
         wt_ref = [
             wtilde_node_update(wt[i], 1.1, len(adj), x_ref[i], [x_ref[j] for j in adj])
@@ -390,11 +390,11 @@ def reference_run(bg, ops, cfg, z, w):
     n = bg.n_nodes
     lap = laplacian(bg.base)
     m = lap + sigma_matrix(bg.base) + p_matrix(bg)
-    plan = StepPlan(bg, z)
+    plan = StepPlan(bg, ops, z)
     rows = []
     for k in range(cfg.max_iter):
         theta = cfg.theta_at(k)
-        x, w_new, update = step_general(plan, ops, cfg.sigma, theta, w, k)
+        x, w_new, update = step_general(plan, cfg.sigma, theta, w, k)
         if z is None:  # the update is L x: residual <x, L x>
             residual_sq, zw = float(np.sum(x * update)), w
         else:

@@ -25,7 +25,6 @@ from graphdrs.solver import (
     run_wtilde,
     step_general,
     step_tree,
-    step_wtilde,
     tree_decomposition,
 )
 
@@ -69,9 +68,9 @@ def test_general_protocol_bit_identical():
     cfg = SolverConfig(sigma=0.7)
     result = run_general_protocol(bg, ops, cfg, rounds=40)
     assert result.x_history.shape == (40, 4, 2)
-    wt = np.zeros((4, 2))
+    plan, wt = StepPlan(bg, ops), np.zeros((4, 2))
     for rnd in range(40):
-        x, wt = step_wtilde(bg, ops, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
+        x, wt, _ = step_general(plan, cfg.sigma, cfg.theta_at(rnd), wt, rnd)
         assert np.array_equal(result.x_history[rnd], x)
 
 
@@ -84,13 +83,15 @@ def test_final_duals_equal_centralized_duals(protocol, graph):
     else:
         bg, ops = BilevelGraph(complete(4), complete(4)), quad_ops(4)
     cfg = SolverConfig(sigma=0.7, theta=1.4)
-    result = NetworkSim(bg, ops, cfg, protocol=protocol).run(60)
-    plan = StepPlan(bg, incidence_decomposition(bg.base).z if protocol == "tree" else None)
+    sim = NetworkSim(bg, ops, cfg, protocol=protocol)
+    result, plan = sim.run(60), sim.plan
+    z = incidence_decomposition(bg.base).z if protocol == "tree" else np.eye(bg.n_nodes)
+    assert np.array_equal(plan.z, z) and plan.ops == tuple(ops)
     w = np.zeros_like(result.w)
     assert w.shape == (bg.base.n_edges if protocol == "tree" else bg.n_nodes,
                        result.x_history.shape[2])
     for rnd in range(60):
-        x, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        x, w, _ = step_general(plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
         assert np.array_equal(result.x_history[rnd], x)
     assert np.array_equal(result.w, w)
 
@@ -99,7 +100,7 @@ def test_solving_leaves_no_state_on_the_graph():
     bg, ops = tree_bg(), quad_ops(4)
     cfg = SolverConfig(sigma=1.0, max_iter=3)
     step_tree(bg, ops, 1.0, 1.0, np.zeros((3, 2)))
-    step_wtilde(bg, ops, 1.0, 1.0, np.zeros((4, 2)))
+    step_general(StepPlan(bg, ops), 1.0, 1.0, np.zeros((4, 2)))
     run(bg, tree_decomposition(bg), ops, cfg)
     run_wtilde(bg, ops, cfg)
     for protocol in ("tree", "general"):
@@ -262,3 +263,11 @@ def test_wrong_kind_message_names_round_agent_and_kind(monkeypatch):
         with pytest.raises(ProtocolError,
                            match="^agent 3 at round 1: expected x from 1, got w$"):
             sim.run(2)
+
+
+def test_mismatched_operator_dimensions_name_the_node():
+    bg = make_malitsky_tam(3)
+    ops = [prox_translated_quadratic(np.zeros(d)) for d in (2, 2, 3)]
+    expected = "node 2 .*'translated_quadratic'.* dimension 3.* 2"
+    with pytest.raises(ValueError, match=expected):
+        NetworkSim(bg, ops, SolverConfig(sigma=1.0)).run(2)

@@ -1,4 +1,3 @@
-import io
 import math
 import re
 import tracemalloc
@@ -6,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphdrs.cli import _row
 from graphdrs.factorization import (
     external_decomposition,
     incidence_decomposition,
@@ -20,7 +20,7 @@ from graphdrs.graphs import (
 )
 from graphdrs.operators import (
     Resolvent,
-    prox_quadratic,
+    prox_group_l1,
     prox_hinge_affine,
     prox_translated_quadratic,
     zero_operator,
@@ -43,9 +43,7 @@ from graphdrs.solver import (
     state_variance,
     step_general,
     step_tree,
-    step_wtilde,
     tree_decomposition,
-    write_trace,
 )
 from test_properties import reference_sweep, same_bits
 
@@ -160,10 +158,10 @@ def test_classical_drs_bitwise():
         w_ref = w_ref + theta * (x2 - x1)
         xs_ref.append((x1, x2))
 
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     w = np.zeros((1, 2))
     for k in range(1000):
-        x, w, _ = step_general(plan, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
         assert np.abs(x[0] - xs_ref[k][0]).max() < 1e-12
         assert np.abs(x[1] - xs_ref[k][1]).max() < 1e-12
     assert np.abs(w[0] - w_ref).max() < 1e-12
@@ -196,7 +194,7 @@ def test_ryu_transcription(n):
         return (r + tau * centers[i]) / (1.0 + tau)
 
     w_ref = [np.zeros(2) for _ in range(n - 1)]
-    plan = StepPlan(bg, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
     w = np.zeros((n - 1, 2))
     for k in range(200):
         x_ref = [None] * n
@@ -214,7 +212,7 @@ def test_ryu_transcription(n):
         w_ref = [
             w_ref[i] + theta * (x_ref[n - 1] - x_ref[i]) for i in range(n - 1)
         ]
-        x, w, _ = step_general(plan, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
         assert np.abs(x - np.array(x_ref)).max() < 1e-12
         assert np.abs(w - np.array(w_ref)).max() < 1e-12
 
@@ -231,7 +229,7 @@ def test_three_op_complete_transcription():
 
     wt1 = np.zeros(2)
     wt2 = np.zeros(2)
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     w = np.zeros((2, 2))
     for k in range(200):
         x1 = j(0, 0.5 * wt1)
@@ -239,7 +237,7 @@ def test_three_op_complete_transcription():
         x3 = j(2, x1 + x2 - 0.75 * wt2 - 0.25 * wt1)
         wt1 = wt1 - theta * (2 * x1 - x2 - x3)
         wt2 = wt2 - theta * (x2 - x3)
-        x, w, _ = step_general(plan, ops, sigma, theta, w, k)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
         assert np.abs(x - np.array([x1, x2, x3])).max() < 1e-12
         # rescaled duals: wt1 = sqrt(2) w1, wt2 = sqrt(2/3) w2
         assert np.abs(math.sqrt(2.0) * w[0] - wt1).max() < 1e-12
@@ -263,11 +261,11 @@ def test_malitsky_tam_runs_to_consensus():
 def test_tree_step_matches_general_bitwise():
     bg = BilevelGraph(complete(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
-    plan = StepPlan(bg, incidence_decomposition(bg.base).z)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
     w = np.zeros((3, 2))
     we = np.zeros((3, 2))
     for k in range(100):
-        xg, w, _ = step_general(plan, ops, 1.0, 1.0, w, k)
+        xg, w, _ = step_general(plan, 1.0, 1.0, w, k)
         xt, we = step_tree(bg, ops, 1.0, 1.0, we, k)
         assert np.array_equal(xg, xt)
         assert np.array_equal(w, we)
@@ -279,12 +277,12 @@ def test_wtilde_matches_general():
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     decomp = spectral_decomposition(g)
-    plan = StepPlan(bg, decomp.z)
+    plan, node_local = StepPlan(bg, ops, decomp.z), StepPlan(bg, ops)
     w = np.zeros((3, 2))
     wt = np.zeros((4, 2))
     for k in range(100):
-        xg, w, _ = step_general(plan, ops, 1.0, 1.0, w, k)
-        xw, wt = step_wtilde(bg, ops, 1.0, 1.0, wt, k)
+        xg, w, _ = step_general(plan, 1.0, 1.0, w, k)
+        xw, wt, _ = step_general(node_local, 1.0, 1.0, wt, k)
         assert np.abs(xg - xw).max() < 1e-10
         # wt tracks Z w
         assert np.abs(wt - decomp.z @ w).max() < 1e-10
@@ -327,8 +325,12 @@ def test_wtilde_rejects_nonzero_sum():
     g = complete(3)
     bg = BilevelGraph(g, g)
     ops = quad_ops([np.zeros(2)] * 3)
+    cfg = SolverConfig(sigma=1.0, max_iter=1)
+    wt0 = np.array([[1.0, 2.0], [-0.5, -1.0], [-0.5, -1.0]])
+    run_wtilde(bg, ops, cfg, wt0=wt0)  # sums to zero exactly
+    wt0[0, 0] += 1e-6
     with pytest.raises(ValueError, match="sum to zero"):
-        step_wtilde(bg, ops, 1.0, 1.0, np.ones((3, 2)))
+        run_wtilde(bg, ops, cfg, wt0=wt0)
 
 
 def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
@@ -347,11 +349,11 @@ def test_decomposition_independence_orthogonal():
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     z = spectral_decomposition(g).z
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    p1, p2 = StepPlan(bg, z), StepPlan(bg, z @ q)
+    p1, p2 = StepPlan(bg, ops, z), StepPlan(bg, ops, z @ q)
     w1, w2 = np.zeros((3, 2)), np.zeros((3, 2))
     for k in range(100):
-        x1, w1, _ = step_general(p1, ops, 1.0, 1.0, w1, k)
-        x2, w2, _ = step_general(p2, ops, 1.0, 1.0, w2, k)
+        x1, w1, _ = step_general(p1, 1.0, 1.0, w1, k)
+        x2, w2, _ = step_general(p2, 1.0, 1.0, w2, k)
         assert np.abs(x1 - x2).max() < 1e-9
 
 
@@ -359,12 +361,12 @@ def test_decomposition_independence_incidence_vs_spectral():
     base = OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)])
     bg = BilevelGraph(complete(4), base)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
-    p1 = StepPlan(bg, incidence_decomposition(base).z)
-    p2 = StepPlan(bg, spectral_decomposition(base).z)
+    p1 = StepPlan(bg, ops, incidence_decomposition(base).z)
+    p2 = StepPlan(bg, ops, spectral_decomposition(base).z)
     w1, w2 = np.zeros((3, 2)), np.zeros((3, 2))
     for k in range(100):
-        x1, w1, _ = step_general(p1, ops, 1.0, 1.0, w1, k)
-        x2, w2, _ = step_general(p2, ops, 1.0, 1.0, w2, k)
+        x1, w1, _ = step_general(p1, 1.0, 1.0, w1, k)
+        x2, w2, _ = step_general(p2, 1.0, 1.0, w2, k)
         assert np.abs(x1 - x2).max() < 1e-9
 
 
@@ -382,12 +384,12 @@ def test_lifted_reduction_tracks_w(n):
         for mu in rng.uniform(0.5, 2.0, size=n)
     ]
     cfg = SolverConfig(sigma=1.2, theta=1.3)
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     u = np.zeros((2 * n - 1, 3))
     w = np.zeros((n - 1, 3))
     for k in range(50):
         u = lifted_ppp_step(bg, decomp, ops, cfg, u, k)
-        _, w, _ = step_general(plan, ops, cfg.sigma, cfg.theta_at(k), w, k)
+        _, w, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), w, k)
         assert np.abs(lifted_reduce(decomp, u) - w).max() < 1e-9
 
 
@@ -399,11 +401,11 @@ def test_lifted_resolvent_identity():
         prox_translated_quadratic(rng.standard_normal(2), mu)
         for mu in rng.uniform(0.5, 2.0, size=4)
     ]
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     for _ in range(20):
         w = rng.standard_normal((3, 2))
         reduced = lifted_resolvent_w(bg, decomp, ops, 1.0, w)
-        _, w_new, _ = step_general(plan, ops, 1.0, 1.0, w, 0)
+        _, w_new, _ = step_general(plan, 1.0, 1.0, w, 0)
         assert np.abs(reduced - w_new).max() < 1e-9
 
 
@@ -419,9 +421,9 @@ def test_subgradients_match_affine_operators():
     mus = [1.0, 2.0, 0.5, 1.5]
     ops = [prox_translated_quadratic(c, m) for c, m in zip(centers, mus)]
     decomp = spectral_decomposition(base)
-    plan = StepPlan(bg, decomp.z)
+    plan = StepPlan(bg, ops, decomp.z)
     w = rng.standard_normal((3, 2)) * 0.1
-    x, _, _ = step_general(plan, ops, 1.3, 1.0, w, 0)
+    x, _, _ = step_general(plan, 1.3, 1.0, w, 0)
     a = compute_subgradients(bg, decomp.z, 1.3, w, x)
     expected = np.array([m * (xi - c) for m, xi, c in zip(mus, x, centers)])
     assert np.abs(a - expected).max() < 1e-10
@@ -495,24 +497,24 @@ def star_of_hinges(n_leaves, dim):
 def test_nonfinite_in_batched_level_names_first_bad_hinge():
     bg, ops = star_of_hinges(4, dim=3)
     # Z whose dual i enters leaf i + 1 alone, so a bad dual reaches one hinge
-    plan = StepPlan(bg, np.vstack([np.zeros((1, 4)), np.eye(4)]))
-    assert plan.schedule(ops)[1][1] is not None  # the leaves are one stacked call
+    plan = StepPlan(bg, ops, np.vstack([np.zeros((1, 4)), np.eye(4)]))
+    assert plan.schedule[1][1] is not None  # the leaves are one stacked call
     w = np.zeros((4, 3))
     w[1, 0], w[3, 2] = np.inf, np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration 7: node 2 .*'hinge'"):
-            step_general(plan, ops, 1.0, 1.0, w, 7)
+            step_general(plan, 1.0, 1.0, w, 7)
 
 
 def test_nonfinite_names_the_lowest_bad_node_not_the_first_solved():
     _, ops, bg = build_svm(50, 5, 10)
-    plan = StepPlan(bg)
+    plan = StepPlan(bg, ops)
     assert plan.levels[1] == [11] and 1 in plan.levels[-1]
     w = np.zeros((55, 50))
     w[1, 0], w[11, 3] = np.inf, np.nan  # official 11 fails first, agent 1 last
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="iteration 3: node 1 .*'hinge'"):
-            step_general(plan, ops, 1.0, 1.0, w, 3)
+            step_general(plan, 1.0, 1.0, w, 3)
 
 
 def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
@@ -527,15 +529,15 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
 
     monkeypatch.setattr(Resolvent, "__call__", counting)
     z = incidence_decomposition(bg.base).z
-    for plan, z_ref in ((StepPlan(bg, z), z), (StepPlan(bg), np.eye(bg.n_nodes))):
-        schedule = plan.schedule(ops)
+    for plan, z_ref in ((StepPlan(bg, ops, z), z), (StepPlan(bg, ops), np.eye(bg.n_nodes))):
+        schedule = plan.schedule
         assert [nodes for nodes, _ in schedule] == [[0], [11], [22], [33], [44], []]
         assert [batch is None for _, batch in schedule] == [True] * 5 + [False]
         assert list(schedule[-1][1][0]) == hinges
         w = 0.5 * rng.standard_normal((z_ref.shape[1], 50))
         for k in range(20):
             calls.clear()
-            x, w_new, _ = step_general(plan, ops, 0.7, 1.4, w, k)
+            x, w_new, _ = step_general(plan, 0.7, 1.4, w, k)
             assert calls == ["quadratic"] * 5 + ["hinge"]
             assert same_bits(x, reference_sweep(bg, z_ref, ops, 0.7, w))
             w = w_new
@@ -584,15 +586,14 @@ def test_trace_csv_format():
         SolverConfig(sigma=1.0, max_iter=3),
         objective=lambda xbar: float(np.sum(xbar**2)),
     )
-    buf = io.StringIO()
-    write_trace(traces, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "iter,residual_sq,variance,subgrad_sum_norm,objective"
-    assert len(lines) == 4
-    fields = lines[1].split(",")
-    assert fields[0] == "0"
+    lines = [_row(r.k, r.residual_sq, r.variance, r.subgrad_sum_norm, r.objective)
+             for r in traces]
+    assert len(lines) == 3
+    fields = lines[0].rstrip("\n").split(",")
+    assert fields[0] == "0" and len(fields) == 5
     # 17 significant digits survive a parse roundtrip
     assert float(fields[1]) == traces[0].residual_sq
+    assert _row(7, None, "a", 0.1) == "7,,a,0.10000000000000001\n"
 
 
 def test_state_variance_hand_value():
@@ -604,17 +605,17 @@ def test_state_variance_hand_value():
 def test_nonfinite_duals_into_an_official_name_its_quadratic(node_local):
     _, ops, bg = build_svm(50, 5, 10)
     if node_local:
-        plan, w = StepPlan(bg), np.zeros((55, 50))
+        plan, w = StepPlan(bg, ops), np.zeros((55, 50))
         w[11, 3] = np.nan  # reaches official 11 and what follows it
         expected = "iteration 2: node 11 .*'quadratic'"
     else:
-        plan = StepPlan(bg, incidence_decomposition(bg.base).z)
+        plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
         w = np.zeros((54, 50))
         w[bg.base.edges.index((0, 11)), 3] = np.nan  # both ends of the edge
         expected = "iteration 2: node 0 .*'quadratic'"
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match=expected):
-            step_general(plan, ops, 1.0, 1.0, w, 2)
+            step_general(plan, 1.0, 1.0, w, 2)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -635,14 +636,14 @@ def test_run_rejects_non_finite_initial_duals(bad, form):
 # the plan's workspace: memory per step and ownership of what a step returns
 
 
-def step_peak_and_returned(plan, ops, w):
+def step_peak_and_returned(plan, w):
     """Peak traced bytes of one warmed-up step above its start, and the
     bytes of the three arrays it returns."""
-    step_general(plan, ops, 1.0, 1.0, w)  # sizes the workspace and fills caches
+    step_general(plan, 1.0, 1.0, w)  # sizes the workspace and fills caches
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        returned = step_general(plan, ops, 1.0, 1.0, w)
+        returned = step_general(plan, 1.0, 1.0, w)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -652,41 +653,39 @@ def step_peak_and_returned(plan, ops, w):
 def test_a_step_allocates_little_beyond_what_it_returns():
     _, transport_ops = build_transport(35)
     g = complete(4)
-    transport = (StepPlan(BilevelGraph(g, g), spectral_decomposition(g).z),
-                 transport_ops, rng.standard_normal((3, 2450)))
+    transport = (StepPlan(BilevelGraph(g, g), transport_ops, spectral_decomposition(g).z),
+                 rng.standard_normal((3, 2450)))
     _, svm_ops, bg = build_svm(50, 5, 10)
-    svm = (StepPlan(bg, incidence_decomposition(bg.base).z), svm_ops,
+    svm = (StepPlan(bg, svm_ops, incidence_decomposition(bg.base).z),
            0.5 * rng.standard_normal((54, 50)))
-    for plan, ops, w in (transport, svm):
-        peak, returned = step_peak_and_returned(plan, ops, w)
+    for plan, w in (transport, svm):
+        peak, returned = step_peak_and_returned(plan, w)
         assert peak <= 1.05 * returned, (peak, returned)
 
 
-def svm_layout_ops(bg, dim):
-    """A kernel quadratic per official and a hinge per agent, on dim entries."""
-    ops = []
-    for i in range(bg.n_nodes):
-        if i % 11:
-            ops.append(prox_hinge_affine(rng.standard_normal(dim), 1.0))
-        else:
-            a = rng.standard_normal((dim, dim))
-            ops.append(prox_quadratic(a @ a.T, 0.1))
-    return ops
-
-
 def test_step_returns_fresh_arrays_and_one_plan_serves_two_dims():
-    _, ops50, bg = build_svm(50, 5, 10)
-    ops7 = svm_layout_ops(bg, 7)
+    _, ops, bg = build_svm(50, 5, 10)
     z = incidence_decomposition(bg.base).z
-    plan = StepPlan(bg, z)
+    plan = StepPlan(bg, ops, z)
     w = 0.5 * rng.standard_normal((54, 50))
-    first = step_general(plan, ops50, 0.7, 1.4, w, 0)
+    first = step_general(plan, 0.7, 1.4, w, 0)
     kept = [a.copy() for a in first]
-    step_general(plan, ops50, 0.7, 1.4, first[1], 1)
-    step_general(plan, ops7, 0.7, 1.4, rng.standard_normal((54, 7)), 0)
+    step_general(plan, 0.7, 1.4, first[1], 1)
     assert all(same_bits(a, b) for a, b in zip(first, kept))
-    for ops, dim in ((ops7, 7), (ops50, 50), (ops7, 7)):
+    # dimension-free resolvents: one plan, one workspace per dimension
+    free = StepPlan(bg, [prox_group_l1()] * bg.n_nodes, z)
+    for dim in (8, 50, 8):
         w = 0.5 * rng.standard_normal((54, dim))
-        got = step_general(plan, ops, 0.7, 1.4, w, 0)
-        want = step_general(StepPlan(bg, z), ops, 0.7, 1.4, w, 0)
+        got = step_general(free, 0.7, 1.4, w, 0)
+        want = step_general(StepPlan(bg, free.ops, z), 0.7, 1.4, w, 0)
         assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("node_local", [False, True])
+def test_mismatched_operator_dimensions_name_the_node(node_local):
+    bg = make_malitsky_tam(3)
+    ops = quad_ops([np.zeros(2), np.zeros(2), np.zeros(3)])
+    cfg = SolverConfig(sigma=1.0, max_iter=2)
+    expected = "node 2 .*'translated_quadratic'.* dimension 3.* 2"
+    with pytest.raises(ValueError, match=expected):
+        run_wtilde(bg, ops, cfg) if node_local else run(bg, tree_decomposition(bg), ops, cfg)
