@@ -2,7 +2,6 @@
 
 from .factorization import (
     FactorizationError,
-    OntoDecomposition,
     align,
     choose_decomposition,
     external_decomposition,
@@ -50,13 +49,13 @@ from .solver import (
     NumericalError,
     SolverConfig,
     SolverState,
+    StepPlan,
     TraceRecord,
     make_classical_drs,
     make_malitsky_tam,
     make_ryu,
     make_three_op_complete,
     run,
-    run_wtilde,
     state_variance,
     step_general,
     step_tree,

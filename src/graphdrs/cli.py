@@ -37,9 +37,6 @@ from .problems import (
 from .simulate import NetworkSim, ProtocolError, write_message_log
 from .solver import NumericalError, SolverConfig, run, step_general
 
-MAX_SWEEP_GRID = 64
-MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
-
 
 class InputError(ValueError):
     """Bad command-line input or malformed file."""
@@ -186,12 +183,6 @@ def cmd_transport_sweep(args):
     spec = load_config(args.config) if args.config else {}
     spec.setdefault("p", args.p)
     spec.setdefault("cap", args.cap)
-    # checked before building: the instance's memory grows with p^2
-    p = int(spec["p"])
-    if p > MAX_SWEEP_GRID:
-        raise InputError(f"grid size limited to p <= {MAX_SWEEP_GRID}")
-    if p < MIN_SWEEP_GRID:
-        raise InputError(f"grid size needs --p >= {MIN_SWEEP_GRID}, got {p}")
     inst, ops = transport_from_config(spec)
     graphs = enumerate_connected_digraphs(4)
     complete = complete_digraph(4)

@@ -1,11 +1,11 @@
 """Factorizations L = Z Z^T of base-graph Laplacians with 1^T Z = 0.
 
-Two routes: the signed incidence matrix (trees only, sparse and exact) and a
-spectral factorization (any connected graph).  Any two such factorizations
-differ by an orthogonal change of coordinates, recovered by :func:`align`.
+A factorization is its N x (N-1) array Z: columns orthogonal to the all-ones
+vector, rank N - 1.  Two routes build one: the signed incidence matrix (trees
+only, sparse and exact) and a spectral factorization (any connected graph).
+Any two such factorizations differ by an orthogonal change of coordinates,
+recovered by :func:`align`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,22 +16,6 @@ KERNEL_REL_TOL = 1e-9
 
 class FactorizationError(ValueError):
     """Input graph or matrix unsuitable for the requested factorization."""
-
-
-@dataclass(frozen=True)
-class OntoDecomposition:
-    """An N x (N-1) matrix Z with Z Z^T equal to a graph Laplacian.
-
-    Columns span the space orthogonal to the all-ones vector: 1^T Z = 0 and
-    rank(Z) = N - 1.
-    """
-
-    z: np.ndarray
-    source: str  # incidence | spectral | external
-
-    @property
-    def n_nodes(self):
-        return self.z.shape[0]
 
 
 def incidence_decomposition(tree):
@@ -51,7 +35,7 @@ def incidence_decomposition(tree):
     for col, (i, j) in enumerate(tree.edges):
         z[i, col] = 1.0
         z[j, col] = -1.0
-    return OntoDecomposition(z=z, source="incidence")
+    return z
 
 
 def spectral_decomposition(g):
@@ -65,8 +49,7 @@ def spectral_decomposition(g):
             f"expected exactly one kernel eigenvalue, found {kernel} "
             f"(numerical degeneracy or disconnected graph)"
         )
-    z = evecs[:, 1:] * np.sqrt(evals[1:])
-    return OntoDecomposition(z=z, source="spectral")
+    return evecs[:, 1:] * np.sqrt(evals[1:])
 
 
 def choose_decomposition(base):
@@ -76,20 +59,17 @@ def choose_decomposition(base):
 
 def align(z1, z2, tol=1e-8):
     """Orthogonal O with z1 = z2 @ O, for two factorizations of one Laplacian."""
-    a, b = z1.z, z2.z
-    if a.shape != b.shape:
+    if z1.shape != z2.shape:
         raise FactorizationError("shape mismatch between decompositions")
-    l1, l2 = a @ a.T, b @ b.T
+    l1, l2 = z1 @ z1.T, z2 @ z2.T
     scale = max(np.abs(l1).max(), 1.0)
     if np.abs(l1 - l2).max() > tol * scale:
         raise FactorizationError("decompositions do not share a Laplacian")
-    o = b.T @ a @ np.linalg.inv(a.T @ a)
-    return o
+    return z2.T @ z1 @ np.linalg.inv(z1.T @ z1)
 
 
-def validate(decomp, base, tol=1e-10):
+def validate(z, base, tol=1e-10):
     """Check Z Z^T = laplacian(base), zero column sums, and full column rank."""
-    z = decomp.z
     lap = laplacian(base)
     if np.abs(z @ z.T - lap).max() > tol:
         raise FactorizationError("Z Z^T does not match the base Laplacian")
@@ -100,5 +80,5 @@ def validate(decomp, base, tol=1e-10):
 
 
 def external_decomposition(z):
-    """Wrap a user-supplied matrix (e.g. a published factorization)."""
-    return OntoDecomposition(z=np.asarray(z, dtype=float), source="external")
+    """A user-supplied matrix (e.g. a published factorization) as a float array."""
+    return np.asarray(z, dtype=float)

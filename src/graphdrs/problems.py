@@ -22,6 +22,10 @@ from .operators import (
     prox_quadratic,
 )
 
+MAX_SWEEP_GRID = 64
+MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
+
+
 # ---------------------------------------------------------------------------
 # congested transport
 #
@@ -270,6 +274,8 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
     Official c carries the quadratic term weighted by its share of the total
     official degree; agent (c, i) carries one hinge term.
     """
+    if per_official < 1:
+        raise ValueError(f"per_official must be >= 1, got {per_official}")
     if n != officials * per_official:
         raise ValueError("need n = officials * per_official")
     if not (math.isfinite(kernel_width) and kernel_width > 0):
@@ -328,27 +334,38 @@ def load_config(path):
     return cfg
 
 
-def _int_tuple(text):
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _grid_ints(key, text, size, p):
+    """text as size integers, each a row or column index of the p x p grid."""
+    try:
+        values = tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        values = ()
+    if len(values) != size or not all(0 <= v < p for v in values):
+        raise ValueError(f"{key} needs {size} integers in [0, {p - 1}], got {text!r}")
+    return values
 
 
 def transport_from_config(cfg):
     """Build a transport instance from a parsed config dict."""
     p = int(cfg.get("p", 35))
+    # checked before building: the instance's memory grows with p^2
+    if not MIN_SWEEP_GRID <= p <= MAX_SWEEP_GRID:
+        raise ValueError(f"grid size --p must satisfy p >= {MIN_SWEEP_GRID} and "
+                         f"p <= {MAX_SWEEP_GRID}, got {p}")
     cap = float(cfg.get("cap", 5e-2))
     geo = default_transport_geometry(p)
     width = float(cfg.get("blob_width", geo["blob_width"]))
-    mu_center = _int_tuple(cfg["mu_center"]) if "mu_center" in cfg else geo["mu_center"]
-    nu_center = _int_tuple(cfg["nu_center"]) if "nu_center" in cfg else geo["nu_center"]
-    bridge = _int_tuple(cfg["bridge"]) if "bridge" in cfg else None
+    given = {key: _grid_ints(key, cfg[key], size, p) for key, size in
+             (("mu_center", 2), ("nu_center", 2), ("bridge", 4)) if key in cfg}
     water = None
     if "water" in cfg:
-        water = [_int_tuple(part) for part in cfg["water"].split(";") if part.strip()]
+        water = [_grid_ints("water", part, 4, p)
+                 for part in cfg["water"].split(";") if part.strip()]
     return build_transport(
         p,
-        mu_spec=(mu_center, width),
-        nu_spec=(nu_center, width),
-        bridge=bridge,
+        mu_spec=(given.get("mu_center", geo["mu_center"]), width),
+        nu_spec=(given.get("nu_center", geo["nu_center"]), width),
+        bridge=given.get("bridge"),
         water=water,
         cap=cap,
     )

@@ -67,7 +67,7 @@ class NetworkSim:
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "tree" and not bg.base.is_tree():
             raise ValueError("tree protocol requires a tree base graph")
-        z = incidence_decomposition(bg.base).z if protocol == "tree" else None
+        z = incidence_decomposition(bg.base) if protocol == "tree" else None
         self.plan = StepPlan(bg, ops, z)
         self.dim = _infer_dim(self.plan)
         self.bg = bg

@@ -3,14 +3,17 @@
 One sweep evaluates each resolvent once, each node after its state
 in-neighbors (the state graph is a DAG whose edges point to larger labels),
 then updates the dual variables.  One step, :func:`step_general`, serves two
-dual formulations, both sweeping a :class:`StepPlan` bound to the graph, Z
-and the N operators:
+dual formulations, both sweeping a :class:`StepPlan` bound to the graph, the
+N operators and a factorization, the N x (N-1) array Z of
+:mod:`~graphdrs.factorization`:
 
 * ``StepPlan(bg, ops, z)`` -- dual variables w in H^(N-1), any factorization Z
   (with the incidence Z of a tree base, w is indexed by base edges; the
   one-shot :func:`step_tree` builds that plan on each call);
-* ``StepPlan(bg, ops)`` -- node-local dual variables with zero sum, one per
-  node, usable with any base graph (Z = I).
+* ``StepPlan(bg, ops)`` (z=None) -- node-local dual variables with zero sum,
+  one per node, usable with any base graph (Z = I).
+
+:func:`run` takes the same z, None included.
 
 The plan holds the state in-neighbor lists, 1/d_i, Z and the update map as
 CSR matrices and the level schedule of the state DAG.  A CSR product sums
@@ -222,9 +225,8 @@ class StepPlan:
         for row, i in enumerate(hinges):
             into[row, self.in_nbrs[i]] = 1.0
         d = np.array([self.degrees[i] for i in hinges], dtype=float)
-        contiguous = hinges[-1] - hinges[0] == len(hinges) - 1
         batch = (
-            slice(hinges[0], hinges[-1] + 1) if contiguous else np.array(hinges),
+            np.array(hinges),
             stack_hinges([self.ops[i] for i in hinges], d),
             sparse.csr_matrix(into),
             (2.0 / d)[:, None],
@@ -288,7 +290,7 @@ def step_tree(bg, ops, sigma, theta, w_edges, k=0):
     with the incidence factorization, whose plan is built on each call: a
     loop should hold that :class:`StepPlan` and call :func:`step_general`.
     """
-    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base))
     x, w_new, _ = step_general(plan, sigma, theta, w_edges, k)
     return x, w_new
 
@@ -333,21 +335,26 @@ def _infer_dim(plan):
     return plan.dim
 
 
-def _initial_dual(plan, w0, name, rows):
+def _initial_dual(plan, w0):
     """w0 as a float array, or zeros when None, checked to be one row per
-    column of Z by dim: the plan's, else w0's last."""
-    n_rows = plan.z.shape[1]
+    column of Z by dim (the plan's, else w0's last), and node-local duals
+    to sum to zero."""
+    n_rows, node_local = plan.z.shape[1], plan.base_degrees is not None
     if w0 is None:
         return np.zeros((n_rows, _infer_dim(plan)))
     w = np.array(w0, dtype=float)
     dim = plan.dim or (w.shape[-1] if w.ndim else None)
     if w.shape != (n_rows, dim):
+        rows = "N" if node_local else "N-1"
         raise ValueError(
-            f"{name} must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
+            f"w0 must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
         )
     if not np.isfinite(w).all():
         bad = tuple(np.argwhere(~np.isfinite(w))[0].tolist())
-        raise ValueError(f"{name}{list(bad)} must be finite, got {w[bad]}")
+        raise ValueError(f"w0{list(bad)} must be finite, got {w[bad]}")
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if node_local and np.abs(w.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
+        raise ValueError("node-local duals must sum to zero")
     return w
 
 
@@ -381,28 +388,16 @@ def _iterate(plan, cfg, w, objective):
     return SolverState(w=w, x=x, a=a, k=k + 1), traces
 
 
-def run(bg, decomp, ops, cfg, w0=None, objective=None):
-    """Iterate the general method; returns (SolverState, [TraceRecord]).
+def run(bg, z, ops, cfg, w0=None, objective=None):
+    """Iterate the general method with factorization z, or the node-local
+    form when z is None; returns (SolverState, [TraceRecord]).
 
-    Stops after the update once residual^2 < tol (tol = 0 runs max_iter
-    sweeps exactly).  Non-convergence is not an error: inspect the trace.
+    Node-local duals w0 must sum to zero; sweeps keep the sum.  Stops after
+    the update once residual^2 < tol (tol = 0 runs max_iter sweeps exactly).
+    Non-convergence is not an error: inspect the trace.
     """
-    plan = StepPlan(bg, ops, decomp.z if hasattr(decomp, "z") else decomp)
-    return _iterate(plan, cfg, _initial_dual(plan, w0, "w0", "N-1"), objective)
-
-
-def run_wtilde(bg, ops, cfg, wt0=None, objective=None):
-    """Iterate the node-local dual formulation; returns (SolverState, traces).
-
-    The residual ||Z^T x||^2 is computed factorization-free as <x, L x>.
-    wt0 must sum to zero; sweeps keep the sum.
-    """
-    plan = StepPlan(bg, ops)
-    wt = _initial_dual(plan, wt0, "wt0", "N")
-    scale = max(1.0, float(np.abs(wt).max(initial=0.0)))
-    if np.abs(wt.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
-        raise ValueError("node-local duals must sum to zero")
-    return _iterate(plan, cfg, wt, objective)
+    plan = StepPlan(bg, ops, z)
+    return _iterate(plan, cfg, _initial_dual(plan, w0), objective)
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +432,29 @@ def _lifted_system(bg, z, affine_ops, sigma):
     return m_mat, a_lin, offset
 
 
-def lifted_ppp_step(bg, decomp, affine_ops, cfg, u, k=0):
+def lifted_ppp_step(bg, z, affine_ops, cfg, u, k=0):
     """One step of the unreduced iteration on H^(2N-1), dense solve.
 
     u rows are (x_1..x_N, v_1..v_{N-1}).  Affine operators only.
     """
-    z = decomp.z
     m_mat, a_lin, offset = _lifted_system(bg, z, affine_ops, cfg.sigma)
     rhs = m_mat @ u + offset
     t_u = np.linalg.solve(m_mat + a_lin, rhs)
     return u + cfg.theta_at(k) * (t_u - u)
 
 
-def lifted_reduce(decomp, u):
+def lifted_reduce(z, u):
     """Project a lifted iterate to the reduced dual: w = Z^T x + v."""
-    z = decomp.z
     n = z.shape[0]
     return z.T @ u[:n] + u[n:]
 
 
-def lifted_resolvent_w(bg, decomp, affine_ops, sigma, w):
+def lifted_resolvent_w(bg, z, affine_ops, sigma, w):
     """Apply the lifted resolvent to an embedded dual and reduce it back.
 
     Equals one reduced fixed-point application w -> w - Z^T x(w), which the
     tests verify against :func:`step_general`.
     """
-    z = decomp.z
     m_mat, a_lin, offset = _lifted_system(bg, z, affine_ops, sigma)
     n = z.shape[0]
     cw = np.vstack([z @ w, w])
@@ -500,8 +492,8 @@ def make_malitsky_tam(n):
 def make_three_op_complete():
     """Complete state and base on 3 nodes with the fixed factorization.
 
-    Returns (bilevel graph, decomposition); the decomposition is the
-    explicit closed-form choice used in the three-operator examples.
+    Returns (bilevel graph, Z); Z is the explicit closed-form choice used in
+    the three-operator examples.
     """
     g = complete_digraph(3)
     zt = np.array(

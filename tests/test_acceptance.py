@@ -81,7 +81,7 @@ def test_criterion_02_classical_drs():
     c1, c2 = np.array([1.0, -3.0]), np.array([5.0, 7.0])
     sigma, theta = 1.3, 1.0
     ops = quad_ops([c1, c2])
-    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg))
     w_ref = np.zeros(2)
     w = np.zeros((1, 2))
     max_dev = 0.0
@@ -107,7 +107,7 @@ def test_criterion_03_golden_special_cases():
     def j(i, r, tau):
         return (r + tau * centers[i]) / (1.0 + tau)
 
-    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg))
     w_ref = [np.zeros(2), np.zeros(2)]
     w = np.zeros((2, 2))
     dev_ryu = 0.0
@@ -122,7 +122,7 @@ def test_criterion_03_golden_special_cases():
 
     # three operators, complete base, fixed factorization and rescaled duals
     bg3, decomp = make_three_op_complete()
-    plan3 = StepPlan(bg3, ops, decomp.z)
+    plan3 = StepPlan(bg3, ops, decomp)
     wt1 = np.zeros(2)
     wt2 = np.zeros(2)
     w = np.zeros((2, 2))
@@ -154,7 +154,7 @@ def test_criterion_04_lifted_reduction():
             for mu in rng.uniform(0.5, 2.0, size=n)
         ]
         cfg = SolverConfig(sigma=1.2, theta=1.3)
-        plan = StepPlan(bg, ops, decomp.z)
+        plan = StepPlan(bg, ops, decomp)
         u = np.zeros((2 * n - 1, 3))
         w = np.zeros((n - 1, 3))
         for k in range(50):
@@ -210,12 +210,12 @@ def test_criterion_06_decomposition_independence():
     # incidence vs spectral on a tree base
     base = OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)])
     bg = BilevelGraph(complete(4), base)
-    p1 = StepPlan(bg, ops, incidence_decomposition(base).z)
-    p2 = StepPlan(bg, ops, spectral_decomposition(base).z)
+    p1 = StepPlan(bg, ops, incidence_decomposition(base))
+    p2 = StepPlan(bg, ops, spectral_decomposition(base))
     # Z vs Z Q for random orthogonal Q on a complete base
     g = complete(4)
     bgc = BilevelGraph(g, g)
-    z = spectral_decomposition(g).z
+    z = spectral_decomposition(g)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     p3, p4 = StepPlan(bgc, ops, z), StepPlan(bgc, ops, z @ q)
     w1 = w2 = w3 = w4 = np.zeros((3, 2))
@@ -287,7 +287,7 @@ def test_criterion_08_consensus_all_graphs():
     for gid, g in enumerate(enumerate_connected_digraphs(4), start=1):
         bg = BilevelGraph(g, g)
         decomp = spectral_decomposition(g)
-        plan = StepPlan(bg, ops, decomp.z)
+        plan = StepPlan(bg, ops, decomp)
         u = unbalance(g)
         w = np.zeros((3, 2))
         converged_at = None
@@ -300,7 +300,7 @@ def test_criterion_08_consensus_all_graphs():
         if converged_at is None:
             failures.append(gid)
             continue
-        a = compute_subgradients(bg, decomp.z, sigma, w_prev, x)
+        a = compute_subgradients(bg, decomp, sigma, w_prev, x)
         left = (sigma / 4.0) * np.linalg.norm(a.sum(axis=0))
         right = u * math.sqrt(state_variance(x))
         scale = max(left, right, 1e-30)
@@ -319,7 +319,7 @@ def test_criterion_09_connectivity_trend():
         bg = BilevelGraph(g, g)
         lam1 = round(algebraic_connectivity(g), 6)
         decomp = spectral_decomposition(g)
-        plan = StepPlan(bg, ops, decomp.z)
+        plan = StepPlan(bg, ops, decomp)
         w = np.zeros((3, dim))
         hit = cap_iter
         for k in range(cap_iter):
@@ -343,7 +343,7 @@ def test_criterion_10_svm_desk_run():
     obj_at_zero = objective_svm(inst, np.zeros(50))
     best = None
     for sigma in np.logspace(-2, 1, 10):
-        plan = StepPlan(bg, ops, decomp.z)
+        plan = StepPlan(bg, ops, decomp)
         w = np.zeros((54, 50))
         hit = None
         x = np.zeros((55, 50))

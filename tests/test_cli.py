@@ -541,3 +541,41 @@ def test_transport_non_positive_blob_width_opens_no_output(graph_file, tmp_path,
     assert code == 2
     assert "blob width" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p, bound", [("2", "p >= 3"), ("65", "p <= 64")])
+def test_solve_transport_grid_bounds_open_no_output(graph_file, tmp_path, capsys,
+                                                    p, bound):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"problem = transport\np = {p}\n")
+    out = tmp_path / "out.csv"
+    code = main(["solve", "--graph", graph_file, "--config", str(cfg), "--max-iter", "2",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert bound in err and "rectangle" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("mu_center", "100,100"), ("mu_center", "8,4"), ("bridge", "3,1,4")]
+)
+def test_solve_transport_bad_key_is_named(graph_file, tmp_path, capsys, key, value):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"problem = transport\np = 8\n{key} = {value}\n")
+    out = tmp_path / "out.csv"
+    code = main(["solve", "--graph", graph_file, "--config", str(cfg), "--max-iter", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{key} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_svm_without_agents_names_per_official(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("problem = svm\nn = 0\nper_official = 0\n")
+    out = tmp_path / "out.csv"
+    code = main(["solve", "--config", str(cfg), "--max-iter", "2", "--out", str(out)])
+    assert code == 2
+    assert "per_official" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,7 @@ import graphdrs
 
 EXPORTS = {
     # factorization
-    "FactorizationError", "OntoDecomposition", "align", "choose_decomposition",
+    "FactorizationError", "align", "choose_decomposition",
     "external_decomposition", "incidence_decomposition", "spectral_decomposition",
     # graphs
     "BilevelGraph", "GraphError", "OrderedDigraph", "algebraic_connectivity",
@@ -23,9 +23,9 @@ EXPORTS = {
     # simulate
     "NetworkSim", "ProtocolError", "run_general_protocol", "run_tree_protocol",
     # solver
-    "NumericalError", "SolverConfig", "SolverState", "TraceRecord",
+    "NumericalError", "SolverConfig", "SolverState", "StepPlan", "TraceRecord",
     "make_classical_drs", "make_malitsky_tam", "make_ryu", "make_three_op_complete",
-    "run", "run_wtilde", "state_variance", "step_general", "step_tree",
+    "run", "state_variance", "step_general", "step_tree",
     "tree_decomposition",
 }
 

@@ -10,7 +10,19 @@ from graphdrs.factorization import (
     spectral_decomposition,
     validate,
 )
-from graphdrs.graphs import OrderedDigraph, laplacian
+from graphdrs.graphs import BilevelGraph, OrderedDigraph, laplacian
+from graphdrs.operators import prox_translated_quadratic
+from graphdrs.solver import (
+    SolverConfig,
+    StepPlan,
+    compute_subgradients,
+    lifted_ppp_step,
+    lifted_reduce,
+    lifted_resolvent_w,
+    run,
+    step_general,
+    tree_decomposition,
+)
 
 rng = np.random.default_rng(7)
 
@@ -23,7 +35,7 @@ def test_incidence_of_path():
     g = OrderedDigraph(3, [(0, 1), (1, 2)])
     d = incidence_decomposition(g)
     expected = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(d.z, expected)
+    assert np.array_equal(d, expected)
     validate(d, g)
 
 
@@ -37,7 +49,8 @@ def test_incidence_of_path():
 )
 def test_choose_decomposition_takes_incidence_only_for_trees(g, source):
     d = choose_decomposition(g)
-    assert d.source == source
+    by_source = {"incidence": incidence_decomposition, "spectral": spectral_decomposition}
+    assert np.array_equal(d, by_source[source](g))
     validate(d, g)
 
 
@@ -57,18 +70,18 @@ def test_incidence_rejects_cycles():
 def test_spectral_decomposition_validates(g):
     d = spectral_decomposition(g)
     validate(d, g, tol=1e-9)
-    assert np.abs(d.z @ d.z.T - laplacian(g)).max() < 1e-10
+    assert np.abs(d @ d.T - laplacian(g)).max() < 1e-10
 
 
 def test_align_recovers_orthogonal_map():
     g = complete(4)
     d1 = spectral_decomposition(g)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    d2 = external_decomposition(d1.z @ q)
+    d2 = external_decomposition(d1 @ q)
     o = align(d1, d2)
     # orthogonality and the defining relation z1 = z2 @ o
     assert np.abs(o @ o.T - np.eye(3)).max() < 1e-9
-    assert np.abs(d2.z @ o - d1.z).max() < 1e-9
+    assert np.abs(d2 @ o - d1).max() < 1e-9
 
 
 def test_align_tree_incidence_vs_spectral():
@@ -77,7 +90,7 @@ def test_align_tree_incidence_vs_spectral():
     d2 = spectral_decomposition(g)
     o = align(d1, d2)
     assert np.abs(o @ o.T - np.eye(3)).max() < 1e-9
-    assert np.abs(d2.z @ o - d1.z).max() < 1e-9
+    assert np.abs(d2 @ o - d1).max() < 1e-9
 
 
 def test_align_rejects_mismatched_laplacians():
@@ -93,3 +106,35 @@ def test_validate_rejects_bad_matrix():
     with pytest.raises(FactorizationError):
         validate(bad, g)
 
+
+
+@pytest.mark.parametrize(
+    "base",
+    [OrderedDigraph(3, [(0, 1), (1, 2)]), OrderedDigraph(3, [(0, 1), (1, 2), (0, 2)])],
+    ids=["tree", "cycle"],
+)
+def test_every_factorization_is_the_array_every_consumer_takes(base):
+    bg = BilevelGraph(complete(3), base)
+    centers = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 1.0]])
+    ops = [prox_translated_quadratic(c) for c in centers]
+    cfg = SolverConfig(sigma=0.7, max_iter=1)
+    makers = [
+        spectral_decomposition,
+        choose_decomposition,
+        lambda g: external_decomposition(spectral_decomposition(g).tolist()),
+    ]
+    if base.is_tree():
+        makers += [incidence_decomposition, lambda g: tree_decomposition(bg)]
+    for make in makers:
+        z = make(base)
+        validate(z, base)
+        assert align(z, spectral_decomposition(base)).shape == (2, 2)
+        w = rng.standard_normal((2, 2))
+        x, w_new, _ = step_general(StepPlan(bg, ops, z), cfg.sigma, 1.0, w)
+        state, _ = run(bg, z, ops, cfg, w0=w)
+        assert np.array_equal(state.x, x) and np.array_equal(state.w, w_new)
+        a = compute_subgradients(bg, z, cfg.sigma, w, x)
+        assert np.allclose(a, x - centers)  # A_i x = x - c_i
+        assert np.allclose(lifted_resolvent_w(bg, z, ops, cfg.sigma, w), w_new)
+        u = lifted_ppp_step(bg, z, ops, cfg, np.vstack([np.zeros((3, 2)), w]))
+        assert lifted_reduce(z, u).shape == (2, 2)

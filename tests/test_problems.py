@@ -243,3 +243,29 @@ def test_gaussian_density_rejects_a_non_positive_width(width):
 
 def test_gaussian_density_of_infinite_width_is_uniform():
     assert np.array_equal(gaussian_density(4, (1, 1), float("inf")), np.full(16, 1 / 16))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mu_center", "100,100"),  # off the grid: the blob underflowed to zero
+        ("mu_center", "8,4"),  # just off the grid: a silently truncated blob
+        ("nu_center", "3"),
+        ("bridge", "3,1,4"),
+        ("water", "3,0,4,0;3,7"),
+    ],
+)
+def test_transport_config_names_a_bad_key(key, value):
+    with pytest.raises(ValueError, match=f"{key} needs"):
+        transport_from_config({"p": "8", key: value})
+
+
+@pytest.mark.parametrize("p, bound", [("2", "p >= 3"), ("65", "p <= 64")])
+def test_transport_config_bounds_the_grid(p, bound):
+    with pytest.raises(ValueError, match=bound):
+        transport_from_config({"p": p})
+
+
+def test_build_svm_needs_an_agent_per_official():
+    with pytest.raises(ValueError, match="per_official must be >= 1, got 0"):
+        build_svm(0, 5, 0)

@@ -48,7 +48,6 @@ from graphdrs.solver import (
     node_dual_term,
     node_solution,
     run,
-    run_wtilde,
     state_variance,
     step_general,
     step_tree,
@@ -126,7 +125,7 @@ def longest_state_path(bg):
 @PROPERTY
 @given(bilevel_graphs())
 def test_level_schedule_is_a_topological_layering(bg):
-    z, ops = spectral_decomposition(bg.base).z, [zero_operator(1)] * bg.n_nodes
+    z, ops = spectral_decomposition(bg.base), [zero_operator(1)] * bg.n_nodes
     for plan in (StepPlan(bg, ops, z), StepPlan(bg, ops)):
         level = {}
         for depth, nodes in enumerate(plan.levels):
@@ -150,23 +149,23 @@ def test_step_general_matches_dense_sweep(problem, factorization):
         factorization = "spectral"
     decomp = (incidence_decomposition if factorization == "incidence"
               else spectral_decomposition)(bg.base)
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
     w = w_ref = rng.standard_normal((bg.n_nodes - 1, ops[0].dim))
     for k in range(SWEEPS):
         x, w, ztx = step_general(plan, sigma, theta, w, k)
-        x_ref, w_ref = dense_sweep(bg, decomp.z, ops, sigma, theta, w_ref)
+        x_ref, w_ref = dense_sweep(bg, decomp, ops, sigma, theta, w_ref)
         scale = max(1.0, np.abs(w_ref).max(), np.abs(x_ref).max())
         assert np.abs(x - x_ref).max() <= 1e-12 * scale
         assert np.abs(w - w_ref).max() <= 1e-12 * scale
-        assert np.abs(ztx - decomp.z.T @ x).max() <= 1e-12 * scale
+        assert np.abs(ztx - decomp.T @ x).max() <= 1e-12 * scale
 
 
 @PROPERTY
 @given(problems(tree=True))
 def test_tree_step_equals_general_step(problem):
     bg, ops, rng = problem
-    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base))
     w = we = rng.standard_normal((bg.n_nodes - 1, ops[0].dim))
     for k in range(SWEEPS):
         xg, w, _ = step_general(plan, 1.0, 1.3, w, k)
@@ -271,7 +270,7 @@ def test_step_general_equals_per_node_sweep_bitwise(problem, factorization):
     if factorization == "incidence" and not bg.base.is_tree():
         factorization = "spectral"
     z = (incidence_decomposition if factorization == "incidence"
-         else spectral_decomposition)(bg.base).z
+         else spectral_decomposition)(bg.base)
     plan = StepPlan(bg, ops, z)
     sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
     w = with_signed_zeros(rng, rng.standard_normal((bg.n_nodes - 1, ops[0].dim)))
@@ -289,7 +288,7 @@ def test_step_general_equals_per_node_sweep_bitwise(problem, factorization):
 @given(mixed_problems(tree=True))
 def test_step_tree_equals_per_node_sweep_bitwise(problem):
     bg, ops, rng = problem
-    z = incidence_decomposition(bg.base).z
+    z = incidence_decomposition(bg.base)
     w = with_signed_zeros(rng, rng.standard_normal((bg.n_nodes - 1, ops[0].dim)))
     for k in range(SWEEPS):
         x, w_new = step_tree(bg, ops, 1.0, 1.3, w, k)
@@ -363,9 +362,9 @@ def square_mean(xbar):
 
 
 def solve_form(bg, ops, cfg, form, rng):
-    """run (Z by incidence or spectral factorization, or any n x (n-1)
-    matrix) or run_wtilde from a random start; returns (state, traces,
-    z or None, start)."""
+    """run (Z by incidence or spectral factorization, any n x (n-1) matrix,
+    or None for node-local duals) from a random start; returns (state,
+    traces, z or None, start)."""
     n, dim = bg.n_nodes, ops[0].dim
     if form == "any_z":
         z = rng.standard_normal((n, n - 1))
@@ -374,11 +373,11 @@ def solve_form(bg, ops, cfg, form, rng):
     if form == "node_local":
         wt0 = rng.standard_normal((n, dim))
         wt0 -= wt0.mean(axis=0)
-        return (*run_wtilde(bg, ops, cfg, wt0, square_mean), None, wt0)
+        return (*run(bg, None, ops, cfg, wt0, square_mean), None, wt0)
     if form == "incidence" and not bg.base.is_tree():
         form = "spectral"
     z = (incidence_decomposition if form == "incidence"
-         else spectral_decomposition)(bg.base).z
+         else spectral_decomposition)(bg.base)
     w0 = rng.standard_normal((n - 1, dim))
     return (*run(bg, z, ops, cfg, w0, square_mean), z, w0)
 

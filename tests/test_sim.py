@@ -22,7 +22,6 @@ from graphdrs.solver import (
     StepPlan,
     make_malitsky_tam,
     run,
-    run_wtilde,
     step_general,
     step_tree,
     tree_decomposition,
@@ -85,7 +84,7 @@ def test_final_duals_equal_centralized_duals(protocol, graph):
     cfg = SolverConfig(sigma=0.7, theta=1.4)
     sim = NetworkSim(bg, ops, cfg, protocol=protocol)
     result, plan = sim.run(60), sim.plan
-    z = incidence_decomposition(bg.base).z if protocol == "tree" else np.eye(bg.n_nodes)
+    z = incidence_decomposition(bg.base) if protocol == "tree" else np.eye(bg.n_nodes)
     assert np.array_equal(plan.z, z) and plan.ops == tuple(ops)
     w = np.zeros_like(result.w)
     assert w.shape == (bg.base.n_edges if protocol == "tree" else bg.n_nodes,
@@ -102,7 +101,7 @@ def test_solving_leaves_no_state_on_the_graph():
     step_tree(bg, ops, 1.0, 1.0, np.zeros((3, 2)))
     step_general(StepPlan(bg, ops), 1.0, 1.0, np.zeros((4, 2)))
     run(bg, tree_decomposition(bg), ops, cfg)
-    run_wtilde(bg, ops, cfg)
+    run(bg, None, ops, cfg)
     for protocol in ("tree", "general"):
         NetworkSim(bg, ops, cfg, protocol=protocol).run(3)
     assert vars(bg).keys() == {"state", "base"}

@@ -39,7 +39,6 @@ from graphdrs.solver import (
     make_ryu,
     make_three_op_complete,
     run,
-    run_wtilde,
     state_variance,
     step_general,
     step_tree,
@@ -158,7 +157,7 @@ def test_classical_drs_bitwise():
         w_ref = w_ref + theta * (x2 - x1)
         xs_ref.append((x1, x2))
 
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     w = np.zeros((1, 2))
     for k in range(1000):
         x, w, _ = step_general(plan, sigma, theta, w, k)
@@ -194,7 +193,7 @@ def test_ryu_transcription(n):
         return (r + tau * centers[i]) / (1.0 + tau)
 
     w_ref = [np.zeros(2) for _ in range(n - 1)]
-    plan = StepPlan(bg, ops, tree_decomposition(bg).z)
+    plan = StepPlan(bg, ops, tree_decomposition(bg))
     w = np.zeros((n - 1, 2))
     for k in range(200):
         x_ref = [None] * n
@@ -229,7 +228,7 @@ def test_three_op_complete_transcription():
 
     wt1 = np.zeros(2)
     wt2 = np.zeros(2)
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     w = np.zeros((2, 2))
     for k in range(200):
         x1 = j(0, 0.5 * wt1)
@@ -261,7 +260,7 @@ def test_malitsky_tam_runs_to_consensus():
 def test_tree_step_matches_general_bitwise():
     bg = BilevelGraph(complete(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
-    plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
+    plan = StepPlan(bg, ops, incidence_decomposition(bg.base))
     w = np.zeros((3, 2))
     we = np.zeros((3, 2))
     for k in range(100):
@@ -277,7 +276,7 @@ def test_wtilde_matches_general():
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     decomp = spectral_decomposition(g)
-    plan, node_local = StepPlan(bg, ops, decomp.z), StepPlan(bg, ops)
+    plan, node_local = StepPlan(bg, ops, decomp), StepPlan(bg, ops)
     w = np.zeros((3, 2))
     wt = np.zeros((4, 2))
     for k in range(100):
@@ -285,7 +284,7 @@ def test_wtilde_matches_general():
         xw, wt, _ = step_general(node_local, 1.0, 1.0, wt, k)
         assert np.abs(xg - xw).max() < 1e-10
         # wt tracks Z w
-        assert np.abs(wt - decomp.z @ w).max() < 1e-10
+        assert np.abs(wt - decomp @ w).max() < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -305,9 +304,9 @@ def test_run_rejects_wrong_shape_w0(shape, dim):
 def test_run_wtilde_rejects_wrong_shape_wt0(shape):
     bg = make_malitsky_tam(4)
     ops = quad_ops([np.zeros(2)] * 4)
-    expected = re.escape(f"wt0 must have shape (N, dim) = (4, 2), got {shape}")
+    expected = re.escape(f"w0 must have shape (N, dim) = (4, 2), got {shape}")
     with pytest.raises(ValueError, match=expected):
-        run_wtilde(bg, ops, SolverConfig(sigma=1.0, max_iter=2), wt0=np.zeros(shape))
+        run(bg, None, ops, SolverConfig(sigma=1.0, max_iter=2), w0=np.zeros(shape))
 
 
 def test_initial_dual_of_dimension_free_resolvents_sets_the_dimension():
@@ -327,10 +326,10 @@ def test_wtilde_rejects_nonzero_sum():
     ops = quad_ops([np.zeros(2)] * 3)
     cfg = SolverConfig(sigma=1.0, max_iter=1)
     wt0 = np.array([[1.0, 2.0], [-0.5, -1.0], [-0.5, -1.0]])
-    run_wtilde(bg, ops, cfg, wt0=wt0)  # sums to zero exactly
+    run(bg, None, ops, cfg, w0=wt0)  # sums to zero exactly
     wt0[0, 0] += 1e-6
     with pytest.raises(ValueError, match="sum to zero"):
-        run_wtilde(bg, ops, cfg, wt0=wt0)
+        run(bg, None, ops, cfg, w0=wt0)
 
 
 def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
@@ -339,7 +338,7 @@ def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
     calls = []
     ops = [Resolvent(2, lambda tau, r, out: calls.append(tau))] * 3
     with pytest.raises(ValueError, match="sum to zero"):
-        run_wtilde(bg, ops, SolverConfig(sigma=1.0, max_iter=3), wt0=np.ones((3, 2)))
+        run(bg, None, ops, SolverConfig(sigma=1.0, max_iter=3), w0=np.ones((3, 2)))
     assert calls == []
 
 
@@ -347,7 +346,7 @@ def test_decomposition_independence_orthogonal():
     g = complete(4)
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
-    z = spectral_decomposition(g).z
+    z = spectral_decomposition(g)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     p1, p2 = StepPlan(bg, ops, z), StepPlan(bg, ops, z @ q)
     w1, w2 = np.zeros((3, 2)), np.zeros((3, 2))
@@ -361,8 +360,8 @@ def test_decomposition_independence_incidence_vs_spectral():
     base = OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)])
     bg = BilevelGraph(complete(4), base)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
-    p1 = StepPlan(bg, ops, incidence_decomposition(base).z)
-    p2 = StepPlan(bg, ops, spectral_decomposition(base).z)
+    p1 = StepPlan(bg, ops, incidence_decomposition(base))
+    p2 = StepPlan(bg, ops, spectral_decomposition(base))
     w1, w2 = np.zeros((3, 2)), np.zeros((3, 2))
     for k in range(100):
         x1, w1, _ = step_general(p1, 1.0, 1.0, w1, k)
@@ -384,7 +383,7 @@ def test_lifted_reduction_tracks_w(n):
         for mu in rng.uniform(0.5, 2.0, size=n)
     ]
     cfg = SolverConfig(sigma=1.2, theta=1.3)
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     u = np.zeros((2 * n - 1, 3))
     w = np.zeros((n - 1, 3))
     for k in range(50):
@@ -401,7 +400,7 @@ def test_lifted_resolvent_identity():
         prox_translated_quadratic(rng.standard_normal(2), mu)
         for mu in rng.uniform(0.5, 2.0, size=4)
     ]
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     for _ in range(20):
         w = rng.standard_normal((3, 2))
         reduced = lifted_resolvent_w(bg, decomp, ops, 1.0, w)
@@ -421,10 +420,10 @@ def test_subgradients_match_affine_operators():
     mus = [1.0, 2.0, 0.5, 1.5]
     ops = [prox_translated_quadratic(c, m) for c, m in zip(centers, mus)]
     decomp = spectral_decomposition(base)
-    plan = StepPlan(bg, ops, decomp.z)
+    plan = StepPlan(bg, ops, decomp)
     w = rng.standard_normal((3, 2)) * 0.1
     x, _, _ = step_general(plan, 1.3, 1.0, w, 0)
-    a = compute_subgradients(bg, decomp.z, 1.3, w, x)
+    a = compute_subgradients(bg, decomp, 1.3, w, x)
     expected = np.array([m * (xi - c) for m, xi, c in zip(mus, x, centers)])
     assert np.abs(a - expected).max() < 1e-10
 
@@ -480,7 +479,7 @@ def test_nonfinite_names_node_and_operator():
     with pytest.raises(NumericalError, match="iteration 0: node 1 .*'blowup'"):
         run(bg, tree_decomposition(bg), ops, cfg)
     with pytest.raises(NumericalError, match="node 1 .*'blowup'"):
-        run_wtilde(bg, ops, cfg)
+        run(bg, None, ops, cfg)
     with pytest.raises(NumericalError, match="node 1 .*'blowup'"):
         step_tree(bg, ops, 1.0, 1.0, np.zeros((2, 2)))
 
@@ -528,7 +527,7 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
         return call(self, tau, r, out)
 
     monkeypatch.setattr(Resolvent, "__call__", counting)
-    z = incidence_decomposition(bg.base).z
+    z = incidence_decomposition(bg.base)
     for plan, z_ref in ((StepPlan(bg, ops, z), z), (StepPlan(bg, ops), np.eye(bg.n_nodes))):
         schedule = plan.schedule
         assert [nodes for nodes, _ in schedule] == [[0], [11], [22], [33], [44], []]
@@ -571,7 +570,7 @@ def test_run_wtilde_matches_run():
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     cfg = SolverConfig(sigma=1.0, max_iter=80)
     st1, tr1 = run(bg, spectral_decomposition(g), ops, cfg)
-    st2, tr2 = run_wtilde(bg, ops, cfg)
+    st2, tr2 = run(bg, None, ops, cfg)
     assert np.abs(st1.x - st2.x).max() < 1e-9
     for r1, r2 in zip(tr1, tr2):
         assert r1.residual_sq == pytest.approx(r2.residual_sq, rel=1e-8, abs=1e-12)
@@ -609,7 +608,7 @@ def test_nonfinite_duals_into_an_official_name_its_quadratic(node_local):
         w[11, 3] = np.nan  # reaches official 11 and what follows it
         expected = "iteration 2: node 11 .*'quadratic'"
     else:
-        plan = StepPlan(bg, ops, incidence_decomposition(bg.base).z)
+        plan = StepPlan(bg, ops, incidence_decomposition(bg.base))
         w = np.zeros((54, 50))
         w[bg.base.edges.index((0, 11)), 3] = np.nan  # both ends of the edge
         expected = "iteration 2: node 0 .*'quadratic'"
@@ -625,11 +624,9 @@ def test_run_rejects_non_finite_initial_duals(bad, form):
     cfg = SolverConfig(sigma=1.0, max_iter=3)
     w0 = np.zeros((bg.n_nodes - (form == "w0"), 12))
     w0[2, 5] = bad
-    with pytest.raises(ValueError, match=re.escape(f"{form}[2, 5] must be finite, got {bad}")):
-        if form == "w0":
-            run(bg, incidence_decomposition(bg.base), ops, cfg, w0=w0)
-        else:
-            run_wtilde(bg, ops, cfg, wt0=w0)
+    z = incidence_decomposition(bg.base) if form == "w0" else None
+    with pytest.raises(ValueError, match=re.escape(f"w0[2, 5] must be finite, got {bad}")):
+        run(bg, z, ops, cfg, w0=w0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +650,10 @@ def step_peak_and_returned(plan, w):
 def test_a_step_allocates_little_beyond_what_it_returns():
     _, transport_ops = build_transport(35)
     g = complete(4)
-    transport = (StepPlan(BilevelGraph(g, g), transport_ops, spectral_decomposition(g).z),
+    transport = (StepPlan(BilevelGraph(g, g), transport_ops, spectral_decomposition(g)),
                  rng.standard_normal((3, 2450)))
     _, svm_ops, bg = build_svm(50, 5, 10)
-    svm = (StepPlan(bg, svm_ops, incidence_decomposition(bg.base).z),
+    svm = (StepPlan(bg, svm_ops, incidence_decomposition(bg.base)),
            0.5 * rng.standard_normal((54, 50)))
     for plan, w in (transport, svm):
         peak, returned = step_peak_and_returned(plan, w)
@@ -665,7 +662,7 @@ def test_a_step_allocates_little_beyond_what_it_returns():
 
 def test_step_returns_fresh_arrays_and_one_plan_serves_two_dims():
     _, ops, bg = build_svm(50, 5, 10)
-    z = incidence_decomposition(bg.base).z
+    z = incidence_decomposition(bg.base)
     plan = StepPlan(bg, ops, z)
     w = 0.5 * rng.standard_normal((54, 50))
     first = step_general(plan, 0.7, 1.4, w, 0)
@@ -688,4 +685,4 @@ def test_mismatched_operator_dimensions_name_the_node(node_local):
     cfg = SolverConfig(sigma=1.0, max_iter=2)
     expected = "node 2 .*'translated_quadratic'.* dimension 3.* 2"
     with pytest.raises(ValueError, match=expected):
-        run_wtilde(bg, ops, cfg) if node_local else run(bg, tree_decomposition(bg), ops, cfg)
+        run(bg, None if node_local else tree_decomposition(bg), ops, cfg)
