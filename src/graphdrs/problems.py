@@ -274,6 +274,8 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
     Official c carries the quadratic term weighted by its share of the total
     official degree; agent (c, i) carries one hinge term.
     """
+    if officials < 1:
+        raise ValueError(f"officials must be >= 1, got {officials}")
     if per_official < 1:
         raise ValueError(f"per_official must be >= 1, got {per_official}")
     if n != officials * per_official:
@@ -374,7 +376,8 @@ def transport_from_config(cfg):
 def svm_from_config(cfg):
     n = int(cfg.get("n", 50))
     officials = int(cfg.get("officials", 5))
-    per_official = int(cfg.get("per_official", n // officials))
+    # no division by a bad officials count: build_svm names it
+    per_official = int(cfg["per_official"]) if "per_official" in cfg else n // max(officials, 1)
     return build_svm(
         n,
         officials,

@@ -1,20 +1,28 @@
 """Deterministic message-passing simulation of the distributed protocols.
 
+A protocol is the centralized sweep executed node by node, read off the
+:class:`StepPlan` of its form: incidence Z on a tree base (tree), or the
+node-local Z = I (general).  Agent i applies row i of Z to the duals it
+holds.  Dual row c belongs to the last nonzero row of Z's column c (the head
+of tree edge c, or node c), which applies row c of the update map (Z^T, or
+the base Laplacian L) to the estimates it holds and sends the result to the
+column's other nonzero rows.  An agent sends its estimate to its state
+out-neighbours, then to every other owner of an update row that reads it
+(its base in-neighbours, for node-local duals).  It updates its rows in its
+own turn when it holds their estimates by then (always, on a tree), and
+otherwise after the round's last agent.
+
 Agents execute in ascending label order within a synchronous round (the only
 causally consistent sequential schedule), exchange value copies over
 in-order reliable channels, and invoke the very same per-node kernels as the
 centralized solver, so simulated and centralized iterates are bit-identical.
-
-The bilevel graph is the protocol: an agent receives estimates only along
-state edges and duals only along base edges.  A run reads each agent's
-(peer, channel) receive and send lists off the graph once, with one deque per
-directed pair, so a round looks up no channel.  Every message of a run,
-payload included, stays in its log; the round estimates are written into a
-preallocated (rounds, N, dim) history.  The duals are a list of per-row
-arrays, one row per base edge (tree) or node (general), each updated only by
-its owner; a run returns them stacked, rows as in the centralized duals.
-Each run starts from a fresh network, so a second run on one simulator
-repeats the first.
+A run reads each agent's (peer, channel) receive and send lists off the plan
+once, with one deque per directed pair, so a round looks up no channel.
+Every message of a run, payload included, stays in its log; the round
+estimates are written into a preallocated (rounds, N, dim) history.  The
+duals are a list of per-row arrays, each updated only by its owner; a run
+returns them stacked, rows as in the centralized duals.  Each run starts
+from a fresh network, so a second run on one simulator repeats the first.
 """
 
 from collections import deque
@@ -23,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import incidence_decomposition
-from .solver import (
-    StepPlan,
-    _infer_dim,
-    node_dual_term,
-    node_solution,
-    tree_w_update,
-    wtilde_node_update,
-)
+from .solver import StepPlan, _infer_dim, node_dual_term, node_solution, row_sum
 
 
 class ProtocolError(RuntimeError):
@@ -57,9 +58,10 @@ class NetworkSim:
     """Synchronous event loop over per-pair in-order channels.
 
     Agent i runs ops[i] and talks only along the bilevel graph: estimates
-    over state edges, duals over base edges.  Its in-neighbours, degrees and
-    dimension come from plan, the :class:`StepPlan` of the protocol's
-    centralized form (incidence Z for tree, node-local for general).
+    over state edges and reversed base edges, duals over base edges.  Its
+    channels, degrees and dimension come from plan, the :class:`StepPlan` of
+    the protocol's centralized form (incidence Z for tree, node-local for
+    general), which the protocol name only chooses.
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -105,107 +107,80 @@ class NetworkSim:
             )
         return msg.payload
 
-    # -- protocols ----------------------------------------------------------
+    # -- the protocol -------------------------------------------------------
+
+    def _agents(self):
+        """Read off the plan: each dual row's (owner, dual sends), and per
+        agent (i, d_i, its row of Z as (coefficient, dual row, owner,
+        channel or None if owned), estimate receives, estimate sends, late
+        estimate receives, owned rows as (c, update row, dual sends))."""
+        plan, chan = self.plan, self._channel
+        z, update = plan.z, plan.z_cols.toarray()
+
+        def nonzero(v):
+            return np.flatnonzero(v).tolist()
+
+        owner = [nonzero(col)[-1] for col in z.T]
+        duals = [(o, [(h, chan(o, h)) for h in nonzero(col)[:-1]])
+                 for o, col in zip(owner, z.T)]
+        agents = []
+        for i in range(plan.n_nodes):
+            x_in, outs = plan.in_nbrs[i], self.bg.state.out_neighbors(i)
+            readers = {owner[c] for c in nonzero(update[:, i])} - {i, *outs}
+            owned = [c for c, o in enumerate(owner) if o == i]
+            late = {j for c in owned for j in nonzero(update[c])} - {i, *x_in}
+            agents.append((
+                i,
+                plan.degrees[i],
+                [(float(z[i, c]), c, owner[c], None if owner[c] == i else chan(owner[c], i))
+                 for c in nonzero(z[i])],
+                [(h, chan(h, i)) for h in x_in],
+                [(j, chan(i, j)) for j in outs + sorted(readers)],
+                [(j, chan(j, i)) for j in sorted(late)],
+                [(c, [(float(update[c, j]), j) for j in nonzero(update[c])], duals[c][1])
+                 for c in owned],
+            ))
+        return duals, agents
 
     def run(self, rounds):
         """Simulate rounds sweeps on a fresh network: new duals, channels and log."""
         self.channels = {}
         self.log = []
-        protocol = self._run_tree if self.protocol == "tree" else self._run_general
-        x_history, w = protocol(rounds)
-        return SimResult(x_history, np.reshape(w, (-1, self.dim)), self.log)
+        plan, dim, sigma = self.plan, self.dim, self.cfg.sigma
+        recv, send = self._recv, self._send
+        duals, agents = self._agents()
+        # round 0: owners initialize their duals and send them out
+        w = [np.zeros(dim) for _ in duals]
+        for c, (o, w_out) in enumerate(duals):
+            send(0, o, w_out, "w", w[c])
 
-    def _run_tree(self, rounds):
-        """Agent i owns the duals of its base in-edges (h, i), receives those
-        of its base out-edges (i, j) and the estimates of its state
-        in-neighbours, and sends its estimate to its state out-neighbours and
-        each owned dual back to h.  Returns (x_history, duals by edge)."""
-        bg, plan, dim = self.bg, self.plan, self.dim
-        sigma = self.cfg.sigma
-        recv, send, chan = self._recv, self._send, self._channel
-        edge_id = {e: k for k, e in enumerate(bg.base.edges)}
-        # per agent, built once: dual receives (peer, channel) in Z's column
-        # order, estimate receives (peer, channel), owned duals as
-        # (h, edge, [(h, channel to h)]) and estimate sends (dst, channel)
-        agents = [
-            (
-                i,
-                plan.degrees[i],
-                [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
-                [(h, chan(h, i)) for h in plan.in_nbrs[i]],
-                [(h, edge_id[(h, i)], [(h, chan(i, h))])
-                 for h in bg.base.in_neighbors(i)],
-                [(j, chan(i, j)) for j in bg.state.out_neighbors(i)],
-            )
-            for i in range(bg.n_nodes)
-        ]
-        # round 0: owners initialize their duals and push them upstream
-        w = [np.zeros(dim) for _ in bg.base.edges]
-        for e, (h, i) in enumerate(bg.base.edges):
-            send(0, i, [(h, chan(i, h))], "w", w[e])
-        x_history = np.empty((rounds, bg.n_nodes, dim))
+        def update(rnd, theta, i, held, rows):
+            for c, row, w_out in rows:
+                w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
+                send(rnd, i, w_out, "w", w[c])
+
+        x_history = np.empty((rounds, plan.n_nodes, dim))
         for rnd in range(1, rounds + 1):
             theta = self.cfg.theta_at(rnd - 1)
             x = x_history[rnd - 1]
-            for i, d_i, w_in, x_in, owned, x_out in agents:
-                w_terms = [(-1.0, w[e]) for _, e, _ in owned]
-                w_terms += [(1.0, recv(rnd, i, j, c, "w")) for j, c in w_in]
-                peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
-                node_solution(
-                    plan.ops[i], sigma, d_i, list(peer_x.values()),
-                    node_dual_term(d_i, w_terms, dim), x[i],
-                )
-                for h, e, _ in owned:
-                    w[e] = tree_w_update(w[e], theta, x[i], peer_x[h])
+            deferred = []
+            for i, d_i, w_in, x_in, x_out, x_late, rows in agents:
+                w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
+                           for a, c, o, ch in w_in]
+                held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
+                node_solution(plan.ops[i], sigma, d_i, list(held.values()),
+                              node_dual_term(d_i, w_terms, dim), x[i])
+                held[i] = x[i]
                 send(rnd, i, x_out, "x", x[i])
-                for _, e, to_h in owned:
-                    send(rnd, i, to_h, "w", w[e])
-        return x_history, w
-
-    def _run_general(self, rounds):
-        """Phase 1: agent i receives its state in-neighbours' estimates and
-        sends its own to its state out-neighbours, then to its base
-        in-neighbours.  Phase 2: it receives its base out-neighbours'
-        estimates and updates its node-local dual over all base neighbours.
-        Returns (x_history, duals by node)."""
-        bg, plan, dim = self.bg, self.plan, self.dim
-        sigma = self.cfg.sigma
-        recv, send, chan = self._recv, self._send, self._channel
-        # per agent, built once: phase-1 and phase-2 receives (peer, channel),
-        # estimate sends (dst, channel) and the base neighbours of the update
-        agents = [
-            (
-                i,
-                plan.degrees[i],
-                [(h, chan(h, i)) for h in plan.in_nbrs[i]],
-                [(j, chan(j, i)) for j in bg.base.out_neighbors(i)],
-                [(j, chan(i, j))
-                 for j in bg.state.out_neighbors(i) + bg.base.in_neighbors(i)],
-                bg.base.adjacency(i),
-            )
-            for i in range(bg.n_nodes)
-        ]
-        wt = [np.zeros(dim) for _ in range(bg.n_nodes)]
-        x_history = np.empty((rounds, bg.n_nodes, dim))
-        for rnd in range(1, rounds + 1):
-            theta = self.cfg.theta_at(rnd - 1)
-            x = x_history[rnd - 1]
-            received = []  # per agent: the estimates it holds this round
-            for i, d_i, x_in, _, x_out, _ in agents:
-                peer_x = {h: recv(rnd, i, h, c, "x") for h, c in x_in}
-                node_solution(
-                    plan.ops[i], sigma, d_i, list(peer_x.values()),
-                    node_dual_term(d_i, [(1.0, wt[i])], dim), x[i],
-                )
-                send(rnd, i, x_out, "x", x[i])
-                received.append(peer_x)
-            for (i, _, _, phase2, _, base_adj), peer_x in zip(agents, received):
-                for j, c in phase2:
-                    peer_x[j] = recv(rnd, i, j, c, "x")
-                wt[i] = wtilde_node_update(
-                    wt[i], theta, len(base_adj), x[i], [peer_x[j] for j in base_adj],
-                )
-        return x_history, wt
+                if x_late:
+                    deferred.append((i, held, x_late, rows))
+                else:
+                    update(rnd, theta, i, held, rows)
+            for i, held, x_late, rows in deferred:
+                for j, ch in x_late:
+                    held[j] = recv(rnd, i, j, ch, "x")
+                update(rnd, theta, i, held, rows)
+        return SimResult(x_history, np.reshape(w, (-1, dim)), self.log)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):

@@ -11,23 +11,24 @@ N operators and a factorization, the N x (N-1) array Z of
   (with the incidence Z of a tree base, w is indexed by base edges; the
   one-shot :func:`step_tree` builds that plan on each call);
 * ``StepPlan(bg, ops)`` (z=None) -- node-local dual variables with zero sum,
-  one per node, usable with any base graph (Z = I).
+  one per node, usable with any base graph (Z = I, update L x with the base
+  Laplacian L).
 
 :func:`run` takes the same z, None included.
 
-The plan holds the state in-neighbor lists, 1/d_i, Z and the update map as
-CSR matrices and the level schedule of the state DAG.  A CSR product sums
-each row from zero in ascending column order, the order
-:func:`node_dual_term` uses.  A sweep walks the levels, each node on the
-latest it can take: one below its shallowest state out-neighbor, every sink
-(such as an SVM hinge agent) on the last.  Nodes of one level never read
-each other, so a level's hinge nodes are one stacked resolvent call
+The plan holds the state in-neighbor lists, 1/d_i, Z and the update map
+(Z^T, or L) as CSR matrices and the level schedule of the state DAG.  A CSR
+product sums each row from zero in ascending column order, the order the
+per-row kernel :func:`row_sum` uses.  A sweep walks the levels, each node on
+the latest it can take: one below its shallowest state out-neighbor, every
+sink (such as an SVM hinge agent) on the last.  Nodes of one level never
+read each other, so a level's hinge nodes are one stacked resolvent call
 (:func:`~graphdrs.operators.stack_hinges`) and every other node is one
 :func:`node_solution`.  The per-node arithmetic lives in small shared
-kernels (:func:`node_solution`, :func:`node_dual_term`, :func:`tree_w_update`,
-:func:`wtilde_node_update`) that the message-passing simulator reuses
-verbatim; the stacked and CSR forms repeat their operations elementwise, so
-centralized and simulated runs agree bit for bit.
+kernels (:func:`node_solution`, :func:`row_sum`, :func:`node_dual_term`)
+that the message-passing simulator reuses verbatim; the stacked and CSR
+forms repeat their operations elementwise, so centralized and simulated
+runs agree bit for bit.
 """
 
 import math
@@ -125,30 +126,30 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     return op(sigma / d_i, out, out=out)
 
 
-def node_dual_term(d_i, w_terms, dim):
-    """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order.
+def row_sum(terms, dim):
+    """Sum of coefficient * vector over (coefficient, vector) terms, added
+    from zero one at a time in column order, as a CSR product sums its row;
+    a +-1 coefficient adds or subtracts the vector, exactly +-1.0 * vector.
 
-    Accumulates from zero in column order, as the step's CSR product does,
-    so one node's term equals its row of the whole-array form bit for bit.
+    Row i of Z w (:func:`node_dual_term`) and row c of the update map (Z^T
+    x, or L x: the simulator's dual update) are this sum, so one row equals
+    its row of the whole-array form bit for bit.
     """
-    acc, term = np.zeros(dim), np.empty(dim)
-    for coeff, wv in w_terms:
-        acc += np.multiply(coeff, wv, out=term)
+    acc = np.zeros(dim)
+    for coeff, v in terms:
+        if coeff == 1.0:
+            acc += v
+        elif coeff == -1.0:
+            acc -= v
+        else:
+            acc += coeff * v
+    return acc
+
+
+def node_dual_term(d_i, w_terms, dim):
+    """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order."""
+    acc = row_sum(w_terms, dim)
     return np.multiply(1.0 / d_i, acc, out=acc)
-
-
-def tree_w_update(w_edge, theta, x_i, x_h):
-    """Dual update along a base edge (h, i) of a tree base graph."""
-    return w_edge + theta * (x_i - x_h)
-
-
-def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
-    """Node-local dual update: one Laplacian row applied to the estimates."""
-    acc = np.zeros_like(x_i)
-    for xj in neighbor_xs:
-        acc += xj
-    np.subtract(np.multiply(dprime_i, x_i), acc, out=acc)
-    return np.subtract(wt_i, np.multiply(theta, acc, out=acc), out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +158,14 @@ def wtilde_node_update(wt_i, theta, dprime_i, x_i, neighbor_xs):
 class StepPlan:
     """Precomputed sparsity of one sweep, built once and read by every step.
 
-    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, Z (for
-    the dual terms Z w) and Z^T (for Z^T x) as CSR matrices, whose products
-    sum each row from zero in ascending column order as
-    :func:`node_dual_term` does, and the level schedule of the state DAG: a
+    Holds the state in-neighbor lists, the degrees d_i and 1/d_i, Z (z_rows,
+    for the dual terms Z w) and the update map (z_cols: Z^T, for Z^T x) as
+    CSR matrices, whose products sum each row from zero in ascending column
+    order as :func:`row_sum` does, and the level schedule of the state DAG: a
     node sits one level below its shallowest out-neighbor, a sink on the
     last of longest-path + 1 levels, so one level's nodes never read each
-    other.  Without z the duals are node-local: Z = I, z_cols is the base
-    adjacency A and the update is L x = D x - A x, D being base_degrees
-    (None when z is given).  A plan belongs to its graph, Z and the N
+    other.  Without z the duals are node-local: Z = I and the update map
+    z_cols is the base Laplacian L.  A plan belongs to its graph, Z and the N
     operators ops; dim is the first dimension a resolvent fixes, which
     every other fixed one must equal (None when all are dimension-free).
     """
@@ -181,14 +181,12 @@ class StepPlan:
                 raise ValueError(f"node {i} (resolvent {op.name!r}) has dimension "
                                  f"{op.dim}, but an earlier resolvent fixes {self.dim}")
         if z is None:
-            lap = laplacian(bg.base)
-            self.base_degrees = lap.diagonal()[:, None]
-            self.z, to_duals = np.eye(n), np.diag(lap.diagonal()) - lap
+            self.z, to_duals = np.eye(n), laplacian(bg.base)
         else:
             z = np.asarray(z, dtype=float)
             if z.shape != (n, n - 1):
                 raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
-            self.base_degrees, self.z, to_duals = None, z, z.T
+            self.z, to_duals = z, z.T
         self.z_rows, self.z_cols = sparse.csr_matrix(self.z), sparse.csr_matrix(to_duals)
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
         degrees = bg.state.degrees()
@@ -276,9 +274,6 @@ def step_general(plan, sigma, theta, w, k=0):
     """
     x = _sweep(plan, sigma, w, k)
     update = plan.z_cols @ x
-    if plan.base_degrees is not None:
-        scratch = plan.workspace(x.shape[1])[1]
-        np.subtract(np.multiply(plan.base_degrees, x, out=scratch), update, out=update)
     w_new = np.multiply(theta, update)
     return x, np.subtract(w, w_new, out=w_new), update
 
@@ -339,7 +334,8 @@ def _initial_dual(plan, w0):
     """w0 as a float array, or zeros when None, checked to be one row per
     column of Z by dim (the plan's, else w0's last), and node-local duals
     to sum to zero."""
-    n_rows, node_local = plan.z.shape[1], plan.base_degrees is not None
+    n_rows = plan.z.shape[1]
+    node_local = n_rows == plan.n_nodes
     if w0 is None:
         return np.zeros((n_rows, _infer_dim(plan)))
     w = np.array(w0, dtype=float)
@@ -367,7 +363,8 @@ def _iterate(plan, cfg, w, objective):
     last sweep.  The diagnostics work in the plan's scratch buffer.
     """
     subgradients, m_sum = _subgradient_map(plan.bg, cfg.sigma)
-    z_sum, node_local = plan.z.sum(axis=0), plan.base_degrees is not None
+    z_sum = plan.z.sum(axis=0)
+    node_local = len(z_sum) == plan.n_nodes
     traces = []
     for k in range(cfg.max_iter):
         w_in = w

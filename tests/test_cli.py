@@ -579,3 +579,18 @@ def test_solve_svm_without_agents_names_per_official(tmp_path, capsys):
     assert code == 2
     assert "per_official" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("cfg_text", [
+    "problem = svm\nn = 0\nofficials = 0\n",
+    "problem = svm\nn = 10\nofficials = 0\nper_official = 2\n",
+], ids=["no_agents", "per_official_given"])
+def test_svm_without_officials_names_officials(tmp_path, capsys, command, cfg_text):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "officials must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

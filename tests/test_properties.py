@@ -40,7 +40,7 @@ from graphdrs.operators import (
     zero_operator,
 )
 from graphdrs.problems import divergence_matrix
-from graphdrs.simulate import run_general_protocol, run_tree_protocol
+from graphdrs.simulate import message_stats, run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
@@ -51,7 +51,6 @@ from graphdrs.solver import (
     state_variance,
     step_general,
     step_tree,
-    wtilde_node_update,
 )
 
 SWEEPS = 4
@@ -186,12 +185,28 @@ def test_protocols_equal_centralized_steps(problem):
         x, wt, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), wt, k)
         assert np.array_equal(general.x_history[k], x)
     assert np.array_equal(general.w, wt)
+    results = [general]
     if bg.base.is_tree():
         tree = run_tree_protocol(bg, ops, cfg, rounds=SWEEPS)
         w = np.zeros((bg.n_nodes - 1, dim))
         for k in range(SWEEPS):
             x, w = step_tree(bg, ops, cfg.sigma, cfg.theta_at(k), w, k)
             assert np.array_equal(tree.x_history[k], x)
+        assert np.array_equal(tree.w, w)
+        results.append(tree)
+    # the channels derived from the plan: |E| + |E'| messages a round, each
+    # estimate along a state edge or a reversed base edge, each dual from
+    # the head of its base edge to the tail
+    state, base = set(bg.state.edges), set(bg.base.edges)
+    for result in results:
+        per_round = message_stats(result.log)["per_round"]
+        for rnd in range(1, SWEEPS + 1):
+            assert per_round[rnd] == len(state) + len(base)
+        for msg in result.log:
+            if msg.kind == "x":
+                assert (msg.src, msg.dst) in state or (msg.dst, msg.src) in base
+            else:
+                assert msg.kind == "w" and (msg.dst, msg.src) in base
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +326,8 @@ def test_step_wtilde_equals_per_node_sweep_bitwise(problem):
     for k in range(SWEEPS):
         x, wt_new, _ = step_general(plan, 0.8, 1.1, wt, k)
         x_ref = reference_sweep(bg, np.eye(n), ops, 0.8, wt)
-        wt_ref = [
-            wtilde_node_update(wt[i], 1.1, len(adj), x_ref[i], [x_ref[j] for j in adj])
-            for i, adj in enumerate(map(bg.base.adjacency, range(n)))
-        ]
         assert same_bits(x, x_ref)
-        assert same_bits(wt_new, np.array(wt_ref))
+        assert same_bits(wt_new, wt - 1.1 * loop_gather(laplacian(bg.base), x_ref))
         wt = wt_new
 
 
