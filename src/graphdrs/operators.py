@@ -4,13 +4,15 @@ Every operator is a :class:`Resolvent`: a map (step tau, input r) -> output,
 single-valued, everywhere defined and firmly nonexpansive.  The step is a
 call-time argument because the solver uses node-dependent steps.
 
-``op(tau, r, out=None)`` writes into ``out`` (allocated when None) and returns
-it; ``r`` may be ``out``.  Kernels keep their temporaries in scratch arrays
-made once per input shape, so calls on one resolvent must not overlap.
+Every resolvent fixes its dimension, a positive integer, when it is built,
+and rejects an input whose last axis has another length.  ``op(tau, r,
+out=None)`` writes into ``out`` (allocated when None) and returns it; ``r``
+may be ``out``.  Kernels keep their temporaries in scratch arrays made once,
+at construction, so calls on one resolvent must not overlap.
 """
 
-import functools
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
@@ -25,6 +27,8 @@ class Resolvent:
     fn(tau, r, out) writes J_tau(r) into out, and r may be out."""
 
     def __init__(self, dim, fn, name="resolvent"):
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise OperatorError(f"{name} dimension must be a positive integer, got {dim!r}")
         self.dim = dim
         self.name = name
         self._fn = fn
@@ -33,6 +37,9 @@ class Resolvent:
         if not tau >= 0:  # NaN fails this too
             raise OperatorError(f"step size must be nonnegative, got {tau}")
         r = np.asarray(r, dtype=float)
+        if r.shape[-1:] != (self.dim,):
+            raise OperatorError(f"resolvent {self.name!r} has dimension {self.dim}, "
+                                f"got an input of shape {r.shape}")
         out = np.empty(r.shape) if out is None else out
         self._fn(tau, r, out)
         return out
@@ -50,10 +57,11 @@ def _finite(name, vec):
     return vec
 
 
-def _as_blocks(r, copy=None):
-    if r.size % 2:
-        raise OperatorError("input length must be even for 2-vector blocks")
-    return np.reshape(r, (-1, 2), copy=copy)
+def _n_blocks(dim, name):
+    """dim // 2, the number of 2-vector blocks of a positive even dim."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2 or dim % 2:
+        raise OperatorError(f"{name} dimension must be a positive even integer, got {dim!r}")
+    return dim // 2
 
 
 def _block_norms(blocks, out=None, tmp=None):
@@ -64,12 +72,6 @@ def _block_norms(blocks, out=None, tmp=None):
     out = np.multiply(x0, x0, out=out)
     out += np.multiply(x1, x1, out=tmp)
     return np.sqrt(out, out=out)
-
-
-def _scratch(floats):
-    """n -> floats float arrays and one bool array of length n, made once per n."""
-    return functools.cache(lambda n: (*(np.empty(n) for _ in range(floats)),
-                                      np.empty(n, bool)))
 
 
 def prox_quadratic(k_matrix, weight):
@@ -177,43 +179,43 @@ def stack_hinges(hinges, divisors):
     return Resolvent(s.shape[1], fn, name="hinge")
 
 
-def prox_power_three_halves():
-    """Blockwise resolvent of tau * |block|^(3/2) over 2-vector blocks.
+def prox_power_three_halves(dim):
+    """Blockwise resolvent of tau * |block|^(3/2) over the 2-vector blocks of R^dim.
 
     Per block the direction is kept and the magnitude m = u^2 where u is the
     nonnegative root of u^2 + (3 tau / 2) u - |r| = 0 (closed form, exact and
     branch-free; the discriminant is always nonnegative).
     """
-    scratch = _scratch(3)
+    n = _n_blocks(dim, "power32")
+    norms, u, scale, nz = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
 
     def fn(tau, r, out):
-        blocks = _as_blocks(r)
-        norms, u, scale, nz = scratch(len(blocks))
+        blocks = r.reshape(-1, 2)
         _block_norms(blocks, norms, scale)
         half = 0.75 * tau  # (3 tau / 2) / 2
         np.add(-half, np.sqrt(np.add(half * half, norms, out=u), out=u), out=u)
-        u *= u
+        np.multiply(u, u, out=u)
         scale.fill(0.0)
         np.divide(u, norms, out=scale, where=np.greater(norms, 0, out=nz))
-        np.multiply(blocks, scale[:, None], out=_as_blocks(out, copy=False))
+        np.multiply(blocks, scale[:, None], out=np.reshape(out, (-1, 2), copy=False))
 
-    return Resolvent(-1, fn, name="power32")
+    return Resolvent(dim, fn, name="power32")
 
 
-def prox_group_l1():
-    """Blockwise resolvent of tau * |block| (group soft-thresholding)."""
-    scratch = _scratch(2)
+def prox_group_l1(dim):
+    """Blockwise resolvent of tau * |block| (group soft-thresholding) on R^dim."""
+    n = _n_blocks(dim, "group_l1")
+    norms, scale, nz = np.empty(n), np.empty(n), np.empty(n, bool)
 
     def fn(tau, r, out):
-        blocks = _as_blocks(r)
-        norms, scale, nz = scratch(len(blocks))
+        blocks = r.reshape(-1, 2)
         _block_norms(blocks, norms, scale)
         scale.fill(0.0)
         np.divide(tau, norms, out=scale, where=np.greater(norms, tau, out=nz))
         np.subtract(1.0, scale, out=scale, where=nz)
-        np.multiply(blocks, scale[:, None], out=_as_blocks(out, copy=False))
+        np.multiply(blocks, scale[:, None], out=np.reshape(out, (-1, 2), copy=False))
 
-    return Resolvent(-1, fn, name="group_l1")
+    return Resolvent(dim, fn, name="group_l1")
 
 
 def project_affine(lam, b, range_tol=1e-6):
@@ -276,15 +278,20 @@ def project_grid_divergence(div, p, b):
     return Resolvent(2 * m, fn, name="affine_projection")
 
 
-def project_capacity(bridge_idx, water_idx, cap):
+def project_capacity(bridge_idx, water_idx, cap, dim):
     """Blockwise projection: water blocks to zero, bridge blocks into a ball.
 
-    Blocks indexed by water_idx map to zero, blocks indexed by bridge_idx are
-    radially clipped to norm cap, all other blocks pass through; tau plays no
-    role.
+    Of the 2-vector blocks of R^dim, those indexed by water_idx map to zero,
+    those indexed by bridge_idx are radially clipped to norm cap, all others
+    pass through; tau plays no role.
     """
+    n = _n_blocks(dim, "capacity_projection")
     bridge = np.asarray(bridge_idx, dtype=int)
     water = np.asarray(water_idx, dtype=int)
+    for label, idx in (("bridge", bridge), ("water", water)):
+        outside = idx[(idx < 0) | (idx >= n)]
+        if outside.size:
+            raise OperatorError(f"{label} index {outside[0]} is outside [0, {n})")
     if np.intersect1d(bridge, water).size:
         raise OperatorError("bridge and water index sets overlap")
     if not cap > 0:  # also rejects nan; inf clips nothing
@@ -295,7 +302,7 @@ def project_capacity(bridge_idx, water_idx, cap):
 
     def fn(tau, r, out):
         np.copyto(out, r)
-        blocks = _as_blocks(out, copy=False)
+        blocks = np.reshape(out, (-1, 2), copy=False)
         blocks[water] = 0.0
         near = blocks[bridge]
         if np.greater(_block_norms(near, norms, scale), cap, out=over).any():
@@ -304,7 +311,7 @@ def project_capacity(bridge_idx, water_idx, cap):
             near *= scale[:, None]
             blocks[bridge] = near
 
-    return Resolvent(-1, fn, name="capacity_projection")
+    return Resolvent(dim, fn, name="capacity_projection")
 
 
 def prox_translated_quadratic(c, mu=1.0):

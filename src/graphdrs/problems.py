@@ -166,15 +166,13 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
         p=p, mu=mu, nu=nu, div=div,
         bridge=bridge_cells, water=water_cells, cap=cap,
     )
+    dim = 2 * p * p
     ops = [
         project_grid_divergence(div, p, nu - mu),
-        prox_power_three_halves(),
-        prox_group_l1(),
-        project_capacity(bridge_cells, water_cells, cap),
+        prox_power_three_halves(dim),
+        prox_group_l1(dim),
+        project_capacity(bridge_cells, water_cells, cap, dim),
     ]
-    # blockwise operators carry no dimension; pin it for the solver
-    for op in ops:
-        op.dim = 2 * p * p
     return inst, ops
 
 

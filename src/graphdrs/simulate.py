@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import incidence_decomposition
-from .solver import StepPlan, _infer_dim, node_dual_term, node_solution, row_sum
+from .solver import StepPlan, node_dual_term, node_solution, row_sum
 
 
 class ProtocolError(RuntimeError):
@@ -71,7 +71,6 @@ class NetworkSim:
             raise ValueError("tree protocol requires a tree base graph")
         z = incidence_decomposition(bg.base) if protocol == "tree" else None
         self.plan = StepPlan(bg, ops, z)
-        self.dim = _infer_dim(self.plan)
         self.bg = bg
         self.cfg = cfg
         self.protocol = protocol
@@ -146,7 +145,7 @@ class NetworkSim:
         """Simulate rounds sweeps on a fresh network: new duals, channels and log."""
         self.channels = {}
         self.log = []
-        plan, dim, sigma = self.plan, self.dim, self.cfg.sigma
+        plan, dim, sigma = self.plan, self.plan.dim, self.cfg.sigma
         recv, send = self._recv, self._send
         duals, agents = self._agents()
         # round 0: owners initialize their duals and send them out

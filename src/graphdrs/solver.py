@@ -166,8 +166,12 @@ class StepPlan:
     last of longest-path + 1 levels, so one level's nodes never read each
     other.  Without z the duals are node-local: Z = I and the update map
     z_cols is the base Laplacian L.  A plan belongs to its graph, Z and the N
-    operators ops; dim is the first dimension a resolvent fixes, which
-    every other fixed one must equal (None when all are dimension-free).
+    operators ops, which must all fix one dimension, dim.
+
+    The plan owns one workspace of (N, dim) arrays: a step writes (1/d) Z w
+    into w_term, stacks hinge inputs in scratch and tests x in finite; the
+    run loop's diagnostics then reuse scratch.  So a plan serves one step at
+    a time.
     """
 
     def __init__(self, bg, ops, z=None):
@@ -175,9 +179,9 @@ class StepPlan:
         if len(ops) != n:
             raise ValueError(f"need {n} operators, got {len(ops)}")
         self.bg, self.ops = bg, tuple(ops)
-        self.dim = next((op.dim for op in ops if op.dim > 0), None)
+        self.dim = ops[0].dim
         for i, op in enumerate(ops):
-            if op.dim > 0 and op.dim != self.dim:
+            if op.dim != self.dim:
                 raise ValueError(f"node {i} (resolvent {op.name!r}) has dimension "
                                  f"{op.dim}, but an earlier resolvent fixes {self.dim}")
         if z is None:
@@ -203,17 +207,9 @@ class StepPlan:
         # as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or None
         # when the level has fewer than two
         self.schedule = [self._level(nodes) for nodes in self.levels]
-        self._workspaces = {}
-
-    def workspace(self, dim):
-        """(w_term, scratch, finite), two float and one bool (N, dim) array
-        made on first use per dim: a step writes (1/d) Z w into w_term, stacks
-        hinge inputs in scratch and tests x in finite; the run loop's
-        diagnostics then reuse scratch.  So a plan serves one step at a time."""
-        if dim not in self._workspaces:
-            buf = np.empty((self.n_nodes, dim))
-            self._workspaces[dim] = buf, np.empty_like(buf), np.empty_like(buf, bool)
-        return self._workspaces[dim]
+        self.w_term = np.empty((n, self.dim))
+        self.scratch = np.empty_like(self.w_term)
+        self.finite = np.empty_like(self.w_term, bool)
 
     def _level(self, nodes):
         hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
@@ -250,7 +246,9 @@ def _sweep(plan, sigma, w, k):
     A level's hinge nodes are one stacked call, every other node one
     :func:`node_solution`; both give the bits of the per-node form.
     """
-    w_term, scratch, finite = plan.workspace(w.shape[1])
+    if w.shape[1:] != (plan.dim,):  # one column would broadcast into w_term
+        raise ValueError(f"duals must have {plan.dim} columns, got shape {w.shape}")
+    w_term = plan.w_term
     np.multiply(plan.inv_d, plan.z_rows @ w, out=w_term)
     x = np.empty_like(w_term)
     for nodes, batch in plan.schedule:
@@ -259,10 +257,10 @@ def _sweep(plan, sigma, w, k):
             node_solution(plan.ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
         if batch is not None:
             rows, hinges, into, two_over_d = batch
-            r = np.multiply(two_over_d, into @ x, out=scratch[: len(two_over_d)])
+            r = np.multiply(two_over_d, into @ x, out=plan.scratch[: len(two_over_d)])
             r += w_term[rows]
             x[rows] = hinges(sigma, r, out=r)
-    _check_finite(x, plan.ops, k, finite)
+    _check_finite(x, plan.ops, k, plan.finite)
     return x
 
 
@@ -321,30 +319,17 @@ def compute_subgradients(bg, z, sigma, w, x):
     return _subgradient_map(bg, sigma)[0](np.asarray(z) @ w, x)
 
 
-def _infer_dim(plan):
-    """The plan's dimension, which its resolvents fix."""
-    if plan.dim is None:
-        raise ValueError(
-            "cannot infer the ambient dimension: every resolvent is dimension-free"
-        )
-    return plan.dim
-
-
 def _initial_dual(plan, w0):
     """w0 as a float array, or zeros when None, checked to be one row per
-    column of Z by dim (the plan's, else w0's last), and node-local duals
-    to sum to zero."""
-    n_rows = plan.z.shape[1]
-    node_local = n_rows == plan.n_nodes
+    column of Z by the plan's dim, and node-local duals to sum to zero."""
+    shape = plan.z.shape[1], plan.dim
+    node_local = shape[0] == plan.n_nodes
     if w0 is None:
-        return np.zeros((n_rows, _infer_dim(plan)))
+        return np.zeros(shape)
     w = np.array(w0, dtype=float)
-    dim = plan.dim or (w.shape[-1] if w.ndim else None)
-    if w.shape != (n_rows, dim):
+    if w.shape != shape:
         rows = "N" if node_local else "N-1"
-        raise ValueError(
-            f"w0 must have shape ({rows}, dim) = {(n_rows, dim)}, got {w.shape}"
-        )
+        raise ValueError(f"w0 must have shape ({rows}, dim) = {shape}, got {w.shape}")
     if not np.isfinite(w).all():
         bad = tuple(np.argwhere(~np.isfinite(w))[0].tolist())
         raise ValueError(f"w0{list(bad)} must be finite, got {w[bad]}")
@@ -365,11 +350,10 @@ def _iterate(plan, cfg, w, objective):
     subgradients, m_sum = _subgradient_map(plan.bg, cfg.sigma)
     z_sum = plan.z.sum(axis=0)
     node_local = len(z_sum) == plan.n_nodes
-    traces = []
+    scratch, traces = plan.scratch, []
     for k in range(cfg.max_iter):
         w_in = w
         x, w, u = step_general(plan, cfg.sigma, cfg.theta_at(k), w_in, k)
-        scratch = plan.workspace(x.shape[1])[1]
         prod = np.multiply(x if node_local else u, u, out=scratch[: len(u)])
         residual_sq = float(np.add.reduce(prod, axis=None))
         a_sum = np.matmul(z_sum, w_in, out=scratch[0])

@@ -383,10 +383,10 @@ def test_criterion_11_operator_unit_suite():
     catalog = [
         prox_quadratic(np.eye(dim) + 0.1 * np.ones((dim, dim)), 0.5),
         prox_hinge_affine(local.standard_normal(dim), 1.0),
-        prox_power_three_halves(),
-        prox_group_l1(),
+        prox_power_three_halves(dim),
+        prox_group_l1(dim),
         project_affine(lam, b),
-        project_capacity([0], [1], 0.3),
+        project_capacity([0], [1], 0.3, dim),
         prox_translated_quadratic(local.standard_normal(dim), 2.0),
         zero_operator(dim),
     ]
@@ -401,7 +401,7 @@ def test_criterion_11_operator_unit_suite():
                 rhs = float((jx - jy) @ (xi - yi))
                 worst = max(worst, lhs - rhs)
     # spot-check closed forms against the frozen oracle values
-    p32 = prox_power_three_halves()
+    p32 = prox_power_three_halves(2)
     closed_ok = (
         np.abs(
             p32(1.0, np.array([3.0, 4.0]))
@@ -410,7 +410,7 @@ def test_criterion_11_operator_unit_suite():
         < 1e-9
     )
     gl1_ok = (
-        np.abs(prox_group_l1()(1.0, np.array([3.0, 4.0])) - [2.4, 3.2]).max()
+        np.abs(prox_group_l1(2)(1.0, np.array([3.0, 4.0])) - [2.4, 3.2]).max()
         < 1e-12
     )
     ok = worst <= 1e-9 and closed_ok and gl1_ok and time.time() - t0 < 10.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from graphdrs.operators import (
     OperatorError,
+    Resolvent,
     _block_norms,
     project_affine,
     project_capacity,
@@ -32,10 +35,10 @@ def make_catalog(dim=6):
     return [
         prox_quadratic(np.eye(dim) + 0.1 * np.ones((dim, dim)), 0.5),
         prox_hinge_affine(rng.standard_normal(dim), 1.0),
-        prox_power_three_halves(),
-        prox_group_l1(),
+        prox_power_three_halves(dim),
+        prox_group_l1(dim),
         project_affine(lam, b),
-        project_capacity([0], [1], 0.3),
+        project_capacity([0], [1], 0.3, dim),
         prox_translated_quadratic(rng.standard_normal(dim), 2.0),
         zero_operator(dim),
     ]
@@ -105,16 +108,16 @@ def test_power32_against_minimization_oracle():
     # frozen values from solving the stationarity condition
     # (m - |r|) + 1.5*tau*sqrt(m) = 0 in 50-digit decimal arithmetic;
     # a direct Nelder-Mead minimization agrees to its own ~1e-7 accuracy
-    op = prox_power_three_halves()
+    op = prox_power_three_halves(2)
     out = op(1.0, np.array([3.0, 4.0]))
     assert np.abs(out - [1.5523542452872641, 2.0698056603830189]).max() < 1e-9
     out = op(0.5, np.array([0.3, -0.4]))
     assert np.abs(out - [0.10857426164440226, -0.14476568219253635]).max() < 1e-9
-    assert np.array_equal(op(1.0, np.zeros(4)), np.zeros(4))
+    assert np.array_equal(prox_power_three_halves(4)(1.0, np.zeros(4)), np.zeros(4))
 
 
 def test_group_l1_soft_threshold():
-    op = prox_group_l1()
+    op = prox_group_l1(2)
     out = op(1.0, np.array([3.0, 4.0]))  # norm 5 -> scale 0.8
     assert np.abs(out - [2.4, 3.2]).max() < 1e-12
     # below threshold: zero
@@ -184,7 +187,7 @@ def test_grid_divergence_validation():
 
 
 def test_capacity_projection():
-    op = project_capacity([0], [2], 0.5)
+    op = project_capacity([0], [2], 0.5, 6)
     r = np.array([3.0, 4.0, 0.1, 0.2, 9.0, 9.0])
     out = op(1.0, r)
     assert np.abs(np.hypot(out[0], out[1]) - 0.5) < 1e-12
@@ -192,12 +195,22 @@ def test_capacity_projection():
     assert np.array_equal(out[2:4], r[2:4])  # unconstrained block untouched
     assert np.array_equal(out[4:6], np.zeros(2))  # water block zeroed
     with pytest.raises(OperatorError):
-        project_capacity([0], [0], 1.0)
+        project_capacity([0], [0], 1.0, 6)
     for cap in (0.0, -1.0, np.nan):
         with pytest.raises(OperatorError, match="capacity"):
-            project_capacity([0], [2], cap)
+            project_capacity([0], [2], cap, 6)
     # an infinite capacity is a ball that clips nothing
-    assert np.array_equal(project_capacity([0], [2], np.inf)(1.0, r)[:4], r[:4])
+    assert np.array_equal(project_capacity([0], [2], np.inf, 6)(1.0, r)[:4], r[:4])
+
+
+@pytest.mark.parametrize("bridge, water, index", [
+    ([5], [], "bridge index 5"), ([-1], [0], "bridge index -1"),
+    ([0], [2], "water index 2"), ([1], [-3], "water index -3"),
+])
+def test_capacity_rejects_block_indices_outside_the_vector(bridge, water, index):
+    # length 4 holds blocks 0 and 1; -1 would silently clip the last block
+    with pytest.raises(OperatorError, match=re.escape(f"{index} is outside [0, 2)")):
+        project_capacity(bridge, water, 0.3, 4)
 
 
 def test_translated_quadratic_fixed_point():
@@ -218,7 +231,7 @@ def test_negative_tau_rejected():
 
 @pytest.mark.parametrize(
     "op",
-    [prox_group_l1(), prox_translated_quadratic(np.zeros(2)),
+    [prox_group_l1(2), prox_translated_quadratic(np.zeros(2)),
      prox_hinge_affine(np.array([1.0, 1.0]))],
     ids=lambda op: op.name,
 )
@@ -347,9 +360,9 @@ def test_block_norms_equal_linalg_norm(blocks):
 def kernel_pairs(cap):
     bridge, water = np.array([0, 2, 3, 6]), np.array([1, 5])
     return [
-        (prox_power_three_halves(), norm_power32),
-        (prox_group_l1(), norm_group_l1),
-        (project_capacity(bridge, water, cap), norm_capacity(bridge, water, cap)),
+        (prox_power_three_halves(16), norm_power32),
+        (prox_group_l1(16), norm_group_l1),
+        (project_capacity(bridge, water, cap, 16), norm_capacity(bridge, water, cap)),
     ]
 
 
@@ -375,3 +388,43 @@ def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
         for op, ref in kernel_pairs(0.5):
             with np.errstate(all="ignore"):
                 assert same_bits(op(tau, r), ref(tau, r)), (op.name, scale)
+
+
+# ---------------------------------------------------------------------------
+# every resolvent fixes its dimension when it is built
+
+
+@pytest.mark.parametrize("dim", [0, -2, 2.0, "2", True, None])
+def test_resolvent_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(OperatorError, match="probe dimension must be a positive integer"):
+        Resolvent(dim, lambda tau, r, out: None, name="probe")
+    with pytest.raises(OperatorError, match="zero dimension must be a positive integer"):
+        zero_operator(dim)
+    assert Resolvent(np.int64(3), lambda tau, r, out: None).dim == 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [prox_power_three_halves, prox_group_l1, lambda dim: project_capacity([0], [1], 0.3, dim)],
+    ids=["power32", "group_l1", "capacity_projection"],
+)
+def test_blockwise_dimension_must_be_positive_and_even(build):
+    for dim in (1, 7, 0, -4, 4.0, True):
+        with pytest.raises(OperatorError, match="dimension must be a positive even integer"):
+            build(dim)
+    assert build(np.int64(8)).dim == 8
+
+
+def test_resolvent_rejects_an_input_of_another_length():
+    message = "resolvent 'translated_quadratic' has dimension 1, got an input of shape (5,)"
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        prox_translated_quadratic(np.zeros(1))(1.0, np.ones(5))
+    for op in make_catalog(6):
+        for shape in [(4,), (8,), (6, 2), ()]:
+            with pytest.raises(OperatorError, match=f"'{op.name}' has dimension 6"):
+                op(1.0, np.ones(shape))
+    # stacked hinges take one row of the common dimension per hinge
+    hinges = stack_hinges([prox_hinge_affine(np.ones(3)) for _ in range(2)], [1.0, 2.0])
+    assert hinges(1.0, np.zeros((2, 3))).shape == (2, 3)
+    with pytest.raises(OperatorError, match=re.escape("3, got an input of shape (2, 4)")):
+        hinges(1.0, np.zeros((2, 4)))

@@ -160,11 +160,8 @@ def test_protocol_validation():
 
 def test_dimension_comes_from_the_resolvents():
     bg = tree_bg()
-    ops = [prox_group_l1()] * 3 + [prox_translated_quadratic(np.zeros(6))]
-    assert NetworkSim(bg, ops, SolverConfig(sigma=1.0)).dim == 6
-    with pytest.raises(ValueError, match="every resolvent is dimension-free") as exc:
-        NetworkSim(bg, [prox_group_l1()] * 4, SolverConfig(sigma=1.0))
-    assert "pass" not in str(exc.value)
+    ops = [prox_group_l1(6)] * 3 + [prox_translated_quadratic(np.zeros(6))]
+    assert NetworkSim(bg, ops, SolverConfig(sigma=1.0)).plan.dim == 6
 
 
 def test_determinism():

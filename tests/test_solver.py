@@ -20,7 +20,6 @@ from graphdrs.graphs import (
 )
 from graphdrs.operators import (
     Resolvent,
-    prox_group_l1,
     prox_hinge_affine,
     prox_translated_quadratic,
     zero_operator,
@@ -307,17 +306,6 @@ def test_run_wtilde_rejects_wrong_shape_wt0(shape):
     expected = re.escape(f"w0 must have shape (N, dim) = (4, 2), got {shape}")
     with pytest.raises(ValueError, match=expected):
         run(bg, None, ops, SolverConfig(sigma=1.0, max_iter=2), w0=np.zeros(shape))
-
-
-def test_initial_dual_of_dimension_free_resolvents_sets_the_dimension():
-    bg = make_malitsky_tam(4)
-    ops = [zero_operator(0)] * 4
-    st, _ = run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=2),
-                w0=np.ones((3, 5)))
-    assert st.x.shape == (4, 5)
-    with pytest.raises(ValueError, match=re.escape("got (4, 5)")):
-        run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=2),
-            w0=np.ones((4, 5)))
 
 
 def test_wtilde_rejects_nonzero_sum():
@@ -669,13 +657,15 @@ def test_step_returns_fresh_arrays_and_one_plan_serves_two_dims():
     kept = [a.copy() for a in first]
     step_general(plan, 0.7, 1.4, first[1], 1)
     assert all(same_bits(a, b) for a, b in zip(first, kept))
-    # dimension-free resolvents: one plan, one workspace per dimension
-    free = StepPlan(bg, [prox_group_l1()] * bg.n_nodes, z)
-    for dim in (8, 50, 8):
-        w = 0.5 * rng.standard_normal((54, dim))
-        got = step_general(free, 0.7, 1.4, w, 0)
-        want = step_general(StepPlan(bg, free.ops, z), 0.7, 1.4, w, 0)
-        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (3, 4)])
+def test_step_rejects_duals_of_another_dimension(shape):
+    # one column would broadcast into the plan's (N, dim) workspace
+    bg = make_malitsky_tam(4)
+    plan = StepPlan(bg, quad_ops([np.zeros(3)] * 4), tree_decomposition(bg))
+    with pytest.raises(ValueError, match=re.escape(f"3 columns, got shape {shape}")):
+        step_general(plan, 1.0, 1.0, np.zeros(shape))
 
 
 @pytest.mark.parametrize("node_local", [False, True])
