@@ -54,23 +54,11 @@ class TransportInstance:
 def divergence_matrix(p):
     """Forward-difference divergence with no-flux boundary, shape (p^2, 2 p^2)."""
     n = p * p
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for r in range(p):
-        for c in range(p):
-            k = r * p + c
-            if c < p - 1:
-                add(k, 2 * k, 1.0)
-                add(k + 1, 2 * k, -1.0)
-            if r < p - 1:
-                add(k, 2 * k + 1, 1.0)
-                add(k + p, 2 * k + 1, -1.0)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, 2 * n))
+    k = np.arange(n)[:, None]  # cell k: right flux leaves k, enters k + 1; down, k + p
+    rows, cols = k + [0, 1, 0, p], 2 * k + [0, 0, 1, 1]
+    vals = np.broadcast_to([1.0, -1.0, 1.0, -1.0], rows.shape)
+    keep = np.hstack([k % p < p - 1] * 2 + [k < n - p] * 2)
+    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, 2 * n))
 
 
 def gaussian_density(p, center, width, zero_cells=()):

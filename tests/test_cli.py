@@ -492,13 +492,13 @@ CLI_PINS = [
      "0fdec99a56e9c3baddf4e56381e8048d2a35c99b681966af218660d182e35061",
      SVM12_CFG, False, ["--max-iter", "30"]),
     ("solve-transport-p8-k4",
-     "d5570cd710d40d69c4c4c25fbae47bc2885a38de17c7c6c9a8e7522e2cb8ffe1",
+     "2035e237fc0876c0c1661805aa3bc91d0998f4072b5351e549f03ad412264f42",
      TRANSPORT8_CFG, True, ["--sigma", "2", "--max-iter", "30"]),
     ("svm",
      "bbc2fc2dd8a20e459bc945dd757623528360987f5260dc2369ab4e65c883caa3",
      None, False, ["svm", "--n", "12", "--officials", "3", "--per-official", "4"]),
     ("transport-sweep",
-     "a61cd7801dd0e9a19c5b105759c5223464664338165050ab6a1c685dc09653cc",
+     "a7299761bbd1d505d1d28232c854931a4d62a47caa6cbdc25ff116d83252b897",
      None, False, ["transport-sweep", "--p", "6", "--max-iter", "30"]),
     ("enumerate",
      "d9332d84b9ae7a45464a42a9d104a9d9d98111eab6a871760e7314d09e2d1737",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import dctn, idctn
 
 from graphdrs.operators import (
     OperatorError,
@@ -428,3 +429,85 @@ def test_resolvent_rejects_an_input_of_another_length():
     assert hinges(1.0, np.zeros((2, 3))).shape == (2, 3)
     with pytest.raises(OperatorError, match=re.escape("3, got an input of shape (2, 4)")):
         hinges(1.0, np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# the grid projection against its pocketfft form
+
+
+def pocketfft_grid_projection(div, p, b):
+    """The grid projection as two scipy.fft transforms and two CSR products."""
+    b = b - b.mean()
+    line = 2.0 - 2.0 * np.cos(np.pi * np.arange(p) / p)
+    eig = line[:, None] + line[None, :]
+    inv_eig = np.divide(1.0, eig, out=np.zeros_like(eig), where=eig > 0)
+    div_t = div.T.tocsr()
+
+    def fn(tau, r):
+        v = dctn((div @ r - b).reshape(p, p), norm="ortho")
+        return r - div_t @ idctn(v * inv_eig, norm="ortho").ravel()
+
+    return fn
+
+
+def grid_case(p, seed):
+    """A grid projection with its b, an input of a random scale, and its reference."""
+    local = np.random.default_rng(seed)
+    scale = 10.0 ** local.uniform(-3, 3)
+    b = local.standard_normal(p * p) * scale * 10.0 ** local.uniform(-2, 2)
+    r = local.standard_normal(2 * p * p) * scale
+    div = divergence_matrix(p)
+    op, ref = project_grid_divergence(div, p, b), pocketfft_grid_projection(div, p, b)
+    return div, b - b.mean(), r, op, ref
+
+
+GRID_TOL = 1e-13  # relative to the largest entry
+
+
+@PROPERTY
+@given(st.integers(3, 64), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
+def test_grid_projection_matches_pocketfft_form(p, tau, seed):
+    _, _, r, op, ref = grid_case(p, seed)
+    want = ref(tau, r)
+    assert np.abs(op(tau, r) - want).max() <= GRID_TOL * np.abs(want).max()
+
+
+@PROPERTY
+@given(st.integers(3, 64), st.integers(0, 2**32 - 1))
+def test_grid_projection_feasible_and_idempotent(p, seed):
+    div, b, r, op, _ = grid_case(p, seed)
+    x = op(1.0, r)
+    size = np.abs(x).max()
+    assert np.abs(div @ x - b).max() <= GRID_TOL * max(size, np.abs(b).max())
+    assert np.abs(op(1.0, x) - x).max() <= GRID_TOL * size
+
+
+# one resolvent from every constructor that takes a single vector of length 8
+SINGLE_VECTOR = {
+    "quadratic": lambda: prox_quadratic(np.eye(8), 0.5),
+    "hinge": lambda: prox_hinge_affine(np.ones(8)),
+    "power32": lambda: prox_power_three_halves(8),
+    "group_l1": lambda: prox_group_l1(8),
+    "affine_projection": lambda: project_affine(np.ones((1, 8)), [0.0]),
+    "grid_divergence": lambda: project_grid_divergence(divergence_matrix(2), 2, np.arange(4.0)),
+    "capacity_projection": lambda: project_capacity([0], [1], 0.3, 8),
+    "translated_quadratic": lambda: prox_translated_quadratic(np.zeros(8)),
+    "zero": lambda: zero_operator(8),
+}
+
+
+@pytest.mark.parametrize("build", SINGLE_VECTOR.values(), ids=SINGLE_VECTOR.keys())
+def test_single_vector_resolvent_rejects_rows(build):
+    op = build()
+    for shape in [(2, 8), (1, 8), (3, 1, 8)]:
+        message = f"resolvent {op.name!r} has dimension 8, got an input of shape {shape}, not (8,)"
+        with pytest.raises(OperatorError, match=re.escape(message)):
+            op(1.0, np.ones(shape))
+
+
+def test_stacked_hinge_rejects_another_row_count():
+    hinges = stack_hinges([prox_hinge_affine(np.ones(3)) for _ in range(2)], [1.0, 2.0])
+    for shape in [(3, 3), (1, 3), (3,), (1, 2, 3)]:
+        message = f"resolvent 'hinge' has dimension 3, got an input of shape {shape}, not (2, 3)"
+        with pytest.raises(OperatorError, match=re.escape(message)):
+            hinges(1.0, np.zeros(shape))

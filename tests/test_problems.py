@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
 from graphdrs.problems import (
@@ -31,6 +32,37 @@ def test_divergence_column_sums_exactly_zero(p):
     assert div.shape == (p * p, 2 * p * p)
     col_sums = np.asarray(div.sum(axis=0)).ravel()
     assert np.array_equal(col_sums, np.zeros(2 * p * p))
+
+
+def loop_divergence_matrix(p):
+    """The divergence built cell by cell, entry by entry."""
+    n = p * p
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for r in range(p):
+        for c in range(p):
+            k = r * p + c
+            if c < p - 1:
+                add(k, 2 * k, 1.0)
+                add(k + 1, 2 * k, -1.0)
+            if r < p - 1:
+                add(k, 2 * k + 1, 1.0)
+                add(k + p, 2 * k + 1, -1.0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, 2 * n))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 35, 64])
+def test_divergence_matrix_equals_loop_build(p):
+    got, want = divergence_matrix(p), loop_divergence_matrix(p)
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def test_divergence_telescoping():
