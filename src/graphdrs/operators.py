@@ -248,55 +248,74 @@ def project_affine(lam, b, range_tol=1e-6):
     return Resolvent(n, fn, name="affine_projection")
 
 
-def project_grid_divergence(div, p, b):
-    """Projection onto {x : div @ x = b} for the p x p no-flux grid divergence.
+def grid_stencils(p):
+    """The p x p no-flux grid divergence as two stencils applied by slicing.
+
+    A flow of length 2 p^2 holds (sx, sy) at entries (2k, 2k+1) of cell
+    k = row*p + col: the flux to the right neighbour and to the one below.
+    Fluxes across the outer boundary are ignored (no flux), so div has
+    entries +-1 and zero column sums.  ``div(r, out)`` writes div @ r and
+    ``step(r, y, out)`` writes r - div.T @ y (r may be out), each entry
+    summed from zero in ascending column order: the CSR products bit for
+    bit.  Both keep scratch made here, so calls must not overlap.
+    """
+    m = p * p
+    keep = np.arange(m) % p != p - 1  # cells with a right neighbour
+    hz, y0, dh, dv = np.zeros(m), np.empty(m), np.zeros(m - 1), np.empty(m - p)
+
+    def div(r, out):
+        flux = r.reshape(-1, 2)
+        np.copyto(hz, flux[:, 0], where=keep)  # never -0.0 in out: hz's +0.0 is inert
+        out.fill(0.0)
+        out[p:] -= flux[:-p, 1]
+        out[1:] -= hz[:-1]
+        np.add(out, hz, out=out)
+        out[:-p] += flux[:-p, 1]
+        return out
+
+    def step(r, y, out):
+        np.add(y, 0.0, out=y0)  # summed from zero, as CSR does; dh is +0.0 off keep
+        np.copyto(out, r)
+        flux = np.reshape(out, (-1, 2), copy=False)
+        flux[:-1, 0] -= np.subtract(y0[:-1], y0[1:], out=dh, where=keep[:-1])
+        flux[:-p, 1] -= np.subtract(y0[:-p], y0[p:], out=dv)
+        return out
+
+    return div, step
+
+
+def project_grid_divergence(p, b):
+    """Projection onto {x : div @ x = b}, div the :func:`grid_stencils` divergence.
 
     The map of :func:`project_affine` (b recentered, zero mode dropped)
-    without densifying div: div @ div.T is the 5-point Neumann Laplacian,
+    without forming div: div @ div.T is the 5-point Neumann Laplacian,
     diagonalized by the orthonormal 2-D DCT-II X -> C X C^T.  A call costs
-    four p x p matrix products and two stencils, each its CSR product bit for bit.
+    four p x p matrix products and the two grid stencils.
     """
     from scipy.fft import dct  # lazy: only grid problems load it
 
     m = p * p
     b = np.asarray(b, dtype=float)
-    if b.shape != (m,) or div.shape != (m, 2 * m):
-        raise OperatorError(f"need a ({m}, {2 * m}) divergence and b of length {m}")
+    if not p >= 1 or b.shape != (m,):
+        raise OperatorError(f"need a grid side p >= 1 and b of length {m}, "
+                            f"got p = {p} and b of shape {b.shape}")
     b = b - b.mean()
     line = 2.0 - 2.0 * np.cos(np.pi * np.arange(p) / p)
     eig = line[:, None] + line[None, :]
     inv_eig = np.divide(1.0, eig, out=np.zeros_like(eig), where=eig > 0)
     dct_mat = dct(np.eye(p), norm="ortho", axis=0)
     dct_t = np.ascontiguousarray(dct_mat.T)
-    keep = np.arange(m) % p != p - 1  # cells with a right neighbour
-    g, hz, dh, dv = np.empty(m), np.zeros(m), np.zeros(m - 1), np.empty(m - p)
-    grid, t = g.reshape(p, p), np.empty((p, p))
+    div, step = grid_stencils(p)
+    g, t = np.empty(m), np.empty((p, p))
+    grid = g.reshape(p, p)
 
     def fn(tau, r, out):
-        # g = div @ r, summed from zero in CSR column order (never -0.0: hz's +0.0 is inert)
-        flux = r.reshape(-1, 2)
-        np.copyto(hz, flux[:, 0], where=keep)
-        g.fill(0.0)
-        g[p:] -= flux[:-p, 1]
-        g[1:] -= hz[:-1]
-        np.add(g, hz, out=g)
-        g[:-p] += flux[:-p, 1]
-        np.subtract(g, b, out=g)
+        np.subtract(div(r, g), b, out=g)
         np.matmul(np.matmul(dct_mat, grid, out=t), dct_t, out=grid)
         np.multiply(grid, inv_eig, out=grid)
         np.matmul(np.matmul(dct_t, grid, out=t), dct_mat, out=grid)
-        # out = r - div.T @ g, summed from zero as CSR does (0.0 + g); dh is +0.0 off keep
-        np.add(g, 0.0, out=g)
-        np.copyto(out, r)
-        flux = np.reshape(out, (-1, 2), copy=False)
-        flux[:-1, 0] -= np.subtract(g[:-1], g[1:], out=dh, where=keep[:-1])
-        flux[:-p, 1] -= np.subtract(g[:-p], g[p:], out=dv)
-        return out
+        step(r, g, out)
 
-    # the projected zero point is feasible only if div is the grid divergence
-    resid = np.linalg.norm(div @ fn(0.0, np.zeros(2 * m), np.empty(2 * m)) - b)
-    if resid > 1e-6 * max(np.linalg.norm(b), 1e-30):
-        raise OperatorError(f"div is not the {p}x{p} grid divergence ({resid:g})")
     return Resolvent(2 * m, fn, name="affine_projection")
 
 

@@ -2,18 +2,20 @@
 
 The transport problem minimizes a congestion cost over discrete flows on a
 p x p grid subject to a divergence constraint and bridge/lake restrictions;
-the SVM problem is a kernelized hinge-loss classifier split across a ring of
-"officials" each serving a star of label-holding agents.
+its projection and feasibility report apply one divergence, the stencils of
+operators.grid_stencils, and form no matrix.  The SVM problem is a
+kernelized hinge-loss classifier split across a ring of "officials" each
+serving a star of label-holding agents.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import BilevelGraph, OrderedDigraph
 from .operators import (
+    grid_stencils,
     project_capacity,
     project_grid_divergence,
     prox_group_l1,
@@ -28,12 +30,6 @@ MIN_SWEEP_GRID = 3  # the smallest grid the default transport geometry fits
 
 # ---------------------------------------------------------------------------
 # congested transport
-#
-# A flow is a vector of length 2*p*p storing (sx, sy) per cell, row-major:
-# entries (2k, 2k+1) belong to cell k = row*p + col.  sx is the flux from a
-# cell to its right neighbor, sy to the one below; fluxes that would cross
-# the outer boundary are omitted (no-flux boundary), which keeps the
-# divergence matrix integer-valued with exactly zero column sums.
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,6 @@ class TransportInstance:
     p: int
     mu: np.ndarray
     nu: np.ndarray
-    div: sparse.csr_matrix  # (n, 2n)
     bridge: np.ndarray      # cell indices
     water: np.ndarray
     cap: float
@@ -49,16 +44,6 @@ class TransportInstance:
     @property
     def n_cells(self):
         return self.p * self.p
-
-
-def divergence_matrix(p):
-    """Forward-difference divergence with no-flux boundary, shape (p^2, 2 p^2)."""
-    n = p * p
-    k = np.arange(n)[:, None]  # cell k: right flux leaves k, enters k + 1; down, k + p
-    rows, cols = k + [0, 1, 0, p], 2 * k + [0, 0, 1, 1]
-    vals = np.broadcast_to([1.0, -1.0, 1.0, -1.0], rows.shape)
-    keep = np.hstack([k % p < p - 1] * 2 + [k < n - p] * 2)
-    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, 2 * n))
 
 
 def gaussian_density(p, center, width, zero_cells=()):
@@ -116,8 +101,6 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
     from :func:`default_transport_geometry`).  Operator order: divergence
     projection, 3/2-power prox, group-l1 prox, capacity projection.
     """
-    if not cap > 0:
-        raise ValueError(f"capacity must be positive, got {cap}")
     geo = default_transport_geometry(p)
     if bridge is None:
         bridge = geo["bridge"]
@@ -134,8 +117,6 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
 
     bridge_cells = cells_of(bridge)
     water_cells = cells_of(water)
-    if np.intersect1d(bridge_cells, water_cells).size:
-        raise ValueError("bridge and water regions overlap")
 
     def density_of(spec, default_center):
         if spec is None:
@@ -149,14 +130,13 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
 
     mu = density_of(mu_spec, geo["mu_center"])
     nu = density_of(nu_spec, geo["nu_center"])
-    div = divergence_matrix(p)
     inst = TransportInstance(
-        p=p, mu=mu, nu=nu, div=div,
+        p=p, mu=mu, nu=nu,
         bridge=bridge_cells, water=water_cells, cap=cap,
     )
     dim = 2 * p * p
     ops = [
-        project_grid_divergence(div, p, nu - mu),
+        project_grid_divergence(p, nu - mu),
         prox_power_three_halves(dim),
         prox_group_l1(dim),
         project_capacity(bridge_cells, water_cells, cap, dim),
@@ -177,8 +157,8 @@ def transport_feasibility(inst, flow):
     """Constraint residuals, reported separately from the objective."""
     blocks = np.asarray(flow, dtype=float).reshape(-1, 2)
     norms = np.linalg.norm(blocks, axis=1)
-    rhs = inst.nu - inst.mu
-    div_resid = float(np.linalg.norm(inst.div @ np.asarray(flow, float) - rhs))
+    div, _ = grid_stencils(inst.p)
+    div_resid = float(np.linalg.norm(div(blocks, np.empty(inst.n_cells)) - (inst.nu - inst.mu)))
     water_norm = float(norms[inst.water].max()) if inst.water.size else 0.0
     cap_excess = (
         float(max(0.0, norms[inst.bridge].max() - inst.cap))

@@ -11,6 +11,7 @@ from graphdrs.operators import (
     OperatorError,
     Resolvent,
     _block_norms,
+    grid_stencils,
     project_affine,
     project_capacity,
     project_grid_divergence,
@@ -22,7 +23,8 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.problems import divergence_matrix
+from test_problems import loop_divergence_matrix
+from test_properties import same_bits
 
 rng = np.random.default_rng(123)
 
@@ -151,10 +153,10 @@ GRID_SIDES = [3, 5, 12, 35]
 @pytest.mark.parametrize("p", GRID_SIDES)
 def test_grid_divergence_matches_dense_projection(p):
     local = np.random.default_rng(500 + p)
-    div = divergence_matrix(p)
+    div = loop_divergence_matrix(p)
     b = local.standard_normal(p * p)
     dense = project_affine(div, b)
-    spectral = project_grid_divergence(div, p, b)
+    spectral = project_grid_divergence(p, b)
     for tau in (0.0, 1.0):
         r = local.standard_normal(2 * p * p)
         assert np.abs(spectral(tau, r) - dense(tau, r)).max() <= 1e-12
@@ -163,10 +165,10 @@ def test_grid_divergence_matches_dense_projection(p):
 @pytest.mark.parametrize("p", GRID_SIDES)
 def test_grid_divergence_feasible_idempotent_firm(p):
     local = np.random.default_rng(600 + p)
-    div = divergence_matrix(p)
+    div = loop_divergence_matrix(p)
     b = local.standard_normal(p * p)
     b_centered = b - b.mean()
-    op = project_grid_divergence(div, p, b)
+    op = project_grid_divergence(p, b)
     for _ in range(20):
         x, y = local.standard_normal((2, 2 * p * p)) * 3
         jx, jy = op(1.0, x), op(1.0, y)
@@ -177,14 +179,11 @@ def test_grid_divergence_feasible_idempotent_firm(p):
 
 
 def test_grid_divergence_validation():
-    div = divergence_matrix(4)
     with pytest.raises(OperatorError, match="length 16"):
-        project_grid_divergence(div, 4, np.zeros(15))
-    with pytest.raises(OperatorError):
-        project_grid_divergence(div, 5, np.zeros(25))
-    # right shape, wrong matrix: its Gram matrix is not the grid Laplacian
-    with pytest.raises(OperatorError, match="grid divergence"):
-        project_grid_divergence(2.0 * div, 4, np.arange(16.0))
+        project_grid_divergence(4, np.zeros(15))
+    for p in (0, -1):  # p = -1 would take a b of length 1
+        with pytest.raises(OperatorError, match="p >= 1"):
+            project_grid_divergence(p, np.zeros(1))
 
 
 def test_capacity_projection():
@@ -456,8 +455,8 @@ def grid_case(p, seed):
     scale = 10.0 ** local.uniform(-3, 3)
     b = local.standard_normal(p * p) * scale * 10.0 ** local.uniform(-2, 2)
     r = local.standard_normal(2 * p * p) * scale
-    div = divergence_matrix(p)
-    op, ref = project_grid_divergence(div, p, b), pocketfft_grid_projection(div, p, b)
+    div = loop_divergence_matrix(p)
+    op, ref = project_grid_divergence(p, b), pocketfft_grid_projection(div, p, b)
     return div, b - b.mean(), r, op, ref
 
 
@@ -482,6 +481,33 @@ def test_grid_projection_feasible_and_idempotent(p, seed):
     assert np.abs(op(1.0, x) - x).max() <= GRID_TOL * size
 
 
+def stencil_input(rng, size):
+    """Entries of magnitude 1e-8 to 1e8 with either sign, a share of them
+    replaced by +-0.0, +-inf or NaN."""
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size, p=[.4, .4, .07, .07, .06])
+    return np.where(rng.random(size) < 0.3, special, x)
+
+
+@PROPERTY
+@given(st.integers(3, 64), st.integers(0, 2**32 - 1))
+def test_grid_stencils_equal_csr_products_bit_for_bit(p, seed):
+    rng = np.random.default_rng(seed)
+    m = p * p
+    div_csr = loop_divergence_matrix(p)
+    div_t_csr = div_csr.T.tocsr()
+    div, step = grid_stencils(p)
+    for _ in range(2):  # the second call must not see the first's scratch
+        r, r2, y = stencil_input(rng, 2 * m), stencil_input(rng, 2 * m), stencil_input(rng, m)
+        y_before = y.copy()
+        with np.errstate(invalid="ignore"):  # inf - inf in both forms
+            assert same_bits(div(r, np.empty(m)), div_csr @ r)
+            want = r2 - div_t_csr @ y
+            assert same_bits(step(r2, y, np.empty(2 * m)), want)
+            assert same_bits(step(r2, y, r2), want)  # r may be out
+        assert same_bits(y, y_before)
+
+
 # one resolvent from every constructor that takes a single vector of length 8
 SINGLE_VECTOR = {
     "quadratic": lambda: prox_quadratic(np.eye(8), 0.5),
@@ -489,7 +515,7 @@ SINGLE_VECTOR = {
     "power32": lambda: prox_power_three_halves(8),
     "group_l1": lambda: prox_group_l1(8),
     "affine_projection": lambda: project_affine(np.ones((1, 8)), [0.0]),
-    "grid_divergence": lambda: project_grid_divergence(divergence_matrix(2), 2, np.arange(4.0)),
+    "grid_divergence": lambda: project_grid_divergence(2, np.arange(4.0)),
     "capacity_projection": lambda: project_capacity([0], [1], 0.3, 8),
     "translated_quadratic": lambda: prox_translated_quadratic(np.zeros(8)),
     "zero": lambda: zero_operator(8),

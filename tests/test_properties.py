@@ -41,7 +41,6 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.problems import divergence_matrix
 from graphdrs.simulate import message_stats, run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
@@ -54,6 +53,7 @@ from graphdrs.solver import (
     step_general,
     step_tree,
 )
+from test_problems import loop_divergence_matrix
 
 SWEEPS = 4
 PROPERTY = settings.get_profile("derandomized")
@@ -563,7 +563,7 @@ def catalogue(rng):
     """One resolvent of each catalogue kind, all on DIM entries."""
     a = rng.standard_normal((DIM, DIM))
     lam = rng.standard_normal((3, DIM))
-    div = divergence_matrix(GRID)
+    div = loop_divergence_matrix(GRID)
     return {
         "affine": project_affine(lam, lam @ rng.standard_normal(DIM)),
         "hinge": prox_hinge_affine(rng.standard_normal(DIM), rng.uniform(-1.0, 1.0)),
@@ -572,7 +572,7 @@ def catalogue(rng):
         "group_l1": prox_group_l1(DIM),
         "capacity": project_capacity([0, 4, 5], [1, 8], rng.uniform(0.1, 1.0), DIM),
         "grid_divergence": project_grid_divergence(
-            div, GRID, div @ rng.standard_normal(2 * GRID * GRID)
+            GRID, div @ rng.standard_normal(2 * GRID * GRID)
         ),
         "translated_quadratic": prox_translated_quadratic(rng.standard_normal(DIM), 1.5),
         "zero": zero_operator(DIM),
