@@ -147,8 +147,9 @@ def _row(*values):
 
 
 def _solver_config(args, **overrides):
-    """The SolverConfig of the solver flags, with overrides replacing flags."""
-    flags = {name: getattr(args, name) for name in SOLVER_FLAGS}
+    """The SolverConfig of the solver flags the subcommand has, with
+    overrides replacing flags."""
+    flags = {name: getattr(args, name) for name in SOLVER_FLAGS if hasattr(args, name)}
     return SolverConfig(**(flags | overrides))
 
 
@@ -210,7 +211,8 @@ def cmd_svm(args):
         seed=args.seed,
     )
     sigmas = np.logspace(-2, 1, 10)
-    cfg = _solver_config(args)  # checks every flag before --out is opened
+    # checks every flag before --out is opened
+    cfg = _solver_config(args, sigma=float(sigmas[0]))
     with _output(args, f"n = {args.n}", f"officials = {args.officials}",
                  f"gamma = {args.gamma:.17g}",
                  f"kernel_width = {args.kernel_width:.17g}") as fh:
@@ -253,7 +255,9 @@ def cmd_simulate(args):
 
 
 def _add_common(p, sigma=1.0, stopping=True):
-    p.add_argument("--sigma", type=float, default=sigma, help="step size > 0")
+    """The solver flags (no --sigma when sigma is None), --seed and --out."""
+    if sigma is not None:
+        p.add_argument("--sigma", type=float, default=sigma, help="step size > 0")
     p.add_argument("--theta", type=float, default=1.0, help="relaxation in (0, 2)")
     if stopping:
         p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
@@ -301,7 +305,7 @@ def build_parser():
     p.add_argument("--per-official", type=int, default=10, dest="per_official")
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--kernel-width", type=float, default=1.0, dest="kernel_width")
-    _add_common(p)
+    _add_common(p, sigma=None)  # the sweep sets sigma
     p.set_defaults(fn=cmd_svm)
 
     p = sub.add_parser("simulate", help="message-passing protocol simulation")

@@ -76,11 +76,6 @@ class OrderedDigraph:
     def n_edges(self):
         return len(self.edges)
 
-    def adjacency(self, i):
-        """Sorted neighbors of node i in the undirected support."""
-        ins, outs = self._neighbors
-        return ins[i] + outs[i]
-
     def in_neighbors(self, i):
         """Sorted neighbors h < i, i.e. tails of edges entering i."""
         return self._neighbors[0][i][:]

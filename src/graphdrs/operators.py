@@ -294,11 +294,12 @@ def project_grid_divergence(p, b):
     """
     from scipy.fft import dct  # lazy: only grid problems load it
 
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise OperatorError(f"need an integer grid side p >= 1, got p = {p!r}")
     m = p * p
     b = np.asarray(b, dtype=float)
-    if not p >= 1 or b.shape != (m,):
-        raise OperatorError(f"need a grid side p >= 1 and b of length {m}, "
-                            f"got p = {p} and b of shape {b.shape}")
+    if b.shape != (m,):
+        raise OperatorError(f"need b of length {m} for grid side {p}, got shape {b.shape}")
     b = b - b.mean()
     line = 2.0 - 2.0 * np.cos(np.pi * np.arange(p) / p)
     eig = line[:, None] + line[None, :]
@@ -365,11 +366,7 @@ def prox_translated_quadratic(c, mu=1.0):
         np.add(r, tau * mu * c, out=out)
         out /= 1.0 + tau * mu
 
-    res = Resolvent(c.size, fn, name="translated_quadratic")
-    # closed-form parameters, consumed by the lifted verification step
-    res.affine_mu = float(mu)
-    res.affine_center = c
-    return res
+    return Resolvent(c.size, fn, name="translated_quadratic")
 
 
 def zero_operator(dim):

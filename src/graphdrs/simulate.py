@@ -190,24 +190,6 @@ def run_general_protocol(bg, ops, cfg, rounds):
     return NetworkSim(bg, ops, cfg, protocol="general").run(rounds)
 
 
-def message_stats(log):
-    """Counts per round, per directed edge, and total payload bytes."""
-    per_round = {}
-    per_edge = {}
-    total_bytes = 0
-    for msg in log:
-        per_round[msg.round] = per_round.get(msg.round, 0) + 1
-        key = (msg.src, msg.dst)
-        per_edge[key] = per_edge.get(key, 0) + 1
-        total_bytes += msg.payload.nbytes
-    return {
-        "total": len(log),
-        "per_round": per_round,
-        "per_edge": per_edge,
-        "payload_bytes": total_bytes,
-    }
-
-
 def write_message_log(log, fh):
     """CSV export with 1-based node labels: round,from,to,kind."""
     fh.write("round,from,to,kind\n")

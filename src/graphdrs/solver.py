@@ -382,68 +382,6 @@ def run(bg, z, ops, cfg, w0=None, objective=None):
 
 
 # ---------------------------------------------------------------------------
-# unreduced (lifted) iteration, for verification at test scale
-
-MAX_LIFTED_NODES = 6
-
-
-def _affine_terms(ops):
-    if not all(hasattr(op, "affine_mu") for op in ops):
-        raise TypeError("the lifted step requires translated quadratic operators")
-    return [(op.affine_mu, op.affine_center) for op in ops]
-
-
-def _lifted_system(bg, z, affine_ops, sigma):
-    n = bg.n_nodes
-    terms = _affine_terms(affine_ops)
-    if n > MAX_LIFTED_NODES:
-        raise ValueError(f"lifted assembly limited to {MAX_LIFTED_NODES} nodes")
-    lap = laplacian(bg.base)
-    sp = sigma_matrix(bg.base) + p_matrix(bg)
-    eye = np.eye(n - 1)
-    m_mat = np.block([[lap, z], [z.T, eye]])
-    a_lin = np.block(
-        [[sp + sigma * np.diag([mu for mu, _ in terms]), -z],
-         [z.T, np.zeros((n - 1, n - 1))]]
-    )
-    dim = terms[0][1].size
-    offset = np.zeros((2 * n - 1, dim))
-    for i, (mu, c) in enumerate(terms):
-        offset[i] = sigma * mu * c
-    return m_mat, a_lin, offset
-
-
-def lifted_ppp_step(bg, z, affine_ops, cfg, u, k=0):
-    """One step of the unreduced iteration on H^(2N-1), dense solve.
-
-    u rows are (x_1..x_N, v_1..v_{N-1}).  Affine operators only.
-    """
-    m_mat, a_lin, offset = _lifted_system(bg, z, affine_ops, cfg.sigma)
-    rhs = m_mat @ u + offset
-    t_u = np.linalg.solve(m_mat + a_lin, rhs)
-    return u + cfg.theta_at(k) * (t_u - u)
-
-
-def lifted_reduce(z, u):
-    """Project a lifted iterate to the reduced dual: w = Z^T x + v."""
-    n = z.shape[0]
-    return z.T @ u[:n] + u[n:]
-
-
-def lifted_resolvent_w(bg, z, affine_ops, sigma, w):
-    """Apply the lifted resolvent to an embedded dual and reduce it back.
-
-    Equals one reduced fixed-point application w -> w - Z^T x(w), which the
-    tests verify against :func:`step_general`.
-    """
-    m_mat, a_lin, offset = _lifted_system(bg, z, affine_ops, sigma)
-    n = z.shape[0]
-    cw = np.vstack([z @ w, w])
-    u = np.linalg.solve(m_mat + a_lin, cw + offset)
-    return z.T @ u[:n] + u[n:]
-
-
-# ---------------------------------------------------------------------------
 # named special cases
 
 def make_classical_drs():

@@ -1,0 +1,152 @@
+"""References that the tests compare the library against.
+
+Each is written from the problem data (edge lists, Z, the affine terms of
+the operators) rather than from the structures the library builds, so a
+test that compares the two checks something:
+
+* :func:`same_bits` and :func:`identical_bits`, the two bit-level
+  comparisons;
+* :func:`loop_divergence_matrix`, the grid divergence as a CSR matrix built
+  cell by cell, the oracle for ``operators.grid_stencils``;
+* :func:`reference_sweep`, one sweep node by node in label order;
+* the paper's lifted iteration on H^(2N-1) with affine operators
+  x -> mu_i (x - c_i), given as (mu_i, c_i) pairs, by dense solves:
+  :func:`lifted_ppp_step`, :func:`lifted_reduce` and
+  :func:`lifted_resolvent_w`;
+* :func:`message_stats`, the message counts of a simulator log.
+"""
+
+import numpy as np
+from scipy import sparse
+
+from graphdrs.graphs import laplacian, p_matrix, sigma_matrix
+from graphdrs.solver import node_dual_term, node_solution
+
+
+# ---------------------------------------------------------------------------
+# bit-level comparisons
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, -0.0 against 0.0 included; NaNs only by position."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        bits(np.where(nan, 0.0, a)), bits(np.where(nan, 0.0, b))
+    )
+
+
+def identical_bits(a, b):
+    """Same shape and every bit equal, NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+# ---------------------------------------------------------------------------
+# the transport grid
+
+
+def loop_divergence_matrix(p):
+    """The grid divergence as a CSR matrix built cell by cell, entry by entry:
+    the oracle for operators.grid_stencils."""
+    n = p * p
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for r in range(p):
+        for c in range(p):
+            k = r * p + c
+            if c < p - 1:
+                add(k, 2 * k, 1.0)
+                add(k + 1, 2 * k, -1.0)
+            if r < p - 1:
+                add(k, 2 * k + 1, 1.0)
+                add(k + p, 2 * k + 1, -1.0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, 2 * n))
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+
+
+def reference_sweep(bg, z, ops, sigma, w):
+    """x of one sweep, node by node in label order through node_solution."""
+    n, dim = bg.n_nodes, w.shape[1]
+    d = bg.state.degrees().tolist()
+    x = np.zeros((n, dim))
+    for i in range(n):
+        terms = [(z[i, c], w[c]) for c in np.flatnonzero(z[i])]
+        xs_in = [x[h] for h in bg.state.in_neighbors(i)]
+        node_solution(ops[i], sigma, d[i], xs_in, node_dual_term(d[i], terms, dim), x[i])
+    return x
+
+
+def lifted_system(bg, z, terms, sigma):
+    """(M, A, offset) of the lifted step u -> (M + A)^-1 (M u + offset):
+    M = [[L, Z], [Z^T, I]] is the degenerate preconditioner, and u -> A u -
+    offset the lifted operator, for the affine operators x -> mu_i (x - c_i)
+    given as terms (mu_i, c_i), one per node."""
+    n = bg.n_nodes
+    lap = laplacian(bg.base)
+    sp = sigma_matrix(bg.base) + p_matrix(bg)
+    m_mat = np.block([[lap, z], [z.T, np.eye(n - 1)]])
+    a_lin = np.block(
+        [[sp + sigma * np.diag([mu for mu, _ in terms]), -z],
+         [z.T, np.zeros((n - 1, n - 1))]]
+    )
+    offset = np.zeros((2 * n - 1, terms[0][1].size))
+    for i, (mu, c) in enumerate(terms):
+        offset[i] = sigma * mu * c
+    return m_mat, a_lin, offset
+
+
+def lifted_ppp_step(bg, z, terms, sigma, theta, u):
+    """One relaxed step of the unreduced iteration on H^(2N-1), dense solve.
+
+    u rows are (x_1..x_N, v_1..v_{N-1}).
+    """
+    m_mat, a_lin, offset = lifted_system(bg, z, terms, sigma)
+    t_u = np.linalg.solve(m_mat + a_lin, m_mat @ u + offset)
+    return u + theta * (t_u - u)
+
+
+def lifted_reduce(z, u):
+    """Project a lifted iterate to the reduced dual: w = Z^T x + v."""
+    n = z.shape[0]
+    return z.T @ u[:n] + u[n:]
+
+
+def lifted_resolvent_w(bg, z, terms, sigma, w):
+    """Apply the lifted resolvent to an embedded dual and reduce it back:
+    one reduced fixed-point application w -> w - Z^T x(w)."""
+    m_mat, a_lin, offset = lifted_system(bg, z, terms, sigma)
+    u = np.linalg.solve(m_mat + a_lin, np.vstack([z @ w, w]) + offset)
+    return lifted_reduce(z, u)
+
+
+# ---------------------------------------------------------------------------
+# the simulator
+
+
+def message_stats(log):
+    """Counts per round, per directed edge, and total payload bytes."""
+    per_round = {}
+    per_edge = {}
+    total_bytes = 0
+    for msg in log:
+        per_round[msg.round] = per_round.get(msg.round, 0) + 1
+        key = (msg.src, msg.dst)
+        per_edge[key] = per_edge.get(key, 0) + 1
+        total_bytes += msg.payload.nbytes
+    return {
+        "total": len(log),
+        "per_round": per_round,
+        "per_edge": per_edge,
+        "payload_bytes": total_bytes,
+    }

@@ -19,20 +19,18 @@ from graphdrs.graphs import (
     BilevelGraph,
     OrderedDigraph,
     algebraic_connectivity,
+    complete_digraph,
     connected_subgraphs,
     enumerate_connected_digraphs,
     unbalance,
 )
 from graphdrs.operators import prox_translated_quadratic
 from graphdrs.problems import build_svm, build_transport, objective_svm
-from graphdrs.simulate import message_stats, run_general_protocol, run_tree_protocol
+from graphdrs.simulate import run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
     compute_subgradients,
-    lifted_ppp_step,
-    lifted_reduce,
-    lifted_resolvent_w,
     make_classical_drs,
     make_ryu,
     make_three_op_complete,
@@ -42,6 +40,7 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
+from oracles import lifted_ppp_step, lifted_reduce, lifted_resolvent_w, message_stats
 
 rng = np.random.default_rng(2024)
 
@@ -56,10 +55,6 @@ def report(num, ok, detail=""):
 
     ACCEPTANCE_LINES.append(line)
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def quad_ops(centers, mu=1.0):
@@ -146,26 +141,24 @@ def test_criterion_04_lifted_reduction():
     worst_track = 0.0
     worst_ident = 0.0
     for n in (3, 4, 5):
-        g = complete(n)
+        g = complete_digraph(n)
         bg = BilevelGraph(g, g)
         decomp = spectral_decomposition(g)
-        ops = [
-            prox_translated_quadratic(rng.standard_normal(3), mu)
-            for mu in rng.uniform(0.5, 2.0, size=n)
-        ]
+        terms = [(mu, rng.standard_normal(3)) for mu in rng.uniform(0.5, 2.0, size=n)]
+        ops = [prox_translated_quadratic(c, mu) for mu, c in terms]
         cfg = SolverConfig(sigma=1.2, theta=1.3)
         plan = StepPlan(bg, ops, decomp)
         u = np.zeros((2 * n - 1, 3))
         w = np.zeros((n - 1, 3))
         for k in range(50):
-            u = lifted_ppp_step(bg, decomp, ops, cfg, u, k)
+            u = lifted_ppp_step(bg, decomp, terms, cfg.sigma, cfg.theta_at(k), u)
             _, w, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), w, k)
             worst_track = max(
                 worst_track, float(np.abs(lifted_reduce(decomp, u) - w).max())
             )
         for _ in range(20):
             wr = rng.standard_normal((n - 1, 3))
-            reduced = lifted_resolvent_w(bg, decomp, ops, cfg.sigma, wr)
+            reduced = lifted_resolvent_w(bg, decomp, terms, cfg.sigma, wr)
             _, w_new, _ = step_general(plan, cfg.sigma, 1.0, wr, 0)
             worst_ident = max(worst_ident, float(np.abs(reduced - w_new).max()))
     ok = worst_track < 1e-9 and worst_ident < 1e-9 and time.time() - t0 < 5.0
@@ -209,11 +202,11 @@ def test_criterion_06_decomposition_independence():
     ops = quad_ops(centers)
     # incidence vs spectral on a tree base
     base = OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)])
-    bg = BilevelGraph(complete(4), base)
+    bg = BilevelGraph(complete_digraph(4), base)
     p1 = StepPlan(bg, ops, incidence_decomposition(base))
     p2 = StepPlan(bg, ops, spectral_decomposition(base))
     # Z vs Z Q for random orthogonal Q on a complete base
-    g = complete(4)
+    g = complete_digraph(4)
     bgc = BilevelGraph(g, g)
     z = spectral_decomposition(g)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

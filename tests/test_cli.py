@@ -217,10 +217,11 @@ def test_svm_bad_theta_opens_no_output(tmp_path, capsys):
 
 
 def test_svm_rejects_nan_sigma(tmp_path, capsys):
+    # the sweep sets sigma itself, so svm has no --sigma flag at all
     out = tmp_path / "s.csv"
     assert main(SMALL_SVM + ["--sigma", "nan", "--out", str(out)]) == 2
     assert not out.exists()
-    assert "sigma" in capsys.readouterr().err
+    assert "unrecognized arguments: --sigma nan" in capsys.readouterr().err
 
 
 def test_solve_non_finite_sigma_is_input_error(graph_file, quad_cfg, tmp_path):
@@ -306,7 +307,7 @@ SOLVER_LINES = ["# max_iter = 2", "# tol = 0"]
           "# p = 3", "# cap = 0.125"]),
         ("svm", ["--n", "12", "--officials", "3", "--per-official", "4",
                  "--max-iter", "2", "--gamma", "0.25"],
-         ["# seed = 0", "# sigma = 1", "# theta = 1", *SOLVER_LINES,
+         ["# seed = 0", "# theta = 1", *SOLVER_LINES,
           "# n = 12", "# officials = 3", "# gamma = 0.25", "# kernel_width = 1"]),
         ("simulate", ["--rounds", "3", "--sigma", "0.5"],
          ["# seed = 0", "# sigma = 0.5", "# theta = 1", "# max_iter = 1000",
@@ -495,7 +496,7 @@ CLI_PINS = [
      "2035e237fc0876c0c1661805aa3bc91d0998f4072b5351e549f03ad412264f42",
      TRANSPORT8_CFG, True, ["--sigma", "2", "--max-iter", "30"]),
     ("svm",
-     "bbc2fc2dd8a20e459bc945dd757623528360987f5260dc2369ab4e65c883caa3",
+     "ba25043a24fe8976b54cea5ad488b42be9aadf8ef742c1c0dc87539bbec2e269",
      None, False, ["svm", "--n", "12", "--officials", "3", "--per-official", "4"]),
     ("transport-sweep",
      "a7299761bbd1d505d1d28232c854931a4d62a47caa6cbdc25ff116d83252b897",

@@ -10,25 +10,19 @@ from graphdrs.factorization import (
     spectral_decomposition,
     validate,
 )
-from graphdrs.graphs import BilevelGraph, OrderedDigraph, laplacian
+from graphdrs.graphs import BilevelGraph, OrderedDigraph, complete_digraph, laplacian
 from graphdrs.operators import prox_translated_quadratic
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
     compute_subgradients,
-    lifted_ppp_step,
-    lifted_reduce,
-    lifted_resolvent_w,
     run,
     step_general,
     tree_decomposition,
 )
+from oracles import lifted_ppp_step, lifted_reduce, lifted_resolvent_w
 
 rng = np.random.default_rng(7)
-
-
-def complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def test_incidence_of_path():
@@ -44,7 +38,7 @@ def test_incidence_of_path():
     [
         (OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]), "incidence"),
         (OrderedDigraph(3, [(0, 1), (1, 2), (0, 2)]), "spectral"),
-        (complete(4), "spectral"),
+        (complete_digraph(4), "spectral"),
     ],
 )
 def test_choose_decomposition_takes_incidence_only_for_trees(g, source):
@@ -62,7 +56,7 @@ def test_incidence_rejects_cycles():
 @pytest.mark.parametrize(
     "g",
     [
-        complete(4),
+        complete_digraph(4),
         OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)]),
         OrderedDigraph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]),
     ],
@@ -74,7 +68,7 @@ def test_spectral_decomposition_validates(g):
 
 
 def test_align_recovers_orthogonal_map():
-    g = complete(4)
+    g = complete_digraph(4)
     d1 = spectral_decomposition(g)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     d2 = external_decomposition(d1 @ q)
@@ -94,14 +88,14 @@ def test_align_tree_incidence_vs_spectral():
 
 
 def test_align_rejects_mismatched_laplacians():
-    d1 = spectral_decomposition(complete(4))
+    d1 = spectral_decomposition(complete_digraph(4))
     d2 = spectral_decomposition(OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(FactorizationError):
         align(d1, d2)
 
 
 def test_validate_rejects_bad_matrix():
-    g = complete(3)
+    g = complete_digraph(3)
     bad = external_decomposition(np.ones((3, 2)))
     with pytest.raises(FactorizationError):
         validate(bad, g)
@@ -114,9 +108,10 @@ def test_validate_rejects_bad_matrix():
     ids=["tree", "cycle"],
 )
 def test_every_factorization_is_the_array_every_consumer_takes(base):
-    bg = BilevelGraph(complete(3), base)
+    bg = BilevelGraph(complete_digraph(3), base)
     centers = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 1.0]])
-    ops = [prox_translated_quadratic(c) for c in centers]
+    terms = [(1.0, c) for c in centers]
+    ops = [prox_translated_quadratic(c, mu) for mu, c in terms]
     cfg = SolverConfig(sigma=0.7, max_iter=1)
     makers = [
         spectral_decomposition,
@@ -135,6 +130,7 @@ def test_every_factorization_is_the_array_every_consumer_takes(base):
         assert np.array_equal(state.x, x) and np.array_equal(state.w, w_new)
         a = compute_subgradients(bg, z, cfg.sigma, w, x)
         assert np.allclose(a, x - centers)  # A_i x = x - c_i
-        assert np.allclose(lifted_resolvent_w(bg, z, ops, cfg.sigma, w), w_new)
-        u = lifted_ppp_step(bg, z, ops, cfg, np.vstack([np.zeros((3, 2)), w]))
+        assert np.allclose(lifted_resolvent_w(bg, z, terms, cfg.sigma, w), w_new)
+        u = lifted_ppp_step(bg, z, terms, cfg.sigma, cfg.theta_at(0),
+                            np.vstack([np.zeros((3, 2)), w]))
         assert lifted_reduce(z, u).shape == (2, 2)

@@ -8,6 +8,7 @@ from graphdrs.graphs import (
     GraphError,
     OrderedDigraph,
     algebraic_connectivity,
+    complete_digraph,
     connected_subgraphs,
     enumerate_connected_digraphs,
     laplacian,
@@ -17,10 +18,6 @@ from graphdrs.graphs import (
     sigma_matrix,
     unbalance,
 )
-
-
-def complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def test_edge_validation():
@@ -44,7 +41,7 @@ def test_neighbors_and_degrees():
     assert g.in_neighbors(3) == [1, 2]
     assert g.out_neighbors(0) == [1, 2]
     assert g.in_neighbors(0) == []
-    assert g.adjacency(1) == [0, 3]
+    assert g.in_neighbors(1) == [0] and g.out_neighbors(1) == [3]
     assert list(g.degrees()) == [2, 2, 2, 2]
     assert not g.is_tree()
     assert OrderedDigraph(3, [(0, 1), (1, 2)]).is_tree()
@@ -57,7 +54,7 @@ def test_laplacian_path3():
 
 
 def test_algebraic_connectivity_values():
-    assert algebraic_connectivity(complete(4)) == pytest.approx(4.0, abs=1e-12)
+    assert algebraic_connectivity(complete_digraph(4)) == pytest.approx(4.0, abs=1e-12)
     path4 = OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)])
     assert algebraic_connectivity(path4) == pytest.approx(2 - math.sqrt(2), abs=1e-12)
     assert algebraic_connectivity(OrderedDigraph(2, [(0, 1)])) == pytest.approx(2.0)
@@ -115,7 +112,7 @@ def test_enumeration_counts():
 
 
 def test_connected_subgraphs_of_complete4():
-    assert len(connected_subgraphs(complete(4))) == 38
+    assert len(connected_subgraphs(complete_digraph(4))) == 38
 
 
 def test_connected_subgraphs_is_bounded_by_the_enumeration_limit():

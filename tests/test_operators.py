@@ -23,8 +23,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from test_problems import loop_divergence_matrix
-from test_properties import same_bits
+from oracles import bits, identical_bits, loop_divergence_matrix
 
 rng = np.random.default_rng(123)
 
@@ -181,9 +180,13 @@ def test_grid_divergence_feasible_idempotent_firm(p):
 def test_grid_divergence_validation():
     with pytest.raises(OperatorError, match="length 16"):
         project_grid_divergence(4, np.zeros(15))
-    for p in (0, -1):  # p = -1 would take a b of length 1
-        with pytest.raises(OperatorError, match="p >= 1"):
+    # p = -1 would take a b of length 1, and a bool is no grid side
+    for p in (0, -1, True, 2.5):
+        with pytest.raises(OperatorError, match=re.escape(f"p >= 1, got p = {p!r}")):
             project_grid_divergence(p, np.zeros(1))
+    r, b = np.arange(18.0), np.arange(9.0)
+    want = project_grid_divergence(3, b)(1.0, r)
+    assert identical_bits(project_grid_divergence(np.int64(3), b)(1.0, r), want)
 
 
 def test_capacity_projection():
@@ -220,7 +223,6 @@ def test_translated_quadratic_fixed_point():
     assert np.abs(op(0.7, c) - c).max() < 1e-12
     r = np.array([1.0, 1.0])
     assert np.abs(op(2.0, r) - (r + 6.0 * c) / 7.0).max() < 1e-12
-    assert op.affine_mu == 3.0
 
 
 def test_negative_tau_rejected():
@@ -238,10 +240,6 @@ def test_negative_tau_rejected():
 def test_nan_tau_rejected(op):
     with pytest.raises(OperatorError, match="got nan"):
         op(float("nan"), np.ones(2))
-
-
-def bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 def hinge_input(s, target):
@@ -334,14 +332,10 @@ def norm_capacity(bridge, water, cap):
     return fn
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(bits(a), bits(b))
-
-
 def test_block_norms_equal_linalg_norm_on_special_values():
     pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL])
     with np.errstate(over="ignore"):
-        assert same_bits(_block_norms(pairs), np.linalg.norm(pairs, axis=1))
+        assert identical_bits(_block_norms(pairs), np.linalg.norm(pairs, axis=1))
 
 
 block_arrays = arrays(
@@ -354,7 +348,7 @@ block_arrays = arrays(
 @given(block_arrays)
 def test_block_norms_equal_linalg_norm(blocks):
     with np.errstate(over="ignore"):
-        assert same_bits(_block_norms(blocks), np.linalg.norm(blocks, axis=1))
+        assert identical_bits(_block_norms(blocks), np.linalg.norm(blocks, axis=1))
 
 
 def kernel_pairs(cap):
@@ -375,7 +369,7 @@ def kernel_pairs(cap):
 def test_block_kernels_equal_norm_forms(r, tau, cap):
     for op, ref in kernel_pairs(cap):
         with np.errstate(all="ignore"):
-            assert same_bits(op(tau, r), ref(tau, r)), op.name
+            assert identical_bits(op(tau, r), ref(tau, r)), op.name
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -387,7 +381,7 @@ def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
         r[12:14] = -0.0
         for op, ref in kernel_pairs(0.5):
             with np.errstate(all="ignore"):
-                assert same_bits(op(tau, r), ref(tau, r)), (op.name, scale)
+                assert identical_bits(op(tau, r), ref(tau, r)), (op.name, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +495,11 @@ def test_grid_stencils_equal_csr_products_bit_for_bit(p, seed):
         r, r2, y = stencil_input(rng, 2 * m), stencil_input(rng, 2 * m), stencil_input(rng, m)
         y_before = y.copy()
         with np.errstate(invalid="ignore"):  # inf - inf in both forms
-            assert same_bits(div(r, np.empty(m)), div_csr @ r)
+            assert identical_bits(div(r, np.empty(m)), div_csr @ r)
             want = r2 - div_t_csr @ y
-            assert same_bits(step(r2, y, np.empty(2 * m)), want)
-            assert same_bits(step(r2, y, r2), want)  # r may be out
-        assert same_bits(y, y_before)
+            assert identical_bits(step(r2, y, np.empty(2 * m)), want)
+            assert identical_bits(step(r2, y, r2), want)  # r may be out
+        assert identical_bits(y, y_before)
 
 
 # one resolvent from every constructor that takes a single vector of length 8

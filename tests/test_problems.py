@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
 from graphdrs.operators import grid_stencils
@@ -32,29 +31,6 @@ def test_divergence_column_sums_exactly_zero(p):
     columns = np.column_stack([div(e, np.empty(p * p)) for e in np.eye(2 * p * p)])
     assert set(np.unique(columns)) <= {-1.0, 0.0, 1.0}
     assert np.array_equal(columns.sum(axis=0), np.zeros(2 * p * p))
-
-
-def loop_divergence_matrix(p):
-    """The grid divergence as a CSR matrix built cell by cell, entry by entry:
-    the oracle for operators.grid_stencils."""
-    n = p * p
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for r in range(p):
-        for c in range(p):
-            k = r * p + c
-            if c < p - 1:
-                add(k, 2 * k, 1.0)
-                add(k + 1, 2 * k, -1.0)
-            if r < p - 1:
-                add(k, 2 * k + 1, 1.0)
-                add(k + p, 2 * k + 1, -1.0)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, 2 * n))
 
 
 def test_divergence_telescoping():

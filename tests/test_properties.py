@@ -7,8 +7,9 @@ diagnostics are checked against the full subgradients, and the runs against
 the paper's subgradient <= variance <= residual chain and the monotone
 residual of a constant relaxation.  The reduced map w -> w - Z^T x(w) is
 checked to be firmly nonexpansive, and its estimates to solve the node
-inclusions.  Every catalogue resolvent is checked for firm nonexpansiveness
-on generated inputs, and for the out= contract: alias-safe, and no scratch
+inclusions; on affine operators the paper's lifted iteration reduces to
+it.  Every catalogue resolvent is checked for firm nonexpansiveness on
+generated inputs, and for the out= contract: alias-safe, and no scratch
 state carried from one call to the next.  The level schedule is checked to
 put each node on the latest level it can take, after all of its state
 in-neighbors.
@@ -41,19 +42,25 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.simulate import message_stats, run_general_protocol, run_tree_protocol
+from graphdrs.simulate import run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
     compute_subgradients,
-    node_dual_term,
-    node_solution,
     run,
     state_variance,
     step_general,
     step_tree,
 )
-from test_problems import loop_divergence_matrix
+from oracles import (
+    lifted_ppp_step,
+    lifted_reduce,
+    lifted_resolvent_w,
+    loop_divergence_matrix,
+    message_stats,
+    reference_sweep,
+    same_bits,
+)
 
 SWEEPS = 4
 PROPERTY = settings.get_profile("derandomized")
@@ -109,7 +116,6 @@ def test_neighbor_lists_match_edge_scans(bg):
             outs = sorted(j for h, j in g.edges if h == i)
             assert g.in_neighbors(i) == ins
             assert g.out_neighbors(i) == outs
-            assert g.adjacency(i) == sorted(ins + outs)
             assert g.degree(i) == len(ins) + len(outs)
         assert g.degrees().tolist() == [g.degree(i) for i in range(g.n_nodes)]
 
@@ -215,18 +221,6 @@ def test_protocols_equal_centralized_steps(problem):
 # level-scheduled sweeps against a per-node reference, bit for bit
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
-
-
-def same_bits(a, b):
-    """Equal bit for bit, -0.0 against 0.0 included; NaNs only by position."""
-    nan = np.isnan(a)
-    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
-        bits(np.where(nan, 0.0, a)), bits(np.where(nan, 0.0, b))
-    )
-
-
 def with_signed_zeros(rng, a):
     """a with a random share of its entries set to exact 0.0 or -0.0."""
     zeros = rng.choice([0.0, -0.0], size=a.shape)
@@ -242,18 +236,6 @@ def loop_gather(m, src):
             acc = acc + row[c] * src[c]
         out[r] = acc
     return out
-
-
-def reference_sweep(bg, z, ops, sigma, w):
-    """x of one sweep, node by node in label order through node_solution."""
-    n, dim = bg.n_nodes, w.shape[1]
-    d = bg.state.degrees().tolist()
-    x = np.zeros((n, dim))
-    for i in range(n):
-        terms = [(z[i, c], w[c]) for c in np.flatnonzero(z[i])]
-        xs_in = [x[h] for h in bg.state.in_neighbors(i)]
-        node_solution(ops[i], sigma, d[i], xs_in, node_dual_term(d[i], terms, dim), x[i])
-    return x
 
 
 @st.composite
@@ -550,6 +532,51 @@ def test_sweep_estimates_solve_their_node_inclusions(problem, form):
         for i, op in enumerate(ops):
             scale = max(1.0, np.abs(x[i]).max(), tau[i] * np.abs(a[i]).max())
             assert np.abs(op(tau[i], x[i] + tau[i] * a[i]) - x[i]).max() <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the lifted iteration reduces to the sweep
+
+LIFTED_STEPS = 50
+LIFTED_TOL = 1e-9  # criterion 4's gate
+
+
+@st.composite
+def affine_problems(draw):
+    """(bilevel graph, Z, affine terms (mu_i, c_i), rng) on n <= 6 nodes, Z
+    the incidence factorization of a tree base or the spectral one of any."""
+    factorization = draw(st.sampled_from(["incidence", "spectral"]))
+    if factorization == "incidence":
+        bg = draw(bilevel_graphs(tree=True, max_nodes=6))
+        z = incidence_decomposition(bg.base)
+    else:
+        bg = draw(bilevel_graphs(max_nodes=6))
+        z = spectral_decomposition(bg.base)
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = [(rng.uniform(0.5, 2.0), rng.standard_normal(dim)) for _ in range(bg.n_nodes)]
+    return bg, z, terms, rng
+
+
+@PROPERTY
+@given(affine_problems())
+def test_lifted_iteration_equals_reduced_sweep(problem):
+    # the lifted resolvent on H^(2N-1), applied at (Z w, w) and reduced by
+    # w = Z^T x + v, is the reduced map w -> w - Z^T x(w); relaxed lifted
+    # steps from u = 0 reduce to the relaxed sweeps from w = 0
+    bg, z, terms, rng = problem
+    plan = StepPlan(bg, [prox_translated_quadratic(c, mu) for mu, c in terms], z)
+    sigma, theta = rng.uniform(0.3, 3.0), rng.uniform(0.2, 1.8)
+    for _ in range(SWEEPS):
+        w = rng.standard_normal((bg.n_nodes - 1, plan.dim))
+        reduced = lifted_resolvent_w(bg, z, terms, sigma, w)
+        assert np.abs(reduced - step_general(plan, sigma, 1.0, w)[1]).max() < LIFTED_TOL
+    u = np.zeros((2 * bg.n_nodes - 1, plan.dim))
+    w = np.zeros((bg.n_nodes - 1, plan.dim))
+    for k in range(LIFTED_STEPS):
+        u = lifted_ppp_step(bg, z, terms, sigma, theta, u)
+        _, w, _ = step_general(plan, sigma, theta, w, k)
+        assert np.abs(lifted_reduce(z, u) - w).max() < LIFTED_TOL
 
 
 # ---------------------------------------------------------------------------

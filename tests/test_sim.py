@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from graphdrs.factorization import incidence_decomposition
-from graphdrs.graphs import BilevelGraph, OrderedDigraph
+from graphdrs.graphs import BilevelGraph, OrderedDigraph, complete_digraph
 from graphdrs.operators import prox_group_l1, prox_translated_quadratic
 from graphdrs.problems import build_svm
 from graphdrs.simulate import (
     Message,
     NetworkSim,
     ProtocolError,
-    message_stats,
     run_general_protocol,
     run_tree_protocol,
     write_message_log,
@@ -26,12 +25,9 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
+from oracles import message_stats
 
 rng = np.random.default_rng(5)
-
-
-def complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def quad_ops(n, dim=2):
@@ -39,12 +35,12 @@ def quad_ops(n, dim=2):
 
 
 def tree_bg():
-    return BilevelGraph(complete(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
+    return BilevelGraph(complete_digraph(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
 
 
 def k4_bg(protocol):
     """Complete K4 state with a tree base, or with itself as base (general)."""
-    g = complete(4)
+    g = complete_digraph(4)
     return tree_bg() if protocol == "tree" else BilevelGraph(g, g)
 
 
@@ -61,7 +57,7 @@ def test_tree_protocol_bit_identical():
 
 
 def test_general_protocol_bit_identical():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)  # non-tree base
     ops = quad_ops(4)
     cfg = SolverConfig(sigma=0.7)
@@ -80,7 +76,7 @@ def test_final_duals_equal_centralized_duals(protocol, graph):
     if graph == "svm":
         _, ops, bg = build_svm(50, 5, 10)
     else:
-        bg, ops = BilevelGraph(complete(4), complete(4)), quad_ops(4)
+        bg, ops = BilevelGraph(complete_digraph(4), complete_digraph(4)), quad_ops(4)
     cfg = SolverConfig(sigma=0.7, theta=1.4)
     sim = NetworkSim(bg, ops, cfg, protocol=protocol)
     result, plan = sim.run(60), sim.plan
@@ -119,7 +115,7 @@ def test_tree_message_counts():
 
 
 def test_general_message_counts():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     result = run_general_protocol(bg, quad_ops(4), SolverConfig(sigma=1.0), rounds=7)
     stats = message_stats(result.log)
@@ -148,7 +144,7 @@ def test_messages_only_on_graph_edges(protocol):
 
 
 def test_protocol_validation():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     with pytest.raises(ValueError, match="tree"):
         NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol="tree")

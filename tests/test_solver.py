@@ -15,6 +15,7 @@ from graphdrs.graphs import (
     BilevelGraph,
     OrderedDigraph,
     algebraic_connectivity,
+    complete_digraph,
     laplacian,
     unbalance,
 )
@@ -30,9 +31,6 @@ from graphdrs.solver import (
     SolverConfig,
     StepPlan,
     compute_subgradients,
-    lifted_ppp_step,
-    lifted_reduce,
-    lifted_resolvent_w,
     make_classical_drs,
     make_malitsky_tam,
     make_ryu,
@@ -43,13 +41,15 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
-from test_properties import reference_sweep, same_bits
+from oracles import (
+    lifted_ppp_step,
+    lifted_reduce,
+    lifted_resolvent_w,
+    reference_sweep,
+    same_bits,
+)
 
 rng = np.random.default_rng(42)
-
-
-def complete(n):
-    return OrderedDigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def quad_ops(centers, mu=1.0):
@@ -257,7 +257,7 @@ def test_malitsky_tam_runs_to_consensus():
 
 
 def test_tree_step_matches_general_bitwise():
-    bg = BilevelGraph(complete(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
+    bg = BilevelGraph(complete_digraph(4), OrderedDigraph(4, [(0, 1), (1, 2), (1, 3)]))
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     plan = StepPlan(bg, ops, incidence_decomposition(bg.base))
     w = np.zeros((3, 2))
@@ -271,7 +271,7 @@ def test_tree_step_matches_general_bitwise():
 
 def test_wtilde_matches_general():
     # non-tree base: complete base graph on 4 nodes
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     decomp = spectral_decomposition(g)
@@ -309,7 +309,7 @@ def test_run_wtilde_rejects_wrong_shape_wt0(shape):
 
 
 def test_wtilde_rejects_nonzero_sum():
-    g = complete(3)
+    g = complete_digraph(3)
     bg = BilevelGraph(g, g)
     ops = quad_ops([np.zeros(2)] * 3)
     cfg = SolverConfig(sigma=1.0, max_iter=1)
@@ -321,7 +321,7 @@ def test_wtilde_rejects_nonzero_sum():
 
 
 def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
-    g = complete(3)
+    g = complete_digraph(3)
     bg = BilevelGraph(g, g)
     calls = []
     ops = [Resolvent(2, lambda tau, r, out: calls.append(tau))] * 3
@@ -331,7 +331,7 @@ def test_run_wtilde_rejects_nonzero_sum_before_any_sweep():
 
 
 def test_decomposition_independence_orthogonal():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     z = spectral_decomposition(g)
@@ -346,7 +346,7 @@ def test_decomposition_independence_orthogonal():
 
 def test_decomposition_independence_incidence_vs_spectral():
     base = OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)])
-    bg = BilevelGraph(complete(4), base)
+    bg = BilevelGraph(complete_digraph(4), base)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     p1 = StepPlan(bg, ops, incidence_decomposition(base))
     p2 = StepPlan(bg, ops, spectral_decomposition(base))
@@ -361,37 +361,35 @@ def test_decomposition_independence_incidence_vs_spectral():
 # lifted iteration
 
 
+def affine_terms(n, dim):
+    return [(mu, rng.standard_normal(dim)) for mu in rng.uniform(0.5, 2.0, size=n)]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lifted_reduction_tracks_w(n):
-    g = complete(n)
+    g = complete_digraph(n)
     bg = BilevelGraph(g, g)
     decomp = spectral_decomposition(g)
-    ops = [
-        prox_translated_quadratic(rng.standard_normal(3), mu)
-        for mu in rng.uniform(0.5, 2.0, size=n)
-    ]
+    terms = affine_terms(n, 3)
     cfg = SolverConfig(sigma=1.2, theta=1.3)
-    plan = StepPlan(bg, ops, decomp)
+    plan = StepPlan(bg, [prox_translated_quadratic(c, mu) for mu, c in terms], decomp)
     u = np.zeros((2 * n - 1, 3))
     w = np.zeros((n - 1, 3))
     for k in range(50):
-        u = lifted_ppp_step(bg, decomp, ops, cfg, u, k)
+        u = lifted_ppp_step(bg, decomp, terms, cfg.sigma, cfg.theta_at(k), u)
         _, w, _ = step_general(plan, cfg.sigma, cfg.theta_at(k), w, k)
         assert np.abs(lifted_reduce(decomp, u) - w).max() < 1e-9
 
 
 def test_lifted_resolvent_identity():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     decomp = spectral_decomposition(g)
-    ops = [
-        prox_translated_quadratic(rng.standard_normal(2), mu)
-        for mu in rng.uniform(0.5, 2.0, size=4)
-    ]
-    plan = StepPlan(bg, ops, decomp)
+    terms = affine_terms(4, 2)
+    plan = StepPlan(bg, [prox_translated_quadratic(c, mu) for mu, c in terms], decomp)
     for _ in range(20):
         w = rng.standard_normal((3, 2))
-        reduced = lifted_resolvent_w(bg, decomp, ops, 1.0, w)
+        reduced = lifted_resolvent_w(bg, decomp, terms, 1.0, w)
         _, w_new, _ = step_general(plan, 1.0, 1.0, w, 0)
         assert np.abs(reduced - w_new).max() < 1e-9
 
@@ -401,7 +399,7 @@ def test_lifted_resolvent_identity():
 
 
 def test_subgradients_match_affine_operators():
-    g = complete(4)
+    g = complete_digraph(4)
     base = OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)])
     bg = BilevelGraph(g, base)
     centers = [rng.standard_normal(2) for _ in range(4)]
@@ -418,7 +416,7 @@ def test_subgradients_match_affine_operators():
 
 def test_variance_and_residual_chain_sample():
     # both bounds of the diagnostic chain on one concrete run
-    g = complete(4)
+    g = complete_digraph(4)
     base = OrderedDigraph(4, [(0, 1), (0, 2), (0, 3)])
     bg = BilevelGraph(g, base)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
@@ -553,7 +551,7 @@ def test_single_hinges_use_the_scalar_kernel(monkeypatch):
 
 
 def test_run_wtilde_matches_run():
-    g = complete(4)
+    g = complete_digraph(4)
     bg = BilevelGraph(g, g)
     ops = quad_ops([rng.standard_normal(2) for _ in range(4)])
     cfg = SolverConfig(sigma=1.0, max_iter=80)
@@ -637,7 +635,7 @@ def step_peak_and_returned(plan, w):
 
 def test_a_step_allocates_little_beyond_what_it_returns():
     _, transport_ops = build_transport(35)
-    g = complete(4)
+    g = complete_digraph(4)
     transport = (StepPlan(BilevelGraph(g, g), transport_ops, spectral_decomposition(g)),
                  rng.standard_normal((3, 2450)))
     _, svm_ops, bg = build_svm(50, 5, 10)
