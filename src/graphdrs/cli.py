@@ -11,8 +11,10 @@ import argparse
 import contextlib
 import dataclasses
 import os
+import shutil
 import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -232,21 +234,28 @@ def cmd_simulate(args):
     ops, bg, _ = _build_problem(args.config, args.graph, args.seed)
     cfg = _solver_config(args, max_iter=args.rounds)
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
-    result = sim.run(args.rounds)
-    # centralized re-run of the same formulation for the equivalence report
-    w = np.zeros_like(result.w)
-    max_dev = 0.0
-    for rnd in range(args.rounds):
-        x, w, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
-        max_dev = max(max_dev, float(np.abs(result.x_history[rnd] - x).max()))
-    with _output(args, f"protocol = {args.protocol}", f"rounds = {args.rounds}",
-                 f"max_deviation = {max_dev:.17g}",
-                 f"total_messages = {len(result.log)}") as fh:
-        write_message_log(result.log, fh)
-    print(
-        f"protocol={args.protocol} rounds={args.rounds} "
-        f"max_deviation={max_dev:.17g} messages={len(result.log)}"
-    )
+    w, max_dev, messages = np.zeros((sim.plan.z.shape[1], sim.plan.dim)), 0.0, 0
+
+    def checked_log():  # the messages, each round compared with a centralized step
+        nonlocal w, max_dev, messages
+        for rnd, (x_sim, sent) in enumerate(sim.rounds(args.rounds)):
+            x, w, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+            max_dev = max(max_dev, float(np.abs(x_sim - x).max()))
+            messages += len(sent)
+            yield from sent
+
+    # the header needs the totals, so the rows wait in a temporary file, written
+    # write-only (a readable text file resets its decoder per write), read as bytes
+    with tempfile.TemporaryFile("w") as body:
+        write_message_log(checked_log(), body)
+        body.seek(0)
+        header = [f"protocol = {args.protocol}", f"rounds = {args.rounds}",
+                  f"max_deviation = {max_dev:.17g}", f"total_messages = {messages}"]
+        with _output(args, *header) as fh, open(body.fileno(), "rb", closefd=False) as rows:
+            fh.flush()
+            shutil.copyfileobj(rows, fh.buffer)
+    print(f"protocol={args.protocol} rounds={args.rounds} "
+          f"max_deviation={max_dev:.17g} messages={messages}")
     return 0
 
 

@@ -13,16 +13,16 @@ own turn when it holds their estimates by then (always, on a tree), and
 otherwise after the round's last agent.
 
 Agents execute in ascending label order within a synchronous round (the only
-causally consistent sequential schedule), exchange value copies over
-in-order reliable channels, and invoke the very same per-node kernels as the
+causally consistent sequential schedule), exchange values over in-order
+reliable channels, and invoke the very same per-node kernels as the
 centralized solver, so simulated and centralized iterates are bit-identical.
 A run reads each agent's (peer, channel) receive and send lists off the plan
 once, with one deque per directed pair, so a round looks up no channel.
-Every message of a run, payload included, stays in its log; the round
-estimates are written into a preallocated (rounds, N, dim) history.  The
-duals are a list of per-row arrays, each updated only by its owner; a run
-returns them stacked, rows as in the centralized duals.  Each run starts
-from a fresh network, so a second run on one simulator repeats the first.
+:meth:`NetworkSim.rounds`, the protocol loop, yields one round at a time and
+keeps none, so its memory does not grow with the rounds; :meth:`NetworkSim.run`
+collects it.  A channel carries the sender's array, not a copy: a row of the
+round's fresh estimates, or a dual row, rebound on each update by its owner.
+A run starts from a fresh network, so a second run repeats the first.
 """
 
 from collections import deque
@@ -44,14 +44,14 @@ class Message:
     src: int
     dst: int
     kind: str  # x | w
-    payload: np.ndarray
+    payload: np.ndarray  # the sender's array, which it never writes again
 
 
 @dataclass
 class SimResult:
-    x_history: np.ndarray  # (rounds, N, dim)
+    x_history: np.ndarray  # (rounds, N, dim), collected from NetworkSim.rounds
     w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
-    log: list
+    log: list  # every Message of the run, in send order
 
 
 class NetworkSim:
@@ -85,12 +85,12 @@ class NetworkSim:
         return chan
 
     def _send(self, rnd, src, outs, kind, payload):
-        """Send a copy of payload down each (dst, channel) of outs."""
-        log = self.log
+        """Send payload itself, not a copy, down each (dst, channel) of outs."""
+        sent = self._sent
         for dst, chan in outs:
-            msg = Message(rnd, src, dst, kind, payload.copy())
+            msg = Message(rnd, src, dst, kind, payload)
             chan.append(msg)
-            log.append(msg)
+            sent.append(msg)
 
     @staticmethod
     def _recv(rnd, dst, src, chan, kind):
@@ -141,15 +141,17 @@ class NetworkSim:
             ))
         return duals, agents
 
-    def run(self, rounds):
-        """Simulate rounds sweeps on a fresh network: new duals, channels and log."""
+    def rounds(self, n):
+        """Simulate n sweeps on a fresh network, yielding (x, sent) per round:
+        its fresh (N, dim) estimates and its messages in send order, round 1's
+        after round 0's dual initialization.  The duals are self.w."""
         self.channels = {}
-        self.log = []
+        self._sent = []
         plan, dim, sigma = self.plan, self.plan.dim, self.cfg.sigma
         recv, send = self._recv, self._send
         duals, agents = self._agents()
         # round 0: owners initialize their duals and send them out
-        w = [np.zeros(dim) for _ in duals]
+        w = self.w = [np.zeros(dim) for _ in duals]
         for c, (o, w_out) in enumerate(duals):
             send(0, o, w_out, "w", w[c])
 
@@ -158,10 +160,9 @@ class NetworkSim:
                 w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
                 send(rnd, i, w_out, "w", w[c])
 
-        x_history = np.empty((rounds, plan.n_nodes, dim))
-        for rnd in range(1, rounds + 1):
+        for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            x = x_history[rnd - 1]
+            x = np.empty((plan.n_nodes, dim))
             deferred = []
             for i, d_i, w_in, x_in, x_out, x_late, rows in agents:
                 w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
@@ -179,7 +180,17 @@ class NetworkSim:
                 for j, ch in x_late:
                     held[j] = recv(rnd, i, j, ch, "x")
                 update(rnd, theta, i, held, rows)
-        return SimResult(x_history, np.reshape(w, (-1, dim)), self.log)
+            yield x, self._sent
+            self._sent = []
+
+    def run(self, rounds):
+        """Collect :meth:`rounds`: estimates into x_history, messages into self.log."""
+        x_history = np.empty((rounds, self.plan.n_nodes, self.plan.dim))
+        self.log = []
+        for k, (x, sent) in enumerate(self.rounds(rounds)):
+            x_history[k] = x
+            self.log += sent
+        return SimResult(x_history, np.reshape(self.w, (-1, self.plan.dim)), self.log)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from graphdrs import cli
 from graphdrs.cli import main
+from graphdrs.simulate import NetworkSim
 
 GRAPH4 = "STATE\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\nBASE\n1 2\n2 3\n3 4\n"
 QUAD_CFG = "problem = quadratic\ncenters = 1 0; 0 1; -1 0; 0 -1\n"
@@ -271,6 +273,53 @@ def test_simulate_general_protocol(graph_file, quad_cfg, tmp_path):
     )
     assert code == 0
     assert "# max_deviation = 0\n" in Path(out).read_text()
+
+
+def test_simulate_memory_does_not_grow_with_rounds(graph_file, quad_cfg, tmp_path):
+    def peak(rounds):
+        tracemalloc.reset_peak()
+        assert main(["simulate", "--graph", graph_file, "--config", quad_cfg,
+                     "--rounds", str(rounds), "--out", str(tmp_path / "log.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(200)  # warm-up: lazy imports and caches
+        at_200, at_2000 = peak(200), peak(2000)
+    finally:
+        tracemalloc.stop()
+    assert at_2000 - at_200 <= 256 * 1024
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("dropped message", "agent 1 at round 3: missing x message from 0"),
+    ("non-finite step", "non-finite solution estimate at iteration 2: node 0 "
+                        "(resolvent 'translated_quadratic')"),
+])
+def test_simulate_failure_mid_run_leaves_out_untouched(graph_file, quad_cfg, tmp_path,
+                                                       capsys, monkeypatch, failure, message):
+    if failure == "dropped message":  # each round-3 estimate misses its first receiver
+        send = NetworkSim._send
+
+        def dropping_send(self, rnd, src, outs, kind, payload):
+            send(self, rnd, src, outs[1:] if (rnd, kind) == (3, "x") else outs, kind, payload)
+
+        monkeypatch.setattr(NetworkSim, "_send", dropping_send)
+    else:  # the centralized check's third step meets NaN duals
+        step = cli.step_general
+
+        def nan_step(plan, sigma, theta, w, k):
+            return step(plan, sigma, theta, w * np.nan if k == 2 else w, k)
+
+        monkeypatch.setattr(cli, "step_general", nan_step)
+    out = tmp_path / "log.csv"
+    stale = b"stale\n" * 1000
+    out.write_bytes(stale)
+    assert main(["simulate", "--graph", graph_file, "--config", quad_cfg,
+                 "--rounds", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {message}\n" and captured.out == ""
+    assert out.read_bytes() == stale
 
 
 @pytest.mark.parametrize("flag", ["--max-iter", "--tol"])

@@ -25,7 +25,7 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
-from oracles import message_stats
+from oracles import identical_bits, message_stats
 
 rng = np.random.default_rng(5)
 
@@ -220,6 +220,23 @@ def test_logged_payloads_are_copies(protocol):
     result.w[...] = np.nan
     for msg, before in zip(result.log, logged):
         assert np.array_equal(msg.payload, before)
+
+
+@pytest.mark.parametrize("graph", ["k4", "svm"])
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_no_payload_is_written_after_it_is_sent(protocol, graph):
+    # channels carry the senders' own arrays: none may be written once sent
+    if graph == "svm":
+        _, ops, bg = build_svm(50, 5, 10)
+    else:
+        bg, ops = k4_bg(protocol), quad_ops(4)
+    sim = NetworkSim(bg, ops, SolverConfig(sigma=0.7, theta=1.4), protocol=protocol)
+    log, snapshots = [], []
+    for _, sent in sim.rounds(4):
+        log += sent
+        snapshots += [msg.payload.copy() for msg in sent]
+    assert len(log) > 4 * bg.state.n_edges
+    assert all(identical_bits(msg.payload, snap) for msg, snap in zip(log, snapshots))
 
 
 def tamper_x_from_1_to_3(monkeypatch, kind):
