@@ -156,12 +156,9 @@ def sigma_matrix(base):
     triangle its negation, and the diagonal is zero.
     """
     lap = laplacian(base)
-    n = base.n_nodes
-    sig = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            sig[i, j] = lap[i, j]
-            sig[j, i] = -lap[i, j]
+    sig = np.tril(lap, -1)
+    upper = np.triu_indices(base.n_nodes, 1)
+    sig[upper] = -lap.T[upper]  # -0.0 above the diagonal for non-adjacent pairs
     return sig
 
 

@@ -15,7 +15,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
 
 
 class OperatorError(ValueError):
@@ -81,6 +80,7 @@ def prox_quadratic(k_matrix, weight):
     J_tau(r) = (I + 2 tau weight K)^(-1) r; the Cholesky factor is cached
     per step size (the solver never changes tau mid-run).
     """
+    from scipy.linalg import cho_factor, get_lapack_funcs  # lazy: its only user
     k_matrix = np.asarray(k_matrix, dtype=float)
     if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
         raise OperatorError("K must be square")

@@ -12,10 +12,12 @@ out-neighbours, then to every other owner of an update row that reads it
 own turn when it holds their estimates by then (always, on a tree), and
 otherwise after the round's last agent.
 
-Agents execute in ascending label order within a synchronous round (the only
-causally consistent sequential schedule), exchange values over in-order
-reliable channels, and invoke the very same per-node kernels as the
-centralized solver, so simulated and centralized iterates are bit-identical.
+A round walks the plan's levels, as the centralized sweep does; any
+topological order of the state DAG is causally consistent.  A level's agents
+take one turn, a CSR product over the messages they pop and one stacked call
+for its hinges, with the kernels and summation order of the centralized sweep:
+over in-order reliable channels, simulated and centralized iterates are
+bit-identical.  A round logs messages by sender label, then deferred updates.
 A run reads each agent's (peer, channel) receive and send lists off the plan
 once, with one deque per directed pair, so a round looks up no channel.
 :meth:`NetworkSim.rounds`, the protocol loop, yields one round at a time and
@@ -27,11 +29,14 @@ A run starts from a fresh network, so a second run repeats the first.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
+from operator import attrgetter
 
 import numpy as np
+from scipy import sparse
 
 from .factorization import incidence_decomposition
-from .solver import StepPlan, node_dual_term, node_solution, row_sum
+from .solver import StepPlan, node_solution, row_sum
 
 
 class ProtocolError(RuntimeError):
@@ -51,7 +56,7 @@ class Message:
 class SimResult:
     x_history: np.ndarray  # (rounds, N, dim), collected from NetworkSim.rounds
     w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
-    log: list  # every Message of the run, in send order
+    log: list  # every Message of the run, each round's by sender, deferred updates last
 
 
 class NetworkSim:
@@ -141,45 +146,83 @@ class NetworkSim:
             ))
         return duals, agents
 
+    def _turn(self, nodes, batch, agents, w):
+        """A level's turn, built once per run: its single agents, then its
+        batch's hinges, pop their messages in label order into one stack.  One
+        CSR map sums its rows from zero in term order, as :func:`row_sum` does,
+        into dual terms, input sums, and row updates less their last term."""
+        plan, recv, send, sigma = self.plan, self._recv, self._send, self.cfg.sigma
+        ids = nodes + ([] if batch is None else batch[0].tolist())
+        members, k, s = [agents[i] for i in ids], len(ids), len(nodes)
+        maps, updates, col = [None] * 2 * k, [], 0
+        for m, (i, _, w_in, x_in, _, late, owned) in enumerate(members):
+            at = dict(zip([("w", c) for _, c, *_ in w_in] + [h for h, _ in x_in], count(col)))
+            maps[m] = [(at["w", c], a) for a, c, *_ in w_in]  # dual terms
+            maps[k + m] = [(at[h], 1.0) for h, _ in x_in]  # input sums
+            col += len(at)
+            for c, row, w_out in [] if late else owned:  # row[-1] is (a, i)
+                maps.append([(at[j], a) for a, j in row[:-1]])
+                updates.append((i, c, w_out, at["w", c], row[-1][0]))  # its dual is a term
+        rca = np.reshape([(r, c, a) for r, row in enumerate(maps) for c, a in row], (-1, 3)).T
+        terms = sparse.csr_matrix((rca[2], rca[:2].astype(int)), shape=(len(maps), col))
+        owners, old = np.array([(u[0], u[3]) for u in updates], dtype=int).reshape(-1, 2).T
+        a_own = np.array([u[4] for u in updates])[:, None]
+        inv_d = plan.inv_d[ids]
+
+        def turn(rnd, theta, x, deferred):
+            popped = []
+            for i, _, w_in, x_in, _, x_late, owned in members:
+                popped += [w[c] if ch is None else recv(rnd, i, o, ch, "w") for _, c, o, ch in w_in]
+                held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
+                popped += held.values()
+                if x_late:
+                    deferred.append((i, held | {i: x[i]}, x_late, owned))
+            stack = np.concatenate(popped).reshape(col, -1)  # freed with the turn
+            p = terms @ stack  # dual terms, input sums, update sums
+            w_term = np.multiply(inv_d, p[:k], out=p[:k])
+            for m, i in enumerate(nodes):  # 0.0 + an input sum is that sum
+                node_solution(plan.ops[i], sigma, plan.degrees[i], [p[k + m]], w_term[m], x[i])
+            if batch is not None:
+                rows, hinges, _, two_over_d = batch
+                r = np.multiply(two_over_d, p[k + s:2 * k], out=p[k + s:2 * k])
+                r += w_term[s:]
+                x[rows] = hinges(sigma, r, out=r)
+            for i, _, _, _, x_out, _, _ in members:
+                send(rnd, i, x_out, "x", x[i])
+            new = np.multiply(a_own, x[owners])  # a fresh array, whose rows become the new duals
+            new += p[2 * k:]
+            np.subtract(stack[old], np.multiply(theta, new, out=new), out=new)
+            for (i, c, w_out, _, _), row in zip(updates, new):
+                w[c] = row
+                send(rnd, i, w_out, "w", row)
+        return turn
+
     def rounds(self, n):
         """Simulate n sweeps on a fresh network, yielding (x, sent) per round:
-        its fresh (N, dim) estimates and its messages in send order, round 1's
-        after round 0's dual initialization.  The duals are self.w."""
+        its fresh (N, dim) estimates and its messages (round 1's after round
+        0's dual initialization) by sender label, each sender's in send order,
+        then the late dual updates.  The duals are self.w."""
         self.channels = {}
-        self._sent = []
-        plan, dim, sigma = self.plan, self.plan.dim, self.cfg.sigma
-        recv, send = self._recv, self._send
+        plan, dim = self.plan, self.plan.dim
         duals, agents = self._agents()
         # round 0: owners initialize their duals and send them out
+        self._sent = []
         w = self.w = [np.zeros(dim) for _ in duals]
         for c, (o, w_out) in enumerate(duals):
-            send(0, o, w_out, "w", w[c])
-
-        def update(rnd, theta, i, held, rows):
-            for c, row, w_out in rows:
-                w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
-                send(rnd, i, w_out, "w", w[c])
-
+            self._send(0, o, w_out, "w", w[c])
+        turns = [self._turn(nodes, batch, agents, w) for nodes, batch in plan.schedule]
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            x = np.empty((plan.n_nodes, dim))
-            deferred = []
-            for i, d_i, w_in, x_in, x_out, x_late, rows in agents:
-                w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
-                           for a, c, o, ch in w_in]
-                held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
-                node_solution(plan.ops[i], sigma, d_i, list(held.values()),
-                              node_dual_term(d_i, w_terms, dim), x[i])
-                held[i] = x[i]
-                send(rnd, i, x_out, "x", x[i])
-                if x_late:
-                    deferred.append((i, held, x_late, rows))
-                else:
-                    update(rnd, theta, i, held, rows)
-            for i, held, x_late, rows in deferred:
-                for j, ch in x_late:
-                    held[j] = recv(rnd, i, j, ch, "x")
-                update(rnd, theta, i, held, rows)
+            x, deferred = np.empty((plan.n_nodes, dim)), []
+            sent, self._sent = self._sent, []  # round 1's starts with round 0's
+            for turn in turns:  # a level's agents read only earlier levels
+                turn(rnd, theta, x, deferred)
+            self._sent = sent + sorted(self._sent, key=attrgetter("src"))  # stable
+            for i, held, x_late, rows in sorted(deferred):  # by label (labels differ)
+                held |= {j: self._recv(rnd, i, j, ch, "x") for j, ch in x_late}
+                for c, row, w_out in rows:
+                    w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
+                    self._send(rnd, i, w_out, "w", w[c])
             yield x, self._sent
             self._sent = []
 

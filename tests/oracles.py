@@ -5,7 +5,7 @@ the operators) rather than from the structures the library builds, so a
 test that compares the two checks something:
 
 * :func:`same_bits` and :func:`identical_bits`, the two bit-level
-  comparisons;
+  comparisons, and :func:`round_bytes`, a simulator run's rounds as bytes;
 * :func:`loop_divergence_matrix`, the grid divergence as a CSR matrix built
   cell by cell, the oracle for ``operators.grid_stencils``;
 * :func:`reference_sweep`, one sweep node by node in label order;
@@ -13,14 +13,19 @@ test that compares the two checks something:
   x -> mu_i (x - c_i), given as (mu_i, c_i) pairs, by dense solves:
   :func:`lifted_ppp_step`, :func:`lifted_reduce` and
   :func:`lifted_resolvent_w`;
-* :func:`message_stats`, the message counts of a simulator log.
+* :func:`reference_rounds`, the simulator's rounds with every agent taking
+  its own turn in label order, :func:`shifted_estimates`, a channel that
+  shifts every estimate it carries, and :func:`message_stats`, the message
+  counts of a simulator log;
+* :func:`loop_sigma_matrix`, the skew-symmetric coupling matrix entry by
+  entry.
 """
 
 import numpy as np
 from scipy import sparse
 
 from graphdrs.graphs import laplacian, p_matrix, sigma_matrix
-from graphdrs.solver import node_dual_term, node_solution
+from graphdrs.solver import node_dual_term, node_solution, row_sum
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +47,14 @@ def same_bits(a, b):
 def identical_bits(a, b):
     """Same shape and every bit equal, NaN payloads included."""
     return a.shape == b.shape and np.array_equal(bits(a), bits(b))
+
+
+def round_bytes(rounds):
+    """A simulator's (x, sent) rounds as bytes: per round, x and each message's
+    round, src, dst, kind and payload, in log order; equal bytes mean equal
+    bits and order."""
+    return [(x.tobytes(), [(m.round, m.src, m.dst, m.kind, m.payload.tobytes()) for m in sent])
+            for x, sent in rounds]
 
 
 # ---------------------------------------------------------------------------
@@ -150,3 +163,77 @@ def message_stats(log):
         "per_edge": per_edge,
         "payload_bytes": total_bytes,
     }
+
+
+def reference_rounds(sim, n):
+    """NetworkSim.rounds with one turn per agent, in label order: the agent
+    pops its duals and estimates, solves through node_solution, sends its
+    estimate and updates its rows by row_sum (after the round's last agent
+    when it has late receives).  Yields (x, sent) per round, sent in send
+    order, round 1's after round 0's dual initialization; sends go through
+    sim._send and receives through sim._recv, on sim's channels.  Unlike the
+    other oracles it reads its channel lists off the library (sim._agents),
+    so it checks the turn schedule and the arithmetic; the message tests
+    check the channels against the edge lists."""
+    sim.channels = {}
+    sim._sent = []
+    plan, dim, sigma = sim.plan, sim.plan.dim, sim.cfg.sigma
+    recv, send = sim._recv, sim._send
+    duals, agents = sim._agents()
+    w = sim.w = [np.zeros(dim) for _ in duals]
+    for c, (o, w_out) in enumerate(duals):
+        send(0, o, w_out, "w", w[c])
+
+    def update(rnd, theta, i, held, rows):
+        for c, row, w_out in rows:
+            w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
+            send(rnd, i, w_out, "w", w[c])
+
+    for rnd in range(1, n + 1):
+        theta = sim.cfg.theta_at(rnd - 1)
+        x = np.empty((plan.n_nodes, dim))
+        deferred = []
+        for i, d_i, w_in, x_in, x_out, x_late, rows in agents:
+            w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
+                       for a, c, o, ch in w_in]
+            held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
+            node_solution(plan.ops[i], sigma, d_i, list(held.values()),
+                          node_dual_term(d_i, w_terms, dim), x[i])
+            held[i] = x[i]
+            send(rnd, i, x_out, "x", x[i])
+            if x_late:
+                deferred.append((i, held, x_late, rows))
+            else:
+                update(rnd, theta, i, held, rows)
+        for i, held, x_late, rows in deferred:
+            for j, ch in x_late:
+                held[j] = recv(rnd, i, j, ch, "x")
+            update(rnd, theta, i, held, rows)
+        yield x, sim._sent
+        sim._sent = []
+
+
+def shifted_estimates(sim):
+    """A _send for sim that replaces every estimate by a fresh, shifted copy:
+    an agent that reads the sender's array instead of its message then
+    computes something else."""
+    def send(rnd, src, outs, kind, payload):
+        type(sim)._send(sim, rnd, src, outs, kind, payload + 0.25 if kind == "x" else payload)
+    return send
+
+
+# ---------------------------------------------------------------------------
+# graph matrices
+
+
+def loop_sigma_matrix(base):
+    """The skew-symmetric coupling matrix entry by entry: the lower triangle
+    of the base Laplacian, its negation above the diagonal."""
+    lap = laplacian(base)
+    n = base.n_nodes
+    sig = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            sig[i, j] = lap[i, j]
+            sig[j, i] = -lap[i, j]
+    return sig

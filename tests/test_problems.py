@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import graphdrs
 
 from graphdrs.graphs import BilevelGraph, OrderedDigraph
 from graphdrs.operators import grid_stencils
@@ -38,6 +45,26 @@ def test_divergence_telescoping():
     div, _ = grid_stencils(4)
     flow = rng.standard_normal(32)
     assert abs(div(flow, np.empty(16)).sum()) < 1e-12
+
+
+def test_transport_run_leaves_scipy_linalg_unloaded():
+    code = (
+        "import sys, scipy.sparse, scipy.fft\n"
+        "if 'scipy.linalg' in sys.modules: sys.exit('preloaded')\n"
+        "from graphdrs.graphs import BilevelGraph, complete_digraph\n"
+        "from graphdrs.problems import build_transport\n"
+        "from graphdrs.solver import SolverConfig, run\n"
+        "_, ops = build_transport(8)\n"
+        "g = complete_digraph(4)\n"
+        "run(BilevelGraph(g, g), None, ops, SolverConfig(sigma=1.0, max_iter=5))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(graphdrs.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if done.stderr.strip() == "preloaded":
+        pytest.skip("scipy.sparse or scipy.fft loads scipy.linalg itself")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_build_transport_invariants():

@@ -12,7 +12,9 @@ it.  Every catalogue resolvent is checked for firm nonexpansiveness on
 generated inputs, and for the out= contract: alias-safe, and no scratch
 state carried from one call to the next.  The level schedule is checked to
 put each node on the latest level it can take, after all of its state
-in-neighbors.
+in-neighbors.  The simulator's level turns, each a level's agents at once,
+are checked against one turn per agent in label order, bit for bit and
+message for message, and the coupling matrix against its entry loop.
 """
 
 import numpy as np
@@ -42,7 +44,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.simulate import run_general_protocol, run_tree_protocol
+from graphdrs.simulate import NetworkSim, run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
@@ -53,13 +55,18 @@ from graphdrs.solver import (
     step_tree,
 )
 from oracles import (
+    identical_bits,
     lifted_ppp_step,
     lifted_reduce,
     lifted_resolvent_w,
     loop_divergence_matrix,
+    loop_sigma_matrix,
     message_stats,
+    reference_rounds,
     reference_sweep,
+    round_bytes,
     same_bits,
+    shifted_estimates,
 )
 
 SWEEPS = 4
@@ -67,11 +74,13 @@ PROPERTY = settings.get_profile("derandomized")
 
 
 @st.composite
-def bilevel_graphs(draw, tree=None, max_nodes=8):
-    """A random spanning tree, plus random extra base and state edges."""
-    n = draw(st.integers(2, max_nodes))
-    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])
-    base = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+def bilevel_graphs(draw, tree=None, max_nodes=8, two_sinks=False):
+    """A random spanning tree, plus random extra base and state edges; with
+    two_sinks, no edge joins the last two nodes, which are then both sinks."""
+    n = draw(st.integers(3 if two_sinks else 2, max_nodes))
+    cut = (n - 2, n - 1) if two_sinks else None
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != cut])
+    base = {(draw(st.integers(0, i - 1 - (i == n - 1 and two_sinks))), i) for i in range(1, n)}
     if not (draw(st.booleans()) if tree is None else tree):
         base |= set(draw(st.lists(pairs, max_size=6)))
     state = base | set(draw(st.lists(pairs, max_size=8)))
@@ -239,16 +248,19 @@ def loop_gather(m, src):
 
 
 @st.composite
-def mixed_problems(draw, tree=None, max_nodes=8):
+def mixed_problems(draw, tree=None, max_nodes=8, two_hinges=False):
     """(bilevel graph, resolvents, rng): random hinge, quadratic and
     translated-quadratic resolvents, hinges most often, so that levels with
-    several hinges (the stacked path) are common."""
-    bg = draw(bilevel_graphs(tree, max_nodes))
+    several hinges (the stacked path) are common; with two_hinges, the last
+    two nodes are hinge sinks, so the last level always stacks hinges."""
+    bg = draw(bilevel_graphs(tree, max_nodes, two_sinks=two_hinges))
     dim = draw(st.integers(1, 4))
     kinds = draw(st.lists(
         st.sampled_from(["hinge", "hinge", "quadratic", "translated"]),
         min_size=bg.n_nodes, max_size=bg.n_nodes,
     ))
+    if two_hinges:
+        kinds[-2:] = ["hinge", "hinge"]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for kind in kinds:
@@ -313,6 +325,30 @@ def test_step_wtilde_equals_per_node_sweep_bitwise(problem):
         assert same_bits(x, x_ref)
         assert same_bits(wt_new, wt - 1.1 * loop_gather(laplacian(bg.base), x_ref))
         wt = wt_new
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["tree", "general"]), st.booleans(), st.booleans())
+def test_stacked_turns_equal_agent_turns_bitwise(data, protocol, schedule, perturb):
+    bg, ops, rng = data.draw(mixed_problems(tree=protocol == "tree" or None, two_hinges=True))
+    theta = (lambda k: 1.0 + 0.5 * np.sin(k)) if schedule else rng.uniform(0.2, 1.8)
+    cfg = SolverConfig(sigma=rng.uniform(0.3, 3.0), theta=theta)
+    runs = []
+    for rounds in (NetworkSim.rounds, reference_rounds):
+        sim = NetworkSim(bg, ops, cfg, protocol)
+        assert sim.plan.schedule[-1][1] is not None  # the last level stacks hinges
+        if perturb:
+            sim._send = shifted_estimates(sim)
+        # the whole run first: a payload written after it was sent shows too
+        runs.append(round_bytes(list(rounds(sim, SWEEPS))))
+    assert runs[0] == runs[1]
+
+
+@PROPERTY
+@given(bilevel_graphs())
+def test_sigma_matrix_equals_entry_loop_bitwise(bg):
+    for g in (bg.state, bg.base):
+        assert identical_bits(sigma_matrix(g), loop_sigma_matrix(g))
 
 
 @PROPERTY

@@ -6,7 +6,13 @@ import pytest
 
 from graphdrs.factorization import incidence_decomposition
 from graphdrs.graphs import BilevelGraph, OrderedDigraph, complete_digraph
-from graphdrs.operators import prox_group_l1, prox_translated_quadratic
+from graphdrs.operators import (
+    Resolvent,
+    prox_group_l1,
+    prox_hinge_affine,
+    prox_quadratic,
+    prox_translated_quadratic,
+)
 from graphdrs.problems import build_svm
 from graphdrs.simulate import (
     Message,
@@ -25,7 +31,13 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
-from oracles import identical_bits, message_stats
+from oracles import (
+    identical_bits,
+    message_stats,
+    reference_rounds,
+    round_bytes,
+    shifted_estimates,
+)
 
 rng = np.random.default_rng(5)
 
@@ -280,3 +292,74 @@ def test_mismatched_operator_dimensions_name_the_node():
     expected = "node 2 .*'translated_quadratic'.* dimension 3.* 2"
     with pytest.raises(ValueError, match=expected):
         NetworkSim(bg, ops, SolverConfig(sigma=1.0)).run(2)
+
+
+def level_turns_and_agent_turns(bg, ops, cfg, protocol, rounds, shift=False):
+    """round_bytes of NetworkSim.rounds and of reference_rounds, each taken
+    after its whole run."""
+    runs = []
+    for run_rounds in (NetworkSim.rounds, reference_rounds):
+        sim = NetworkSim(bg, ops, cfg, protocol)
+        if shift:
+            sim._send = shifted_estimates(sim)
+        runs.append(round_bytes(list(run_rounds(sim, rounds))))
+    return runs
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize("theta", [1.3, lambda k: 1.0 + 0.5 * np.sin(k)])
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_svm_level_turns_equal_agent_turns_bitwise(protocol, theta, shift):
+    _, ops, bg = build_svm(50, 5, 10)
+    new, old = level_turns_and_agent_turns(bg, ops, SolverConfig(sigma=0.7, theta=theta),
+                                           protocol, 12, shift)
+    assert len(new) == 12 and len(new[-1][1]) == bg.state.n_edges + bg.base.n_edges
+    assert new == old
+
+
+def hinges_on_one_level(case):
+    """(bilevel graph, resolvents, the stacked hinges).  "sources": hinges 0
+    and 1 have no state in-neighbours, and both read x_2 late in the general
+    protocol.  "mixed": hinges 1 and 2 share a level below the quadratic 0,
+    and in the general protocol 1 reads x_4 late while 2 reads nothing late."""
+    r = np.random.default_rng(3)
+    if case == "sources":
+        edges = [(0, 2), (1, 2)]
+        bg = BilevelGraph(OrderedDigraph(3, edges), OrderedDigraph(3, edges))
+        kinds, hinges = "hht", [0, 1]
+    else:
+        base = [(0, 1), (0, 2), (0, 3), (1, 4)]
+        bg = BilevelGraph(OrderedDigraph(5, base + [(2, 4)]), OrderedDigraph(5, base))
+        kinds, hinges = "qhhht", [1, 2]
+    ops = [prox_hinge_affine(r.standard_normal(3), 0.5) if kind == "h"
+           else prox_quadratic(np.diag(r.uniform(0.5, 2.0, 3)), 0.7) if kind == "q"
+           else prox_translated_quadratic(r.standard_normal(3), 1.5) for kind in kinds]
+    return bg, ops, hinges
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+@pytest.mark.parametrize("case", ["sources", "mixed"])
+def test_stacked_agents_with_late_receives_or_no_inputs(case, protocol, shift):
+    bg, ops, hinges = hinges_on_one_level(case)
+    batches = [list(batch[0]) for _, batch in StepPlan(bg, ops).schedule if batch is not None]
+    assert batches == [hinges]
+    new, old = level_turns_and_agent_turns(bg, ops, SolverConfig(sigma=0.9, theta=1.2),
+                                           protocol, 6, shift)
+    assert new == old
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_svm_round_is_six_resolvent_calls(monkeypatch, protocol):
+    _, ops, bg = build_svm(50, 5, 10)
+    calls = []
+    call = Resolvent.__call__
+
+    def counting(self, tau, r, out=None):
+        calls.append(self.name)
+        return call(self, tau, r, out)
+
+    monkeypatch.setattr(Resolvent, "__call__", counting)
+    for _ in NetworkSim(bg, ops, SolverConfig(sigma=0.7), protocol).rounds(5):
+        assert calls == ["quadratic"] * 5 + ["hinge"]
+        calls.clear()
