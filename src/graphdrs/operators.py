@@ -48,12 +48,15 @@ class Resolvent:
         return f"Resolvent({self.name}, dim={self.dim})"
 
 
-def _finite(name, vec):
-    """vec as a float array; an OperatorError names its first non-finite entry."""
+def _vector(name, vec, finite=True):
+    """vec as a float array; an OperatorError names any shape but (n,) and,
+    when finite, its first non-finite entry."""
     vec = np.asarray(vec, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vec))
-    if bad.size:
-        raise OperatorError(f"{name}[{bad[0]}] must be finite, got {vec.flat[bad[0]]}")
+    if vec.ndim != 1:
+        raise OperatorError(f"{name} must be a 1-D vector, got shape {vec.shape}")
+    bad = np.flatnonzero(~np.isfinite(vec)) if finite else ()
+    if len(bad):
+        raise OperatorError(f"{name}[{bad[0]}] must be finite, got {vec[bad[0]]}")
     return vec
 
 
@@ -116,47 +119,42 @@ def prox_hinge_affine(s, offset=1.0):
 
     With p = s.r and q = tau*|s|^2 the projection of p is: p itself when the
     hinge is inactive (p >= offset), p + q deep in the active region, and the
-    kink value offset in between.
+    kink value offset in between.  A call is the :func:`stack_hinges` kernel
+    on its row ``.hinge`` = (s, offset), divisor 1, built on the first call.
     """
-    s = np.asarray(s, dtype=float)
+    s = _vector("s", s, finite=False)
     s_sq = float(s @ s)
     if not math.isfinite(s_sq):  # one dot tests s; an SVM builds a hinge per point
-        _finite("s", s)
+        _vector("s", s)
     if not math.isfinite(offset):
         raise OperatorError(f"offset must be finite, got {offset}")
     if s_sq == 0.0:
         raise OperatorError("direction vector s must be nonzero")
+    row, kernel = (s, float(offset)), None
 
-    step = np.empty_like(s)
-
-    def fn(tau, r, out):
-        p = float(s @ r)
-        q = tau * s_sq
-        if p >= offset:
-            pi = p
-        elif p <= offset - q:
-            pi = p + q
-        else:
-            pi = offset
-        np.add(r, np.multiply((pi - p) / s_sq, s, out=step), out=out)
+    def fn(tau, r, out):  # reads the row, not res: no cycle outlives a dropped hinge
+        nonlocal kernel
+        if kernel is None:
+            kernel = stack_hinges([row], [1.0])._fn
+        kernel(tau, r[None], out[None])
 
     res = Resolvent(s.size, fn, name="hinge")
-    res.hinge = (s, float(offset))  # read by :func:`stack_hinges`
+    res.hinge = row  # the row a plan stacks
     return res
 
 
-def stack_hinges(hinges, divisors):
-    """The resolvents of several hinges as one call on stacked inputs.
+def stack_hinges(rows, divisors):
+    """Hinges of rows (s, offset), each a hinge's ``.hinge``, as one stacked call.
 
-    Row i of ``stacked(tau, r)`` is ``hinges[i](tau / divisors[i], r[i])``
-    bit for bit: the same operations elementwise, with each s.r taken by
-    ``np.matmul`` of (k, 1, d) by (k, d, 1), which calls the same BLAS dot
-    as the scalar form's ``s @ r`` (einsum and row sums round differently),
-    and the branch picked by masked writes, the first branch last.  The
-    steps q = (tau / divisors) |s|^2 and offset - q are kept per tau.
+    Row i of ``stacked(tau, r)`` is ``prox_hinge_affine(*rows[i])(tau /
+    divisors[i], r[i])`` bit for bit, as a hinge is this kernel on one row:
+    each s.r is taken by ``np.matmul`` of (k, 1, d) by (k, d, 1), the BLAS
+    dot of ``s @ r`` (einsum and row sums round differently), and the branch
+    picked by masked writes, the first branch last.  The steps q = (tau /
+    divisors) |s|^2 and offset - q are kept per tau.
     """
-    s = np.stack([h.hinge[0] for h in hinges])
-    offset = np.array([h.hinge[1] for h in hinges])
+    s = np.stack([v for v, _ in rows])
+    offset = np.array([off for _, off in rows])
     s_sq = np.array([float(v @ v) for v in s])
     s_row = s[:, None, :]
     divisors = np.asarray(divisors, dtype=float)
@@ -358,7 +356,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
 
 def prox_translated_quadratic(c, mu=1.0):
     """Resolvent of the affine operator x -> mu (x - c); a test workhorse."""
-    c = _finite("c", c)
+    c = _vector("c", c)
     if not (math.isfinite(mu) and mu > 0):
         raise OperatorError(f"mu must be positive and finite, got {mu}")
 

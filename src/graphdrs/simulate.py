@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from .factorization import incidence_decomposition
-from .solver import StepPlan, node_solution, row_sum
+from .solver import StepPlan, node_solution
 
 
 class ProtocolError(RuntimeError):
@@ -148,9 +148,10 @@ class NetworkSim:
 
     def _turn(self, nodes, batch, agents, w):
         """A level's turn, built once per run: its single agents, then its
-        batch's hinges, pop their messages in label order into one stack.  One
-        CSR map sums its rows from zero in term order, as :func:`row_sum` does,
-        into dual terms, input sums, and row updates less their last term."""
+        batch's hinges, even a lone one, pop their messages in label order
+        into one stack.  One CSR map sums its rows from zero in term order, as
+        the sweep's products do, into dual terms, input sums, and row updates
+        less their last term."""
         plan, recv, send, sigma = self.plan, self._recv, self._send, self.cfg.sigma
         ids = nodes + ([] if batch is None else batch[0].tolist())
         members, k, s = [agents[i] for i in ids], len(ids), len(nodes)
@@ -221,7 +222,10 @@ class NetworkSim:
             for i, held, x_late, rows in sorted(deferred):  # by label (labels differ)
                 held |= {j: self._recv(rnd, i, j, ch, "x") for j, ch in x_late}
                 for c, row, w_out in rows:
-                    w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
+                    acc = np.zeros(dim)  # +0.0, then a * x_j by column: a CSR row's bits
+                    for a, j in row:
+                        acc += a * held[j]
+                    w[c] = w[c] - theta * acc
                     self._send(rnd, i, w_out, "w", w[c])
             yield x, self._sent
             self._sent = []

@@ -18,16 +18,15 @@ N operators and a factorization, the N x (N-1) array Z of
 
 The plan holds the state in-neighbor lists, 1/d_i, Z and the update map
 (Z^T, or L) as CSR matrices and the level schedule of the state DAG.  A CSR
-product sums each row from zero in ascending column order, the order the
-per-row kernel :func:`row_sum` uses.  A sweep walks the levels, each node on
-the latest it can take: one below its shallowest state out-neighbor, every
-sink (such as an SVM hinge agent) on the last.  Nodes of one level never
-read each other, so a level's hinge nodes are one stacked resolvent call
-(:func:`~graphdrs.operators.stack_hinges`) and every other node is one
-:func:`node_solution`.  The per-node arithmetic lives in small shared
-kernels (:func:`node_solution`, :func:`row_sum`, :func:`node_dual_term`)
-that the message-passing simulator reuses verbatim; the stacked and CSR
-forms repeat their operations elementwise, so centralized and simulated
+product sums each row from zero in ascending column order, one coefficient
+times vector term at a time.  A sweep walks the levels, each node on the
+latest it can take: one below its shallowest state out-neighbor, every sink
+(such as an SVM hinge agent) on the last.  Nodes of one level never read
+each other, so a level's hinge nodes, even a lone one, are one stacked
+resolvent call (:func:`~graphdrs.operators.stack_hinges`) and every other
+node is one :func:`node_solution`.  The message-passing simulator runs the
+same level calls on the messages its agents pop; the stacked and CSR forms
+repeat the per-node operations elementwise, so centralized and simulated
 runs agree bit for bit.
 """
 
@@ -107,16 +106,17 @@ class TraceRecord:
 
 
 # ---------------------------------------------------------------------------
-# shared per-node kernels (also used by the distributed simulator)
+# the per-node kernel (also used by the distributed simulator)
 
 def node_solution(op, sigma, d_i, xs_in, w_term, out):
-    """One resolvent evaluation of the sweep, written into out (returned).
+    """One node's resolvent evaluation, written into out (returned): how a
+    sweep or a simulated round solves every node but a hinge, which its
+    level solves in one stacked call.
 
     xs_in are the already-updated estimates of the smaller-labeled state
     neighbors, ascending; w_term is the node's pre-scaled dual term
-    (1/d_i)(Z w)_i (see :func:`node_dual_term`).  Both callers must pass
-    identical orderings for bit-equal results.  The input is summed in out
-    from 0.0, so signed zeros round as in a fresh sum, and resolved in place.
+    (1/d_i)(Z w)_i.  The input is summed in out from 0.0, as a CSR row is,
+    so signed zeros round as in a fresh sum, and resolved in place.
     """
     out.fill(0.0)
     for xh in xs_in:
@@ -124,32 +124,6 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     out *= 2.0 / d_i
     out += w_term
     return op(sigma / d_i, out, out=out)
-
-
-def row_sum(terms, dim):
-    """Sum of coefficient * vector over (coefficient, vector) terms, added
-    from zero one at a time in column order, as a CSR product sums its row;
-    a +-1 coefficient adds or subtracts the vector, exactly +-1.0 * vector.
-
-    Row i of Z w (:func:`node_dual_term`) and row c of the update map (Z^T
-    x, or L x: the simulator's dual update) are this sum, so one row equals
-    its row of the whole-array form bit for bit.
-    """
-    acc = np.zeros(dim)
-    for coeff, v in terms:
-        if coeff == 1.0:
-            acc += v
-        elif coeff == -1.0:
-            acc -= v
-        else:
-            acc += coeff * v
-    return acc
-
-
-def node_dual_term(d_i, w_terms, dim):
-    """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order."""
-    acc = row_sum(w_terms, dim)
-    return np.multiply(1.0 / d_i, acc, out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +135,13 @@ class StepPlan:
     Holds the state in-neighbor lists, the degrees d_i and 1/d_i, Z (z_rows,
     for the dual terms Z w) and the update map (z_cols: Z^T, for Z^T x) as
     CSR matrices, whose products sum each row from zero in ascending column
-    order as :func:`row_sum` does, and the level schedule of the state DAG: a
-    node sits one level below its shallowest out-neighbor, a sink on the
-    last of longest-path + 1 levels, so one level's nodes never read each
-    other.  Without z the duals are node-local: Z = I and the update map
-    z_cols is the base Laplacian L.  A plan belongs to its graph, Z and the N
-    operators ops, which must all fix one dimension, dim.
+    order, and the level schedule of the state DAG: a node sits one level
+    below its shallowest out-neighbor, a sink on the last of longest-path +
+    1 levels, so one level's nodes never read each other, and each level
+    stacks all its hinges.  Without z the duals are node-local: Z = I and
+    the update map z_cols is the base Laplacian L.  A plan belongs to its
+    graph, Z and the N >= 2 operators ops (a lone node has no degree to
+    scale by), which must all fix one dimension, dim.
 
     The plan owns one workspace of (N, dim) arrays: a step writes (1/d) Z w
     into w_term, stacks hinge inputs in scratch and tests x in finite; the
@@ -176,6 +151,8 @@ class StepPlan:
 
     def __init__(self, bg, ops, z=None):
         n = self.n_nodes = bg.n_nodes
+        if n < 2:
+            raise ValueError(f"need a network of at least 2 nodes, got {n}")
         if len(ops) != n:
             raise ValueError(f"need {n} operators, got {len(ops)}")
         self.bg, self.ops = bg, tuple(ops)
@@ -205,7 +182,7 @@ class StepPlan:
             self.levels[-1 - h].append(i)
         # per level: the nodes solved one by one, and the level's hinge nodes
         # as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or None
-        # when the level has fewer than two
+        # when it has no hinge
         self.schedule = [self._level(nodes) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
         self.scratch = np.empty_like(self.w_term)
@@ -213,7 +190,7 @@ class StepPlan:
 
     def _level(self, nodes):
         hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
-        if len(hinges) < 2:
+        if not hinges:
             return nodes, None
         into = np.zeros((len(hinges), self.n_nodes))
         for row, i in enumerate(hinges):
@@ -221,7 +198,7 @@ class StepPlan:
         d = np.array([self.degrees[i] for i in hinges], dtype=float)
         batch = (
             np.array(hinges),
-            stack_hinges([self.ops[i] for i in hinges], d),
+            stack_hinges([self.ops[i].hinge for i in hinges], d),
             sparse.csr_matrix(into),
             (2.0 / d)[:, None],
         )

@@ -8,7 +8,12 @@ test that compares the two checks something:
   comparisons, and :func:`round_bytes`, a simulator run's rounds as bytes;
 * :func:`loop_divergence_matrix`, the grid divergence as a CSR matrix built
   cell by cell, the oracle for ``operators.grid_stencils``;
-* :func:`reference_sweep`, one sweep node by node in label order;
+* :func:`scalar_hinge`, the hinge resolvent with a kernel of its own on one
+  vector, the oracle for ``operators.stack_hinges``;
+* :func:`row_sum` and :func:`node_dual_term`, a CSR product's row and a
+  node's dual term summed term by term;
+* :func:`reference_sweep`, one sweep node by node in label order, each hinge
+  through :func:`scalar_hinge`;
 * the paper's lifted iteration on H^(2N-1) with affine operators
   x -> mu_i (x - c_i), given as (mu_i, c_i) pairs, by dense solves:
   :func:`lifted_ppp_step`, :func:`lifted_reduce` and
@@ -25,7 +30,8 @@ import numpy as np
 from scipy import sparse
 
 from graphdrs.graphs import laplacian, p_matrix, sigma_matrix
-from graphdrs.solver import node_dual_term, node_solution, row_sum
+from graphdrs.operators import Resolvent
+from graphdrs.solver import node_solution
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +91,66 @@ def loop_divergence_matrix(p):
 
 
 # ---------------------------------------------------------------------------
+# the hinge
+
+
+def scalar_hinge(s, offset):
+    """The resolvent of tau * max(offset - s.r, 0) on one vector in scalar
+    arithmetic: p = s.r, then p, p + tau |s|^2 or offset by branch.  The
+    oracle that ``operators.stack_hinges`` equals bit for bit."""
+    s_sq = float(s @ s)
+    step = np.empty_like(s)
+
+    def fn(tau, r, out):
+        p = float(s @ r)
+        q = tau * s_sq
+        if p >= offset:
+            pi = p
+        elif p <= offset - q:
+            pi = p + q
+        else:
+            pi = offset
+        np.add(r, np.multiply((pi - p) / s_sq, s, out=step), out=out)
+
+    return Resolvent(s.size, fn, name="hinge")
+
+
+def scalar_ops(ops):
+    """ops with every hinge replaced by its :func:`scalar_hinge`."""
+    return [scalar_hinge(*op.hinge) if hasattr(op, "hinge") else op for op in ops]
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
+def row_sum(terms, dim):
+    """Sum of coefficient * vector over (coefficient, vector) terms, added
+    from zero one at a time in column order, as a CSR product sums its row;
+    a +-1 coefficient adds or subtracts the vector, exactly +-1.0 * vector."""
+    acc = np.zeros(dim)
+    for coeff, v in terms:
+        if coeff == 1.0:
+            acc += v
+        elif coeff == -1.0:
+            acc -= v
+        else:
+            acc += coeff * v
+    return acc
+
+
+def node_dual_term(d_i, w_terms, dim):
+    """(1/d_i)(Z w)_i from (coefficient, dual vector) pairs in column order."""
+    acc = row_sum(w_terms, dim)
+    return np.multiply(1.0 / d_i, acc, out=acc)
+
+
 def reference_sweep(bg, z, ops, sigma, w):
-    """x of one sweep, node by node in label order through node_solution."""
+    """x of one sweep, node by node in label order through node_solution,
+    each hinge through its :func:`scalar_hinge`."""
     n, dim = bg.n_nodes, w.shape[1]
     d = bg.state.degrees().tolist()
+    ops = scalar_ops(ops)
     x = np.zeros((n, dim))
     for i in range(n):
         terms = [(z[i, c], w[c]) for c in np.flatnonzero(z[i])]
@@ -167,9 +226,10 @@ def message_stats(log):
 
 def reference_rounds(sim, n):
     """NetworkSim.rounds with one turn per agent, in label order: the agent
-    pops its duals and estimates, solves through node_solution, sends its
-    estimate and updates its rows by row_sum (after the round's last agent
-    when it has late receives).  Yields (x, sent) per round, sent in send
+    pops its duals and estimates, solves through node_solution (a hinge
+    through its :func:`scalar_hinge`), sends its estimate and updates its
+    rows by row_sum (after the round's last agent when it has late
+    receives).  Yields (x, sent) per round, sent in send
     order, round 1's after round 0's dual initialization; sends go through
     sim._send and receives through sim._recv, on sim's channels.  Unlike the
     other oracles it reads its channel lists off the library (sim._agents),
@@ -178,7 +238,7 @@ def reference_rounds(sim, n):
     sim.channels = {}
     sim._sent = []
     plan, dim, sigma = sim.plan, sim.plan.dim, sim.cfg.sigma
-    recv, send = sim._recv, sim._send
+    recv, send, ops = sim._recv, sim._send, scalar_ops(plan.ops)
     duals, agents = sim._agents()
     w = sim.w = [np.zeros(dim) for _ in duals]
     for c, (o, w_out) in enumerate(duals):
@@ -197,7 +257,7 @@ def reference_rounds(sim, n):
             w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
                        for a, c, o, ch in w_in]
             held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
-            node_solution(plan.ops[i], sigma, d_i, list(held.values()),
+            node_solution(ops[i], sigma, d_i, list(held.values()),
                           node_dual_term(d_i, w_terms, dim), x[i])
             held[i] = x[i]
             send(rnd, i, x_out, "x", x[i])

@@ -23,7 +23,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from oracles import bits, identical_bits, loop_divergence_matrix
+from oracles import bits, identical_bits, loop_divergence_matrix, scalar_hinge
 
 rng = np.random.default_rng(123)
 
@@ -92,6 +92,18 @@ def test_quadratic_validation():
 def test_non_finite_parameters_rejected(build, message, value):
     with pytest.raises(OperatorError, match=rf"^{message}, got {value}$"):
         build(value)
+
+
+@pytest.mark.parametrize("shape", [(), (3, 3), (1, 2), (2, 1, 3)])
+@pytest.mark.parametrize(
+    "build, name",
+    [(prox_hinge_affine, "s"), (prox_translated_quadratic, "c")],
+    ids=["hinge", "translated_quadratic"],
+)
+def test_vector_parameters_must_be_one_dimensional(build, name, shape):
+    message = f"{name} must be a 1-D vector, got shape {shape}"
+    with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
+        build(np.full(shape, 2.0))
 
 
 def test_hinge_against_minimization_oracle():
@@ -248,25 +260,35 @@ def hinge_input(s, target):
     return r + ((target - s @ r) / (s @ s)) * s
 
 
-@pytest.mark.parametrize("branch", ["inactive", "kink", "deep"])
+@pytest.mark.parametrize("branch", ["inactive", "kink", "deep", "signed_zero"])
 @pytest.mark.parametrize("tau", [0.0, 0.4, 2.5])
 def test_stacked_hinge_equals_scalar_bitwise(branch, tau):
     dim = 5
-    hinges = [prox_hinge_affine(rng.standard_normal(dim), off) for off in (1.0, -0.5, 0.3, 2.0)]
-    divisors = [1.0, 2.0, 3.0, 7.0]
-    stacked = stack_hinges(hinges, divisors)
+    offsets = (1.0, -0.5, 0.3, 2.0, 0.0)
+    hinges = [prox_hinge_affine(rng.standard_normal(dim), off) for off in offsets]
+    divisors = [1.0, 2.0, 3.0, 7.0, 5.0]
+    stacked = stack_hinges([h.hinge for h in hinges], divisors)
     rows = []
     for h, dv in zip(hinges, divisors):
         s, offset = h.hinge
         q = (tau / dv) * (s @ s)
+        if branch == "signed_zero":  # s.r is +-0.0, on the kink of offset 0.0
+            rows.append(rng.choice([0.0, -0.0], dim))
+            continue
         # p >= offset: inactive; offset - q < p < offset: kink; p <= offset - q: deep
         target = {"inactive": offset + 1.0, "kink": offset - 0.5 * q,
                   "deep": offset - q - 1.0}[branch]
         rows.append(hinge_input(s, target))
     r = np.array(rows)
-    want = np.array([h(tau / dv, ri) for h, dv, ri in zip(hinges, divisors, r)])
+    # the oracle: the scalar kernel, on one vector at a time
+    want = np.array([scalar_hinge(*h.hinge)(tau / dv, ri)
+                     for h, dv, ri in zip(hinges, divisors, r)])
     assert stacked.name == "hinge"
     assert np.array_equal(bits(stacked(tau, r)), bits(want))
+    # a hinge alone is the stacked kernel on one row
+    for h, dv, ri, want_i in zip(hinges, divisors, r, want):
+        assert np.array_equal(bits(h(tau / dv, ri)), bits(want_i))
+        assert np.array_equal(bits(stack_hinges([h.hinge], [dv])(tau, ri[None])[0]), bits(want_i))
 
 
 def test_quadratic_solve_equals_cho_solve_bitwise():
@@ -418,7 +440,7 @@ def test_resolvent_rejects_an_input_of_another_length():
             with pytest.raises(OperatorError, match=f"'{op.name}' has dimension 6"):
                 op(1.0, np.ones(shape))
     # stacked hinges take one row of the common dimension per hinge
-    hinges = stack_hinges([prox_hinge_affine(np.ones(3)) for _ in range(2)], [1.0, 2.0])
+    hinges = stack_hinges([prox_hinge_affine(np.ones(3)).hinge for _ in range(2)], [1.0, 2.0])
     assert hinges(1.0, np.zeros((2, 3))).shape == (2, 3)
     with pytest.raises(OperatorError, match=re.escape("3, got an input of shape (2, 4)")):
         hinges(1.0, np.zeros((2, 4)))
@@ -526,7 +548,7 @@ def test_single_vector_resolvent_rejects_rows(build):
 
 
 def test_stacked_hinge_rejects_another_row_count():
-    hinges = stack_hinges([prox_hinge_affine(np.ones(3)) for _ in range(2)], [1.0, 2.0])
+    hinges = stack_hinges([prox_hinge_affine(np.ones(3)).hinge for _ in range(2)], [1.0, 2.0])
     for shape in [(3, 3), (1, 3), (3,), (1, 2, 3)]:
         message = f"resolvent 'hinge' has dimension 3, got an input of shape {shape}, not (2, 3)"
         with pytest.raises(OperatorError, match=re.escape(message)):

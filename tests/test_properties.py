@@ -12,9 +12,11 @@ it.  Every catalogue resolvent is checked for firm nonexpansiveness on
 generated inputs, and for the out= contract: alias-safe, and no scratch
 state carried from one call to the next.  The level schedule is checked to
 put each node on the latest level it can take, after all of its state
-in-neighbors.  The simulator's level turns, each a level's agents at once,
-are checked against one turn per agent in label order, bit for bit and
-message for message, and the coupling matrix against its entry loop.
+in-neighbors.  The sweeps and the simulator's level turns, each a level's
+agents at once with its hinges stacked, are checked against one node or
+agent at a time in label order, each hinge by the scalar oracle kernel, bit
+for bit and message for message, and the coupling matrix against its entry
+loop.
 """
 
 import numpy as np
@@ -250,9 +252,9 @@ def loop_gather(m, src):
 @st.composite
 def mixed_problems(draw, tree=None, max_nodes=8, two_hinges=False):
     """(bilevel graph, resolvents, rng): random hinge, quadratic and
-    translated-quadratic resolvents, hinges most often, so that levels with
-    several hinges (the stacked path) are common; with two_hinges, the last
-    two nodes are hinge sinks, so the last level always stacks hinges."""
+    translated-quadratic resolvents, hinges most often, so that levels that
+    stack several hinges are common; with two_hinges, the last two nodes are
+    hinge sinks, so the last level always stacks two or more."""
     bg = draw(bilevel_graphs(tree, max_nodes, two_sinks=two_hinges))
     dim = draw(st.integers(1, 4))
     kinds = draw(st.lists(
@@ -680,7 +682,8 @@ def test_out_is_alias_safe_and_scratch_keeps_no_state_between_shapes(tau, seed):
     rng = np.random.default_rng(seed)
     cases = [(op, [(DIM,)] * 2) for op in catalogue(rng).values()]
     hinges = [prox_hinge_affine(rng.standard_normal(DIM), 1.0) for _ in range(5)]
-    cases.append((stack_hinges(hinges, rng.integers(1, 6, size=5)), [(5, DIM)] * 2))
+    rows = [h.hinge for h in hinges]
+    cases.append((stack_hinges(rows, rng.integers(1, 6, size=5)), [(5, DIM)] * 2))
     for op, shapes in cases:
         inputs = {s: with_signed_zeros(rng, 3.0 * rng.standard_normal(s)) for s in shapes}
         first = {}

@@ -318,35 +318,47 @@ def test_svm_level_turns_equal_agent_turns_bitwise(protocol, theta, shift):
 
 
 def hinges_on_one_level(case):
-    """(bilevel graph, resolvents, the stacked hinges).  "sources": hinges 0
-    and 1 have no state in-neighbours, and both read x_2 late in the general
-    protocol.  "mixed": hinges 1 and 2 share a level below the quadratic 0,
-    and in the general protocol 1 reads x_4 late while 2 reads nothing late."""
+    """(bilevel graph, resolvents, the hinge rows of each stacked call).
+    "sources": hinges 0 and 1 have no state in-neighbours, and both read x_2
+    late in the general protocol.  "mixed": hinges 1 and 2 share a level
+    below the quadratic 0, and in the general protocol 1 reads x_4 late while
+    2 reads nothing late; hinge 3 is alone on its level, a stack of one."""
     r = np.random.default_rng(3)
     if case == "sources":
         edges = [(0, 2), (1, 2)]
         bg = BilevelGraph(OrderedDigraph(3, edges), OrderedDigraph(3, edges))
-        kinds, hinges = "hht", [0, 1]
+        kinds, batches = "hht", [[0, 1]]
     else:
         base = [(0, 1), (0, 2), (0, 3), (1, 4)]
         bg = BilevelGraph(OrderedDigraph(5, base + [(2, 4)]), OrderedDigraph(5, base))
-        kinds, hinges = "qhhht", [1, 2]
+        kinds, batches = "qhhht", [[1, 2], [3]]
     ops = [prox_hinge_affine(r.standard_normal(3), 0.5) if kind == "h"
            else prox_quadratic(np.diag(r.uniform(0.5, 2.0, 3)), 0.7) if kind == "q"
            else prox_translated_quadratic(r.standard_normal(3), 1.5) for kind in kinds]
-    return bg, ops, hinges
+    return bg, ops, batches
 
 
 @pytest.mark.parametrize("shift", [False, True])
 @pytest.mark.parametrize("protocol", ["tree", "general"])
 @pytest.mark.parametrize("case", ["sources", "mixed"])
 def test_stacked_agents_with_late_receives_or_no_inputs(case, protocol, shift):
-    bg, ops, hinges = hinges_on_one_level(case)
-    batches = [list(batch[0]) for _, batch in StepPlan(bg, ops).schedule if batch is not None]
-    assert batches == [hinges]
+    bg, ops, batches = hinges_on_one_level(case)
+    assert [list(b[0]) for _, b in StepPlan(bg, ops).schedule if b is not None] == batches
     new, old = level_turns_and_agent_turns(bg, ops, SolverConfig(sigma=0.9, theta=1.2),
                                            protocol, 6, shift)
     assert new == old
+
+
+def test_a_network_needs_two_nodes():
+    lone = OrderedDigraph(1, [])
+    bg, ops = BilevelGraph(lone, lone), [prox_translated_quadratic(np.ones(2))]
+    cfg = SolverConfig(sigma=1.0)
+    message = "need a network of at least 2 nodes, got 1"
+    for build in (lambda: StepPlan(bg, ops), lambda: run(bg, None, ops, cfg),
+                  lambda: NetworkSim(bg, ops, cfg, "tree").run(3),
+                  lambda: NetworkSim(bg, ops, cfg, "general").run(3)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 @pytest.mark.parametrize("protocol", ["tree", "general"])

@@ -528,26 +528,43 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
             w = w_new
 
 
-def test_single_hinges_use_the_scalar_kernel(monkeypatch):
+def test_every_hinge_is_a_row_of_its_levels_stacked_call(monkeypatch):
     import graphdrs.solver as solver_module
 
-    solved = []
-    node_solution = solver_module.node_solution
+    solved, calls = [], []
+    node_solution, call = solver_module.node_solution, Resolvent.__call__
 
-    def counting(op, *args):
+    def counting_node(op, *args):
         solved.append(op)
         return node_solution(op, *args)
 
-    monkeypatch.setattr(solver_module, "node_solution", counting)
-    # a chain has one node per level, so each hinge is solved on its own
+    def counting_call(self, tau, r, out=None):
+        calls.append((self.name, np.shape(r)))
+        return call(self, tau, r, out)
+
+    monkeypatch.setattr(solver_module, "node_solution", counting_node)
+    monkeypatch.setattr(Resolvent, "__call__", counting_call)
     chain = OrderedDigraph(4, [(i, i + 1) for i in range(3)])
-    hinges = [prox_hinge_affine(rng.standard_normal(2), 0.5) for _ in range(4)]
-    step_tree(BilevelGraph(chain, chain), hinges, 1.0, 1.0, np.zeros((3, 2)))
-    assert solved == hinges
-    solved.clear()
-    bg, ops = star_of_hinges(3, dim=2)
-    step_tree(bg, ops, 1.0, 1.0, np.zeros((3, 2)))
-    assert solved == ops[:1]
+    cases = [  # (graph, ops, hinge rows per stacked call, nodes solved alone)
+        (*star_of_hinges(1, dim=2), [[1]], [0]),  # a lone hinge below a translated quadratic
+        (BilevelGraph(chain, chain),  # a chain: one hinge a level
+         [prox_hinge_affine(rng.standard_normal(2), 0.5) for _ in range(4)],
+         [[0], [1], [2], [3]], []),
+    ]
+    for bg, ops, batches, alone in cases:
+        z = incidence_decomposition(bg.base)
+        plan = StepPlan(bg, ops, z)
+        assert [list(b[0]) for _, b in plan.schedule if b is not None] == batches
+        w = rng.standard_normal((bg.n_nodes - 1, 2))
+        for k in range(5):
+            solved.clear()
+            calls.clear()
+            x, w_new, _ = step_general(plan, 0.9, 1.1, w, k)
+            assert solved == [ops[i] for i in alone]
+            assert [name for name, shape in calls if shape == (1, 2)] == ["hinge"] * len(batches)
+            assert len(calls) == len(batches) + len(alone)
+            assert same_bits(x, reference_sweep(bg, z, ops, 0.9, w))
+            w = w_new
 
 
 def test_run_wtilde_matches_run():
