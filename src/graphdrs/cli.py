@@ -30,6 +30,7 @@ from .graphs import (
 from .operators import prox_translated_quadratic
 from .problems import (
     build_svm,
+    config_value,
     load_config,
     objective_svm,
     objective_transport,
@@ -69,12 +70,9 @@ def _build_problem(cfg_path, graph_path, seed):
     if kind == "quadratic":
         if "centers" not in cfg:
             raise InputError(f"{cfg_path}: quadratic problem needs 'centers'")
-        centers = _parse_vectors(cfg["centers"])
-        mus = (
-            [float(v) for v in cfg["mus"].replace(",", " ").split()]
-            if "mus" in cfg
-            else [1.0] * len(centers)
-        )
+        centers = config_value(cfg, "centers", None, _parse_vectors)
+        mus = config_value(cfg, "mus", [1.0] * len(centers),
+                           lambda text: [float(v) for v in text.replace(",", " ").split()])
         if len(mus) != len(centers):
             raise InputError(f"{cfg_path}: need one mu per center")
         ops = [prox_translated_quadratic(c, m) for c, m in zip(centers, mus)]

@@ -11,10 +11,13 @@ and returns it; ``r`` may be ``out``.  Kernels keep temporaries in scratch
 made once, at construction, so calls on one resolvent must not overlap.
 """
 
+import functools
 import math
 import numbers
 
 import numpy as np
+
+TAU_CACHE = 16  # step sizes with kept factors; the SVM sweep's 10 sigmas fit
 
 
 class OperatorError(ValueError):
@@ -80,8 +83,8 @@ def _block_norms(blocks, out=None, tmp=None):
 def prox_quadratic(k_matrix, weight):
     """Resolvent of tau * weight * x^T K x for symmetric PSD K.
 
-    J_tau(r) = (I + 2 tau weight K)^(-1) r; the Cholesky factor is cached
-    per step size (the solver never changes tau mid-run).
+    J_tau(r) = (I + 2 tau weight K)^(-1) r; the Cholesky factor is kept for
+    the last TAU_CACHE step sizes (the solver never changes tau mid-run).
     """
     from scipy.linalg import cho_factor, get_lapack_funcs  # lazy: its only user
     k_matrix = np.asarray(k_matrix, dtype=float)
@@ -94,17 +97,18 @@ def prox_quadratic(k_matrix, weight):
     n = k_matrix.shape[0]
     eye = np.eye(n)
     potrs = get_lapack_funcs("potrs", (eye,))
-    cache = {}
+
+    @functools.lru_cache(maxsize=TAU_CACHE)
+    def factor(tau):
+        return cho_factor(eye + 2.0 * tau * weight * k_matrix)
 
     def fn(tau, r, out):
         np.copyto(out, r)
         if tau == 0.0 or weight == 0.0:
             return
-        if tau not in cache:
-            cache[tau] = cho_factor(eye + 2.0 * tau * weight * k_matrix)
         # scipy's cho_solve without its wrapping or finite check (a non-finite
         # r gives a non-finite out, which the sweep reports), in place in out
-        c, lower = cache[tau]
+        c, lower = factor(tau)
         x, info = potrs(c, out, lower=lower, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -151,7 +155,7 @@ def stack_hinges(rows, divisors):
     each s.r is taken by ``np.matmul`` of (k, 1, d) by (k, d, 1), the BLAS
     dot of ``s @ r`` (einsum and row sums round differently), and the branch
     picked by masked writes, the first branch last.  The steps q = (tau /
-    divisors) |s|^2 and offset - q are kept per tau.
+    divisors) |s|^2 and offset - q are kept for the last TAU_CACHE taus.
     """
     s = np.stack([v for v, _ in rows])
     offset = np.array([off for _, off in rows])
@@ -161,13 +165,14 @@ def stack_hinges(rows, divisors):
     dots, step = np.empty((len(s), 1, 1)), np.empty_like(s)
     pi, hit = np.empty(len(s)), np.empty(len(s), bool)
     p = dots[:, 0, 0]
-    cache = {}
+
+    @functools.lru_cache(maxsize=TAU_CACHE)
+    def steps(tau):
+        q = (tau / divisors) * s_sq
+        return q, offset - q
 
     def fn(tau, r, out):
-        if tau not in cache:
-            q = (tau / divisors) * s_sq
-            cache[tau] = q, offset - q
-        q, low = cache[tau]
+        q, low = steps(tau)
         np.matmul(s_row, r[:, :, None], out=dots)
         np.copyto(pi, offset)
         np.add(p, q, out=pi, where=np.less_equal(p, low, out=hit))

@@ -302,6 +302,17 @@ def load_config(path):
     return cfg
 
 
+def config_value(cfg, key, default, parse):
+    """parse(cfg[key]), or default when key is absent; a value that parse
+    rejects raises a ValueError that names key."""
+    if key not in cfg:
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as exc:
+        raise ValueError(f"{key} = {cfg[key]!r}: {exc}") from None
+
+
 def _grid_ints(key, text, size, p):
     """text as size integers, each a row or column index of the p x p grid."""
     try:
@@ -315,14 +326,14 @@ def _grid_ints(key, text, size, p):
 
 def transport_from_config(cfg):
     """Build a transport instance from a parsed config dict."""
-    p = int(cfg.get("p", 35))
+    p = config_value(cfg, "p", 35, int)
     # checked before building: the instance's memory grows with p^2
     if not MIN_SWEEP_GRID <= p <= MAX_SWEEP_GRID:
         raise ValueError(f"grid size --p must satisfy p >= {MIN_SWEEP_GRID} and "
                          f"p <= {MAX_SWEEP_GRID}, got {p}")
-    cap = float(cfg.get("cap", 5e-2))
+    cap = config_value(cfg, "cap", 5e-2, float)
     geo = default_transport_geometry(p)
-    width = float(cfg.get("blob_width", geo["blob_width"]))
+    width = config_value(cfg, "blob_width", geo["blob_width"], float)
     given = {key: _grid_ints(key, cfg[key], size, p) for key, size in
              (("mu_center", 2), ("nu_center", 2), ("bridge", 4)) if key in cfg}
     water = None
@@ -340,15 +351,15 @@ def transport_from_config(cfg):
 
 
 def svm_from_config(cfg):
-    n = int(cfg.get("n", 50))
-    officials = int(cfg.get("officials", 5))
+    n = config_value(cfg, "n", 50, int)
+    officials = config_value(cfg, "officials", 5, int)
     # no division by a bad officials count: build_svm names it
-    per_official = int(cfg["per_official"]) if "per_official" in cfg else n // max(officials, 1)
+    per_official = config_value(cfg, "per_official", n // max(officials, 1), int)
     return build_svm(
         n,
         officials,
         per_official,
-        gamma=float(cfg.get("gamma", 0.1)),
-        kernel_width=float(cfg.get("kernel_width", 1.0)),
-        seed=int(cfg.get("seed", 0)),
+        gamma=config_value(cfg, "gamma", 0.1, float),
+        kernel_width=config_value(cfg, "kernel_width", 1.0, float),
+        seed=config_value(cfg, "seed", 0, int),
     )

@@ -8,22 +8,24 @@ of tree edge c, or node c), which applies row c of the update map (Z^T, or
 the base Laplacian L) to the estimates it holds and sends the result to the
 column's other nonzero rows.  An agent sends its estimate to its state
 out-neighbours, then to every other owner of an update row that reads it
-(its base in-neighbours, for node-local duals).  It updates its rows in its
-own turn when it holds their estimates by then (always, on a tree), and
-otherwise after the round's last agent.
+(its base in-neighbours, for node-local duals), which receives it late.
 
-A round walks the plan's levels, as the centralized sweep does; any
-topological order of the state DAG is causally consistent.  A level's agents
-take one turn, a CSR product over the messages they pop and one stacked call
-for its hinges, with the kernels and summation order of the centralized sweep:
-over in-order reliable channels, simulated and centralized iterates are
-bit-identical.  A round logs messages by sender label, then deferred updates.
-A run reads each agent's (peer, channel) receive and send lists off the plan
-once, with one deque per directed pair, so a round looks up no channel.
+A round is a sweep, then one dual update, as the centralized step is.  It
+walks the plan's levels; any topological order of the state DAG is causally
+consistent.  A level's agents take one turn: they pop their messages, solve
+by a CSR product over them and one stacked call for the level's hinges, and
+send their estimates.  Then the owners receive their late estimates, and one
+CSR product of the update map gives every new dual row, which its owner
+sends; no dual row is popped in the round that sends it.  Sums follow the
+centralized step's kernels and order: over in-order reliable channels,
+simulated and centralized iterates are bit-identical.  A round logs its
+messages by sender label.  A run reads each agent's (peer, channel) receive
+and send lists off the plan once, with one deque per directed pair, so a
+round looks up no channel.
 :meth:`NetworkSim.rounds`, the protocol loop, yields one round at a time and
 keeps none, so its memory does not grow with the rounds; :meth:`NetworkSim.run`
 collects it.  A channel carries the sender's array, not a copy: a row of the
-round's fresh estimates, or a dual row, rebound on each update by its owner.
+round's fresh estimates, or a row of the round's fresh duals.
 A run starts from a fresh network, so a second run repeats the first.
 """
 
@@ -56,7 +58,7 @@ class Message:
 class SimResult:
     x_history: np.ndarray  # (rounds, N, dim), collected from NetworkSim.rounds
     w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
-    log: list  # every Message of the run, each round's by sender, deferred updates last
+    log: list  # every Message of the run, each round's by sender label
 
 
 class NetworkSim:
@@ -116,8 +118,7 @@ class NetworkSim:
     def _agents(self):
         """Read off the plan: each dual row's (owner, dual sends), and per
         agent (i, d_i, its row of Z as (coefficient, dual row, owner,
-        channel or None if owned), estimate receives, estimate sends, late
-        estimate receives, owned rows as (c, update row, dual sends))."""
+        channel or None if owned), estimate receives, estimate sends)."""
         plan, chan = self.plan, self._channel
         z, update = plan.z, plan.z_cols.toarray()
 
@@ -131,8 +132,6 @@ class NetworkSim:
         for i in range(plan.n_nodes):
             x_in, outs = plan.in_nbrs[i], self.bg.state.out_neighbors(i)
             readers = {owner[c] for c in nonzero(update[:, i])} - {i, *outs}
-            owned = [c for c, o in enumerate(owner) if o == i]
-            late = {j for c in owned for j in nonzero(update[c])} - {i, *x_in}
             agents.append((
                 i,
                 plan.degrees[i],
@@ -140,93 +139,91 @@ class NetworkSim:
                  for c in nonzero(z[i])],
                 [(h, chan(h, i)) for h in x_in],
                 [(j, chan(i, j)) for j in outs + sorted(readers)],
-                [(j, chan(j, i)) for j in sorted(late)],
-                [(c, [(float(update[c, j]), j) for j in nonzero(update[c])], duals[c][1])
-                 for c in owned],
             ))
         return duals, agents
 
-    def _turn(self, nodes, batch, agents, w):
+    def _turn(self, nodes, batch, agents, held):
         """A level's turn, built once per run: its single agents, then its
         batch's hinges, even a lone one, pop their messages in label order
-        into one stack.  One CSR map sums its rows from zero in term order, as
-        the sweep's products do, into dual terms, input sums, and row updates
-        less their last term."""
+        into one stack, which it returns (held gains each column's (agent,
+        key)).  One CSR map sums its rows from zero in term order, as the
+        sweep's products do, into dual terms and input sums."""
         plan, recv, send, sigma = self.plan, self._recv, self._send, self.cfg.sigma
         ids = nodes + ([] if batch is None else batch[0].tolist())
         members, k, s = [agents[i] for i in ids], len(ids), len(nodes)
-        maps, updates, col = [None] * 2 * k, [], 0
-        for m, (i, _, w_in, x_in, _, late, owned) in enumerate(members):
-            at = dict(zip([("w", c) for _, c, *_ in w_in] + [h for h, _ in x_in], count(col)))
+        maps, start = [None] * 2 * k, len(held)
+        for m, (i, _, w_in, x_in, _) in enumerate(members):
+            keys = [("w", c) for _, c, *_ in w_in] + [h for h, _ in x_in]
+            at = dict(zip(keys, count(len(held) - start)))
             maps[m] = [(at["w", c], a) for a, c, *_ in w_in]  # dual terms
             maps[k + m] = [(at[h], 1.0) for h, _ in x_in]  # input sums
-            col += len(at)
-            for c, row, w_out in [] if late else owned:  # row[-1] is (a, i)
-                maps.append([(at[j], a) for a, j in row[:-1]])
-                updates.append((i, c, w_out, at["w", c], row[-1][0]))  # its dual is a term
+            held += [(i, key) for key in keys]
         rca = np.reshape([(r, c, a) for r, row in enumerate(maps) for c, a in row], (-1, 3)).T
-        terms = sparse.csr_matrix((rca[2], rca[:2].astype(int)), shape=(len(maps), col))
-        owners, old = np.array([(u[0], u[3]) for u in updates], dtype=int).reshape(-1, 2).T
-        a_own = np.array([u[4] for u in updates])[:, None]
+        terms = sparse.csr_matrix((rca[2], rca[:2].astype(int)), shape=(2 * k, len(held) - start))
         inv_d = plan.inv_d[ids]
 
-        def turn(rnd, theta, x, deferred):
+        def turn(rnd, x, w):
             popped = []
-            for i, _, w_in, x_in, _, x_late, owned in members:
+            for i, _, w_in, x_in, _ in members:
                 popped += [w[c] if ch is None else recv(rnd, i, o, ch, "w") for _, c, o, ch in w_in]
-                held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
-                popped += held.values()
-                if x_late:
-                    deferred.append((i, held | {i: x[i]}, x_late, owned))
-            stack = np.concatenate(popped).reshape(col, -1)  # freed with the turn
-            p = terms @ stack  # dual terms, input sums, update sums
+                popped += [recv(rnd, i, h, ch, "x") for h, ch in x_in]
+            stack = np.concatenate(popped).reshape(len(popped), -1)
+            p = terms @ stack  # dual terms, input sums
             w_term = np.multiply(inv_d, p[:k], out=p[:k])
             for m, i in enumerate(nodes):  # 0.0 + an input sum is that sum
                 node_solution(plan.ops[i], sigma, plan.degrees[i], [p[k + m]], w_term[m], x[i])
             if batch is not None:
                 rows, hinges, _, two_over_d = batch
-                r = np.multiply(two_over_d, p[k + s:2 * k], out=p[k + s:2 * k])
+                r = np.multiply(two_over_d, p[k + s:], out=p[k + s:])
                 r += w_term[s:]
                 x[rows] = hinges(sigma, r, out=r)
-            for i, _, _, _, x_out, _, _ in members:
+            for i, _, _, _, x_out in members:
                 send(rnd, i, x_out, "x", x[i])
-            new = np.multiply(a_own, x[owners])  # a fresh array, whose rows become the new duals
-            new += p[2 * k:]
-            np.subtract(stack[old], np.multiply(theta, new, out=new), out=new)
-            for (i, c, w_out, _, _), row in zip(updates, new):
-                w[c] = row
-                send(rnd, i, w_out, "w", row)
+            return stack
         return turn
+
+    def _update(self, duals, held):
+        """The late receives (agent, j, channel) and the update map (Z^T, or
+        L) over the round's turn stacks, x and late receives, built once per
+        run: row c's term j reads x_j where c's owner holds it, popped in its
+        turn (held), its own or late.  Those hold smaller, own and larger
+        labels, so each row's columns ascend in term order."""
+        u = self.plan.z_cols.tocoo()
+        needs = [(duals[c][0], j) for c, j in zip(u.row.tolist(), u.col.tolist())]
+        own = [(i, i) for i in range(self.plan.n_nodes)]
+        late = sorted(set(needs) - set(held) - set(own))
+        at = {key: col for col, key in enumerate(held + own + late)}
+        update = sparse.csr_matrix((u.data, (u.row, [at[key] for key in needs])),
+                                   shape=(len(duals), len(at)))
+        return [(i, j, self._channel(j, i)) for i, j in late], update
 
     def rounds(self, n):
         """Simulate n sweeps on a fresh network, yielding (x, sent) per round:
         its fresh (N, dim) estimates and its messages (round 1's after round
-        0's dual initialization) by sender label, each sender's in send order,
-        then the late dual updates.  The duals are self.w."""
+        0's dual initialization) by sender label, each sender's in send order.
+        self.w is the round's fresh (rows, dim) duals."""
         self.channels = {}
         plan, dim = self.plan, self.plan.dim
         duals, agents = self._agents()
+        held = []
+        turns = [self._turn(nodes, batch, agents, held) for nodes, batch in plan.schedule]
+        late, update = self._update(duals, held)
         # round 0: owners initialize their duals and send them out
         self._sent = []
-        w = self.w = [np.zeros(dim) for _ in duals]
+        w = self.w = np.zeros((len(duals), dim))
         for c, (o, w_out) in enumerate(duals):
             self._send(0, o, w_out, "w", w[c])
-        turns = [self._turn(nodes, batch, agents, w) for nodes, batch in plan.schedule]
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            x, deferred = np.empty((plan.n_nodes, dim)), []
+            x = np.empty((plan.n_nodes, dim))
             sent, self._sent = self._sent, []  # round 1's starts with round 0's
-            for turn in turns:  # a level's agents read only earlier levels
-                turn(rnd, theta, x, deferred)
+            stacks = [turn(rnd, x, w) for turn in turns]  # a level reads earlier levels
+            late_x = [self._recv(rnd, i, j, ch, "x") for i, j, ch in late]
+            new = update @ np.vstack([*stacks, x, *late_x])  # a fresh array
+            w = self.w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
+            for c, (o, w_out) in enumerate(duals):
+                self._send(rnd, o, w_out, "w", w[c])
             self._sent = sent + sorted(self._sent, key=attrgetter("src"))  # stable
-            for i, held, x_late, rows in sorted(deferred):  # by label (labels differ)
-                held |= {j: self._recv(rnd, i, j, ch, "x") for j, ch in x_late}
-                for c, row, w_out in rows:
-                    acc = np.zeros(dim)  # +0.0, then a * x_j by column: a CSR row's bits
-                    for a, j in row:
-                        acc += a * held[j]
-                    w[c] = w[c] - theta * acc
-                    self._send(rnd, i, w_out, "w", w[c])
             yield x, self._sent
             self._sent = []
 
@@ -237,7 +234,7 @@ class NetworkSim:
         for k, (x, sent) in enumerate(self.rounds(rounds)):
             x_history[k] = x
             self.log += sent
-        return SimResult(x_history, np.reshape(self.w, (-1, self.plan.dim)), self.log)
+        return SimResult(x_history, self.w.copy(), self.log)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):

@@ -227,24 +227,28 @@ def message_stats(log):
 def reference_rounds(sim, n):
     """NetworkSim.rounds with one turn per agent, in label order: the agent
     pops its duals and estimates, solves through node_solution (a hinge
-    through its :func:`scalar_hinge`), sends its estimate and updates its
-    rows by row_sum (after the round's last agent when it has late
-    receives).  Yields (x, sent) per round, sent in send
-    order, round 1's after round 0's dual initialization; sends go through
-    sim._send and receives through sim._recv, on sim's channels.  Unlike the
-    other oracles it reads its channel lists off the library (sim._agents),
-    so it checks the turn schedule and the arithmetic; the message tests
-    check the channels against the edge lists."""
+    through its :func:`scalar_hinge`), sends its estimate and updates the
+    rows it owns by row_sum.  It owns row c of the update map (plan.z_cols:
+    Z^T, or L) when it is the last nonzero row of Z's column c; it updates
+    in its own turn when it holds every estimate its rows read, and else
+    after the round's last agent, once it has received the rest late.
+    Yields (x, sent) per round, sent in send order, round 1's after round
+    0's dual initialization; sends go through sim._send and receives
+    through sim._recv, on sim's channels.  Unlike the other oracles it reads
+    its channel lists off the library (sim._agents), so it checks the turn
+    schedule and the arithmetic; the message tests check the channels
+    against the edge lists."""
     sim.channels = {}
     sim._sent = []
     plan, dim, sigma = sim.plan, sim.plan.dim, sim.cfg.sigma
     recv, send, ops = sim._recv, sim._send, scalar_ops(plan.ops)
     duals, agents = sim._agents()
+    update = plan.z_cols.toarray()
     w = sim.w = [np.zeros(dim) for _ in duals]
     for c, (o, w_out) in enumerate(duals):
         send(0, o, w_out, "w", w[c])
 
-    def update(rnd, theta, i, held, rows):
+    def apply(rnd, theta, i, held, rows):
         for c, row, w_out in rows:
             w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
             send(rnd, i, w_out, "w", w[c])
@@ -253,7 +257,7 @@ def reference_rounds(sim, n):
         theta = sim.cfg.theta_at(rnd - 1)
         x = np.empty((plan.n_nodes, dim))
         deferred = []
-        for i, d_i, w_in, x_in, x_out, x_late, rows in agents:
+        for i, d_i, w_in, x_in, x_out in agents:
             w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
                        for a, c, o, ch in w_in]
             held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
@@ -261,14 +265,17 @@ def reference_rounds(sim, n):
                           node_dual_term(d_i, w_terms, dim), x[i])
             held[i] = x[i]
             send(rnd, i, x_out, "x", x[i])
-            if x_late:
-                deferred.append((i, held, x_late, rows))
+            rows = [(c, [(update[c, j], j) for j in np.flatnonzero(update[c]).tolist()], w_out)
+                    for c, (o, w_out) in enumerate(duals) if o == i]
+            late = sorted({j for _, row, _ in rows for _, j in row} - held.keys())
+            if late:
+                deferred.append((i, held, late, rows))
             else:
-                update(rnd, theta, i, held, rows)
-        for i, held, x_late, rows in deferred:
-            for j, ch in x_late:
-                held[j] = recv(rnd, i, j, ch, "x")
-            update(rnd, theta, i, held, rows)
+                apply(rnd, theta, i, held, rows)
+        for i, held, late, rows in deferred:
+            for j in late:
+                held[j] = recv(rnd, i, j, sim._channel(j, i), "x")
+            apply(rnd, theta, i, held, rows)
         yield x, sim._sent
         sim._sent = []
 

@@ -631,6 +631,30 @@ def test_solve_svm_without_agents_names_per_official(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, cfg_text", [
+    ("p", "problem = transport\np = 3.5\n"),
+    ("cap", "problem = transport\np = 8\ncap = big\n"),
+    ("blob_width", "problem = transport\np = 8\nblob_width = wide\n"),
+    ("n", "problem = svm\nn = abc\n"),
+    ("officials", "problem = svm\nofficials = five\n"),
+    ("per_official", "problem = svm\nper_official = 2.5\n"),
+    ("gamma", "problem = svm\ngamma = g\n"),
+    ("kernel_width", "problem = svm\nkernel_width = w\n"),
+    ("seed", "problem = svm\nseed = s\n"),
+    ("centers", "centers = 0 0; 1 x\n"),
+    ("mus", "centers = 0 0; 1 1\nmus = 1 x\n"),
+])
+def test_config_value_that_does_not_parse_names_its_key(graph_file, tmp_path, capsys,
+                                                        key, cfg_text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out.csv"
+    code = main(["solve", "--graph", graph_file, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} = ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate"])
 @pytest.mark.parametrize("cfg_text", [
     "problem = svm\nn = 0\nofficials = 0\n",

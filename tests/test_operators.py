@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,26 @@ def test_quadratic_solve_equals_cho_solve_bitwise():
         assert not np.isfinite(op(1.0, r)).all()
     with pytest.raises(ValueError, match="dimension"):
         op(1.0, np.ones(6))
+
+
+@pytest.mark.parametrize("build, n_taus, bound", [
+    # a dim-50 factor is 20 kB: 200 of them held 4 MB when every tau was kept
+    (lambda: prox_quadratic(np.eye(50), 0.5), 200, 20 * 50 * 50 * 8),
+    # a one-row hinge's steps are a few hundred bytes: 2000 of them held 713 kB
+    (lambda: prox_hinge_affine(np.ones(3)), 2000, 64 * 1024),
+], ids=["quadratic", "hinge"])
+def test_per_tau_caches_are_bounded(build, n_taus, bound):
+    op = build()
+    op(1.0, np.ones(op.dim))  # builds the hinge kernel and every scratch array
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for tau in np.linspace(0.1, 10.0, n_taus).tolist():
+            op(tau, np.ones(op.dim))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < bound
 
 
 # ---------------------------------------------------------------------------

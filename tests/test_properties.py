@@ -335,7 +335,7 @@ def test_stacked_turns_equal_agent_turns_bitwise(data, protocol, schedule, pertu
     bg, ops, rng = data.draw(mixed_problems(tree=protocol == "tree" or None, two_hinges=True))
     theta = (lambda k: 1.0 + 0.5 * np.sin(k)) if schedule else rng.uniform(0.2, 1.8)
     cfg = SolverConfig(sigma=rng.uniform(0.3, 3.0), theta=theta)
-    runs = []
+    runs, sims = [], []
     for rounds in (NetworkSim.rounds, reference_rounds):
         sim = NetworkSim(bg, ops, cfg, protocol)
         assert sim.plan.schedule[-1][1] is not None  # the last level stacks hinges
@@ -343,7 +343,10 @@ def test_stacked_turns_equal_agent_turns_bitwise(data, protocol, schedule, pertu
             sim._send = shifted_estimates(sim)
         # the whole run first: a payload written after it was sent shows too
         runs.append(round_bytes(list(rounds(sim, SWEEPS))))
+        sims.append(sim)
     assert runs[0] == runs[1]
+    # the last round's duals, which the general protocol never sends
+    assert identical_bits(sims[0].w, np.reshape(sims[1].w, sims[0].w.shape))
 
 
 @PROPERTY
