@@ -11,10 +11,8 @@ import argparse
 import contextlib
 import dataclasses
 import os
-import shutil
 import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -232,26 +230,17 @@ def cmd_simulate(args):
     ops, bg, _ = _build_problem(args.config, args.graph, args.seed)
     cfg = _solver_config(args, max_iter=args.rounds)
     sim = NetworkSim(bg, ops, cfg, protocol=args.protocol)
-    w, max_dev, messages = np.zeros((sim.plan.z.shape[1], sim.plan.dim)), 0.0, 0
-
-    def checked_log():  # the messages, each round compared with a centralized step
-        nonlocal w, max_dev, messages
-        for rnd, (x_sim, sent) in enumerate(sim.rounds(args.rounds)):
-            x, w, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
-            max_dev = max(max_dev, float(np.abs(x_sim - x).max()))
-            messages += len(sent)
-            yield from sent
-
-    # the header needs the totals, so the rows wait in a temporary file, written
-    # write-only (a readable text file resets its decoder per write), read as bytes
-    with tempfile.TemporaryFile("w") as body:
-        write_message_log(checked_log(), body)
-        body.seek(0)
-        header = [f"protocol = {args.protocol}", f"rounds = {args.rounds}",
-                  f"max_deviation = {max_dev:.17g}", f"total_messages = {messages}"]
-        with _output(args, *header) as fh, open(body.fileno(), "rb", closefd=False) as rows:
-            fh.flush()
-            shutil.copyfileobj(rows, fh.buffer)
+    w, max_dev = np.zeros((sim.plan.z.shape[1], sim.plan.dim)), 0.0
+    # every round compared with a centralized step before --out is opened,
+    # as the header holds the totals
+    for rnd, (x_sim, _) in enumerate(sim.rounds(args.rounds)):
+        x, w, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(rnd), w, rnd)
+        max_dev = max(max_dev, float(np.abs(x_sim - x).max()))
+    messages = sim.total_messages(args.rounds)
+    header = [f"protocol = {args.protocol}", f"rounds = {args.rounds}",
+              f"max_deviation = {max_dev:.17g}", f"total_messages = {messages}"]
+    with _output(args, *header) as fh:
+        write_message_log(sim, args.rounds, fh)
     print(f"protocol={args.protocol} rounds={args.rounds} "
           f"max_deviation={max_dev:.17g} messages={messages}")
     return 0

@@ -12,27 +12,34 @@ out-neighbours, then to every other owner of an update row that reads it
 
 A round is a sweep, then one dual update, as the centralized step is.  It
 walks the plan's levels; any topological order of the state DAG is causally
-consistent.  A level's agents take one turn: they pop their messages, solve
-by a CSR product over them and one stacked call for the level's hinges, and
-send their estimates.  Then the owners receive their late estimates, and one
-CSR product of the update map gives every new dual row, which its owner
-sends; no dual row is popped in the round that sends it.  Sums follow the
-centralized step's kernels and order: over in-order reliable channels,
-simulated and centralized iterates are bit-identical.  A round logs its
-messages by sender label.  A run reads each agent's (peer, channel) receive
-and send lists off the plan once, with one deque per directed pair, so a
-round looks up no channel.
-:meth:`NetworkSim.rounds`, the protocol loop, yields one round at a time and
-keeps none, so its memory does not grow with the rounds; :meth:`NetworkSim.run`
-collects it.  A channel carries the sender's array, not a copy: a row of the
-round's fresh estimates, or a row of the round's fresh duals.
-A run starts from a fresh network, so a second run repeats the first.
+consistent.  A level's agents take one turn: one gather reads their messages
+and owned duals into a stack in label order, a CSR product over it and one
+stacked call for the level's hinges solve, and one scatter sends their
+estimates.  Then one gather gives the owners their late estimates, one CSR
+product of the update map gives every new dual row, and one scatter sends
+them; no dual row is read in the round that sends it.  Sums follow the
+centralized step's kernels and order, so simulated and centralized iterates
+are bit-identical.
+
+The traffic does not depend on the data: every round the same senders send
+to the same receivers in the same order.  So a run reads its send table off
+the plan once: (src, dst, kind, payload row) per message of a round, in log
+order (by sender label: each sender's estimates, then its duals); round 0
+sends the dual initialization.  Each row of the table is also a slot, the
+row of the run's (slots, dim) buffer for its (src, dst, kind) channel, with
+a flag that marks an unread message: a receive from an empty slot, or a send
+onto a full one, raises :class:`ProtocolError`.
+:meth:`NetworkSim.rounds`, the protocol loop, yields each round's fresh
+estimates and duals and keeps none, so its memory does not grow with the
+rounds; :meth:`NetworkSim.run` collects it and rebuilds the message log from
+the send table, each payload a view of its round's x or w row, which the
+simulator never writes again.  :func:`write_message_log` writes the table as
+CSV, one block per round.  A run starts from a fresh network, so a second
+run repeats the first.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import count
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -51,24 +58,30 @@ class Message:
     src: int
     dst: int
     kind: str  # x | w
-    payload: np.ndarray  # the sender's array, which it never writes again
+    payload: np.ndarray  # a row of its round's fresh x or w, never written again
 
 
 @dataclass
 class SimResult:
     x_history: np.ndarray  # (rounds, N, dim), collected from NetworkSim.rounds
     w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
-    log: list  # every Message of the run, each round's by sender label
+    log: list  # every Message of the run, rebuilt from the send table in log order
 
 
 class NetworkSim:
-    """Synchronous event loop over per-pair in-order channels.
+    """Synchronous event loop over one slot buffer.
 
     Agent i runs ops[i] and talks only along the bilevel graph: estimates
     over state edges and reversed base edges, duals over base edges.  Its
     channels, degrees and dimension come from plan, the :class:`StepPlan` of
     the protocol's centralized form (incidence Z for tree, node-local for
     general), which the protocol name only chooses.
+
+    A run's send table, ``sends``, lists a round's messages as (src, dst,
+    kind, payload row) in log order; row s is also the channel of slot s,
+    row s of the (slots, dim) buffer ``buf``, whose flag ``full[s]`` says
+    whether it holds a message nobody has read.  ``init`` lists round 0's
+    slots, the dual initialization, in send order.
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -82,92 +95,95 @@ class NetworkSim:
         self.cfg = cfg
         self.protocol = protocol
 
-    # -- channel primitives -------------------------------------------------
+    # -- the slot buffer ----------------------------------------------------
 
-    def _channel(self, src, dst):
-        """The in-order channel src -> dst, created on first use."""
-        chan = self.channels.get((src, dst))
-        if chan is None:
-            chan = self.channels[src, dst] = deque()
-        return chan
+    def _send(self, rnd, slots, payload):
+        """Write payload's rows onto slots, each of which must have been read."""
+        full = self.full[slots]
+        if full.any():
+            src, dst, kind, _ = self.sends[slots[full.argmax()]]
+            raise ProtocolError(f"agent {src} at round {rnd}: unread {kind} message to {dst}")
+        self.buf[slots] = payload
+        self.full[slots] = True
 
-    def _send(self, rnd, src, outs, kind, payload):
-        """Send payload itself, not a copy, down each (dst, channel) of outs."""
-        sent = self._sent
-        for dst, chan in outs:
-            msg = Message(rnd, src, dst, kind, payload)
-            chan.append(msg)
-            sent.append(msg)
-
-    @staticmethod
-    def _recv(rnd, dst, src, chan, kind):
-        if not chan:
+    def _recv(self, rnd, slots):
+        """The messages on slots, in order, which it empties; each must be there."""
+        full = self.full[slots]
+        if not full.all():
+            src, dst, kind, _ = self.sends[slots[full.argmin()]]
             raise ProtocolError(
                 f"agent {dst} at round {rnd}: missing {kind} message from {src}"
             )
-        msg = chan.popleft()
-        if msg.kind != kind:
-            raise ProtocolError(
-                f"agent {dst} at round {rnd}: expected {kind} from {src}, "
-                f"got {msg.kind}"
-            )
-        return msg.payload
+        self.full[slots] = False
+        return self.buf[slots]
 
     # -- the protocol -------------------------------------------------------
 
-    def _agents(self):
-        """Read off the plan: each dual row's (owner, dual sends), and per
-        agent (i, d_i, its row of Z as (coefficient, dual row, owner,
-        channel or None if owned), estimate receives, estimate sends)."""
-        plan, chan = self.plan, self._channel
+    def _tables(self):
+        """Read off the plan: the send table and round 0's slots (stored on
+        self), each dual row's owner, the slot of each channel, and per agent
+        (its row of Z as (coefficient, dual row, slot or None if owned), its
+        estimate receive slots, its estimate send slots)."""
+        plan, state = self.plan, self.bg.state
         z, update = plan.z, plan.z_cols.toarray()
 
         def nonzero(v):
             return np.flatnonzero(v).tolist()
 
         owner = [nonzero(col)[-1] for col in z.T]
-        duals = [(o, [(h, chan(o, h)) for h in nonzero(col)[:-1]])
-                 for o, col in zip(owner, z.T)]
-        agents = []
-        for i in range(plan.n_nodes):
-            x_in, outs = plan.in_nbrs[i], self.bg.state.out_neighbors(i)
-            readers = {owner[c] for c in nonzero(update[:, i])} - {i, *outs}
-            agents.append((
-                i,
-                plan.degrees[i],
-                [(float(z[i, c]), c, owner[c], None if owner[c] == i else chan(owner[c], i))
-                 for c in nonzero(z[i])],
-                [(h, chan(h, i)) for h in x_in],
-                [(j, chan(i, j)) for j in outs + sorted(readers)],
-            ))
-        return duals, agents
+        outs = [state.out_neighbors(i) for i in range(plan.n_nodes)]
+        outs = [js + sorted({owner[c] for c in nonzero(update[:, i])} - {i, *js})
+                for i, js in enumerate(outs)]
+        duals = [(o, h, "w", c) for c, (o, col) in enumerate(zip(owner, z.T))
+                 for h in nonzero(col)[:-1]]
+        estimates = [(i, j, "x", i) for i, js in enumerate(outs) for j in js]
+        # stable: each sender's estimates, then its duals
+        self.sends = sorted(estimates + duals, key=itemgetter(0))
+        slot = {send[:3]: s for s, send in enumerate(self.sends)}
+        self.init = [slot[send[:3]] for send in duals]
+        agents = [(
+            [(float(z[i, c]), c, None if owner[c] == i else slot[owner[c], i, "w"])
+             for c in nonzero(z[i])],
+            [slot[h, i, "x"] for h in plan.in_nbrs[i]],
+            [slot[i, j, "x"] for j in js],
+        ) for i, js in enumerate(outs)]
+        return owner, slot, agents
 
     def _turn(self, nodes, batch, agents, held):
         """A level's turn, built once per run: its single agents, then its
-        batch's hinges, even a lone one, pop their messages in label order
-        into one stack, which it returns (held gains each column's (agent,
-        key)).  One CSR map sums its rows from zero in term order, as the
-        sweep's products do, into dual terms and input sums."""
-        plan, recv, send, sigma = self.plan, self._recv, self._send, self.cfg.sigma
+        batch's hinges, even a lone one, gather their messages and owned
+        duals in label order into one stack, which it returns (held gains
+        each column's (agent, key)).  One CSR map sums its rows from zero in
+        term order, as the sweep's products do, into dual terms and input
+        sums.  The level's estimates then go out in one scatter."""
+        plan, sigma, dim = self.plan, self.cfg.sigma, self.plan.dim
         ids = nodes + ([] if batch is None else batch[0].tolist())
-        members, k, s = [agents[i] for i in ids], len(ids), len(nodes)
-        maps, start = [None] * 2 * k, len(held)
-        for m, (i, _, w_in, x_in, _) in enumerate(members):
-            keys = [("w", c) for _, c, *_ in w_in] + [h for h, _ in x_in]
-            at = dict(zip(keys, count(len(held) - start)))
-            maps[m] = [(at["w", c], a) for a, c, *_ in w_in]  # dual terms
-            maps[k + m] = [(at[h], 1.0) for h, _ in x_in]  # input sums
-            held += [(i, key) for key in keys]
+        k, s, start = len(ids), len(nodes), len(held)
+        maps, recv, own, sends = [None] * 2 * k, [], [], []
+        for m, i in enumerate(ids):
+            w_in, x_in, x_out = agents[i]
+            col = len(held) - start
+            maps[m] = [(col + t, a) for t, (a, _, _) in enumerate(w_in)]  # dual terms
+            for t, (_, c, slot) in enumerate(w_in):
+                if slot is None:
+                    own.append((col + t, c))
+                else:
+                    recv.append((col + t, slot))
+            col += len(w_in)
+            maps[k + m] = [(col + t, 1.0) for t in range(len(x_in))]  # input sums
+            recv += [(col + t, slot) for t, slot in enumerate(x_in)]
+            held += [(i, ("w", c)) for _, c, _ in w_in] + [(i, h) for h in plan.in_nbrs[i]]
+            sends += [(slot, i) for slot in x_out]
         rca = np.reshape([(r, c, a) for r, row in enumerate(maps) for c, a in row], (-1, 3)).T
         terms = sparse.csr_matrix((rca[2], rca[:2].astype(int)), shape=(2 * k, len(held) - start))
-        inv_d = plan.inv_d[ids]
+        inv_d, n_cols = plan.inv_d[ids], len(held) - start
+        (recv_pos, recv_slots), (own_pos, own_rows), (send_slots, send_rows) = (
+            np.reshape(pairs, (-1, 2)).astype(int).T for pairs in (recv, own, sends))
 
         def turn(rnd, x, w):
-            popped = []
-            for i, _, w_in, x_in, _ in members:
-                popped += [w[c] if ch is None else recv(rnd, i, o, ch, "w") for _, c, o, ch in w_in]
-                popped += [recv(rnd, i, h, ch, "x") for h, ch in x_in]
-            stack = np.concatenate(popped).reshape(len(popped), -1)
+            stack = np.empty((n_cols, dim))
+            stack[recv_pos] = self._recv(rnd, recv_slots)
+            stack[own_pos] = w[own_rows]
             p = terms @ stack  # dual terms, input sums
             w_term = np.multiply(inv_d, p[:k], out=p[:k])
             for m, i in enumerate(nodes):  # 0.0 + an input sum is that sum
@@ -177,64 +193,70 @@ class NetworkSim:
                 r = np.multiply(two_over_d, p[k + s:], out=p[k + s:])
                 r += w_term[s:]
                 x[rows] = hinges(sigma, r, out=r)
-            for i, _, _, _, x_out in members:
-                send(rnd, i, x_out, "x", x[i])
+            self._send(rnd, send_slots, x[send_rows])
             return stack
         return turn
 
-    def _update(self, duals, held):
-        """The late receives (agent, j, channel) and the update map (Z^T, or
-        L) over the round's turn stacks, x and late receives, built once per
-        run: row c's term j reads x_j where c's owner holds it, popped in its
-        turn (held), its own or late.  Those hold smaller, own and larger
-        labels, so each row's columns ascend in term order."""
+    def _update(self, owner, slot, held):
+        """The late receive slots (by receiver, then sender) and the update
+        map (Z^T, or L) over the round's turn stacks, x and late receives,
+        built once per run: row c's term j reads x_j where c's owner holds
+        it, gathered in its turn (held), its own or late.  Those hold
+        smaller, own and larger labels, so each row's columns ascend in term
+        order."""
         u = self.plan.z_cols.tocoo()
-        needs = [(duals[c][0], j) for c, j in zip(u.row.tolist(), u.col.tolist())]
+        needs = [(owner[c], j) for c, j in zip(u.row.tolist(), u.col.tolist())]
         own = [(i, i) for i in range(self.plan.n_nodes)]
         late = sorted(set(needs) - set(held) - set(own))
         at = {key: col for col, key in enumerate(held + own + late)}
         update = sparse.csr_matrix((u.data, (u.row, [at[key] for key in needs])),
-                                   shape=(len(duals), len(at)))
-        return [(i, j, self._channel(j, i)) for i, j in late], update
+                                   shape=(len(owner), len(at)))
+        return np.array([slot[j, i, "x"] for i, j in late], dtype=int), update
 
     def rounds(self, n):
-        """Simulate n sweeps on a fresh network, yielding (x, sent) per round:
-        its fresh (N, dim) estimates and its messages (round 1's after round
-        0's dual initialization) by sender label, each sender's in send order.
-        self.w is the round's fresh (rows, dim) duals."""
-        self.channels = {}
+        """Simulate n sweeps on a fresh network, yielding (x, w) per round:
+        its fresh (N, dim) estimates and (rows, dim) duals, which the
+        simulator never writes again.  A round's messages are the rows of
+        self.sends, and round 0's, the dual initialization, its rows
+        self.init; no message is an object of its own."""
         plan, dim = self.plan, self.plan.dim
-        duals, agents = self._agents()
+        owner, slot, agents = self._tables()
+        self.buf = np.empty((len(self.sends), dim))
+        self.full = np.zeros(len(self.sends), dtype=bool)
         held = []
         turns = [self._turn(nodes, batch, agents, held) for nodes, batch in plan.schedule]
-        late, update = self._update(duals, held)
+        late, update = self._update(owner, slot, held)
+        dual_slots = np.array(self.init, dtype=int)
+        dual_rows = np.array([self.sends[s][3] for s in self.init], dtype=int)
         # round 0: owners initialize their duals and send them out
-        self._sent = []
-        w = self.w = np.zeros((len(duals), dim))
-        for c, (o, w_out) in enumerate(duals):
-            self._send(0, o, w_out, "w", w[c])
+        w = np.zeros((len(owner), dim))
+        self._send(0, dual_slots, w[dual_rows])
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
             x = np.empty((plan.n_nodes, dim))
-            sent, self._sent = self._sent, []  # round 1's starts with round 0's
             stacks = [turn(rnd, x, w) for turn in turns]  # a level reads earlier levels
-            late_x = [self._recv(rnd, i, j, ch, "x") for i, j, ch in late]
-            new = update @ np.vstack([*stacks, x, *late_x])  # a fresh array
-            w = self.w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
-            for c, (o, w_out) in enumerate(duals):
-                self._send(rnd, o, w_out, "w", w[c])
-            self._sent = sent + sorted(self._sent, key=attrgetter("src"))  # stable
-            yield x, self._sent
-            self._sent = []
+            new = update @ np.vstack([*stacks, x, self._recv(rnd, late)])  # a fresh array
+            w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
+            self._send(rnd, dual_slots, w[dual_rows])
+            yield x, w
 
     def run(self, rounds):
-        """Collect :meth:`rounds`: estimates into x_history, messages into self.log."""
+        """Collect :meth:`rounds`: the estimates into x_history, and the
+        messages into self.log, rebuilt from the send table, each payload a
+        view of its round's fresh x or w row."""
         x_history = np.empty((rounds, self.plan.n_nodes, self.plan.dim))
-        self.log = []
-        for k, (x, sent) in enumerate(self.rounds(rounds)):
-            x_history[k] = x
-            self.log += sent
-        return SimResult(x_history, self.w.copy(), self.log)
+        w = np.zeros((self.plan.z.shape[1], self.plan.dim))  # round 0's duals
+        kept = list(self.rounds(rounds))
+        self.log = [Message(0, *self.sends[s][:3], w[self.sends[s][3]]) for s in self.init]
+        for rnd, (x, w) in enumerate(kept, 1):
+            x_history[rnd - 1] = x
+            self.log += [Message(rnd, src, dst, kind, (x if kind == "x" else w)[row])
+                         for src, dst, kind, row in self.sends]
+        return SimResult(x_history, w.copy(), self.log)
+
+    def total_messages(self, rounds):
+        """The messages a run of rounds sends, round 0's included."""
+        return len(self.init) + rounds * len(self.sends)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):
@@ -245,8 +267,13 @@ def run_general_protocol(bg, ops, cfg, rounds):
     return NetworkSim(bg, ops, cfg, protocol="general").run(rounds)
 
 
-def write_message_log(log, fh):
-    """CSV export with 1-based node labels: round,from,to,kind."""
+def write_message_log(sim, rounds, fh):
+    """CSV export of sim's run of rounds with 1-based node labels:
+    round,from,to,kind.  Round 0's dual initialization, then each round's
+    send table stamped with the round number, written as one block."""
+    rows = [f"{{0}},{src + 1},{dst + 1},{kind}\n" for src, dst, kind, _ in sim.sends]
     fh.write("round,from,to,kind\n")
-    for msg in log:
-        fh.write(f"{msg.round},{msg.src + 1},{msg.dst + 1},{msg.kind}\n")
+    fh.write("".join(rows[s] for s in sim.init).format(0))
+    template = "".join(rows)
+    for rnd in range(1, rounds + 1):
+        fh.write(template.format(rnd))

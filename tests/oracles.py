@@ -5,7 +5,8 @@ the operators) rather than from the structures the library builds, so a
 test that compares the two checks something:
 
 * :func:`same_bits` and :func:`identical_bits`, the two bit-level
-  comparisons, and :func:`round_bytes`, a simulator run's rounds as bytes;
+  comparisons, and :func:`round_bytes`, a simulator run's rounds and log as
+  bytes;
 * :func:`loop_divergence_matrix`, the grid divergence as a CSR matrix built
   cell by cell, the oracle for ``operators.grid_stencils``;
 * :func:`scalar_hinge`, the hinge resolvent with a kernel of its own on one
@@ -19,18 +20,26 @@ test that compares the two checks something:
   :func:`lifted_ppp_step`, :func:`lifted_reduce` and
   :func:`lifted_resolvent_w`;
 * :func:`reference_rounds`, the simulator's rounds with every agent taking
-  its own turn in label order, :func:`shifted_estimates`, a channel that
-  shifts every estimate it carries, and :func:`message_stats`, the message
-  counts of a simulator log;
+  its own turn in label order over deque channels of its own,
+  :func:`shifted_estimates`, a send step that shifts every estimate it
+  carries, :func:`simulated_and_reference`, a library run and a reference
+  run as bytes, and :func:`message_stats`, the message counts of a
+  simulator log;
+* :func:`malitsky_tam_step`, Malitsky and Tam's minimal-lifting splitting
+  as their paper states it;
 * :func:`loop_sigma_matrix`, the skew-symmetric coupling matrix entry by
   entry.
 """
+
+from collections import deque
+from operator import attrgetter
 
 import numpy as np
 from scipy import sparse
 
 from graphdrs.graphs import laplacian, p_matrix, sigma_matrix
 from graphdrs.operators import Resolvent
+from graphdrs.simulate import Message, NetworkSim, ProtocolError
 from graphdrs.solver import node_solution
 
 
@@ -55,12 +64,14 @@ def identical_bits(a, b):
     return a.shape == b.shape and np.array_equal(bits(a), bits(b))
 
 
-def round_bytes(rounds):
-    """A simulator's (x, sent) rounds as bytes: per round, x and each message's
-    round, src, dst, kind and payload, in log order; equal bytes mean equal
-    bits and order."""
-    return [(x.tobytes(), [(m.round, m.src, m.dst, m.kind, m.payload.tobytes()) for m in sent])
-            for x, sent in rounds]
+def round_bytes(xs, log):
+    """A simulator run as bytes, one entry per round: its x and each
+    message's round, src, dst, kind and payload in log order, round 0's dual
+    initialization with round 1's; equal bytes mean equal bits and order."""
+    sent = [[] for _ in xs]
+    for m in log:
+        sent[max(m.round, 1) - 1].append((m.round, m.src, m.dst, m.kind, m.payload.tobytes()))
+    return [(x.tobytes(), s) for x, s in zip(xs, sent)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,69 +235,135 @@ def message_stats(log):
     }
 
 
-def reference_rounds(sim, n):
-    """NetworkSim.rounds with one turn per agent, in label order: the agent
-    pops its duals and estimates, solves through node_solution (a hinge
-    through its :func:`scalar_hinge`), sends its estimate and updates the
-    rows it owns by row_sum.  It owns row c of the update map (plan.z_cols:
-    Z^T, or L) when it is the last nonzero row of Z's column c; it updates
-    in its own turn when it holds every estimate its rows read, and else
-    after the round's last agent, once it has received the rest late.
-    Yields (x, sent) per round, sent in send order, round 1's after round
-    0's dual initialization; sends go through sim._send and receives
-    through sim._recv, on sim's channels.  Unlike the other oracles it reads
-    its channel lists off the library (sim._agents), so it checks the turn
-    schedule and the arithmetic; the message tests check the channels
-    against the edge lists."""
-    sim.channels = {}
-    sim._sent = []
-    plan, dim, sigma = sim.plan, sim.plan.dim, sim.cfg.sigma
-    recv, send, ops = sim._recv, sim._send, scalar_ops(plan.ops)
-    duals, agents = sim._agents()
-    update = plan.z_cols.toarray()
-    w = sim.w = [np.zeros(dim) for _ in duals]
-    for c, (o, w_out) in enumerate(duals):
-        send(0, o, w_out, "w", w[c])
+def reference_rounds(sim, n, shift=0.0):
+    """NetworkSim.rounds with one turn per agent, in label order, over
+    in-order channels of its own, one deque per (src, dst, kind), read off
+    sim's bg.state, bg.base and Z.
 
-    def apply(rnd, theta, i, held, rows):
-        for c, row, w_out in rows:
-            w[c] = w[c] - theta * row_sum(((a, held[j]) for a, j in row), dim)
-            send(rnd, i, w_out, "w", w[c])
+    Dual row c belongs to the last nonzero row of Z's column c, which sends
+    it to the column's other nonzero rows and owns row c of the update map
+    (Z^T on a tree base, else the base Laplacian L).  An agent pops its
+    duals and estimates, solves through node_solution (a hinge through its
+    :func:`scalar_hinge`), sends its estimate to its state out-neighbours
+    and then to every other owner of an update row that reads it, and
+    updates the rows it owns by row_sum: in its own turn when it holds every
+    estimate they read, and else after the round's last agent, once it has
+    received the rest late.  A channel carries each estimate plus shift (a
+    nonzero shift shows an agent that reads the sender's array instead of
+    its message); the log keeps the sender's array.
 
+    Yields (x, w, sent) per round: its estimates, its duals and its
+    messages by sender label, each sender's in send order, round 1's after
+    round 0's dual initialization."""
+    bg, z, cfg = sim.bg, sim.plan.z, sim.cfg
+    n_nodes, dim, sigma = bg.n_nodes, sim.plan.dim, cfg.sigma
+    ops, d = scalar_ops(sim.plan.ops), bg.state.degrees().tolist()
+    update = z.T if sim.protocol == "tree" else laplacian(bg.base)
+    owner = [np.flatnonzero(col)[-1] for col in z.T]
+    readers = [sorted({owner[c] for c in np.flatnonzero(update[:, i])}
+                      - {i, *bg.state.out_neighbors(i)}) for i in range(n_nodes)]
+    channels, sent = {}, []
+
+    def send(rnd, src, dst, kind, payload):
+        carried = payload + shift if kind == "x" and shift else payload
+        channels.setdefault((src, dst, kind), deque()).append(carried)
+        sent.append(Message(rnd, src, dst, kind, payload))
+
+    def recv(rnd, dst, src, kind):
+        if not channels.get((src, dst, kind)):
+            raise ProtocolError(f"agent {dst} at round {rnd}: missing {kind} message from {src}")
+        return channels[src, dst, kind].popleft()
+
+    def send_dual(rnd, c):
+        for h in np.flatnonzero(z[:, c])[:-1]:
+            send(rnd, owner[c], h, "w", w[c])
+
+    def apply(rnd, theta, held, rows):
+        for c in rows:
+            terms = [(update[c, j], held[j]) for j in np.flatnonzero(update[c])]
+            w[c] = w[c] - theta * row_sum(terms, dim)
+            send_dual(rnd, c)
+
+    w = [np.zeros(dim) for _ in owner]
+    for c in range(len(owner)):
+        send_dual(0, c)
+    init = sent[:]  # round 0's, logged with round 1's
     for rnd in range(1, n + 1):
-        theta = sim.cfg.theta_at(rnd - 1)
-        x = np.empty((plan.n_nodes, dim))
+        sent.clear()
+        theta = cfg.theta_at(rnd - 1)
+        x = np.empty((n_nodes, dim))
         deferred = []
-        for i, d_i, w_in, x_in, x_out in agents:
-            w_terms = [(a, w[c] if ch is None else recv(rnd, i, o, ch, "w"))
-                       for a, c, o, ch in w_in]
-            held = {h: recv(rnd, i, h, ch, "x") for h, ch in x_in}
-            node_solution(ops[i], sigma, d_i, list(held.values()),
-                          node_dual_term(d_i, w_terms, dim), x[i])
+        for i in range(n_nodes):
+            w_terms = [(z[i, c], w[c] if owner[c] == i else recv(rnd, i, owner[c], "w"))
+                       for c in np.flatnonzero(z[i])]
+            held = {h: recv(rnd, i, h, "x") for h in bg.state.in_neighbors(i)}
+            node_solution(ops[i], sigma, d[i], list(held.values()),
+                          node_dual_term(d[i], w_terms, dim), x[i])
             held[i] = x[i]
-            send(rnd, i, x_out, "x", x[i])
-            rows = [(c, [(update[c, j], j) for j in np.flatnonzero(update[c]).tolist()], w_out)
-                    for c, (o, w_out) in enumerate(duals) if o == i]
-            late = sorted({j for _, row, _ in rows for _, j in row} - held.keys())
+            for j in bg.state.out_neighbors(i) + readers[i]:
+                send(rnd, i, j, "x", x[i])
+            rows = [c for c, o in enumerate(owner) if o == i]
+            late = sorted({j for c in rows for j in np.flatnonzero(update[c])} - held.keys())
             if late:
                 deferred.append((i, held, late, rows))
             else:
-                apply(rnd, theta, i, held, rows)
+                apply(rnd, theta, held, rows)
         for i, held, late, rows in deferred:
             for j in late:
-                held[j] = recv(rnd, i, j, sim._channel(j, i), "x")
-            apply(rnd, theta, i, held, rows)
-        yield x, sim._sent
-        sim._sent = []
+                held[j] = recv(rnd, i, j, "x")
+            apply(rnd, theta, held, rows)
+        yield x, np.array(w), init + sorted(sent, key=attrgetter("src"))  # stable
+        init = []
 
 
-def shifted_estimates(sim):
-    """A _send for sim that replaces every estimate by a fresh, shifted copy:
+def shifted_estimates(sim, shift):
+    """A _send for sim that writes every estimate plus shift onto its slot:
     an agent that reads the sender's array instead of its message then
     computes something else."""
-    def send(rnd, src, outs, kind, payload):
-        type(sim)._send(sim, rnd, src, outs, kind, payload + 0.25 if kind == "x" else payload)
+    def send(rnd, slots, payload):
+        is_x = np.array([sim.sends[s][2] == "x" for s in slots.tolist()], dtype=bool)
+        type(sim)._send(sim, rnd, slots, np.where(is_x[:, None], payload + shift, payload))
     return send
+
+
+def simulated_and_reference(bg, ops, cfg, protocol, n, shift=0.0):
+    """(round_bytes, last duals) of NetworkSim.run, its log rebuilt from the
+    send table, and of :func:`reference_rounds`, both with estimates shifted
+    by shift in transit, each taken after its whole run, so a payload
+    written after it was sent shows too."""
+    sim = NetworkSim(bg, ops, cfg, protocol)
+    if shift:
+        sim._send = shifted_estimates(sim, shift)
+    result = sim.run(n)
+    rounds = list(reference_rounds(NetworkSim(bg, ops, cfg, protocol), n, shift))
+    log = [m for _, _, sent in rounds for m in sent]
+    return ((round_bytes(result.x_history, result.log), result.w),
+            (round_bytes([x for x, _, _ in rounds], log), rounds[-1][1]))
+
+
+# ---------------------------------------------------------------------------
+# resolvent splittings from their papers
+
+
+def malitsky_tam_step(ops, gamma, lam, z):
+    """One step of the minimal-lifting resolvent splitting of Malitsky & Tam,
+    "Resolvent splitting for sums of monotone operators with minimal
+    lifting" (Math. Program. 2023), for A_1 + ... + A_n with resolvents
+    J_i = ops[i](gamma, .), the n - 1 rows of z and relaxation lam in (0, 1):
+
+        x_1 = J_1(z_1),
+        x_i = J_i(z_i + x_{i-1} - z_{i-1})      for 1 < i < n,
+        x_n = J_n(x_1 + x_{n-1} - z_{n-1}),
+        z+  = z + lam (x_2 - x_1, ..., x_n - x_{n-1}).
+
+    Returns (x, z+)."""
+    n = len(ops)
+    x = [ops[0](gamma, z[0])]
+    for i in range(1, n - 1):
+        x.append(ops[i](gamma, z[i] + x[i - 1] - z[i - 1]))
+    x.append(ops[n - 1](gamma, x[0] + x[n - 2] - z[n - 2]))
+    x = np.array(x)
+    return x, z + lam * (x[1:] - x[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,11 @@ def test_simulate_failure_mid_run_leaves_out_untouched(graph_file, quad_cfg, tmp
     if failure == "dropped message":  # each round-3 estimate misses its first receiver
         send = NetworkSim._send
 
-        def dropping_send(self, rnd, src, outs, kind, payload):
-            send(self, rnd, src, outs[1:] if (rnd, kind) == (3, "x") else outs, kind, payload)
+        def dropping_send(self, rnd, slots, payload):
+            rows = [self.sends[s] for s in slots.tolist()]  # each sender's are adjacent
+            first = np.array([(rnd, kind) == (3, "x") and (k == 0 or rows[k - 1][0] != src)
+                              for k, (src, _, kind, _) in enumerate(rows)], dtype=bool)
+            send(self, rnd, slots[~first], payload[~first])
 
         monkeypatch.setattr(NetworkSim, "_send", dropping_send)
     else:  # the centralized check's third step meets NaN duals

@@ -46,7 +46,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.simulate import NetworkSim, run_general_protocol, run_tree_protocol
+from graphdrs.simulate import run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
@@ -64,11 +64,9 @@ from oracles import (
     loop_divergence_matrix,
     loop_sigma_matrix,
     message_stats,
-    reference_rounds,
     reference_sweep,
-    round_bytes,
     same_bits,
-    shifted_estimates,
+    simulated_and_reference,
 )
 
 SWEEPS = 4
@@ -335,18 +333,11 @@ def test_stacked_turns_equal_agent_turns_bitwise(data, protocol, schedule, pertu
     bg, ops, rng = data.draw(mixed_problems(tree=protocol == "tree" or None, two_hinges=True))
     theta = (lambda k: 1.0 + 0.5 * np.sin(k)) if schedule else rng.uniform(0.2, 1.8)
     cfg = SolverConfig(sigma=rng.uniform(0.3, 3.0), theta=theta)
-    runs, sims = [], []
-    for rounds in (NetworkSim.rounds, reference_rounds):
-        sim = NetworkSim(bg, ops, cfg, protocol)
-        assert sim.plan.schedule[-1][1] is not None  # the last level stacks hinges
-        if perturb:
-            sim._send = shifted_estimates(sim)
-        # the whole run first: a payload written after it was sent shows too
-        runs.append(round_bytes(list(rounds(sim, SWEEPS))))
-        sims.append(sim)
-    assert runs[0] == runs[1]
+    assert StepPlan(bg, ops).schedule[-1][1] is not None  # the last level stacks hinges
+    new, old = simulated_and_reference(bg, ops, cfg, protocol, SWEEPS, 0.25 * perturb)
+    assert new[0] == old[0]
     # the last round's duals, which the general protocol never sends
-    assert identical_bits(sims[0].w, np.reshape(sims[1].w, sims[0].w.shape))
+    assert identical_bits(new[1], old[1])
 
 
 @PROPERTY

@@ -31,13 +31,7 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
-from oracles import (
-    identical_bits,
-    message_stats,
-    reference_rounds,
-    round_bytes,
-    shifted_estimates,
-)
+from oracles import identical_bits, message_stats, simulated_and_reference
 
 rng = np.random.default_rng(5)
 
@@ -148,11 +142,13 @@ def test_messages_only_on_graph_edges(protocol):
             assert tuple(sorted((msg.src, msg.dst))) in state_pairs
         else:  # a dual travels its base edge (h, i) from its owner i to h
             assert msg.kind == "w" and (msg.dst, msg.src) in base_edges
-    # every message but the last round's |E'| duals (tree) has been received
-    left = [(m.round, m.dst, m.src, m.kind)
-            for chan in sim.channels.values() for m in chan]
-    expected = [(5, h, i, "w") for h, i in bg.base.edges] if protocol == "tree" else []
+    # every slot but the last round's |E'| duals (tree) has been read
+    full = np.flatnonzero(sim.full)
+    left = [sim.sends[s][:3] for s in full]
+    expected = [(i, h, "w") for h, i in bg.base.edges] if protocol == "tree" else []
     assert sorted(left) == sorted(expected)
+    last = [m.payload for m in sim.log if m.round == 5 and m.kind == "w"]
+    assert np.array_equal(sim.buf[full], np.array(last).reshape(-1, 2))
 
 
 def test_protocol_validation():
@@ -198,10 +194,10 @@ def test_second_run_starts_from_a_clean_network(protocol):
 
 
 def test_message_log_csv():
-    bg = tree_bg()
-    result = run_tree_protocol(bg, quad_ops(4), SolverConfig(sigma=1.0), rounds=1)
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0))
+    result = sim.run(1)
     buf = io.StringIO()
-    write_message_log(result.log, buf)
+    write_message_log(sim, 1, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "round,from,to,kind"
     # initialization: owners push zero duals upstream, 1-based labels
@@ -237,31 +233,34 @@ def test_logged_payloads_are_copies(protocol):
 @pytest.mark.parametrize("graph", ["k4", "svm"])
 @pytest.mark.parametrize("protocol", ["tree", "general"])
 def test_no_payload_is_written_after_it_is_sent(protocol, graph):
-    # channels carry the senders' own arrays: none may be written once sent
+    # a logged payload is a view of its round's fresh x or w: the simulator
+    # may not write either once the round is yielded
     if graph == "svm":
         _, ops, bg = build_svm(50, 5, 10)
     else:
         bg, ops = k4_bg(protocol), quad_ops(4)
     sim = NetworkSim(bg, ops, SolverConfig(sigma=0.7, theta=1.4), protocol=protocol)
-    log, snapshots = [], []
-    for _, sent in sim.rounds(4):
-        log += sent
-        snapshots += [msg.payload.copy() for msg in sent]
-    assert len(log) > 4 * bg.state.n_edges
-    assert all(identical_bits(msg.payload, snap) for msg, snap in zip(log, snapshots))
+    rounds, snapshots = [], []
+    for x, w in sim.rounds(4):
+        rounds += [x, w]
+        snapshots += [x.copy(), w.copy()]
+    assert len(sim.sends) == bg.state.n_edges + bg.base.n_edges
+    assert all(identical_bits(a, snap) for a, snap in zip(rounds, snapshots))
 
 
 def tamper_x_from_1_to_3(monkeypatch, kind):
     """Fake NetworkSim._send: the round-1 x from 1 to 3 is dropped (kind
-    None) or relabelled as kind; every other message goes through."""
+    None) or relabelled as kind, which puts it on the slot of channel
+    (1, 3, kind) if there is one; every other message goes through."""
     send = NetworkSim._send
 
-    def fake_send(self, rnd, src, outs, msg_kind, payload):
-        for dst, chan in outs:
-            if (rnd, src, dst, msg_kind) != (1, 1, 3, "x"):
-                send(self, rnd, src, [(dst, chan)], msg_kind, payload)
-            elif kind is not None:
-                send(self, rnd, src, [(dst, chan)], kind, payload)
+    def fake_send(self, rnd, slots, payload):
+        hit = np.array([(rnd, *self.sends[s][:3]) == (1, 1, 3, "x") for s in slots.tolist()],
+                       dtype=bool)
+        send(self, rnd, slots[~hit], payload[~hit])
+        relabelled = [s for s, row in enumerate(self.sends) if row[:3] == (1, 3, kind)]
+        if hit.any() and relabelled:
+            send(self, rnd, np.array(relabelled), payload[hit])
 
     monkeypatch.setattr(NetworkSim, "_send", fake_send)
 
@@ -277,13 +276,36 @@ def test_missing_message_names_round_agent_and_kind(monkeypatch):
 
 
 def test_wrong_kind_message_names_round_agent_and_kind(monkeypatch):
+    # the kind is part of a slot's channel: relabelled, the estimate is not
+    # on the slot agent 3 reads (no w channel runs from 1 to 3), so it is missing
     tamper_x_from_1_to_3(monkeypatch, "w")
     for protocol in ("tree", "general"):
         sim = NetworkSim(k4_bg(protocol), quad_ops(4), SolverConfig(sigma=1.0),
                          protocol=protocol)
         with pytest.raises(ProtocolError,
-                           match="^agent 3 at round 1: expected x from 1, got w$"):
+                           match="^agent 3 at round 1: missing x message from 1$"):
             sim.run(2)
+
+
+@pytest.mark.parametrize("protocol, channel, message", [
+    ("tree", (1, 3, "x"), "agent 1 at round 2: unread x message to 3"),
+    ("general", (1, 3, "x"), "agent 1 at round 2: unread x message to 3"),
+    ("tree", (3, 1, "w"), "agent 3 at round 2: unread w message to 1"),
+])
+def test_unread_message_names_round_agent_and_kind(monkeypatch, protocol, channel, message):
+    # a round-2 message sent twice finds its first copy still on the slot
+    send = NetworkSim._send
+
+    def resend(self, rnd, slots, payload):
+        send(self, rnd, slots, payload)
+        again = np.array([self.sends[s][:3] == channel for s in slots.tolist()], dtype=bool)
+        if rnd == 2 and again.any():
+            send(self, rnd, slots[again], payload[again])
+
+    monkeypatch.setattr(NetworkSim, "_send", resend)
+    sim = NetworkSim(k4_bg(protocol), quad_ops(4), SolverConfig(sigma=1.0), protocol=protocol)
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        sim.run(3)
 
 
 def test_mismatched_operator_dimensions_name_the_node():
@@ -294,27 +316,15 @@ def test_mismatched_operator_dimensions_name_the_node():
         NetworkSim(bg, ops, SolverConfig(sigma=1.0)).run(2)
 
 
-def level_turns_and_agent_turns(bg, ops, cfg, protocol, rounds, shift=False):
-    """round_bytes of NetworkSim.rounds and of reference_rounds, each taken
-    after its whole run."""
-    runs = []
-    for run_rounds in (NetworkSim.rounds, reference_rounds):
-        sim = NetworkSim(bg, ops, cfg, protocol)
-        if shift:
-            sim._send = shifted_estimates(sim)
-        runs.append(round_bytes(list(run_rounds(sim, rounds))))
-    return runs
-
-
 @pytest.mark.parametrize("shift", [False, True])
 @pytest.mark.parametrize("theta", [1.3, lambda k: 1.0 + 0.5 * np.sin(k)])
 @pytest.mark.parametrize("protocol", ["tree", "general"])
 def test_svm_level_turns_equal_agent_turns_bitwise(protocol, theta, shift):
     _, ops, bg = build_svm(50, 5, 10)
-    new, old = level_turns_and_agent_turns(bg, ops, SolverConfig(sigma=0.7, theta=theta),
-                                           protocol, 12, shift)
-    assert len(new) == 12 and len(new[-1][1]) == bg.state.n_edges + bg.base.n_edges
-    assert new == old
+    new, old = simulated_and_reference(bg, ops, SolverConfig(sigma=0.7, theta=theta),
+                                       protocol, 12, 0.25 * shift)
+    assert len(new[0]) == 12 and len(new[0][-1][1]) == bg.state.n_edges + bg.base.n_edges
+    assert new[0] == old[0] and identical_bits(new[1], old[1])
 
 
 def hinges_on_one_level(case):
@@ -344,9 +354,9 @@ def hinges_on_one_level(case):
 def test_stacked_agents_with_late_receives_or_no_inputs(case, protocol, shift):
     bg, ops, batches = hinges_on_one_level(case)
     assert [list(b[0]) for _, b in StepPlan(bg, ops).schedule if b is not None] == batches
-    new, old = level_turns_and_agent_turns(bg, ops, SolverConfig(sigma=0.9, theta=1.2),
-                                           protocol, 6, shift)
-    assert new == old
+    new, old = simulated_and_reference(bg, ops, SolverConfig(sigma=0.9, theta=1.2),
+                                       protocol, 6, 0.25 * shift)
+    assert new[0] == old[0] and identical_bits(new[1], old[1])
 
 
 def test_a_network_needs_two_nodes():

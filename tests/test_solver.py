@@ -45,6 +45,7 @@ from oracles import (
     lifted_ppp_step,
     lifted_reduce,
     lifted_resolvent_w,
+    malitsky_tam_step,
     reference_sweep,
     same_bits,
 )
@@ -240,6 +241,25 @@ def test_three_op_complete_transcription():
         # rescaled duals: wt1 = sqrt(2) w1, wt2 = sqrt(2/3) w2
         assert np.abs(math.sqrt(2.0) * w[0] - wt1).max() < 1e-12
         assert np.abs(math.sqrt(2.0 / 3.0) * w[1] - wt2).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_malitsky_tam_transcription(n):
+    # with every state degree 2 and the chain's incidence Z, the graph step is
+    # their splitting with z = w / 2, gamma = sigma / 2 and lam = theta / 2
+    bg = make_malitsky_tam(n)
+    sigma, theta = 0.9, 1.3
+    ops = [prox_translated_quadratic(rng.standard_normal(3), mu)
+           for mu in rng.uniform(0.5, 2.0, size=n - 1)]
+    ops.insert(1, prox_hinge_affine(rng.standard_normal(3), 0.5))
+    plan = StepPlan(bg, ops, tree_decomposition(bg))
+    assert plan.degrees == [2] * n
+    z, w = np.zeros((n - 1, 3)), np.zeros((n - 1, 3))
+    for k in range(200):
+        x_ref, z = malitsky_tam_step(ops, sigma / 2, theta / 2, z)
+        x, w, _ = step_general(plan, sigma, theta, w, k)
+        assert np.abs(x - x_ref).max() < 1e-12
+        assert np.abs(w / 2 - z).max() < 1e-12
 
 
 def test_malitsky_tam_runs_to_consensus():
