@@ -288,8 +288,9 @@ def objective_svm(inst, alpha):
 
 
 def load_config(path):
-    """Parse a "key = value" text file; '#' starts a comment."""
-    cfg = {}
+    """Parse a "key = value" text file; '#' starts a comment, and a key may
+    appear once."""
+    cfg, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -297,8 +298,10 @@ def load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {first[key]}")
+            cfg[key], first[key] = val, lineno
     return cfg
 
 

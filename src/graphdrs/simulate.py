@@ -12,14 +12,15 @@ out-neighbours, then to every other owner of an update row that reads it
 
 A round is a sweep, then one dual update, as the centralized step is.  It
 walks the plan's levels; any topological order of the state DAG is causally
-consistent.  A level's agents take one turn: one gather reads their messages
-and owned duals into a stack in label order, a CSR product over it and one
-stacked call for the level's hinges solve, and one scatter sends their
-estimates.  Then one gather gives the owners their late estimates, one CSR
-product of the update map gives every new dual row, and one scatter sends
-them; no dual row is read in the round that sends it.  Sums follow the
-centralized step's kernels and order, so simulated and centralized iterates
-are bit-identical.
+consistent.  A level's agents take one turn: one gather reads their messages,
+then their owned duals, into the turn's block of the run's operand buffer,
+a :class:`~graphdrs.solver._Csr` product over the block and one stacked
+call for the level's hinges solve, and one scatter sends their estimates.
+Then x and the owners' late estimates fill the buffer's tail, one product
+of the update map over the buffer gives every new dual row, and one scatter
+sends them; no dual row is read in the round that sends it.  Each map lists
+its terms in the centralized step's sum order, which a product keeps, so
+simulated and centralized iterates are bit-identical.
 
 The traffic does not depend on the data: every round the same senders send
 to the same receivers in the same order.  So a run reads its send table off
@@ -42,10 +43,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy import sparse
 
 from .factorization import incidence_decomposition
-from .solver import StepPlan, node_solution
+from .solver import StepPlan, _check_finite, _Csr, node_solution
 
 
 class ProtocolError(RuntimeError):
@@ -106,8 +106,8 @@ class NetworkSim:
         self.buf[slots] = payload
         self.full[slots] = True
 
-    def _recv(self, rnd, slots):
-        """The messages on slots, in order, which it empties; each must be there."""
+    def _recv(self, rnd, slots, out):
+        """Gather the messages on slots into out, in order, emptying them; each must be there."""
         full = self.full[slots]
         if not full.all():
             src, dst, kind, _ = self.sends[slots[full.argmin()]]
@@ -115,7 +115,7 @@ class NetworkSim:
                 f"agent {dst} at round {rnd}: missing {kind} message from {src}"
             )
         self.full[slots] = False
-        return self.buf[slots]
+        self.buf.take(slots, axis=0, out=out, mode="clip")  # no temporary; slots checked
 
     # -- the protocol -------------------------------------------------------
 
@@ -124,16 +124,17 @@ class NetworkSim:
         self), each dual row's owner, the slot of each channel, and per agent
         (its row of Z as (coefficient, dual row, slot or None if owned), its
         estimate receive slots, its estimate send slots)."""
-        plan, state = self.plan, self.bg.state
-        z, update = plan.z, plan.z_cols.toarray()
+        plan, state, z = self.plan, self.bg.state, self.plan.z
 
         def nonzero(v):
             return np.flatnonzero(v).tolist()
 
         owner = [nonzero(col)[-1] for col in z.T]
+        readers = [set() for _ in range(plan.n_nodes)]  # owners of update rows reading x_j
+        for c, j in zip(plan.z_cols.rows.tolist(), plan.z_cols.indices.tolist()):
+            readers[j].add(owner[c])
         outs = [state.out_neighbors(i) for i in range(plan.n_nodes)]
-        outs = [js + sorted({owner[c] for c in nonzero(update[:, i])} - {i, *js})
-                for i, js in enumerate(outs)]
+        outs = [js + sorted(readers[i] - {i, *js}) for i, js in enumerate(outs)]
         duals = [(o, h, "w", c) for c, (o, col) in enumerate(zip(owner, z.T))
                  for h in nonzero(col)[:-1]]
         estimates = [(i, j, "x", i) for i, js in enumerate(outs) for j in js]
@@ -151,40 +152,37 @@ class NetworkSim:
 
     def _turn(self, nodes, batch, agents, held):
         """A level's turn, built once per run: its single agents, then its
-        batch's hinges, even a lone one, gather their messages and owned
-        duals in label order into one stack, which it returns (held gains
-        each column's (agent, key)).  One CSR map sums its rows from zero in
-        term order, as the sweep's products do, into dual terms and input
-        sums.  The level's estimates then go out in one scatter."""
-        plan, sigma, dim = self.plan, self.cfg.sigma, self.plan.dim
+        batch's hinges, even a lone one, gather their messages, then their
+        owned duals, into the turn's block of the operand buffer (held gains
+        each row's (agent, key)).  One map, built from the terms in sum order,
+        gives the dual terms and input sums in a buffer kept for the run.
+        The level's estimates then go out in one scatter."""
+        plan, sigma = self.plan, self.cfg.sigma
         ids = nodes + ([] if batch is None else batch[0].tolist())
-        k, s, start = len(ids), len(nodes), len(held)
-        maps, recv, own, sends = [None] * 2 * k, [], [], []
+        k, s = len(ids), len(nodes)
+        recv, own, triples, sends = {}, {}, [], []
         for m, i in enumerate(ids):
             w_in, x_in, x_out = agents[i]
-            col = len(held) - start
-            maps[m] = [(col + t, a) for t, (a, _, _) in enumerate(w_in)]  # dual terms
-            for t, (_, c, slot) in enumerate(w_in):
-                if slot is None:
-                    own.append((col + t, c))
-                else:
-                    recv.append((col + t, slot))
-            col += len(w_in)
-            maps[k + m] = [(col + t, 1.0) for t in range(len(x_in))]  # input sums
-            recv += [(col + t, slot) for t, slot in enumerate(x_in)]
-            held += [(i, ("w", c)) for _, c, _ in w_in] + [(i, h) for h in plan.in_nbrs[i]]
+            recv.update(((i, ("w", c)), slot) for _, c, slot in w_in if slot is not None)
+            own.update(((i, ("w", c)), c) for _, c, slot in w_in if slot is None)
+            recv.update(((i, h), slot) for h, slot in zip(plan.in_nbrs[i], x_in))
+            triples += [(m, (i, ("w", c)), a) for a, c, _ in w_in]  # dual terms
+            triples += [(k + m, (i, h), 1.0) for h in plan.in_nbrs[i]]  # input sums
             sends += [(slot, i) for slot in x_out]
-        rca = np.reshape([(r, c, a) for r, row in enumerate(maps) for c, a in row], (-1, 3)).T
-        terms = sparse.csr_matrix((rca[2], rca[:2].astype(int)), shape=(2 * k, len(held) - start))
-        inv_d, n_cols = plan.inv_d[ids], len(held) - start
-        (recv_pos, recv_slots), (own_pos, own_rows), (send_slots, send_rows) = (
-            np.reshape(pairs, (-1, 2)).astype(int).T for pairs in (recv, own, sends))
+        at = {key: col for col, key in enumerate([*recv, *own])}
+        start, n_recv, stop = len(held), len(recv), len(held) + len(at)
+        held += list(at)
+        rows, cols, vals = zip(*((r, at[key], a) for r, key, a in triples))
+        terms = _Csr((2 * k, len(at)), rows, cols, vals)
+        recv_slots, own_rows = (np.array(list(d.values()), dtype=int) for d in (recv, own))
+        send_slots, send_rows = np.reshape(sends, (-1, 2)).astype(int).T
+        inv_d, p = plan.inv_d[ids], np.empty((2 * k, plan.dim))
 
-        def turn(rnd, x, w):
-            stack = np.empty((n_cols, dim))
-            stack[recv_pos] = self._recv(rnd, recv_slots)
-            stack[own_pos] = w[own_rows]
-            p = terms @ stack  # dual terms, input sums
+        def turn(rnd, x, w, operand):
+            block = operand[start:stop]
+            self._recv(rnd, recv_slots, block[:n_recv])
+            w.take(own_rows, axis=0, out=block[n_recv:], mode="clip")  # in range by construction
+            terms.product(block, p)  # dual terms, input sums
             w_term = np.multiply(inv_d, p[:k], out=p[:k])
             for m, i in enumerate(nodes):  # 0.0 + an input sum is that sum
                 node_solution(plan.ops[i], sigma, plan.degrees[i], [p[k + m]], w_term[m], x[i])
@@ -194,23 +192,21 @@ class NetworkSim:
                 r += w_term[s:]
                 x[rows] = hinges(sigma, r, out=r)
             self._send(rnd, send_slots, x[send_rows])
-            return stack
         return turn
 
     def _update(self, owner, slot, held):
         """The late receive slots (by receiver, then sender) and the update
-        map (Z^T, or L) over the round's turn stacks, x and late receives,
-        built once per run: row c's term j reads x_j where c's owner holds
-        it, gathered in its turn (held), its own or late.  Those hold
-        smaller, own and larger labels, so each row's columns ascend in term
-        order."""
-        u = self.plan.z_cols.tocoo()
-        needs = [(owner[c], j) for c, j in zip(u.row.tolist(), u.col.tolist())]
+        map (Z^T, or L) over the operand buffer, whose rows are the turns'
+        blocks (held), x and the late receives, built once per run: row c's
+        term j reads x_j where c's owner holds it, gathered in its turn, its
+        own or late.  The map keeps each row's terms in z_cols' order, so
+        it sums as the centralized step does."""
+        u = self.plan.z_cols
+        needs = [(owner[c], j) for c, j in zip(u.rows.tolist(), u.indices.tolist())]
         own = [(i, i) for i in range(self.plan.n_nodes)]
         late = sorted(set(needs) - set(held) - set(own))
         at = {key: col for col, key in enumerate(held + own + late)}
-        update = sparse.csr_matrix((u.data, (u.row, [at[key] for key in needs])),
-                                   shape=(len(owner), len(at)))
+        update = _Csr((len(owner), len(at)), u.rows, [at[key] for key in needs], u.data)
         return np.array([slot[j, i, "x"] for i, j in late], dtype=int), update
 
     def rounds(self, n):
@@ -218,7 +214,8 @@ class NetworkSim:
         its fresh (N, dim) estimates and (rows, dim) duals, which the
         simulator never writes again.  A round's messages are the rows of
         self.sends, and round 0's, the dual initialization, its rows
-        self.init; no message is an object of its own."""
+        self.init; no message is an object of its own.  Non-finite estimates
+        raise the centralized step's :class:`NumericalError` before the update."""
         plan, dim = self.plan, self.plan.dim
         owner, slot, agents = self._tables()
         self.buf = np.empty((len(self.sends), dim))
@@ -226,6 +223,9 @@ class NetworkSim:
         held = []
         turns = [self._turn(nodes, batch, agents, held) for nodes, batch in plan.schedule]
         late, update = self._update(owner, slot, held)
+        operand = np.empty((update.shape[1], dim))
+        tail = len(held)  # x, then the late receives
+        x_rows, late_rows = operand[tail:tail + plan.n_nodes], operand[tail + plan.n_nodes:]
         dual_slots = np.array(self.init, dtype=int)
         dual_rows = np.array([self.sends[s][3] for s in self.init], dtype=int)
         # round 0: owners initialize their duals and send them out
@@ -234,8 +234,12 @@ class NetworkSim:
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
             x = np.empty((plan.n_nodes, dim))
-            stacks = [turn(rnd, x, w) for turn in turns]  # a level reads earlier levels
-            new = update @ np.vstack([*stacks, x, self._recv(rnd, late)])  # a fresh array
+            for turn in turns:  # a level reads earlier levels
+                turn(rnd, x, w, operand)
+            _check_finite(x, plan.ops, rnd - 1, plan.finite)
+            x_rows[...] = x
+            self._recv(rnd, late, late_rows)
+            new = update.product(operand, np.empty((len(owner), dim)))
             w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
             self._send(rnd, dual_slots, w[dual_rows])
             yield x, w
@@ -274,6 +278,6 @@ def write_message_log(sim, rounds, fh):
     rows = [f"{{0}},{src + 1},{dst + 1},{kind}\n" for src, dst, kind, _ in sim.sends]
     fh.write("round,from,to,kind\n")
     fh.write("".join(rows[s] for s in sim.init).format(0))
-    template = "".join(rows)
+    parts = "".join(rows).split("{0}")
     for rnd in range(1, rounds + 1):
-        fh.write(template.format(rnd))
+        fh.write(str(rnd).join(parts))

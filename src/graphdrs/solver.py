@@ -17,17 +17,18 @@ N operators and a factorization, the N x (N-1) array Z of
 :func:`run` takes the same z, None included.
 
 The plan holds the state in-neighbor lists, 1/d_i, Z and the update map
-(Z^T, or L) as CSR matrices and the level schedule of the state DAG.  A CSR
-product sums each row from zero in ascending column order, one coefficient
-times vector term at a time.  A sweep walks the levels, each node on the
-latest it can take: one below its shallowest state out-neighbor, every sink
-(such as an SVM hinge agent) on the last.  Nodes of one level never read
-each other, so a level's hinge nodes, even a lone one, are one stacked
-resolvent call (:func:`~graphdrs.operators.stack_hinges`) and every other
-node is one :func:`node_solution`.  The message-passing simulator runs the
-same level calls on the messages its agents pop; the stacked and CSR forms
-repeat the per-node operations elementwise, so centralized and simulated
-runs agree bit for bit.
+(Z^T, or L) as :class:`_Csr` matrices and the level schedule of the state
+DAG.  A :class:`_Csr` product sums each row from zero in stored order, one
+coefficient times vector term at a time, into a buffer the caller owns.  A
+sweep walks the levels, each node on the latest it can take: one below its
+shallowest state out-neighbor, every sink (such as an SVM hinge agent) on
+the last.  Nodes of one level never read each other, so a level's hinge
+nodes, even a lone one, are one stacked resolvent call
+(:func:`~graphdrs.operators.stack_hinges`) and every other node is one
+:func:`node_solution`.  The message-passing simulator runs the same level
+calls on the messages its agents pop; the stacked and CSR forms repeat the
+per-node operations elementwise, so centralized and simulated runs agree
+bit for bit.
 """
 
 import math
@@ -35,7 +36,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .factorization import external_decomposition, incidence_decomposition
 from .graphs import (
@@ -129,22 +130,61 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
 # ---------------------------------------------------------------------------
 # step plans
 
+class _Csr:
+    """A CSR matrix whose products go into buffers the caller owns, built
+    from (row, col, value) triples, each row's kept in their given order, or
+    by :meth:`dense` from an array as ``scipy.sparse.csr_matrix`` builds it
+    (zeros dropped, columns ascending).  A product runs the compiled loop
+    that scipy's CSR ``@`` ends in: each row summed from zero, one term at a
+    time in stored order.  That loop checks no bounds, so indices are
+    checked here and operands in :meth:`product`.  ``rows`` holds each
+    stored entry's row."""
+
+    def __init__(self, shape, rows, cols, vals):
+        rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+        if np.any((rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])):
+            raise ValueError(f"an entry lies outside the {shape[0]}x{shape[1]} matrix")
+        order = np.argsort(rows, kind="stable")
+        self.shape, self.rows, self.indices = shape, rows[order], cols[order]
+        self.data = np.asarray(vals, dtype=np.float64)[order]
+        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
+
+    @classmethod
+    def dense(cls, m):
+        rows, cols = np.nonzero(m)
+        return cls(m.shape, rows, cols, m[rows, cols])
+
+    def product(self, src, out):
+        """out = self @ src, returned; src is (n_cols, k) of any layout and
+        out (n_rows, k) C-contiguous, both float64."""
+        src, (n_rows, n_cols) = np.ascontiguousarray(src), self.shape
+        if not (src.ndim == 2 and len(src) == n_cols and out.shape == (n_rows, src.shape[1])
+                and src.dtype == out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"need float64 ({n_cols}, k) and C-contiguous ({n_rows}, k) "
+                             f"operands, got {src.dtype} {src.shape} and {out.dtype} {out.shape}")
+        flat = out.reshape(-1, copy=False)
+        flat.fill(0.0)
+        csr_matvecs(n_rows, n_cols, src.shape[1], self.indptr, self.indices, self.data,
+                    src.reshape(-1), flat)
+        return out
+
+
 class StepPlan:
     """Precomputed sparsity of one sweep, built once and read by every step.
 
     Holds the state in-neighbor lists, the degrees d_i and 1/d_i, Z (z_rows,
     for the dual terms Z w) and the update map (z_cols: Z^T, for Z^T x) as
-    CSR matrices, whose products sum each row from zero in ascending column
-    order, and the level schedule of the state DAG: a node sits one level
-    below its shallowest out-neighbor, a sink on the last of longest-path +
-    1 levels, so one level's nodes never read each other, and each level
-    stacks all its hinges.  Without z the duals are node-local: Z = I and
-    the update map z_cols is the base Laplacian L.  A plan belongs to its
-    graph, Z and the N >= 2 operators ops (a lone node has no degree to
-    scale by), which must all fix one dimension, dim.
+    :class:`_Csr` matrices, whose products sum each row from zero in
+    ascending column order, and the level schedule of the state DAG: a node
+    sits one level below its shallowest out-neighbor, a sink on the last of
+    longest-path + 1 levels, so one level's nodes never read each other, and
+    each level stacks all its hinges.  Without z the duals are node-local:
+    Z = I and the update map z_cols is the base Laplacian L.  A plan belongs
+    to its graph, Z and the N >= 2 operators ops (a lone node has no degree
+    to scale by), which must all fix one dimension, dim.
 
     The plan owns one workspace of (N, dim) arrays: a step writes (1/d) Z w
-    into w_term, stacks hinge inputs in scratch and tests x in finite; the
+    into w_term, the hinge input sums into scratch and tests x in finite; the
     run loop's diagnostics then reuse scratch.  So a plan serves one step at
     a time.
     """
@@ -168,7 +208,7 @@ class StepPlan:
             if z.shape != (n, n - 1):
                 raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
             self.z, to_duals = z, z.T
-        self.z_rows, self.z_cols = sparse.csr_matrix(self.z), sparse.csr_matrix(to_duals)
+        self.z_rows, self.z_cols = _Csr.dense(self.z), _Csr.dense(to_duals)
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
@@ -181,7 +221,7 @@ class StepPlan:
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
         # per level: the nodes solved one by one, and the level's hinge nodes
-        # as (rows, stacked resolvent, CSR in-adjacency, 2/d_i), or None
+        # as (rows, stacked resolvent, _Csr in-adjacency, 2/d_i), or None
         # when it has no hinge
         self.schedule = [self._level(nodes) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
@@ -199,7 +239,7 @@ class StepPlan:
         batch = (
             np.array(hinges),
             stack_hinges([self.ops[i].hinge for i in hinges], d),
-            sparse.csr_matrix(into),
+            _Csr.dense(into),
             (2.0 / d)[:, None],
         )
         return [i for i in nodes if i not in hinges], batch
@@ -225,8 +265,8 @@ def _sweep(plan, sigma, w, k):
     """
     if w.shape[1:] != (plan.dim,):  # one column would broadcast into w_term
         raise ValueError(f"duals must have {plan.dim} columns, got shape {w.shape}")
-    w_term = plan.w_term
-    np.multiply(plan.inv_d, plan.z_rows @ w, out=w_term)
+    w_term = plan.z_rows.product(w, plan.w_term)
+    w_term *= plan.inv_d
     x = np.empty_like(w_term)
     for nodes, batch in plan.schedule:
         for i in nodes:
@@ -234,7 +274,8 @@ def _sweep(plan, sigma, w, k):
             node_solution(plan.ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
         if batch is not None:
             rows, hinges, into, two_over_d = batch
-            r = np.multiply(two_over_d, into @ x, out=plan.scratch[: len(two_over_d)])
+            r = into.product(x, plan.scratch[: len(two_over_d)])
+            r *= two_over_d
             r += w_term[rows]
             x[rows] = hinges(sigma, r, out=r)
     _check_finite(x, plan.ops, k, plan.finite)
@@ -248,7 +289,7 @@ def step_general(plan, sigma, theta, w, k=0):
     The update is Z^T x, or L x for a node-local plan.
     """
     x = _sweep(plan, sigma, w, k)
-    update = plan.z_cols @ x
+    update = plan.z_cols.product(x, np.empty((plan.z_cols.shape[0], plan.dim)))
     w_new = np.multiply(theta, update)
     return x, np.subtract(w, w_new, out=w_new), update
 

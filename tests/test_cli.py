@@ -325,6 +325,16 @@ def test_simulate_failure_mid_run_leaves_out_untouched(graph_file, quad_cfg, tmp
     assert out.read_bytes() == stale
 
 
+def test_repeated_config_key_is_input_error(tmp_path, capsys):
+    # the last n would run: n = 12 does not fit 5 officials of 10
+    cfg = tmp_path / "svm.cfg"
+    cfg.write_text("problem = svm\nn = 12\nofficials = 5\nper_official = 10\nn = 50\n")
+    out = tmp_path / "log.csv"
+    assert main(["simulate", "--config", str(cfg), "--rounds", "2", "--out", str(out)]) == 2
+    assert f"{cfg}:5: key 'n' already set on line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--max-iter", "--tol"])
 def test_simulate_rejects_solver_only_flags(graph_file, quad_cfg, tmp_path, capsys, flag):
     out = tmp_path / "log.csv"

@@ -20,6 +20,7 @@ loop.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -50,6 +51,7 @@ from graphdrs.simulate import run_general_protocol, run_tree_protocol
 from graphdrs.solver import (
     SolverConfig,
     StepPlan,
+    _Csr,
     compute_subgradients,
     run,
     state_variance,
@@ -353,8 +355,9 @@ def test_sigma_matrix_equals_entry_loop_bitwise(bg):
     st.integers(0, 2**32 - 1), st.booleans(),
 )
 def test_gather_equals_per_row_loop(n_rows, n_cols, dim, seed, non_finite):
-    # the sweep's CSR products must sum each row from zero in ascending
-    # column order, as node_dual_term does; bit-identity rests on it
+    # the sweep's _Csr products must sum each row from zero in ascending
+    # column order, as node_dual_term and scipy's CSR product do;
+    # bit-identity rests on it
     rng = np.random.default_rng(seed)
     coef = rng.choice([1.0, -1.0, 0.5, rng.standard_normal()], size=(n_rows, n_cols))
     m = np.where(rng.random((n_rows, n_cols)) < rng.uniform(0.1, 1.0), coef, 0.0)
@@ -364,7 +367,9 @@ def test_gather_equals_per_row_loop(n_rows, n_cols, dim, seed, non_finite):
     if non_finite:
         src[rng.integers(n_cols), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
     with np.errstate(invalid="ignore"):
-        assert same_bits(sparse.csr_matrix(m) @ src, loop_gather(m, src))
+        got = _Csr.dense(m).product(src, np.empty((n_rows, dim)))
+        assert same_bits(got, loop_gather(m, src))
+        assert same_bits(got, sparse.csr_matrix(m) @ src)
 
 
 def test_gather_sums_a_lone_long_row_in_order():
@@ -375,7 +380,60 @@ def test_gather_sums_a_lone_long_row_in_order():
     m[1] = rng.standard_normal(12)
     m[0, 3] = -1.0
     src = rng.standard_normal((12, 1)) * 10.0 ** rng.integers(-8, 9, (12, 1))
-    assert same_bits(sparse.csr_matrix(m) @ src, loop_gather(m, src))
+    got = _Csr.dense(m).product(src, np.empty((3, 1)))
+    assert same_bits(got, loop_gather(m, src))
+    assert same_bits(got, sparse.csr_matrix(m) @ src)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_csr_triples_sum_each_row_in_given_order(n_rows, n_cols, dim, seed):
+    # the simulator's maps list each row's terms in the centralized sum
+    # order, which need not be by column; rows may interleave and repeat a column
+    rng = np.random.default_rng(seed)
+    n = rng.integers(0, 3 * n_rows * n_cols)
+    rows, cols = rng.integers(n_rows, size=n), rng.integers(n_cols, size=n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    src = rng.standard_normal((n_cols, dim)) * 10.0 ** rng.integers(-8, 9, (n_cols, 1))
+    want = np.zeros((n_rows, dim))
+    for r, c, v in zip(rows, cols, vals):
+        want[r] = want[r] + v * src[c]
+    got = _Csr((n_rows, n_cols), rows, cols, vals).product(src, np.full((n_rows, dim), np.nan))
+    assert identical_bits(got, want)
+
+
+def test_csr_triples_are_not_summed_by_column():
+    src = np.array([[1.0], [1e16], [-1e16]])
+    in_order = _Csr((1, 3), [0, 0, 0], [1, 2, 0], [1.0, 1.0, 1.0])
+    assert in_order.product(src, np.empty((1, 1)))[0, 0] == 1.0
+    assert _Csr.dense(np.ones((1, 3))).product(src, np.empty((1, 1)))[0, 0] == 0.0
+
+
+def test_csr_product_rejects_what_its_kernel_cannot_check():
+    m = _Csr.dense(np.arange(6.0).reshape(2, 3))
+    src, out = np.ones((3, 2)), np.zeros((2, 2))
+    bad = [
+        (np.ones((4, 2)), out), (np.ones(3), out), (np.ones((3, 2, 1)), out),  # src shape
+        (src, np.empty((2, 3))), (src, np.empty((3, 2))), (src, np.empty(4)),  # out shape
+        (src.astype(np.float32), out), (src.astype(int), out),  # src dtype
+        (src, out.astype(np.float32)),  # out dtype
+        (src, np.empty((2, 4))[:, ::2]), (src, np.empty((2, 2), order="F")),  # out layout
+    ]
+    for a, b in bad:
+        with pytest.raises(ValueError):
+            m.product(a, b)
+    for col in (-1, 3):
+        with pytest.raises(ValueError, match="outside the 2x3 matrix"):
+            _Csr((2, 3), [0], [col], [1.0])
+
+
+def test_csr_product_reads_a_strided_src_as_its_copy():
+    rng = np.random.default_rng(3)
+    m = _Csr.dense(rng.standard_normal((4, 5)) * (rng.random((4, 5)) < 0.6))
+    wide = rng.standard_normal((10, 6))
+    for src in (wide[::2, 1::2], np.asfortranarray(wide[:5, :3]), wide[4::-1, :3]):
+        got = m.product(src, np.empty((4, 3)))
+        assert identical_bits(got, m.product(src.copy(), np.empty((4, 3))))
 
 
 # ---------------------------------------------------------------------------

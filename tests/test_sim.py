@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from graphdrs.simulate import (
     write_message_log,
 )
 from graphdrs.solver import (
+    NumericalError,
     SolverConfig,
     StepPlan,
     make_malitsky_tam,
+    make_ryu,
     run,
     step_general,
     step_tree,
@@ -385,3 +388,20 @@ def test_svm_round_is_six_resolvent_calls(monkeypatch, protocol):
     for _ in NetworkSim(bg, ops, SolverConfig(sigma=0.7), protocol).rounds(5):
         assert calls == ["quadratic"] * 5 + ["hinge"]
         calls.clear()
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_non_finite_round_fails_as_the_centralized_step(protocol):
+    # the text solver.run gives for the same sweep: iteration, node, operator
+    g = complete_digraph(3)
+    bg = make_ryu(3) if protocol == "tree" else BilevelGraph(g, g)  # complete state graph
+    centers = (1.0, 2.0), (1e308, 0.0), (-1e308, 0.0)
+    ops = [prox_translated_quadratic(np.array(c)) for c in centers]
+    cfg = SolverConfig(sigma=1e10, max_iter=5)
+    message = ("non-finite solution estimate at iteration 0: node 1 "
+               "(resolvent 'translated_quadratic')")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve in (lambda: run(bg, None, ops, cfg),
+                      lambda: NetworkSim(bg, ops, cfg, protocol).run(5)):
+            with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                solve()

@@ -463,6 +463,34 @@ def test_residual_tol_stops_early():
     assert traces[-1].residual_sq < 1e-20
 
 
+def test_residual_tol_stops_strictly_below():
+    # a sweep whose residual equals tol does not stop the run
+    bg = make_classical_drs()
+    ops = quad_ops([np.array([1.0]), np.array([3.0])])
+    _, traces = run(bg, tree_decomposition(bg), ops, SolverConfig(sigma=1.0, max_iter=8))
+    residuals = [rec.residual_sq for rec in traces]
+    assert all(a > b > 0 for a, b in zip(residuals, residuals[1:]))
+    cfg = SolverConfig(sigma=1.0, max_iter=8, tol=residuals[4])
+    st, traces = run(bg, tree_decomposition(bg), ops, cfg)
+    assert st.k == 6 and traces[-1].residual_sq == residuals[5]
+
+
+def test_svm_sigma_sweep_factors_each_official_once_per_sigma(monkeypatch):
+    # the 10 sigmas of `graphdrs svm`, swept twice on one set of resolvents:
+    # every official's factors for all ten stay cached for the second sweep
+    import scipy.linalg
+
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a: calls.append(1) or cho_factor(a))
+    _, ops, bg = build_svm(50, 5, 10)
+    z = incidence_decomposition(bg.base)
+    for _ in range(2):
+        for sigma in np.logspace(-2, 1, 10):
+            run(bg, z, ops, SolverConfig(sigma=float(sigma), max_iter=1))
+        assert len(calls) == 5 * 10  # 5 officials, one factor per sigma each
+
+
 def test_nonfinite_raises():
     bg = make_classical_drs()
 
