@@ -21,6 +21,7 @@ test that compares the two checks something:
   :func:`lifted_resolvent_w`;
 * :func:`reference_rounds`, the simulator's rounds with every agent taking
   its own turn in label order over deque channels of its own,
+  :func:`sent_rows`, a send call as one payload row per slot,
   :func:`shifted_estimates`, a send step that shifts every estimate it
   carries, :func:`simulated_and_reference`, a library run and a reference
   run as bytes, and :func:`message_stats`, the message counts of a
@@ -316,13 +317,21 @@ def reference_rounds(sim, n, shift=0.0):
         init = []
 
 
-def shifted_estimates(sim, shift):
-    """A _send for sim that writes every estimate plus shift onto its slot:
-    an agent that reads the sender's array instead of its message then
+def sent_rows(sim, slots, payload):
+    """A _send call of sim's run as (slot array, one payload row per slot):
+    slots may be a slice, and one payload row may go onto every slot."""
+    slots = np.arange(len(sim.sends))[slots]
+    return slots, np.broadcast_to(payload, (len(slots), sim.plan.dim))
+
+
+def shifted_estimates(shift):
+    """A NetworkSim._send that writes every estimate plus shift onto its
+    slot: an agent that reads the sender's array instead of its message then
     computes something else."""
-    def send(rnd, slots, payload):
-        is_x = np.array([sim.sends[s][2] == "x" for s in slots.tolist()], dtype=bool)
-        type(sim)._send(sim, rnd, slots, np.where(is_x[:, None], payload + shift, payload))
+    def send(self, rnd, slots, payload):
+        ids, _ = sent_rows(self, slots, payload)
+        is_x = np.array([self.sends[s][2] == "x" for s in ids.tolist()], dtype=bool)
+        NetworkSim._send(self, rnd, slots, np.where(is_x[:, None], payload + shift, payload))
     return send
 
 
@@ -331,10 +340,8 @@ def simulated_and_reference(bg, ops, cfg, protocol, n, shift=0.0):
     send table, and of :func:`reference_rounds`, both with estimates shifted
     by shift in transit, each taken after its whole run, so a payload
     written after it was sent shows too."""
-    sim = NetworkSim(bg, ops, cfg, protocol)
-    if shift:
-        sim._send = shifted_estimates(sim, shift)
-    result = sim.run(n)
+    shifted = type("ShiftedNetworkSim", (NetworkSim,), {"_send": shifted_estimates(shift)})
+    result = (shifted if shift else NetworkSim)(bg, ops, cfg, protocol).run(n)
     rounds = list(reference_rounds(NetworkSim(bg, ops, cfg, protocol), n, shift))
     log = [m for _, _, sent in rounds for m in sent]
     return ((round_bytes(result.x_history, result.log), result.w),

@@ -10,6 +10,7 @@ import pytest
 from graphdrs import cli
 from graphdrs.cli import main
 from graphdrs.simulate import NetworkSim
+from oracles import sent_rows
 
 GRAPH4 = "STATE\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\nBASE\n1 2\n2 3\n3 4\n"
 QUAD_CFG = "problem = quadratic\ncenters = 1 0; 0 1; -1 0; 0 -1\n"
@@ -302,6 +303,7 @@ def test_simulate_failure_mid_run_leaves_out_untouched(graph_file, quad_cfg, tmp
         send = NetworkSim._send
 
         def dropping_send(self, rnd, slots, payload):
+            slots, payload = sent_rows(self, slots, payload)
             rows = [self.sends[s] for s in slots.tolist()]  # each sender's are adjacent
             first = np.array([(rnd, kind) == (3, "x") and (k == 0 or rows[k - 1][0] != src)
                               for k, (src, _, kind, _) in enumerate(rows)], dtype=bool)

@@ -34,7 +34,7 @@ from graphdrs.solver import (
     step_tree,
     tree_decomposition,
 )
-from oracles import identical_bits, message_stats, simulated_and_reference
+from oracles import identical_bits, message_stats, sent_rows, simulated_and_reference
 
 rng = np.random.default_rng(5)
 
@@ -135,10 +135,18 @@ def test_general_message_counts():
 
 
 @pytest.mark.parametrize("protocol", ["tree", "general"])
-def test_messages_only_on_graph_edges(protocol):
+def test_messages_only_on_graph_edges(monkeypatch, protocol):
     bg = k4_bg(protocol)
     sim = NetworkSim(bg, quad_ops(4), SolverConfig(sigma=1.0), protocol=protocol)
+    runs, send = set(), NetworkSim._send
+
+    def keep_run(self, rnd, slots, payload):  # the run's copy of sim, and its slot buffer
+        runs.add(self)
+        send(self, rnd, slots, payload)
+
+    monkeypatch.setattr(NetworkSim, "_send", keep_run)
     sim.run(5)
+    (run,) = runs
     state_pairs, base_edges = set(bg.state.edges), set(bg.base.edges)
     for msg in sim.log:
         if msg.kind == "x":
@@ -146,12 +154,12 @@ def test_messages_only_on_graph_edges(protocol):
         else:  # a dual travels its base edge (h, i) from its owner i to h
             assert msg.kind == "w" and (msg.dst, msg.src) in base_edges
     # every slot but the last round's |E'| duals (tree) has been read
-    full = np.flatnonzero(sim.full)
+    full = np.flatnonzero(run.full)
     left = [sim.sends[s][:3] for s in full]
     expected = [(i, h, "w") for h, i in bg.base.edges] if protocol == "tree" else []
     assert sorted(left) == sorted(expected)
     last = [m.payload for m in sim.log if m.round == 5 and m.kind == "w"]
-    assert np.array_equal(sim.buf[full], np.array(last).reshape(-1, 2))
+    assert np.array_equal(run.buf[full], np.array(last).reshape(-1, 2))
 
 
 def test_protocol_validation():
@@ -258,6 +266,7 @@ def tamper_x_from_1_to_3(monkeypatch, kind):
     send = NetworkSim._send
 
     def fake_send(self, rnd, slots, payload):
+        slots, payload = sent_rows(self, slots, payload)
         hit = np.array([(rnd, *self.sends[s][:3]) == (1, 1, 3, "x") for s in slots.tolist()],
                        dtype=bool)
         send(self, rnd, slots[~hit], payload[~hit])
@@ -301,6 +310,7 @@ def test_unread_message_names_round_agent_and_kind(monkeypatch, protocol, channe
 
     def resend(self, rnd, slots, payload):
         send(self, rnd, slots, payload)
+        slots, payload = sent_rows(self, slots, payload)
         again = np.array([self.sends[s][:3] == channel for s in slots.tolist()], dtype=bool)
         if rnd == 2 and again.any():
             send(self, rnd, slots[again], payload[again])
@@ -405,3 +415,161 @@ def test_non_finite_round_fails_as_the_centralized_step(protocol):
                       lambda: NetworkSim(bg, ops, cfg, protocol).run(5)):
             with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
                 solve()
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_interleaved_runs_each_equal_a_fresh_run(protocol):
+    # each run owns its slot buffer: a second live run may not read or
+    # overwrite the first one's messages
+    _, ops, bg = build_svm(12, 3, 4)
+    cfg = SolverConfig(sigma=1.0)
+    sim = NetworkSim(bg, ops, cfg, protocol)
+    fresh = [(x.copy(), w.copy()) for x, w in NetworkSim(bg, ops, cfg, protocol).rounds(4)]
+    g1 = sim.rounds(4)
+    first = [next(g1)]
+    g2 = sim.rounds(4)
+    second = [next(g2) for _ in range(3)]
+    first += list(g1)
+    second += list(g2)
+    for got in (first, second):
+        assert len(got) == 4
+        assert all(identical_bits(x, fx) and identical_bits(w, fw)
+                   for (x, w), (fx, fw) in zip(got, fresh))
+
+
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_message_totals_and_log_need_no_run(protocol):
+    sim = NetworkSim(k4_bg(protocol), quad_ops(4), SolverConfig(sigma=1.0), protocol)
+    before = io.StringIO()
+    write_message_log(sim, 3, before)
+    assert sim.total_messages(3) == len(before.getvalue().splitlines()) - 1
+    result, after = sim.run(3), io.StringIO()
+    write_message_log(sim, 3, after)
+    assert before.getvalue() == after.getvalue()
+    assert sim.total_messages(3) == len(result.log)
+
+
+@pytest.mark.parametrize("rounds", [-1, -2, 2.5, "3", None, True, np.float64(2.0)])
+def test_round_count_must_be_a_non_negative_integer(rounds):
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0))
+    message = f"^rounds must be a non-negative integer, got {re.escape(repr(rounds))}$"
+    with pytest.raises(ValueError, match=message):
+        sim.run(rounds)
+    with pytest.raises(ValueError, match=message):
+        list(sim.rounds(rounds))
+
+
+def test_zero_rounds_run_sends_only_the_initialization():
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0))
+    result = sim.run(np.int64(0))
+    assert result.x_history.shape == (0, 4, 2) and np.array_equal(result.w, np.zeros((3, 2)))
+    assert len(result.log) == sim.total_messages(0) == 3
+    assert list(sim.rounds(0)) == []
+
+
+def record_slot_calls(monkeypatch):
+    """Route every _send and _recv through a recorder: (name, rnd, slots,
+    payload or out shape) per call, in call order."""
+    calls, send, recv = [], NetworkSim._send, NetworkSim._recv
+
+    def recording_send(self, rnd, slots, payload):
+        calls.append(("send", rnd, slots, np.shape(payload)))
+        send(self, rnd, slots, payload)
+
+    def recording_recv(self, rnd, slots, out):
+        calls.append(("recv", rnd, slots, out.shape))
+        recv(self, rnd, slots, out)
+
+    monkeypatch.setattr(NetworkSim, "_send", recording_send)
+    monkeypatch.setattr(NetworkSim, "_recv", recording_recv)
+    return calls
+
+
+@pytest.mark.parametrize("graph", ["k4", "svm"])
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+def test_every_send_goes_through_one_send_path(monkeypatch, protocol, graph):
+    # run slices and scatters alike: a round's sends cover its table once,
+    # in turn order, each a row per slot or one row onto a run of slots,
+    # and no slot call has an empty set
+    if graph == "svm":
+        _, ops, bg = build_svm(50, 5, 10)
+    else:
+        bg, ops = k4_bg(protocol), quad_ops(4)
+    calls = record_slot_calls(monkeypatch)
+    sim = NetworkSim(bg, ops, SolverConfig(sigma=0.7), protocol)
+    sim.run(3)
+    n_slots, dim = len(sim.sends), sim.plan.dim
+    for rnd in range(4):
+        sent = [s for name, r, slots, _ in calls if (name, r) == ("send", rnd)
+                for s in np.arange(n_slots)[slots].tolist()]
+        assert sorted(sent) == sorted(sim.init if rnd == 0 else range(n_slots))
+    for name, _, slots, shape in calls:
+        k = len(np.arange(n_slots)[slots])
+        assert k > 0
+        if isinstance(slots, slice):  # one sender: its estimate, broadcast
+            assert name == "send" and shape == (dim,)
+            assert {sim.sends[s][0] for s in range(n_slots)[slots]} == {sim.sends[slots.start][0]}
+        else:
+            assert shape == (k, dim)
+    if graph == "svm":  # each official's turn sends one run of slots
+        turns = [c for c in calls if c[:2] == ("send", 1)][:5]
+        assert all(isinstance(slots, slice) for _, _, slots, _ in turns)
+
+
+def test_empty_slot_sets_make_no_slot_call(monkeypatch):
+    # SVM tree: official 0 receives no estimate, the hinge level sends none,
+    # and nobody receives late; the round still equals agent turns bit for
+    # bit with every estimate shifted in transit
+    _, ops, bg = build_svm(50, 5, 10)
+    cfg = SolverConfig(sigma=0.7, theta=1.3)
+    assert bg.state.in_neighbors(0) == []
+    hinges = StepPlan(bg, ops).schedule[-1][1][0].tolist()
+    calls = record_slot_calls(monkeypatch)
+    sim = NetworkSim(bg, ops, cfg, "tree")
+    assert not any(src in hinges and kind == "x" for src, _, kind, _ in sim.sends)
+    next(sim.rounds(1))
+    # per round 1: duals in, 5 official turns (4 receive, 5 send), hinges
+    # receive, duals out
+    names = [name for name, rnd, _, _ in calls if rnd == 1]
+    assert names == ["recv", "send"] + ["recv", "send"] * 4 + ["recv", "send"]
+    new, old = simulated_and_reference(bg, ops, cfg, "tree", 4, 0.25)
+    assert new[0] == old[0] and identical_bits(new[1], old[1])
+
+
+def test_dropped_dual_is_missing_at_the_next_rounds_start(monkeypatch):
+    # a dual is read only at the start of the round after its send, before
+    # any agent of that round sends an estimate
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0), "tree")
+    src, dst, kind, _ = sim.sends[sim.init[1]]
+    assert kind == "w"
+    send, sent = NetworkSim._send, []
+
+    def dropping_send(self, rnd, slots, payload):
+        slots, payload = sent_rows(self, slots, payload)
+        keep = np.array([(rnd, *self.sends[s][:3]) != (1, src, dst, "w")
+                         for s in slots.tolist()], dtype=bool)
+        sent.append(rnd)
+        send(self, rnd, slots[keep], payload[keep])
+
+    monkeypatch.setattr(NetworkSim, "_send", dropping_send)
+    with pytest.raises(ProtocolError,
+                       match=f"^agent {dst} at round 2: missing w message from {src}$"):
+        sim.run(3)
+    assert 2 not in sent
+
+
+def test_agents_read_their_dual_messages(monkeypatch):
+    # duals shifted in transit move the estimates: a receiver's dual term
+    # comes from its message, not from the owner's w
+    bg, ops, cfg = tree_bg(), quad_ops(4), SolverConfig(sigma=1.0)
+    clean = NetworkSim(bg, ops, cfg).run(2)
+    send = NetworkSim._send
+
+    def shifted_duals(self, rnd, slots, payload):
+        ids, payload = sent_rows(self, slots, payload)
+        is_w = np.array([self.sends[s][2] == "w" for s in ids.tolist()], dtype=bool)
+        send(self, rnd, ids, np.where(is_w[:, None], payload + 0.25, payload))
+
+    monkeypatch.setattr(NetworkSim, "_send", shifted_duals)
+    shifted = NetworkSim(bg, ops, cfg).run(2)
+    assert not np.array_equal(shifted.x_history[0], clean.x_history[0])
