@@ -37,8 +37,9 @@ class Resolvent:
         self._shape = (dim,) if rows is None else (rows, dim)
 
     def __call__(self, tau, r, out=None):
-        if not tau >= 0:  # NaN fails this too
-            raise OperatorError(f"step size must be nonnegative, got {tau}")
+        if not 0 <= tau < math.inf:  # NaN fails this too
+            raise OperatorError(f"resolvent {self.name!r} needs a nonnegative finite "
+                                f"step size, got {tau}")
         r = np.asarray(r, dtype=float)
         if r.shape != self._shape:
             raise OperatorError(f"resolvent {self.name!r} has dimension {self.dim}, "
@@ -80,6 +81,15 @@ def _block_norms(blocks, out=None, tmp=None):
     return np.sqrt(out, out=out)
 
 
+def _scale_blocks(blocks, scale, out):
+    """out's 2-vector blocks = blocks * scale[:, None], bit for bit, as one
+    1-D multiply per column: numpy runs that broadcast through a slower
+    loop.  out is an (n, 2) array or a flat one of 2 n entries."""
+    flux = np.reshape(out, (-1, 2), copy=False)
+    np.multiply(blocks[:, 0], scale, out=flux[:, 0])
+    np.multiply(blocks[:, 1], scale, out=flux[:, 1])
+
+
 def prox_quadratic(k_matrix, weight):
     """Resolvent of tau * weight * x^T K x for symmetric PSD K.
 
@@ -103,7 +113,8 @@ def prox_quadratic(k_matrix, weight):
         return cho_factor(eye + 2.0 * tau * weight * k_matrix)
 
     def fn(tau, r, out):
-        np.copyto(out, r)
+        if r is not out:  # a sweep resolves in place
+            np.copyto(out, r)
         if tau == 0.0 or weight == 0.0:
             return
         # scipy's cho_solve without its wrapping or finite check (a non-finite
@@ -188,7 +199,9 @@ def prox_power_three_halves(dim):
 
     Per block the direction is kept and the magnitude m = u^2 where u is the
     nonnegative root of u^2 + (3 tau / 2) u - |r| = 0 (closed form, exact and
-    branch-free; the discriminant is always nonnegative).
+    branch-free; the discriminant is always nonnegative).  The scale m / |r|
+    is divided only where |r| > 0 and multiplies each block column by
+    :func:`_scale_blocks`.
     """
     n = _n_blocks(dim, "power32")
     norms, u, scale, nz = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
@@ -201,13 +214,15 @@ def prox_power_three_halves(dim):
         np.multiply(u, u, out=u)
         scale.fill(0.0)
         np.divide(u, norms, out=scale, where=np.greater(norms, 0, out=nz))
-        np.multiply(blocks, scale[:, None], out=np.reshape(out, (-1, 2), copy=False))
+        _scale_blocks(blocks, scale, out)
 
     return Resolvent(dim, fn, name="power32")
 
 
 def prox_group_l1(dim):
-    """Blockwise resolvent of tau * |block| (group soft-thresholding) on R^dim."""
+    """Blockwise resolvent of tau * |block| (group soft-thresholding) on R^dim:
+    the scale 1 - tau / |r|, divided only where |r| > tau and 0 elsewhere,
+    multiplies each block column by :func:`_scale_blocks`."""
     n = _n_blocks(dim, "group_l1")
     norms, scale, nz = np.empty(n), np.empty(n), np.empty(n, bool)
 
@@ -217,7 +232,7 @@ def prox_group_l1(dim):
         scale.fill(0.0)
         np.divide(tau, norms, out=scale, where=np.greater(norms, tau, out=nz))
         np.subtract(1.0, scale, out=scale, where=nz)
-        np.multiply(blocks, scale[:, None], out=np.reshape(out, (-1, 2), copy=False))
+        _scale_blocks(blocks, scale, out)
 
     return Resolvent(dim, fn, name="group_l1")
 
@@ -323,6 +338,23 @@ def project_grid_divergence(p, b):
     return Resolvent(2 * m, fn, name="affine_projection")
 
 
+def _index_set(label, idx, n):
+    """idx as a 1-D integer array of block indices in [0, n); an
+    OperatorError names the set and its shape or its first bad entry."""
+    arr = np.asarray(idx)
+    if arr.ndim != 1:
+        raise OperatorError(f"{label} index set must be 1-D, got shape {arr.shape}")
+    # an integer array is checked whole; any other set entry by entry as
+    # given, since asarray reads [1, True] as ints and [1, 2.5] as floats
+    whole = isinstance(idx, np.ndarray) and arr.dtype.kind in "iu"
+    for v in arr[(arr < 0) | (arr >= n)] if whole else idx:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise OperatorError(f"{label} index {v} ({type(v).__name__}) is not an integer")
+        if not 0 <= v < n:
+            raise OperatorError(f"{label} index {v} is outside [0, {n})")
+    return arr.astype(np.intp)
+
+
 def project_capacity(bridge_idx, water_idx, cap, dim):
     """Blockwise projection: water blocks to zero, bridge blocks into a ball.
 
@@ -331,12 +363,8 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
     pass through; tau plays no role.
     """
     n = _n_blocks(dim, "capacity_projection")
-    bridge = np.asarray(bridge_idx, dtype=int)
-    water = np.asarray(water_idx, dtype=int)
-    for label, idx in (("bridge", bridge), ("water", water)):
-        outside = idx[(idx < 0) | (idx >= n)]
-        if outside.size:
-            raise OperatorError(f"{label} index {outside[0]} is outside [0, {n})")
+    bridge = _index_set("bridge", bridge_idx, n)
+    water = _index_set("water", water_idx, n)
     if np.intersect1d(bridge, water).size:
         raise OperatorError("bridge and water index sets overlap")
     if not cap > 0:  # also rejects nan; inf clips nothing
@@ -353,7 +381,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
         if np.greater(_block_norms(near, norms, scale), cap, out=over).any():
             scale.fill(1.0)  # x * 1.0 is x: the others keep their bits
             np.divide(cap, norms, out=scale, where=over)
-            near *= scale[:, None]
+            _scale_blocks(near, scale, near)
             blocks[bridge] = near
 
     return Resolvent(dim, fn, name="capacity_projection")

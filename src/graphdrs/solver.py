@@ -117,11 +117,15 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     xs_in are the already-updated estimates of the smaller-labeled state
     neighbors, ascending; w_term is the node's pre-scaled dual term
     (1/d_i)(Z w)_i.  The input is summed in out from 0.0, as a CSR row is,
-    so signed zeros round as in a fresh sum, and resolved in place.
+    so signed zeros round as in a fresh sum (the first add, x + 0.0, rounds
+    as 0.0 + x without a fill), then resolved in place.
     """
-    out.fill(0.0)
-    for xh in xs_in:
-        out += xh
+    if len(xs_in):
+        np.add(xs_in[0], 0.0, out=out)
+        for xh in xs_in[1:]:
+            out += xh
+    else:
+        out.fill(0.0)
     out *= 2.0 / d_i
     out += w_term
     return op(sigma / d_i, out, out=out)
@@ -178,10 +182,13 @@ class StepPlan:
     ascending column order, and the level schedule of the state DAG: a node
     sits one level below its shallowest out-neighbor, a sink on the last of
     longest-path + 1 levels, so one level's nodes never read each other, and
-    each level stacks all its hinges.  Without z the duals are node-local:
-    Z = I and the update map z_cols is the base Laplacian L.  A plan belongs
-    to its graph, Z and the N >= 2 operators ops (a lone node has no degree
-    to scale by), which must all fix one dimension, dim.
+    each level stacks all its hinges.  1/d_i (inv_d) and each hinge batch's
+    2/d_i are full (rows, dim) arrays, not columns: numpy multiplies by a
+    full-shape operand faster than by a broadcast one, to the same bits.
+    Without z the duals are node-local: Z = I and the update map z_cols is
+    the base Laplacian L.  A plan belongs to its graph, Z and the N >= 2
+    operators ops (a lone node has no degree to scale by), which must all
+    fix one dimension, dim.
 
     The plan owns one workspace of (N, dim) arrays: a step writes (1/d) Z w
     into w_term, the hinge input sums into scratch and tests x in finite; the
@@ -212,7 +219,7 @@ class StepPlan:
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
         degrees = bg.state.degrees()
         self.degrees = degrees.tolist()
-        self.inv_d = 1.0 / degrees[:, None]
+        self.inv_d = np.repeat(1.0 / degrees[:, None], self.dim, axis=1)
         height = [0] * n  # longest state path from each node to a sink
         for i in reversed(range(n)):
             outs = bg.state.out_neighbors(i)
@@ -221,8 +228,8 @@ class StepPlan:
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
         # per level: the nodes solved one by one, and the level's hinge nodes
-        # as (rows, stacked resolvent, _Csr in-adjacency, 2/d_i), or None
-        # when it has no hinge
+        # as (rows, stacked resolvent, _Csr in-adjacency, 2/d_i as a full
+        # (k, dim) array), or None when it has no hinge
         self.schedule = [self._level(nodes) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
         self.scratch = np.empty_like(self.w_term)
@@ -240,7 +247,7 @@ class StepPlan:
             np.array(hinges),
             stack_hinges([self.ops[i].hinge for i in hinges], d),
             _Csr.dense(into),
-            (2.0 / d)[:, None],
+            np.repeat((2.0 / d)[:, None], self.dim, axis=1),
         )
         return [i for i in nodes if i not in hinges], batch
 
@@ -376,7 +383,8 @@ def _iterate(plan, cfg, w, objective):
         residual_sq = float(np.add.reduce(prod, axis=None))
         a_sum = np.matmul(z_sum, w_in, out=scratch[0])
         a_sum -= np.matmul(m_sum, x, out=scratch[1])
-        subgrad_sum_norm = float(np.linalg.norm(np.divide(a_sum, cfg.sigma, out=a_sum)))
+        a_sum /= cfg.sigma
+        subgrad_sum_norm = math.sqrt(a_sum.dot(a_sum))  # np.linalg.norm's 1-D form
         xbar = np.add.reduce(x, axis=0) / len(x)  # x.mean(axis=0) bit for bit
         obj = None if objective is None else float(objective(xbar))
         variance = state_variance(x, xbar, scratch)

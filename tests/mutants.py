@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SIM = "simulate.py"
 SOLVER = "solver.py"
+OPS = "operators.py"
 
 MUTANTS = [
     # -- the simulated round ---------------------------------------------
@@ -83,11 +84,29 @@ MUTANTS = [
     ("a sign flip in the incidence Z", "factorization.py",
      "z[i, col] = 1.0", "z[i, col] = -1.0",
      ["tests/test_factorization.py"]),
+    ("the first input copied without +0.0", SOLVER,
+     "np.add(xs_in[0], 0.0, out=out)", "np.copyto(out, xs_in[0])",
+     ["tests/test_solver.py::test_node_solution_sums_signed_zeros_from_plus_zero"]),
+    ("the full-shape 1/d_i built from in-degrees", SOLVER,
+     "np.repeat(1.0 / degrees[:, None]",
+     "np.repeat(1.0 / np.array([max(len(h), 1) for h in self.in_nbrs])[:, None]",
+     ["tests/test_solver.py::test_ryu_transcription"]),
+    # -- the resolvents ----------------------------------------------------
+    ("a column multiply reading the other flux column", OPS,
+     "np.multiply(blocks[:, 1], scale, out=flux[:, 1])",
+     "np.multiply(blocks[:, 0], scale, out=flux[:, 1])",
+     ["tests/test_operators.py::test_block_kernels_equal_norm_forms_at_transport_scale"]),
+    ("an infinite step size taken", OPS,
+     "if not 0 <= tau < math.inf:", "if not 0 <= tau:",
+     ["tests/test_operators.py::test_infinite_tau_rejected"]),
+    ("a bool block index read as 0 or 1", OPS,
+     "if isinstance(v, bool) or not", "if not",
+     ["tests/test_operators.py::test_capacity_rejects_malformed_index_sets"]),
     # -- the two survivors of the first probe, pinned since ----------------
     ("the stop boundary < becomes <=", SOLVER,
      "residual_sq < cfg.tol", "residual_sq <= cfg.tol",
      ["tests/test_solver.py::test_residual_tol_stops_strictly_below"]),
-    ("one kept factor per resolvent", "operators.py",
+    ("one kept factor per resolvent", OPS,
      "TAU_CACHE = 16", "TAU_CACHE = 1",
      ["tests/test_solver.py::test_svm_sigma_sweep_factors_each_official_once_per_sigma"]),
 ]

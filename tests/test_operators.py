@@ -24,6 +24,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
+from graphdrs.problems import default_transport_geometry, rect_cells
 from oracles import bits, identical_bits, loop_divergence_matrix, scalar_hinge
 
 rng = np.random.default_rng(123)
@@ -229,6 +230,32 @@ def test_capacity_rejects_block_indices_outside_the_vector(bridge, water, index)
         project_capacity(bridge, water, 0.3, 4)
 
 
+@pytest.mark.parametrize("bridge, water, message", [
+    ([1.7], [0], "bridge index 1.7 (float) is not an integer"),
+    (np.array([2, 1.5]), [0], "bridge index 2.0 (float64) is not an integer"),
+    ([1], [0, True], "water index True (bool) is not an integer"),
+    ([1], np.array([False]), "water index False (bool) is not an integer"),
+    ([1], ["0"], "water index 0 (str) is not an integer"),
+    ([[0, 1]], [2], "bridge index set must be 1-D, got shape (1, 2)"),
+    ([0], 2, "water index set must be 1-D, got shape ()"),
+])
+def test_capacity_rejects_malformed_index_sets(bridge, water, message):
+    # a fraction would truncate, a bool read as 0 or 1, and a 2-D set fail
+    # only at call time
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        project_capacity(bridge, water, 0.5, 8)
+
+
+def test_capacity_takes_integer_index_sets_of_any_integer_type():
+    r = rng.standard_normal(8)
+    want = project_capacity([1, 3], [0], 0.1, 8)(1.0, r)
+    for bridge, water in [(np.array([1, 3], np.uint8), (np.int64(0),)),
+                          ((1, np.int32(3)), np.array([0]))]:
+        assert identical_bits(project_capacity(bridge, water, 0.1, 8)(1.0, r), want)
+    # no water (an empty list is a float array to numpy)
+    assert identical_bits(project_capacity([1], [], 0.1, 8)(1.0, r)[:2], r[:2])
+
+
 def test_translated_quadratic_fixed_point():
     c = np.array([2.0, -1.0])
     op = prox_translated_quadratic(c, mu=3.0)
@@ -394,12 +421,11 @@ def test_block_norms_equal_linalg_norm(blocks):
         assert identical_bits(_block_norms(blocks), np.linalg.norm(blocks, axis=1))
 
 
-def kernel_pairs(cap):
-    bridge, water = np.array([0, 2, 3, 6]), np.array([1, 5])
+def kernel_pairs(cap, bridge=np.array([0, 2, 3, 6]), water=np.array([1, 5]), dim=16):
     return [
-        (prox_power_three_halves(16), norm_power32),
-        (prox_group_l1(16), norm_group_l1),
-        (project_capacity(bridge, water, cap, 16), norm_capacity(bridge, water, cap)),
+        (prox_power_three_halves(dim), norm_power32),
+        (prox_group_l1(dim), norm_group_l1),
+        (project_capacity(bridge, water, cap, dim), norm_capacity(bridge, water, cap)),
     ]
 
 
@@ -425,6 +451,31 @@ def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
         for op, ref in kernel_pairs(0.5):
             with np.errstate(all="ignore"):
                 assert identical_bits(op(tau, r), ref(tau, r)), (op.name, scale)
+
+
+def test_block_kernels_equal_norm_forms_at_transport_scale():
+    # p = 35, the default geometry's bridge and water cells; each row mixes
+    # signed zeros, NaN, infinities and blocks over the default capacity
+    p, cap = 35, 5e-2
+    geo = default_transport_geometry(p)
+    bridge = rect_cells(p, geo["bridge"])
+    water = np.concatenate([rect_cells(p, rect) for rect in geo["water"]])
+    dim = 2 * p * p
+    kernels = kernel_pairs(cap, bridge, water, dim)
+    local = np.random.default_rng(35)
+    rows = 0.1 * local.standard_normal((4, dim))
+    for row in rows:
+        hit = local.random(dim) < 0.05
+        row[hit] = local.choice([0.0, -0.0, np.nan, np.inf, -np.inf], hit.sum())
+    rows[1, 2 * bridge] = rows[1, 2 * bridge + 1] = -0.0
+    assert (np.hypot(rows[0, 2 * bridge], rows[0, 2 * bridge + 1]) > cap).sum() > 100
+    for tau in TAUS:
+        for r in rows:
+            for op, ref in kernels:
+                with np.errstate(all="ignore"):
+                    assert identical_bits(op(tau, r), ref(tau, r)), (op.name, tau)
+                    same = r.copy()  # r may be out
+                    assert identical_bits(op(tau, same, out=same), ref(tau, r)), op.name
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +617,17 @@ def test_single_vector_resolvent_rejects_rows(build):
         message = f"resolvent {op.name!r} has dimension 8, got an input of shape {shape}, not (8,)"
         with pytest.raises(OperatorError, match=re.escape(message)):
             op(1.0, np.ones(shape))
+
+
+@pytest.mark.parametrize("build", SINGLE_VECTOR.values(), ids=SINGLE_VECTOR.keys())
+def test_infinite_tau_rejected(build):
+    # before the check, power32 and translated_quadratic gave NaN, quadratic
+    # failed inside scipy and group_l1 returned zeros
+    op = build()
+    for tau in (np.inf, -np.inf):
+        with pytest.raises(OperatorError, match=re.escape(f"resolvent {op.name!r} needs a "
+                                                          f"nonnegative finite step size, got {tau}")):
+            op(tau, np.ones(8))
 
 
 def test_stacked_hinge_rejects_another_row_count():

@@ -35,6 +35,7 @@ from graphdrs.solver import (
     make_malitsky_tam,
     make_ryu,
     make_three_op_complete,
+    node_solution,
     run,
     state_variance,
     step_general,
@@ -739,3 +740,15 @@ def test_mismatched_operator_dimensions_name_the_node(node_local):
     expected = "node 2 .*'translated_quadratic'.* dimension 3.* 2"
     with pytest.raises(ValueError, match=expected):
         run(bg, None if node_local else tree_decomposition(bg), ops, cfg)
+
+
+def test_node_solution_sums_signed_zeros_from_plus_zero():
+    # 0.0 + (-0.0) is +0.0: the input sum starts from zero, not from a copy
+    # of the first input, so a -0.0 estimate and dual term resolve to +0.0
+    neg = np.full(3, -0.0)
+    for xs_in in ([neg], [neg, neg], np.stack([neg])):
+        out = node_solution(zero_operator(3), 1.0, 2, xs_in, neg, np.empty(3))
+        assert same_bits(out, np.zeros(3)), xs_in
+    # a node without inputs holds its dual term, summed onto +0.0
+    assert same_bits(node_solution(zero_operator(3), 1.0, 2, [], neg, np.empty(3)),
+                     np.zeros(3))
