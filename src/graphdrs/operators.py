@@ -245,7 +245,7 @@ def project_affine(lam, b, range_tol=1e-6):
     error); construction fails if the corrected b is not in the range of lam.
     """
     lam = np.asarray(lam.todense()) if hasattr(lam, "todense") else np.asarray(lam, float)
-    b = np.asarray(b, dtype=float)
+    b = _vector("b", b)
     m, n = lam.shape
     if b.shape != (m,):
         raise OperatorError(f"b must have length {m}")
@@ -315,7 +315,7 @@ def project_grid_divergence(p, b):
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise OperatorError(f"need an integer grid side p >= 1, got p = {p!r}")
     m = p * p
-    b = np.asarray(b, dtype=float)
+    b = _vector("b", b)
     if b.shape != (m,):
         raise OperatorError(f"need b of length {m} for grid side {p}, got shape {b.shape}")
     b = b - b.mean()

@@ -96,7 +96,8 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
                     cap=5e-2):
     """Assemble a transport instance and its four resolvents.
 
-    mu_spec / nu_spec are (center, width) pairs or explicit density arrays;
+    mu_spec / nu_spec are (center, width) pairs or explicit densities, p^2
+    finite nonnegative entries with a positive sum, normalized to sum 1;
     bridge and water are rectangles or iterables of rectangles (defaults
     from :func:`default_transport_geometry`).  Operator order: divergence
     projection, 3/2-power prox, group-l1 prox, capacity projection.
@@ -118,18 +119,26 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
     bridge_cells = cells_of(bridge)
     water_cells = cells_of(water)
 
-    def density_of(spec, default_center):
+    def density_of(name, spec, default_center):
         if spec is None:
             return gaussian_density(p, default_center, geo["blob_width"], water_cells)
         if isinstance(spec, tuple) and len(spec) == 2 and np.isscalar(spec[1]):
             return gaussian_density(p, spec[0], spec[1], water_cells)
         dens = np.asarray(spec, dtype=float)
-        if dens.min() < 0:
-            raise ValueError("densities must be nonnegative")
-        return dens / dens.sum()
+        if dens.shape != (p * p,):
+            raise ValueError(f"{name} must have shape ({p * p},) for grid side {p}, "
+                             f"got {dens.shape}")
+        bad = np.flatnonzero(~((dens >= 0) & (dens < np.inf)))
+        if len(bad):
+            raise ValueError(f"{name}[{bad[0]}] must be finite and nonnegative, "
+                             f"got {dens[bad[0]]}")
+        total = dens.sum()
+        if not 0 < total < np.inf:
+            raise ValueError(f"{name} must have a positive finite sum, got {total}")
+        return dens / total
 
-    mu = density_of(mu_spec, geo["mu_center"])
-    nu = density_of(nu_spec, geo["nu_center"])
+    mu = density_of("mu", mu_spec, geo["mu_center"])
+    nu = density_of("nu", nu_spec, geo["nu_center"])
     inst = TransportInstance(
         p=p, mu=mu, nu=nu,
         bridge=bridge_cells, water=water_cells, cap=cap,

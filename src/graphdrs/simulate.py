@@ -10,24 +10,20 @@ column's other nonzero rows.  An agent sends its estimate to its state
 out-neighbours, then to every other owner of an update row that reads it
 (its base in-neighbours, for node-local duals), which receives it late.
 
-A round is a sweep, then one dual update, as the centralized step is.  Every
-dual a round reads was sent at the end of the round before, so the round
-starts by receiving them: one gather takes every dual message into the run's
-dual block, beside a copy of the owners' own rows, and one
-:class:`~graphdrs.solver._Csr` product over the block, then one scaling by
-1/d_i, gives every agent's dual term, as the centralized sweep does.  The
-round then walks the plan's levels; any topological order of the state DAG
-is causally consistent.  A level's agents take one turn, which carries only
-estimates: one gather reads their estimate messages into the turn's block of
-the run's operand buffer, each single agent solves from its own rows of the
-block, the level's hinges from one input-sum product in one stacked call,
-and one send writes the level's estimates: a lone sender's row onto its run
-of slots, else a scatter.  A turn with nothing to receive or send makes no
-slot call.  Then x and the owners' late estimates fill the buffer's tail,
-one product of the update map over the buffer gives every new dual row, and
-one scatter sends them; no dual row is read in the round that sends it.
-Each map lists its terms in the centralized step's sum order, which a
-product keeps, so simulated and centralized iterates are bit-identical.
+A round is a sweep, then one dual update, as the centralized step is.  A
+run holds what its agents read in one operand buffer, each row keyed
+(holder, kind, index): the duals w, the duals received at the round's start
+(each was sent at the end of the round before), each level's received
+estimates, x, and the estimates received late.  The plan's own maps,
+remapped once onto those rows in their stored term order, do the sums: the
+dual-term map, scaled by 1/d_i, gives every agent's dual term, each level
+runs the sweep's level kernel, :func:`~graphdrs.solver._solve_level`, on
+the rows its agents received, and the update map gives every new dual row,
+sent by one scatter.  A level's turn receives its block by one gather,
+solves, and sends its estimates in one call: a lone sender's row onto its
+run of slots, else a scatter; an empty receive or send makes no slot call.
+No dual row is read in the round that sends it, and a product keeps each
+map's term order, so simulated and centralized iterates are bit-identical.
 
 The traffic does not depend on the data: every round the same senders send
 to the same receivers in the same order.  So the simulator reads its send
@@ -55,7 +51,8 @@ from operator import itemgetter
 import numpy as np
 
 from .factorization import incidence_decomposition
-from .solver import StepPlan, _check_finite, _Csr, node_solution
+from .solver import StepPlan, _check_finite, _Csr, _solve_level
+from .solver import node_solution  # noqa: F401 -- bench/test_tracing.py checks this alias
 
 
 class ProtocolError(RuntimeError):
@@ -76,6 +73,18 @@ class SimResult:
     x_history: np.ndarray  # (rounds, N, dim), collected from NetworkSim.rounds
     w: np.ndarray  # last duals, (E', dim) for tree or (N, dim) for general
     log: list  # every Message of the run, rebuilt from the send table in log order
+
+
+def _terms(m):
+    """(row, col) of each stored term of the _Csr m, in stored order."""
+    return zip(m.rows.tolist(), m.indices.tolist())
+
+
+def _round_count(n):
+    """n as an int, if it is a non-negative integer (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"rounds must be a non-negative integer, got {n!r}")
+    return int(n)
 
 
 class NetworkSim:
@@ -108,12 +117,7 @@ class NetworkSim:
         self.bg = bg
         self.cfg = cfg
         self.protocol = protocol
-        owner, slot, agents = self._tables()
-        held = []
-        self._turns = [self._turn(nodes, batch, agents, held)
-                       for nodes, batch in self.plan.schedule]
-        self._dual_recv, self._dual_terms = self._duals(owner, slot)
-        self._late, self._update_map = self._update(owner, slot, held)
+        self._layout(*self._tables())
 
     # -- the slot buffer ----------------------------------------------------
 
@@ -143,8 +147,8 @@ class NetworkSim:
 
     def _tables(self):
         """Read off the plan: the send table and round 0's slots (stored on
-        self), each dual row's owner, the slot of each channel, and per agent
-        (its estimate receive slots, its estimate send slots)."""
+        self), each dual row's owner, the slot of each channel, and each
+        agent's estimate receivers, in send order."""
         plan, state, z = self.plan, self.bg.state, self.plan.z
 
         def nonzero(v):
@@ -152,7 +156,7 @@ class NetworkSim:
 
         owner = [nonzero(col)[-1] for col in z.T]
         readers = [set() for _ in range(plan.n_nodes)]  # owners of update rows reading x_j
-        for c, j in zip(plan.z_cols.rows.tolist(), plan.z_cols.indices.tolist()):
+        for c, j in _terms(plan.z_cols):
             readers[j].add(owner[c])
         outs = [state.out_neighbors(i) for i in range(plan.n_nodes)]
         outs = [js + sorted(readers[i] - {i, *js}) for i, js in enumerate(outs)]
@@ -163,91 +167,58 @@ class NetworkSim:
         self.sends = sorted(estimates + duals, key=itemgetter(0))
         slot = {send[:3]: s for s, send in enumerate(self.sends)}
         self.init = [slot[send[:3]] for send in duals]
-        agents = [([slot[h, i, "x"] for h in plan.in_nbrs[i]], [slot[i, j, "x"] for j in js])
-                  for i, js in enumerate(outs)]
-        return owner, slot, agents
+        return owner, slot, outs
 
-    def _duals(self, owner, slot):
-        """The dual receive slots (by receiver, then dual row) and the map
-        from the dual block, the duals w and then the received ones, to
-        every agent's dual term Z w, built once: agent i's term c reads
-        w_c where i owns it, else its message from c's owner.  The map keeps
-        z_rows' term order, so it sums as the centralized sweep does."""
-        z, n_w = self.plan.z_rows, len(owner)
-        recv, cols = [], []
-        for i, c in zip(z.rows.tolist(), z.indices.tolist()):
-            if owner[c] == i:
-                cols.append(c)
-            else:
-                cols.append(n_w + len(recv))
-                recv.append(slot[owner[c], i, "w"])
-        terms = _Csr((z.shape[0], n_w + len(recv)), z.rows, cols, z.data)
-        return np.array(recv, dtype=int), terms
+    def _layout(self, owner, slot, outs):
+        """Build the run's operand layout and the maps over it: a row is
+        keyed (holder, kind, index), the agent holding the dual row or
+        estimate index, in the blocks the module docstring lists; a received
+        block's slots come from its keys.  remap carries a plan _Csr, row r
+        held by holders[r], onto those rows in its stored term order."""
+        plan = self.plan
+        at = {}  # the operand row of each key
 
-    def _turn(self, nodes, batch, agents, held):
-        """A level's turn, built once: its single agents, then its batch's
-        hinges, even a lone one, gather their estimate messages into the
-        turn's block of the operand buffer (held gains each row's (agent,
-        sender)).  A single agent solves from its own rows of the block,
-        which :func:`node_solution` sums from zero in order; the hinges from
-        one product of their in-adjacency over theirs.  The level's
-        estimates then go out in one send: a lone sender's row onto its run
-        of slots (a sender's estimates are adjacent in the table), else a
-        scatter of their rows.  An empty receive or send makes no slot call."""
-        plan, sigma = self.plan, self.cfg.sigma
-        ids = nodes + ([] if batch is None else batch[0].tolist())
-        start, spans = len(held), []
-        for i in ids:
-            spans.append((i, len(held), len(held) + len(plan.in_nbrs[i])))
-            held += [(i, h) for h in plan.in_nbrs[i]]
-        stop = len(held)
-        singles = [(plan.ops[i], plan.degrees[i], i, lo, hi) for i, lo, hi in spans[:len(nodes)]]
-        recv_slots = np.array([s for i in ids for s in agents[i][0]], dtype=int)
-        send_slots = [s for i in ids for s in agents[i][1]]
-        senders = [i for i in ids if agents[i][1]]
-        if len(senders) == 1:
-            send_slots, send_rows = slice(send_slots[0], send_slots[-1] + 1), senders[0]
-        elif senders:
-            send_slots = np.array(send_slots, dtype=int)
-            send_rows = np.array([i for i in ids for _ in agents[i][1]], dtype=int)
-        else:
-            send_rows = None
-        if batch is not None:  # hinge r sums its consecutive rows of the block's tail
-            rows, hinges, _, two_over_d = batch
-            mid = spans[len(nodes)][1]
-            counts = [hi - lo for _, lo, hi in spans[len(nodes):]]
-            into = _Csr((len(rows), stop - mid), np.repeat(np.arange(len(rows)), counts),
-                        np.arange(stop - mid), np.ones(stop - mid))
-            r_buf = np.empty((len(rows), plan.dim))
+        def hold(keys):
+            lo = len(at)
+            at.update((key, lo + k) for k, key in enumerate(keys))
+            return slice(lo, len(at))
 
-        def turn(run, rnd, x, w_term, operand):
-            if len(recv_slots):
-                run._recv(rnd, recv_slots, operand[start:stop])
-            for op, d_i, i, lo, hi in singles:
-                node_solution(op, sigma, d_i, operand[lo:hi], w_term[i], x[i])
+        def received(keys):  # (rows, receive slots): a dual comes from its owner
+            return hold(keys), np.array([slot[owner[c] if kind == "w" else c, i, kind]
+                                         for i, kind, c in keys], dtype=int)
+
+        hold([(o, "w", c) for c, o in enumerate(owner)])
+        self._dual_block = received([(i, "w", c) for i, c in _terms(plan.z_rows) if owner[c] != i])
+        levels = []
+        for singles, batch in plan.schedule:
+            ids = [i for _, _, i, _ in singles] + ([] if batch is None else batch[0].tolist())
+            levels.append((ids, *received([(i, "x", h) for i in ids for h in plan.in_nbrs[i]])))
+        self._x_rows = hold([(i, "x", i) for i in range(plan.n_nodes)])
+        needs = {(owner[c], "x", j) for c, j in _terms(plan.z_cols)}
+        self._late = received(sorted(needs - at.keys()))
+
+        def remap(m, holders, kind):
+            cols = [at[holders[r], kind, c] for r, c in _terms(m)]
+            return _Csr((m.shape[0], len(at)), m.rows, cols, m.data)
+
+        self._dual_terms = remap(plan.z_rows, range(plan.n_nodes), "w")
+        self._update_map = remap(plan.z_cols, owner, "x")
+        self._turns = []
+        for (singles, batch), (ids, rows, recv_slots) in zip(plan.schedule, levels):
+            singles = [(op, d_i, i, [at[i, "x", h] for h in nbrs]) for op, d_i, i, nbrs in singles]
             if batch is not None:
-                r = into.product(operand[mid:stop], r_buf)
-                r *= two_over_d
-                r += w_term[rows]
-                x[rows] = hinges(sigma, r, out=r)
-            if send_rows is not None:
-                run._send(rnd, send_slots, x[send_rows])
-        return turn
-
-    def _update(self, owner, slot, held):
-        """The late receive slots (by receiver, then sender) and the update
-        map (Z^T, or L) over the operand buffer, whose rows are the turns'
-        estimate blocks (held), x and the late receives, built once: row
-        c's term j reads x_j where c's owner holds it, received in its turn,
-        its own or late.  The map keeps each row's terms in z_cols' order,
-        so it sums as the centralized step does."""
-        u = self.plan.z_cols
-        needs = [(owner[c], j) for c, j in zip(u.rows.tolist(), u.indices.tolist())]
-        own = [(i, i) for i in range(self.plan.n_nodes)]
-        late = sorted(set(needs) - set(held) - set(own))
-        at = {key: col for col, key in enumerate(held + own + late)}
-        update = _Csr((len(owner), len(at)), u.rows, [at[key] for key in needs], u.data)
-        return np.array([slot[j, i, "x"] for i, j in late], dtype=int), update
+                hinge_rows, hinges, into, two_over_d = batch
+                batch = hinge_rows, hinges, remap(into, hinge_rows.tolist(), "x"), two_over_d
+            send_slots = [slot[i, j, "x"] for i in ids for j in outs[i]]
+            senders = [i for i in ids if outs[i]]
+            if len(senders) == 1:  # a sender's estimates are adjacent in the table
+                send_slots, send_rows = slice(send_slots[0], send_slots[-1] + 1), senders[0]
+            elif senders:
+                send_slots = np.array(send_slots, dtype=int)
+                send_rows = np.array([i for i in ids for _ in outs[i]], dtype=int)
+            else:
+                send_rows = None
+            self._turns.append((rows, recv_slots, singles, batch, send_slots, send_rows))
 
     def rounds(self, n):
         """Simulate n sweeps on a fresh network, yielding (x, w) per round:
@@ -259,45 +230,46 @@ class NetworkSim:
         its own.  A round receives every dual at its start, and its turns
         carry only estimates.  Non-finite estimates raise the centralized
         step's :class:`NumericalError` before the update."""
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"rounds must be a non-negative integer, got {n!r}")
+        n = _round_count(n)
         run = copy.copy(self)
         run.buf = np.empty((len(self.sends), self.plan.dim))
         run.full = np.zeros(len(self.sends), dtype=bool)
-        return run._rounds(int(n))
+        return run._rounds(n)
 
     def _rounds(self, n):
-        plan, dim, late, update = self.plan, self.plan.dim, self._late, self._update_map
-        n_w, dual_recv = update.shape[0], self._dual_recv
-        duals = np.empty((self._dual_terms.shape[1], dim))  # w, then the received duals
-        w_term = np.empty((plan.n_nodes, dim))
+        plan, dim, sigma, update = self.plan, self.plan.dim, self.cfg.sigma, self._update_map
+        (dual_rows, dual_recv), (late_rows, late) = self._dual_block, self._late
+        n_w = update.shape[0]
         operand = np.empty((update.shape[1], dim))
-        tail = len(operand) - plan.n_nodes - len(late)  # x, then the late receives
-        x_rows, late_rows = operand[tail:tail + plan.n_nodes], operand[tail + plan.n_nodes:]
+        w_term, scratch = np.empty((plan.n_nodes, dim)), np.empty((plan.n_nodes, dim))
         dual_slots = np.array(self.init, dtype=int)
-        dual_rows = np.array([self.sends[s][3] for s in self.init], dtype=int)
+        dual_sent = np.array([self.sends[s][3] for s in self.init], dtype=int)
         # round 0: owners initialize their duals and send them out
         w = np.zeros((n_w, dim))
         if len(dual_slots):
-            self._send(0, dual_slots, w[dual_rows])
+            self._send(0, dual_slots, w[dual_sent])
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
             if len(dual_recv):
-                self._recv(rnd, dual_recv, duals[n_w:])
-            duals[:n_w] = w
-            self._dual_terms.product(duals, w_term)
+                self._recv(rnd, dual_recv, operand[dual_rows])
+            operand[:n_w] = w
+            self._dual_terms.product(operand, w_term)
             w_term *= plan.inv_d
             x = np.empty((plan.n_nodes, dim))
-            for turn in self._turns:  # a level reads earlier levels
-                turn(self, rnd, x, w_term, operand)
+            for rows, recv_slots, singles, batch, send_slots, send_rows in self._turns:
+                if len(recv_slots):  # a level reads earlier levels
+                    self._recv(rnd, recv_slots, operand[rows])
+                _solve_level(singles, batch, sigma, operand, w_term, x, scratch)
+                if send_rows is not None:
+                    self._send(rnd, send_slots, x[send_rows])
             _check_finite(x, plan.ops, rnd - 1, plan.finite)
-            x_rows[...] = x
+            operand[self._x_rows] = x
             if len(late):
-                self._recv(rnd, late, late_rows)
+                self._recv(rnd, late, operand[late_rows])
             new = update.product(operand, np.empty((n_w, dim)))
             w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
             if len(dual_slots):
-                self._send(rnd, dual_slots, w[dual_rows])
+                self._send(rnd, dual_slots, w[dual_sent])
             yield x, w
 
     def run(self, rounds):
@@ -316,7 +288,7 @@ class NetworkSim:
 
     def total_messages(self, rounds):
         """The messages a run of rounds sends, round 0's included."""
-        return len(self.init) + rounds * len(self.sends)
+        return len(self.init) + _round_count(rounds) * len(self.sends)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):
@@ -331,6 +303,7 @@ def write_message_log(sim, rounds, fh):
     """CSV export of sim's run of rounds with 1-based node labels:
     round,from,to,kind.  Round 0's dual initialization, then each round's
     send table stamped with the round number, written as one block."""
+    rounds = _round_count(rounds)
     rows = [f"{{0}},{src + 1},{dst + 1},{kind}\n" for src, dst, kind, _ in sim.sends]
     fh.write("round,from,to,kind\n")
     fh.write("".join(rows[s] for s in sim.init).format(0))

@@ -22,13 +22,13 @@ DAG.  A :class:`_Csr` product sums each row from zero in stored order, one
 coefficient times vector term at a time, into a buffer the caller owns.  A
 sweep walks the levels, each node on the latest it can take: one below its
 shallowest state out-neighbor, every sink (such as an SVM hinge agent) on
-the last.  Nodes of one level never read each other, so a level's hinge
-nodes, even a lone one, are one stacked resolvent call
-(:func:`~graphdrs.operators.stack_hinges`) and every other node is one
-:func:`node_solution`.  The message-passing simulator runs the same level
-calls on the messages its agents pop; the stacked and CSR forms repeat the
-per-node operations elementwise, so centralized and simulated runs agree
-bit for bit.
+the last.  Nodes of one level never read each other, so the one level
+kernel, :func:`_solve_level`, solves a level's hinge nodes, even a lone one,
+in one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`) and
+every other node by one :func:`node_solution`.  The message-passing
+simulator runs that kernel on the estimates its agents received; the
+stacked and CSR forms repeat the per-node operations elementwise, so
+centralized and simulated runs agree bit for bit.
 """
 
 import math
@@ -181,10 +181,14 @@ class StepPlan:
     :class:`_Csr` matrices, whose products sum each row from zero in
     ascending column order, and the level schedule of the state DAG: a node
     sits one level below its shallowest out-neighbor, a sink on the last of
-    longest-path + 1 levels, so one level's nodes never read each other, and
-    each level stacks all its hinges.  1/d_i (inv_d) and each hinge batch's
-    2/d_i are full (rows, dim) arrays, not columns: numpy multiplies by a
-    full-shape operand faster than by a broadcast one, to the same bits.
+    longest-path + 1 levels, so one level's nodes never read each other.
+    Each schedule entry, (singles, batch), holds a level's nodes as
+    :func:`_solve_level` reads them, built once: every node but a hinge as
+    (resolvent, d_i, i, its in-neighbors), and all its hinges as one batch
+    (rows, stacked resolvent, _Csr in-adjacency, 2/d_i), or None.  1/d_i
+    (inv_d) and each batch's 2/d_i are full (rows, dim) arrays, not columns:
+    numpy multiplies by a full-shape operand faster than by a broadcast one,
+    to the same bits.
     Without z the duals are node-local: Z = I and the update map z_cols is
     the base Laplacian L.  A plan belongs to its graph, Z and the N >= 2
     operators ops (a lone node has no degree to scale by), which must all
@@ -227,9 +231,6 @@ class StepPlan:
         self.levels = [[] for _ in range(max(height) + 1)]
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
-        # per level: the nodes solved one by one, and the level's hinge nodes
-        # as (rows, stacked resolvent, _Csr in-adjacency, 2/d_i as a full
-        # (k, dim) array), or None when it has no hinge
         self.schedule = [self._level(nodes) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
         self.scratch = np.empty_like(self.w_term)
@@ -237,8 +238,10 @@ class StepPlan:
 
     def _level(self, nodes):
         hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
+        singles = [(self.ops[i], self.degrees[i], i, self.in_nbrs[i])
+                   for i in nodes if i not in hinges]
         if not hinges:
-            return nodes, None
+            return singles, None
         into = np.zeros((len(hinges), self.n_nodes))
         for row, i in enumerate(hinges):
             into[row, self.in_nbrs[i]] = 1.0
@@ -249,7 +252,7 @@ class StepPlan:
             _Csr.dense(into),
             np.repeat((2.0 / d)[:, None], self.dim, axis=1),
         )
-        return [i for i in nodes if i not in hinges], batch
+        return singles, batch
 
 
 def _check_finite(x, ops, k, finite):
@@ -264,6 +267,22 @@ def _check_finite(x, ops, k, finite):
         )
 
 
+def _solve_level(singles, batch, sigma, src, w_term, x, scratch):
+    """Solve one schedule entry into its rows of x: each single (op, d_i,
+    i, rows) by :func:`node_solution` from src's rows, the batch's hinges by
+    one product of their in-adjacency over src, into scratch, and one stacked
+    call; w_term holds (1/d) Z w.  The sweep's src is x; the simulator's is
+    its operand buffer, rows and in-adjacency remapped onto it."""
+    for op, d_i, i, rows in singles:
+        node_solution(op, sigma, d_i, [src[k] for k in rows], w_term[i], x[i])
+    if batch is not None:
+        rows, hinges, into, two_over_d = batch
+        r = into.product(src, scratch[: len(two_over_d)])
+        r *= two_over_d
+        r += w_term[rows]
+        x[rows] = hinges(sigma, r, out=r)
+
+
 def _sweep(plan, sigma, w, k):
     """The N resolvent calls of one sweep, level by level; returns x.
 
@@ -275,16 +294,8 @@ def _sweep(plan, sigma, w, k):
     w_term = plan.z_rows.product(w, plan.w_term)
     w_term *= plan.inv_d
     x = np.empty_like(w_term)
-    for nodes, batch in plan.schedule:
-        for i in nodes:
-            xs_in = [x[h] for h in plan.in_nbrs[i]]
-            node_solution(plan.ops[i], sigma, plan.degrees[i], xs_in, w_term[i], x[i])
-        if batch is not None:
-            rows, hinges, into, two_over_d = batch
-            r = into.product(x, plan.scratch[: len(two_over_d)])
-            r *= two_over_d
-            r += w_term[rows]
-            x[rows] = hinges(sigma, r, out=r)
+    for singles, batch in plan.schedule:
+        _solve_level(singles, batch, sigma, x, w_term, x, plan.scratch)
     _check_finite(x, plan.ops, k, plan.finite)
     return x
 

@@ -36,10 +36,13 @@ OPS = "operators.py"
 MUTANTS = [
     # -- the simulated round ---------------------------------------------
     ("dual terms summed out of z_rows order", SIM,
-     "z.rows, cols, z.data)", "z.rows[::-1], cols[::-1], z.data[::-1])",
+     'remap(plan.z_rows, range(plan.n_nodes), "w")',
+     "remap(_Csr(plan.z_rows.shape, plan.z_rows.rows[::-1], plan.z_rows.indices[::-1], "
+     'plan.z_rows.data[::-1]), range(plan.n_nodes), "w")',
      ["tests/test_sim.py::test_final_duals_equal_centralized_duals"]),
-    ("inv_d skipped for the hinge rows", SIM,
-     "r += w_term[rows]", "r += w_term[rows] / plan.inv_d[rows]",
+    # (2/d) / 2 is 1/d to the bit; the reference rounds solve each hinge alone
+    ("inv_d skipped for the hinge rows", SOLVER,
+     "r += w_term[rows]", "r += w_term[rows] / (two_over_d / 2)",
      ["tests/test_sim.py::test_stacked_agents_with_late_receives_or_no_inputs"]),  # SVM: d = 1
     ("the empty-set skip also skips a one-slot set", SIM,
      "if len(recv_slots):", "if len(recv_slots) > 1:",
@@ -47,8 +50,12 @@ MUTANTS = [
     ("a broadcast send onto a slice one slot short", SIM,
      "slice(send_slots[0], send_slots[-1] + 1)", "slice(send_slots[0], send_slots[-1])",
      ["tests/test_sim.py::test_tree_protocol_bit_identical"]),
-    ("a dual term reads the owner's w, not its message", SIM,
-     "cols.append(n_w + len(recv))", "cols.append(c)",
+    ("a dual term reads the owner's w, not its message", SIM,  # w is the operand's head
+     'remap(plan.z_rows, range(plan.n_nodes), "w")',
+     "_Csr((plan.n_nodes, len(at)), plan.z_rows.rows, plan.z_rows.indices, plan.z_rows.data)",
+     ["tests/test_sim.py::test_agents_read_their_dual_messages"]),
+    ("the dual-term map keyed by each term's owner, not the agent holding it", SIM,
+     "at[holders[r], kind, c]", 'at[owner[c] if kind == "w" else holders[r], kind, c]',
      ["tests/test_sim.py::test_agents_read_their_dual_messages"]),
     ("the unread check removed", SIM,
      "        if np.count_nonzero(full):", "        if False:",
@@ -57,10 +64,14 @@ MUTANTS = [
      "        if np.count_nonzero(full) < len(full):", "        if False:",
      ["tests/test_sim.py::test_missing_message_names_round_agent_and_kind"]),
     ("a single agent reads its inputs off x, not its messages", SIM,
-     "operand[lo:hi], w_term[i]", "x[plan.in_nbrs[i]], w_term[i]",
+     '[at[i, "x", h] for h in nbrs]', '[at[h, "x", h] for h in nbrs]',
+     ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
+    ("a level's single rows left as in-neighbour labels on the operand", SIM,
+     '[at[i, "x", h] for h in nbrs]', "nbrs",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
     ("the hinges read their inputs off x, not their messages", SIM,
-     "into.product(operand[mid:stop], r_buf)", "batch[2].product(x, r_buf)",
+     'remap(into, hinge_rows.tolist(), "x")',
+     "_Csr((len(hinge_rows), len(at)), into.rows, into.indices + self._x_rows.start, into.data)",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
     ("no finiteness check in a simulated round", SIM,
      "            _check_finite(x, plan.ops, rnd - 1, plan.finite)\n", "",

@@ -160,6 +160,27 @@ def test_affine_projection_range_check():
         project_affine(lam, bad_b)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_projections_reject_non_finite_data(value):
+    # nan > tol is false, so a non-finite b passed the range check and every
+    # call returned NaN
+    b = np.zeros(9)
+    b[2] = value
+    message = f"^{re.escape(f'b[2] must be finite, got {value}')}$"
+    for build in (lambda: project_affine(np.eye(9), b), lambda: project_grid_divergence(3, b)):
+        with pytest.raises(OperatorError, match=message):
+            build()
+
+
+def test_projections_reject_malformed_data():
+    with pytest.raises(OperatorError, match=re.escape("b must be a 1-D vector, got shape (3, 3)")):
+        project_grid_divergence(3, np.zeros((3, 3)))
+    with pytest.raises(OperatorError, match=re.escape("b must be a 1-D vector, got shape ()")):
+        project_affine(np.eye(1), 0.0)
+    with pytest.raises(OperatorError, match="b must have length 3"):
+        project_affine(np.eye(3), np.zeros(2))
+
+
 GRID_SIDES = [3, 5, 12, 35]
 
 

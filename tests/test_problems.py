@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,36 @@ def test_build_transport_large_grid_stays_sparse():
 def test_build_transport_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
         build_transport(6, bridge=(2, 0, 3, 5), water=(2, 0, 3, 5))
+
+
+def _nan_at(n, k, value=float("nan")):
+    dens = np.ones(n)
+    dens[k] = value
+    return dens
+
+
+@pytest.mark.parametrize("name", ["mu", "nu"])
+@pytest.mark.parametrize("dens, message", [
+    (np.zeros(36), "mu must have a positive finite sum, got 0.0"),
+    (_nan_at(36, 4), "mu[4] must be finite and nonnegative, got nan"),
+    (_nan_at(36, 7, float("inf")), "mu[7] must be finite and nonnegative, got inf"),
+    (_nan_at(36, 0, -0.5), "mu[0] must be finite and nonnegative, got -0.5"),
+    (np.ones(35), "mu must have shape (36,) for grid side 6, got (35,)"),
+    (np.ones((6, 6)), "mu must have shape (36,) for grid side 6, got (6, 6)"),
+    (np.full(36, 1e307), "mu must have a positive finite sum, got inf"),
+])
+def test_explicit_densities_are_checked_by_name(name, dens, message):
+    spec = {"mu_spec": np.ones(36), "nu_spec": np.ones(36), f"{name}_spec": dens}
+    with np.errstate(over="ignore"):  # a sum may overflow to inf
+        with pytest.raises(ValueError, match=f"^{re.escape(message.replace('mu', name, 1))}$"):
+            build_transport(6, bridge=[], water=[], **spec)
+
+
+def test_explicit_densities_are_normalized():
+    dens = np.arange(36.0)
+    inst, _ = build_transport(6, mu_spec=dens, nu_spec=[1.0] * 36, bridge=[], water=[])
+    assert np.array_equal(inst.mu, dens / dens.sum())
+    assert np.array_equal(inst.nu, np.full(36, 1 / 36))
 
 
 def test_zero_flow_trivial_instance():

@@ -372,6 +372,43 @@ def test_stacked_agents_with_late_receives_or_no_inputs(case, protocol, shift):
     assert new[0] == old[0] and identical_bits(new[1], old[1])
 
 
+@pytest.mark.parametrize("protocol", ["tree", "general"])
+@pytest.mark.parametrize("case", ["svm", "mixed"])
+def test_sweep_and_round_share_one_level_kernel(monkeypatch, case, protocol):
+    # a sweep and a simulated round each solve every level by one call of
+    # solver._solve_level, with the same singles and hinge rows and bits
+    import graphdrs.simulate as simulate_module
+    import graphdrs.solver as solver_module
+
+    if case == "svm":
+        _, ops, bg = build_svm(12, 3, 4)
+    else:
+        bg, ops, _ = hinges_on_one_level(case)
+    calls, kernel = [], solver_module._solve_level
+
+    def recording(singles, batch, *args):
+        calls.append(([s[:3] for s in singles], None if batch is None else batch[0].tolist()))
+        return kernel(singles, batch, *args)
+
+    monkeypatch.setattr(solver_module, "_solve_level", recording)
+    monkeypatch.setattr(simulate_module, "_solve_level", recording)
+    cfg = SolverConfig(sigma=0.8, theta=1.3)
+    sim = NetworkSim(bg, ops, cfg, protocol)
+    assert [sorted([i for _, _, i, _ in singles] + ([] if b is None else b[0].tolist()))
+            for singles, b in sim.plan.schedule] == sim.plan.levels
+    w = np.zeros((sim.plan.z.shape[1], sim.plan.dim))
+    rounds = sim.rounds(3)
+    for k in range(3):
+        calls.clear()
+        x, w_next = next(rounds)
+        in_round = calls[:]
+        calls.clear()
+        x_ref, _, _ = step_general(sim.plan, cfg.sigma, cfg.theta_at(k), w, k)
+        assert len(calls) == len(sim.plan.levels) and in_round == calls
+        assert identical_bits(x, x_ref)
+        w = w_next
+
+
 def test_a_network_needs_two_nodes():
     lone = OrderedDigraph(1, [])
     bg, ops = BilevelGraph(lone, lone), [prox_translated_quadratic(np.ones(2))]
@@ -457,6 +494,31 @@ def test_round_count_must_be_a_non_negative_integer(rounds):
         sim.run(rounds)
     with pytest.raises(ValueError, match=message):
         list(sim.rounds(rounds))
+
+
+@pytest.mark.parametrize("rounds", [-1, -3, 2.5, "3", None, True, np.float64(2.0)])
+def test_message_totals_and_log_take_only_a_round_count(rounds):
+    # the check rounds() makes: -1 gave -3 messages, 2.5 gave 14.5, True
+    # counted as 1, and a log of -3 rounds wrote round 0 alone
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0))
+    message = f"^rounds must be a non-negative integer, got {re.escape(repr(rounds))}$"
+    with pytest.raises(ValueError, match=message):
+        sim.total_messages(rounds)
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_message_log(sim, rounds, fh)
+    assert fh.getvalue() == ""
+
+
+def test_message_totals_and_log_take_numpy_integers():
+    sim = NetworkSim(tree_bg(), quad_ops(4), SolverConfig(sigma=1.0))
+    total = sim.total_messages(np.int64(2))
+    assert type(total) is int and total == sim.total_messages(2) == 3 + 2 * len(sim.sends)
+    logs = [io.StringIO(), io.StringIO()]
+    write_message_log(sim, np.int64(2), logs[0])
+    write_message_log(sim, 2, logs[1])
+    assert logs[0].getvalue() == logs[1].getvalue()
+    assert len(logs[0].getvalue().splitlines()) == total + 1
 
 
 def test_zero_rounds_run_sends_only_the_initialization():

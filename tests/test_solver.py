@@ -565,7 +565,8 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
     z = incidence_decomposition(bg.base)
     for plan, z_ref in ((StepPlan(bg, ops, z), z), (StepPlan(bg, ops), np.eye(bg.n_nodes))):
         schedule = plan.schedule
-        assert [nodes for nodes, _ in schedule] == [[0], [11], [22], [33], [44], []]
+        assert [[i for _, _, i, _ in singles] for singles, _ in schedule] == [
+            [0], [11], [22], [33], [44], []]
         assert [batch is None for _, batch in schedule] == [True] * 5 + [False]
         assert list(schedule[-1][1][0]) == hinges
         w = 0.5 * rng.standard_normal((z_ref.shape[1], 50))
