@@ -17,6 +17,8 @@ import numbers
 
 import numpy as np
 
+from ._compiled import load
+
 TAU_CACHE = 16  # step sizes with kept factors; the SVM sweep's 10 sigmas fit
 
 
@@ -52,16 +54,18 @@ class Resolvent:
         return f"Resolvent({self.name}, dim={self.dim})"
 
 
-def _vector(name, vec, finite=True):
-    """vec as a float array; an OperatorError names any shape but (n,) and,
-    when finite, its first non-finite entry."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1:
-        raise OperatorError(f"{name} must be a 1-D vector, got shape {vec.shape}")
-    bad = np.flatnonzero(~np.isfinite(vec)) if finite else ()
+def _array(name, a, ndim=1, finite=True):
+    """a as a float array; an OperatorError names any number of dimensions
+    but ndim and, when finite, a's first non-finite entry."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise OperatorError(f"{name} must be a {ndim}-D {kind}, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a)) if finite else ()
     if len(bad):
-        raise OperatorError(f"{name}[{bad[0]}] must be finite, got {vec[bad[0]]}")
-    return vec
+        at = tuple(bad[0].tolist())
+        raise OperatorError(f"{name}[{', '.join(map(str, at))}] must be finite, got {a[at]}")
+    return a
 
 
 def _n_blocks(dim, name):
@@ -96,7 +100,7 @@ def prox_quadratic(k_matrix, weight):
     J_tau(r) = (I + 2 tau weight K)^(-1) r; the Cholesky factor is kept for
     the last TAU_CACHE step sizes (the solver never changes tau mid-run).
     """
-    from scipy.linalg import cho_factor, get_lapack_funcs  # lazy: its only user
+    lapack = load("scipy.linalg._flapack")  # lazy: its only user
     k_matrix = np.asarray(k_matrix, dtype=float)
     if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
         raise OperatorError("K must be square")
@@ -106,11 +110,23 @@ def prox_quadratic(k_matrix, weight):
         raise OperatorError(f"weight must be nonnegative and finite, got {weight}")
     n = k_matrix.shape[0]
     eye = np.eye(n)
-    potrs = get_lapack_funcs("potrs", (eye,))
+    potrs = lapack.dpotrs
 
     @functools.lru_cache(maxsize=TAU_CACHE)
     def factor(tau):
-        return cho_factor(eye + 2.0 * tau * weight * k_matrix)
+        # scipy's cho_factor: finite check, then the upper factor of a, ours to overwrite
+        with np.errstate(all="ignore"):
+            a = eye + 2.0 * tau * weight * k_matrix
+        if not np.isfinite(a).all():
+            raise OperatorError(f"resolvent 'quadratic' at step size {tau}: "
+                                "I + 2 tau weight K is not finite")
+        c, info = lapack.dpotrf(a, lower=False, overwrite_a=True, clean=False)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        return c
 
     def fn(tau, r, out):
         if r is not out:  # a sweep resolves in place
@@ -119,8 +135,7 @@ def prox_quadratic(k_matrix, weight):
             return
         # scipy's cho_solve without its wrapping or finite check (a non-finite
         # r gives a non-finite out, which the sweep reports), in place in out
-        c, lower = factor(tau)
-        x, info = potrs(c, out, lower=lower, overwrite_b=True)
+        x, info = potrs(factor(tau), out, lower=False, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         if x is not out:  # potrs solved a copy of a non-contiguous out
@@ -137,10 +152,10 @@ def prox_hinge_affine(s, offset=1.0):
     kink value offset in between.  A call is the :func:`stack_hinges` kernel
     on its row ``.hinge`` = (s, offset), divisor 1, built on the first call.
     """
-    s = _vector("s", s, finite=False)
+    s = _array("s", s, finite=False)
     s_sq = float(s @ s)
     if not math.isfinite(s_sq):  # one dot tests s; an SVM builds a hinge per point
-        _vector("s", s)
+        _array("s", s)
     if not math.isfinite(offset):
         raise OperatorError(f"offset must be finite, got {offset}")
     if s_sq == 0.0:
@@ -244,8 +259,8 @@ def project_affine(lam, b, range_tol=1e-6):
     pair of probability densities must sum to zero up to discretization
     error); construction fails if the corrected b is not in the range of lam.
     """
-    lam = np.asarray(lam.todense()) if hasattr(lam, "todense") else np.asarray(lam, float)
-    b = _vector("b", b)
+    lam = _array("lam", np.asarray(lam.todense()) if hasattr(lam, "todense") else lam, ndim=2)
+    b = _array("b", b)
     m, n = lam.shape
     if b.shape != (m,):
         raise OperatorError(f"b must have length {m}")
@@ -310,19 +325,19 @@ def project_grid_divergence(p, b):
     diagonalized by the orthonormal 2-D DCT-II X -> C X C^T.  A call costs
     four p x p matrix products and the two grid stencils.
     """
-    from scipy.fft import dct  # lazy: only grid problems load it
-
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise OperatorError(f"need an integer grid side p >= 1, got p = {p!r}")
     m = p * p
-    b = _vector("b", b)
+    b = _array("b", b)
     if b.shape != (m,):
         raise OperatorError(f"need b of length {m} for grid side {p}, got shape {b.shape}")
     b = b - b.mean()
     line = 2.0 - 2.0 * np.cos(np.pi * np.arange(p) / p)
     eig = line[:, None] + line[None, :]
     inv_eig = np.divide(1.0, eig, out=np.zeros_like(eig), where=eig > 0)
-    dct_mat = dct(np.eye(p), norm="ortho", axis=0)
+    # scipy.fft.dct(np.eye(p), norm="ortho", axis=0): type 2, inorm 1, one thread
+    pocketfft = load("scipy.fft._pocketfft.pypocketfft")  # lazy: only grid problems load it
+    dct_mat = pocketfft.dct(np.eye(p), 2, (0,), 1, None, 1, None)
     dct_t = np.ascontiguousarray(dct_mat.T)
     div, step = grid_stencils(p)
     g, t = np.empty(m), np.empty((p, p))
@@ -389,7 +404,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
 
 def prox_translated_quadratic(c, mu=1.0):
     """Resolvent of the affine operator x -> mu (x - c); a test workhorse."""
-    c = _vector("c", c)
+    c = _array("c", c)
     if not (math.isfinite(mu) and mu > 0):
         raise OperatorError(f"mu must be positive and finite, got {mu}")
 

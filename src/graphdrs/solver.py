@@ -36,8 +36,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
+from ._compiled import load
 from .factorization import external_decomposition, incidence_decomposition
 from .graphs import (
     BilevelGraph,
@@ -48,6 +48,8 @@ from .graphs import (
     sigma_matrix,
 )
 from .operators import stack_hinges
+
+csr_matvecs = load("scipy.sparse._sparsetools").csr_matvecs
 
 THETA_CLAMP = 1e-3
 

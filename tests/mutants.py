@@ -113,6 +113,17 @@ MUTANTS = [
     ("a bool block index read as 0 or 1", OPS,
      "if isinstance(v, bool) or not", "if not",
      ["tests/test_operators.py::test_capacity_rejects_malformed_index_sets"]),
+    # -- the compiled scipy routines, called as scipy's wrappers call them --
+    ("the factor taken lower, solved upper", OPS,
+     "lapack.dpotrf(a, lower=False", "lapack.dpotrf(a, lower=True",
+     ["tests/test_compiled.py::test_random_spd_factors_and_solves_equal_scipy"]),
+    ("the DCT matrix not normalized (inorm 0)", OPS,
+     "pocketfft.dct(np.eye(p), 2, (0,), 1, None, 1, None)",
+     "pocketfft.dct(np.eye(p), 2, (0,), 0, None, 1, None)",
+     ["tests/test_compiled.py::test_grid_dct_equals_scipy_fft_dct"]),
+    ("the factor's finiteness check removed", OPS,
+     "        if not np.isfinite(a).all():", "        if False:",
+     ["tests/test_operators.py::test_quadratic_factor_overflow_names_the_operator_and_step"]),
     # -- the two survivors of the first probe, pinned since ----------------
     ("the stop boundary < becomes <=", SOLVER,
      "residual_sq < cfg.tol", "residual_sq <= cfg.tol",

@@ -172,6 +172,17 @@ def test_projections_reject_non_finite_data(value):
             build()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_affine_projection_rejects_non_finite_lam(value):
+    # a non-finite lam failed inside the pseudo-inverse, after a matmul
+    # RuntimeWarning, as "SVD did not converge"
+    lam = np.eye(3)
+    lam[1, 2] = value
+    message = f"^{re.escape(f'lam[1, 2] must be finite, got {value}')}$"
+    with pytest.raises(OperatorError, match=message):
+        project_affine(lam, np.zeros(3))
+
+
 def test_projections_reject_malformed_data():
     with pytest.raises(OperatorError, match=re.escape("b must be a 1-D vector, got shape (3, 3)")):
         project_grid_divergence(3, np.zeros((3, 3)))
@@ -179,6 +190,8 @@ def test_projections_reject_malformed_data():
         project_affine(np.eye(1), 0.0)
     with pytest.raises(OperatorError, match="b must have length 3"):
         project_affine(np.eye(3), np.zeros(2))
+    with pytest.raises(OperatorError, match=re.escape("lam must be a 2-D matrix, got shape (3,)")):
+        project_affine(np.ones(3), np.zeros(1))
 
 
 GRID_SIDES = [3, 5, 12, 35]
@@ -359,6 +372,16 @@ def test_quadratic_solve_equals_cho_solve_bitwise():
         assert not np.isfinite(op(1.0, r)).all()
     with pytest.raises(ValueError, match="dimension"):
         op(1.0, np.ones(6))
+
+
+def test_quadratic_factor_overflow_names_the_operator_and_step():
+    # 2 tau weight K overflowed: a RuntimeWarning, then scipy's "array must
+    # not contain infs or NaNs", naming neither the operator nor tau
+    op = prox_quadratic(1e10 * np.eye(3), 1.0)
+    message = "resolvent 'quadratic' at step size 1e+300: I + 2 tau weight K is not finite"
+    with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
+        op(1e300, np.ones(3))
+    assert np.allclose(op(1.0, np.full(3, 2e10 + 1.0)), 1.0, rtol=1e-14, atol=0)  # still usable
 
 
 @pytest.mark.parametrize("build, n_taus, bound", [

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphdrs._compiled import load
 from graphdrs.cli import _row
 from graphdrs.factorization import (
     external_decomposition,
@@ -479,11 +480,10 @@ def test_residual_tol_stops_strictly_below():
 def test_svm_sigma_sweep_factors_each_official_once_per_sigma(monkeypatch):
     # the 10 sigmas of `graphdrs svm`, swept twice on one set of resolvents:
     # every official's factors for all ten stay cached for the second sweep
-    import scipy.linalg
-
     calls = []
-    cho_factor = scipy.linalg.cho_factor
-    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda a: calls.append(1) or cho_factor(a))
+    lapack = load("scipy.linalg._flapack")
+    potrf = lapack.dpotrf
+    monkeypatch.setattr(lapack, "dpotrf", lambda *a, **kw: calls.append(1) or potrf(*a, **kw))
     _, ops, bg = build_svm(50, 5, 10)
     z = incidence_decomposition(bg.base)
     for _ in range(2):
