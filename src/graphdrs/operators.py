@@ -78,10 +78,10 @@ def _n_blocks(dim, name):
 def _block_norms(blocks, out=None, tmp=None):
     """The norms of 2-vector blocks, bit for bit ``np.linalg.norm(blocks,
     axis=1)``, which squares and adds without rescaling, at a fifth of its
-    cost; into out, with tmp as scratch, when given."""
-    x0, x1 = blocks[:, 0], blocks[:, 1]
-    out = np.multiply(x0, x0, out=out)
-    out += np.multiply(x1, x1, out=tmp)
+    cost for 1225 blocks (4.5 against 23.7 us, numpy 2.4); into out, with
+    tmp, an (n, 2) array, holding the squares, when given."""
+    sq = np.multiply(blocks, blocks, out=tmp)
+    out = np.add(sq[:, 0], sq[:, 1], out=out)
     return np.sqrt(out, out=out)
 
 
@@ -104,8 +104,11 @@ def prox_quadratic(k_matrix, weight):
     k_matrix = np.asarray(k_matrix, dtype=float)
     if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
         raise OperatorError("K must be square")
+    _array("K", k_matrix, ndim=2)  # before symmetry, which NaN or inf fails too
     if not np.allclose(k_matrix, k_matrix.T, atol=1e-10):
         raise OperatorError("K must be symmetric")
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+        raise OperatorError(f"weight must be a real number, got {weight!r}")
     if not (math.isfinite(weight) and weight >= 0):
         raise OperatorError(f"weight must be nonnegative and finite, got {weight}")
     n = k_matrix.shape[0]
@@ -220,10 +223,11 @@ def prox_power_three_halves(dim):
     """
     n = _n_blocks(dim, "power32")
     norms, u, scale, nz = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
+    sq = np.empty((n, 2))
 
     def fn(tau, r, out):
         blocks = r.reshape(-1, 2)
-        _block_norms(blocks, norms, scale)
+        _block_norms(blocks, norms, sq)
         half = 0.75 * tau  # (3 tau / 2) / 2
         np.add(-half, np.sqrt(np.add(half * half, norms, out=u), out=u), out=u)
         np.multiply(u, u, out=u)
@@ -240,10 +244,11 @@ def prox_group_l1(dim):
     multiplies each block column by :func:`_scale_blocks`."""
     n = _n_blocks(dim, "group_l1")
     norms, scale, nz = np.empty(n), np.empty(n), np.empty(n, bool)
+    sq = np.empty((n, 2))
 
     def fn(tau, r, out):
         blocks = r.reshape(-1, 2)
-        _block_norms(blocks, norms, scale)
+        _block_norms(blocks, norms, sq)
         scale.fill(0.0)
         np.divide(tau, norms, out=scale, where=np.greater(norms, tau, out=nz))
         np.subtract(1.0, scale, out=scale, where=nz)
@@ -299,8 +304,8 @@ def grid_stencils(p):
     def div(r, out):
         flux = r.reshape(-1, 2)
         np.copyto(hz, flux[:, 0], where=keep)  # never -0.0 in out: hz's +0.0 is inert
-        out.fill(0.0)
-        out[p:] -= flux[:-p, 1]
+        out[:p] = 0.0
+        np.subtract(0.0, flux[:-p, 1], out=out[p:])
         out[1:] -= hz[:-1]
         np.add(out, hz, out=out)
         out[:-p] += flux[:-p, 1]
@@ -308,7 +313,8 @@ def grid_stencils(p):
 
     def step(r, y, out):
         np.add(y, 0.0, out=y0)  # summed from zero, as CSR does; dh is +0.0 off keep
-        np.copyto(out, r)
+        if r is not out:  # a sweep resolves in place
+            np.copyto(out, r)
         flux = np.reshape(out, (-1, 2), copy=False)
         flux[:-1, 0] -= np.subtract(y0[:-1], y0[1:], out=dh, where=keep[:-1])
         flux[:-p, 1] -= np.subtract(y0[:-p], y0[p:], out=dv)
@@ -385,19 +391,26 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
     if not cap > 0:  # also rejects nan; inf clips nothing
         raise OperatorError(f"capacity must be positive, got {cap}")
 
+    # flat entry maps: block k is entries 2k and 2k + 1; flat indexing costs
+    # a third of 2-D row indexing
+    water_at = np.column_stack((2 * water, 2 * water + 1)).ravel()
+    near_at = np.column_stack((2 * bridge, 2 * bridge + 1)).ravel()
+    near = np.empty(near_at.size)
+    blocks = near.reshape(-1, 2)
     norms, scale = np.empty(bridge.size), np.empty(bridge.size)
+    sq = np.empty((bridge.size, 2))
     over = np.empty(bridge.size, bool)
 
     def fn(tau, r, out):
-        np.copyto(out, r)
-        blocks = np.reshape(out, (-1, 2), copy=False)
-        blocks[water] = 0.0
-        near = blocks[bridge]
-        if np.greater(_block_norms(near, norms, scale), cap, out=over).any():
+        if r is not out:  # a sweep resolves in place
+            np.copyto(out, r)
+        out[water_at] = 0.0
+        np.take(out, near_at, out=near, mode="clip")  # checked indices; "raise" buffers out
+        if np.greater(_block_norms(blocks, norms, sq), cap, out=over).any():
             scale.fill(1.0)  # x * 1.0 is x: the others keep their bits
             np.divide(cap, norms, out=scale, where=over)
-            _scale_blocks(near, scale, near)
-            blocks[bridge] = near
+            _scale_blocks(blocks, scale, near)
+            out[near_at] = near
 
     return Resolvent(dim, fn, name="capacity_projection")
 

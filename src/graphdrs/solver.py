@@ -120,16 +120,17 @@ def node_solution(op, sigma, d_i, xs_in, w_term, out):
     neighbors, ascending; w_term is the node's pre-scaled dual term
     (1/d_i)(Z w)_i.  The input is summed in out from 0.0, as a CSR row is,
     so signed zeros round as in a fresh sum (the first add, x + 0.0, rounds
-    as 0.0 + x without a fill), then resolved in place.
+    as 0.0 + x without a fill), then resolved in place.  Without inputs the
+    sum is w_term + 0.0: 0.0 (2/d_i) is +0.0, and 0.0 + w rounds as w + 0.0.
     """
     if len(xs_in):
         np.add(xs_in[0], 0.0, out=out)
         for xh in xs_in[1:]:
             out += xh
+        out *= 2.0 / d_i
+        out += w_term
     else:
-        out.fill(0.0)
-    out *= 2.0 / d_i
-    out += w_term
+        np.add(w_term, 0.0, out=out)
     return op(sigma / d_i, out, out=out)
 
 
@@ -220,6 +221,10 @@ class StepPlan:
             z = np.asarray(z, dtype=float)
             if z.shape != (n, n - 1):
                 raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
+            bad = np.argwhere(~np.isfinite(z))
+            if len(bad):
+                i, j = bad[0].tolist()
+                raise ValueError(f"Z[{i}, {j}] must be finite, got {z[i, j]}")
             self.z, to_duals = z, z.T
         self.z_rows, self.z_cols = _Csr.dense(self.z), _Csr.dense(to_duals)
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]

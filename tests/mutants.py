@@ -98,6 +98,9 @@ MUTANTS = [
     ("the first input copied without +0.0", SOLVER,
      "np.add(xs_in[0], 0.0, out=out)", "np.copyto(out, xs_in[0])",
      ["tests/test_solver.py::test_node_solution_sums_signed_zeros_from_plus_zero"]),
+    ("the input-free node copies w_term instead of adding 0.0", SOLVER,
+     "np.add(w_term, 0.0, out=out)", "np.copyto(out, w_term)",
+     ["tests/test_solver.py::test_node_solution_sums_signed_zeros_from_plus_zero"]),
     ("the full-shape 1/d_i built from in-degrees", SOLVER,
      "np.repeat(1.0 / degrees[:, None]",
      "np.repeat(1.0 / np.array([max(len(h), 1) for h in self.in_nbrs])[:, None]",
@@ -107,6 +110,20 @@ MUTANTS = [
      "np.multiply(blocks[:, 1], scale, out=flux[:, 1])",
      "np.multiply(blocks[:, 0], scale, out=flux[:, 1])",
      ["tests/test_operators.py::test_block_kernels_equal_norm_forms_at_transport_scale"]),
+    ("the bridge entry map drops each block's second component", OPS,
+     "np.column_stack((2 * bridge, 2 * bridge + 1))", "np.column_stack((2 * bridge, 2 * bridge))",
+     ["tests/test_operators.py::test_block_kernels_equal_norm_forms_at_transport_scale"]),
+    # inverted, a guard copies r only onto itself: an out-of-place call reads stale out
+    ("the grid step's self-copy guard inverted", OPS,
+     "        if r is not out:  # a sweep resolves in place\n            np.copyto(out, r)\n"
+     "        flux =",
+     "        if r is out:\n            np.copyto(out, r)\n        flux =",
+     ["tests/test_operators.py::test_grid_divergence_matches_dense_projection"]),
+    ("the capacity self-copy guard inverted", OPS,
+     "        if r is not out:  # a sweep resolves in place\n            np.copyto(out, r)\n"
+     "        out[water_at]",
+     "        if r is out:\n            np.copyto(out, r)\n        out[water_at]",
+     ["tests/test_operators.py::test_capacity_projection"]),
     ("an infinite step size taken", OPS,
      "if not 0 <= tau < math.inf:", "if not 0 <= tau:",
      ["tests/test_operators.py::test_infinite_tau_rejected"]),

@@ -79,6 +79,28 @@ def test_quadratic_validation():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quadratic_rejects_non_finite_k_by_entry(value):
+    # checked before symmetry: a NaN or infinity read as "K must be symmetric"
+    k = np.eye(3)
+    k[0, 1] = value
+    message = f"^{re.escape(f'K[0, 1] must be finite, got {value}')}$"
+    with pytest.raises(OperatorError, match=message):
+        prox_quadratic(k, 1.0)
+    k[1, 0] = value  # symmetric, and still not finite
+    with pytest.raises(OperatorError, match=message):
+        prox_quadratic(k, 1.0)
+
+
+@pytest.mark.parametrize("weight", [True, False, "0.5", None])
+def test_quadratic_weight_must_be_a_real_number(weight):
+    # a bool weight built a resolvent; SolverConfig rejects a bool sigma
+    message = f"^{re.escape(f'weight must be a real number, got {weight!r}')}$"
+    with pytest.raises(OperatorError, match=message):
+        prox_quadratic(np.eye(3), weight)
+    assert prox_quadratic(np.eye(3), np.float64(0.5)).dim == 3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -520,6 +542,38 @@ def test_block_kernels_equal_norm_forms_at_transport_scale():
                     assert identical_bits(op(tau, r), ref(tau, r)), (op.name, tau)
                     same = r.copy()  # r may be out
                     assert identical_bits(op(tau, same, out=same), ref(tau, r)), op.name
+
+
+@st.composite
+def capacity_cases(draw):
+    """Disjoint bridge and water sets over n blocks, each empty, single,
+    unsorted, with repeats, or up to every block, and an input of special
+    values: (bridge, water, cap, r)."""
+    n = draw(st.integers(1, 12))
+    marks = draw(st.lists(st.sampled_from("-bw"), min_size=n, max_size=n))
+
+    def index_set(mark):
+        members = [k for k, m in enumerate(marks) if m == mark]
+        repeats = draw(st.lists(st.sampled_from(members), max_size=3)) if members else []
+        return np.array(draw(st.permutations(members)) + repeats, dtype=np.intp)
+
+    bridge, water = index_set("b"), index_set("w")
+    cap = draw(st.sampled_from([1e-3, 0.5, 10.0, np.inf]))
+    r = draw(arrays(np.float64, 2 * n, elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))))
+    return bridge, water, cap, r
+
+
+@PROPERTY
+@given(capacity_cases())
+def test_capacity_equals_norm_form_on_generated_index_sets(case):
+    bridge, water, cap, r = case
+    op, want = project_capacity(bridge, water, cap, r.size), norm_capacity(bridge, water, cap)
+    with np.errstate(all="ignore"):
+        want = want(1.0, r)
+        assert identical_bits(op(1.0, r), want)
+        assert identical_bits(op(1.0, r, out=np.full(r.size, np.nan)), want)
+        same = r.copy()  # r may be out
+        assert identical_bits(op(1.0, same, out=same), want)
 
 
 # ---------------------------------------------------------------------------

@@ -682,6 +682,20 @@ def test_run_rejects_non_finite_initial_duals(bad, form):
         run(bg, z, ops, cfg, w0=w0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_plan_rejects_non_finite_z_by_entry(bad):
+    # a non-finite Z failed in the first sweep, as a NumericalError that
+    # blamed a resolvent
+    bg = make_malitsky_tam(3)
+    z = tree_decomposition(bg)
+    z[1, 0] = bad
+    message = f"^{re.escape(f'Z[1, 0] must be finite, got {bad}')}$"
+    with pytest.raises(ValueError, match=message):
+        StepPlan(bg, quad_ops([np.zeros(2)] * 3), z)
+    with pytest.raises(ValueError, match=message):
+        run(bg, z, quad_ops([np.zeros(2)] * 3), SolverConfig(sigma=1.0, max_iter=2))
+
+
 # ---------------------------------------------------------------------------
 # the plan's workspace: memory per step and ownership of what a step returns
 
