@@ -6,9 +6,10 @@ call-time argument because the solver uses node-dependent steps.
 
 Every resolvent fixes its dimension, a positive integer, when it is built,
 and rejects an input of shape other than (dim,), or (k, dim) for k stacked
-hinges.  ``op(tau, r, out=None)`` writes into ``out`` (allocated when None)
-and returns it; ``r`` may be ``out``.  Kernels keep temporaries in scratch
-made once, at construction, so calls on one resolvent must not overlap.
+hinges.  ``op(tau, r, out=None)`` writes into ``out`` (allocated when None),
+a writeable float64 array of r's shape, and returns it; ``r`` may be
+``out``, which is not checked.  Kernels keep temporaries in scratch made
+once, at construction, so calls on one resolvent must not overlap.
 """
 
 import functools
@@ -46,7 +47,14 @@ class Resolvent:
         if r.shape != self._shape:
             raise OperatorError(f"resolvent {self.name!r} has dimension {self.dim}, "
                                 f"got an input of shape {r.shape}, not {self._shape}")
-        out = np.empty(r.shape) if out is None else out
+        if out is None:
+            out = np.empty(r.shape)
+        elif out is not r and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                   and out.shape == r.shape and out.flags.writeable):
+            got = (f"{'' if out.flags.writeable else 'read-only '}{out.dtype} array of shape "
+                   f"{out.shape}" if isinstance(out, np.ndarray) else type(out).__name__)
+            raise OperatorError(f"resolvent {self.name!r} needs out to be a writeable float64 "
+                                f"array of shape {r.shape}, got {got}")
         self._fn(tau, r, out)
         return out
 
@@ -105,7 +113,8 @@ def prox_quadratic(k_matrix, weight):
     if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
         raise OperatorError("K must be square")
     _array("K", k_matrix, ndim=2)  # before symmetry, which NaN or inf fails too
-    if not np.allclose(k_matrix, k_matrix.T, atol=1e-10):
+    # np.allclose(K, K.T, atol=1e-10)'s own test on a finite K, at 40 % of its cost (n = 50)
+    if not (np.abs(k_matrix - k_matrix.T) <= 1e-10 + 1e-5 * np.abs(k_matrix.T)).all():
         raise OperatorError("K must be symmetric")
     if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
         raise OperatorError(f"weight must be a real number, got {weight!r}")
@@ -125,8 +134,9 @@ def prox_quadratic(k_matrix, weight):
                                 "I + 2 tau weight K is not finite")
         c, info = lapack.dpotrf(a, lower=False, overwrite_a=True, clean=False)
         if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
+            raise np.linalg.LinAlgError(f"resolvent 'quadratic' at step size {tau}: {info}-th "
+                                        "leading minor of I + 2 tau weight K is not positive "
+                                        "definite")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         return c
@@ -137,8 +147,9 @@ def prox_quadratic(k_matrix, weight):
         if tau == 0.0 or weight == 0.0:
             return
         # scipy's cho_solve without its wrapping or finite check (a non-finite
-        # r gives a non-finite out, which the sweep reports), in place in out
-        x, info = potrs(factor(tau), out, lower=False, overwrite_b=True)
+        # r gives a non-finite out, which the sweep reports), in place in out;
+        # positional (lower=0, overwrite_b=1): keywords cost 0.3 of 2.3 us (n = 50)
+        x, info = potrs(factor(tau), out, 0, 1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         if x is not out:  # potrs solved a copy of a non-contiguous out

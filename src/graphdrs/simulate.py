@@ -12,35 +12,40 @@ out-neighbours, then to every other owner of an update row that reads it
 
 A round is a sweep, then one dual update, as the centralized step is.  A
 run holds what its agents read in one operand buffer, each row keyed
-(holder, kind, index): the duals w, the duals received at the round's start
-(each was sent at the end of the round before), each level's received
-estimates, x, and the estimates received late.  The plan's own maps,
-remapped once onto those rows in their stored term order, do the sums: the
-dual-term map, scaled by 1/d_i, gives every agent's dual term, each level
-runs the sweep's level kernel, :func:`~graphdrs.solver._solve_level`, on
-the rows its agents received, and the update map gives every new dual row,
-sent by one scatter.  A level's turn receives its block by one gather,
-solves, and sends its estimates in one call: a lone sender's row onto its
-run of slots, else a scatter; an empty receive or send makes no slot call.
-No dual row is read in the round that sends it, and a product keeps each
-map's term order, so simulated and centralized iterates are bit-identical.
+(holder, kind, index), in three blocks: the duals w, each held by its
+owner; the slots, one per channel, each keyed by what its receiver reads
+there; and x.  A receiver reads its messages in place, on their slots'
+rows: a slot is rewritten only by the next send on its channel, which the
+flag check orders after the read.  The plan's own maps, remapped once onto
+those rows in their stored term order, do the sums: the dual-term map,
+scaled by 1/d_i, gives every agent's dual term, each level runs the sweep's
+level kernel, :func:`~graphdrs.solver._solve_level`, on the rows its agents
+received, and the update map gives every new dual row, sent by one
+scatter.  A level's turn receives, solves, and sends its estimates in one
+call: a lone sender's row onto its run of slots, else a scatter; an empty
+receive or send makes no slot call.  No dual row is read in the round that
+sends it, and a product keeps each map's term order, so simulated and
+centralized iterates are bit-identical.
 
 The traffic does not depend on the data: every round the same senders send
 to the same receivers in the same order.  So the simulator reads its send
 table off the plan once, when it is built: (src, dst, kind, payload row) per
 message of a round, in log order (by sender label: each sender's estimates,
 then its duals); round 0 sends the dual initialization.  Each row of the
-table is also a slot, the row of a run's (slots, dim) buffer for its (src,
-dst, kind) channel, with a flag that marks an unread message: a receive from
-an empty slot, or a send onto a full one, raises :class:`ProtocolError`.
+table is also a slot, the row of a run's slot block for its (src, dst,
+kind) channel, with bit s of the run's integer mask set while slot s holds
+an unread message: a receive from an empty slot, or a send onto a full
+one, raises :class:`ProtocolError`.  Every slot set of the tables carries
+its mask, made when the simulator is built; a slice's, one run of bits,
+is computed on the call.
 :meth:`NetworkSim.rounds`, the protocol loop, yields each round's fresh
 estimates and duals and keeps none, so its memory does not grow with the
 rounds; :meth:`NetworkSim.run` collects it and rebuilds the message log from
 the send table, each payload a view of its round's x or w row, which the
 simulator never writes again.  :func:`write_message_log` writes the table as
-CSV, one block per round.  Each run starts from a fresh network with a slot
-buffer of its own, so runs, even interleaved ones, share no message, and a
-second run repeats the first.
+CSV, one block per round.  Each run starts from a fresh network with an
+operand buffer and a mask of its own, so runs, even interleaved ones, share
+no message, and a second run repeats the first.
 """
 
 import copy
@@ -87,8 +92,28 @@ def _round_count(n):
     return int(n)
 
 
+class _Slots(np.ndarray):
+    """A slot set of the send or turn tables: an index array carrying its
+    slots' bit mask, ``bits``, made once; an array derived from it carries
+    none (None), so its mask is computed on the call."""
+
+    bits = None
+
+
+def _slots(slots):
+    """slots as a :class:`_Slots`, its mask made now."""
+    table = np.array(slots, dtype=np.intp).view(_Slots)
+    table.bits = _bits(table.tolist())
+    return table
+
+
+def _bits(slots):
+    """The bit mask of an iterable of slot numbers: bit s for slot s."""
+    return sum(1 << s for s in set(slots))
+
+
 class NetworkSim:
-    """Synchronous event loop over one slot buffer per run.
+    """Synchronous event loop over one operand buffer and slot mask per run.
 
     Agent i runs ops[i] and talks only along the bilevel graph: estimates
     over state edges and reversed base edges, duals over base edges.  Its
@@ -100,11 +125,12 @@ class NetworkSim:
     built, lists a round's messages as (src, dst, kind, payload row) in log
     order, and ``init`` round 0's slots, the dual initialization, in send
     order.  Row s of the table is also the channel of slot s: a run is a
-    copy of the simulator with a (slots, dim) buffer ``buf`` of its own,
-    whose flag ``full[s]`` says whether slot s holds a message nobody has
-    read.  Every send of a run goes through :meth:`_send`.  A round
-    receives its duals at its start, so the level turns carry only
-    estimates.
+    copy of the simulator with an operand buffer of its own, whose slot
+    block ``buf`` holds row s of slot s, and an int ``held`` whose bit s
+    says whether slot s holds a message nobody has read (``full`` decodes
+    it).  Every send of a run goes through :meth:`_send` and every receive
+    through :meth:`_recv`.  A round receives its duals at its start, so the
+    level turns carry only estimates.
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -119,83 +145,103 @@ class NetworkSim:
         self.protocol = protocol
         self._layout(*self._tables())
 
-    # -- the slot buffer ----------------------------------------------------
+    # -- the slot flags -----------------------------------------------------
+
+    def _mask(self, slots):
+        """The bit mask of slots: a table set's own, a slice's run of bits,
+        or one computed from any other index set."""
+        bits = getattr(slots, "bits", None)
+        if bits is not None:
+            return bits
+        if isinstance(slots, slice):
+            run = range(len(self.sends))[slots]
+            if run.step == 1:
+                return ((1 << len(run)) - 1) << run.start
+        return _bits(self._slot_list(slots))
+
+    def _slot_list(self, slots):
+        """slots, any index set over the slots, as a list of slot numbers in order."""
+        return np.arange(len(self.sends))[slots].tolist()
 
     def _send(self, rnd, slots, payload):
         """Write payload onto slots, each of which must have been read: a row
         per slot, or one row onto a run of slots given as a slice."""
-        full = self.full[slots]
-        if np.count_nonzero(full):  # one unread; cheaper than full.any()
-            s = np.arange(len(self.full))[slots][full.argmax()]
+        bits = self._mask(slots)
+        if self.held & bits:  # one unread
+            s = next(s for s in self._slot_list(slots) if self.held >> s & 1)
             src, dst, kind, _ = self.sends[s]
             raise ProtocolError(f"agent {src} at round {rnd}: unread {kind} message to {dst}")
         self.buf[slots] = payload
-        self.full[slots] = True
+        self.held |= bits
 
-    def _recv(self, rnd, slots, out):
-        """Gather the messages on slots into out, in order, emptying them; each must be there."""
-        full = self.full[slots]
-        if np.count_nonzero(full) < len(full):  # one missing
-            src, dst, kind, _ = self.sends[slots[full.argmin()]]
+    def _recv(self, rnd, slots):
+        """Empty slots, each of which must hold a message: its receiver reads
+        it in place, from the slot's row of the operand buffer."""
+        bits = self._mask(slots)
+        if (self.held & bits) != bits:  # one missing
+            s = next(s for s in self._slot_list(slots) if not self.held >> s & 1)
+            src, dst, kind, _ = self.sends[s]
             raise ProtocolError(
                 f"agent {dst} at round {rnd}: missing {kind} message from {src}"
             )
-        self.full[slots] = False
-        self.buf.take(slots, axis=0, out=out, mode="clip")  # no temporary; slots checked
+        self.held ^= bits  # all set: clears them
+
+    @property
+    def full(self):
+        """A run's slot flags as a bool array, decoded from its mask."""
+        return np.array([self.held >> s & 1 for s in range(len(self.sends))], dtype=bool)
 
     # -- the protocol -------------------------------------------------------
 
     def _tables(self):
         """Read off the plan: the send table and round 0's slots (stored on
-        self), each dual row's owner, the slot of each channel, and each
-        agent's estimate receivers, in send order."""
-        plan, state, z = self.plan, self.bg.state, self.plan.z
-
-        def nonzero(v):
-            return np.flatnonzero(v).tolist()
-
-        owner = [nonzero(col)[-1] for col in z.T]
+        self), each dual row's owner and each agent's estimate receivers, in
+        send order.  Column c of Z is row c of one _Csr of Z^T, its nonzero
+        rows ascending: the last owns dual row c, the others receive it."""
+        plan, state = self.plan, self.bg.state
+        zt = _Csr.dense(plan.z.T)
+        owner = zt.indices[zt.indptr[1:] - 1].tolist()
         readers = [set() for _ in range(plan.n_nodes)]  # owners of update rows reading x_j
         for c, j in _terms(plan.z_cols):
             readers[j].add(owner[c])
         outs = [state.out_neighbors(i) for i in range(plan.n_nodes)]
         outs = [js + sorted(readers[i] - {i, *js}) for i, js in enumerate(outs)]
-        duals = [(o, h, "w", c) for c, (o, col) in enumerate(zip(owner, z.T))
-                 for h in nonzero(col)[:-1]]
+        duals = [(owner[c], h, "w", c) for c, h in _terms(zt) if h != owner[c]]
         estimates = [(i, j, "x", i) for i, js in enumerate(outs) for j in js]
         # stable: each sender's estimates, then its duals
         self.sends = sorted(estimates + duals, key=itemgetter(0))
-        slot = {send[:3]: s for s, send in enumerate(self.sends)}
-        self.init = [slot[send[:3]] for send in duals]
-        return owner, slot, outs
+        slot = {send: s for s, send in enumerate(self.sends)}
+        self.init = [slot[send] for send in duals]
+        return owner, outs
 
-    def _layout(self, owner, slot, outs):
+    def _layout(self, owner, outs):
         """Build the run's operand layout and the maps over it: a row is
         keyed (holder, kind, index), the agent holding the dual row or
-        estimate index, in the blocks the module docstring lists; a received
-        block's slots come from its keys.  remap carries a plan _Csr, row r
+        estimate index, in three blocks: the owned duals, the slots, each
+        the key its receiver reads, and x.  remap carries a plan _Csr, row r
         held by holders[r], onto those rows in its stored term order."""
-        plan = self.plan
-        at = {}  # the operand row of each key
+        plan, n_w, n_slots = self.plan, len(owner), len(self.sends)
+        self._slot_rows = slice(n_w, n_w + n_slots)
+        self._x_rows = slice(n_w + n_slots, n_w + n_slots + plan.n_nodes)
+        # the slot of each received key, and the operand row of each key
+        slot = {(dst, kind, row): s for s, (_, dst, kind, row) in enumerate(self.sends)}
+        at = {(o, "w", c): c for c, o in enumerate(owner)}
+        at.update(((i, "x", i), self._x_rows.start + i) for i in range(plan.n_nodes))
+        at.update((key, n_w + s) for key, s in slot.items())  # read in place
 
-        def hold(keys):
-            lo = len(at)
-            at.update((key, lo + k) for k, key in enumerate(keys))
-            return slice(lo, len(at))
+        def received(keys):  # their slots, in order
+            return _slots([slot[key] for key in keys])
 
-        def received(keys):  # (rows, receive slots): a dual comes from its owner
-            return hold(keys), np.array([slot[owner[c] if kind == "w" else c, i, kind]
-                                         for i, kind, c in keys], dtype=int)
-
-        hold([(o, "w", c) for c, o in enumerate(owner)])
-        self._dual_block = received([(i, "w", c) for i, c in _terms(plan.z_rows) if owner[c] != i])
+        self._duals_in = received([(i, "w", c) for i, c in _terms(plan.z_rows) if owner[c] != i])
         levels = []
         for singles, batch in plan.schedule:
             ids = [i for _, _, i, _ in singles] + ([] if batch is None else batch[0].tolist())
-            levels.append((ids, *received([(i, "x", h) for i in ids for h in plan.in_nbrs[i]])))
-        self._x_rows = hold([(i, "x", i) for i in range(plan.n_nodes)])
-        needs = {(owner[c], "x", j) for c, j in _terms(plan.z_cols)}
-        self._late = received(sorted(needs - at.keys()))
+            levels.append((ids, [(i, "x", h) for i in ids for h in plan.in_nbrs[i]]))
+        needs = {(owner[c], "x", j) for c, j in _terms(plan.z_cols) if owner[c] != j}
+        self._late = received(sorted(needs.difference(*(keys for _, keys in levels))))
+        # tree dual row c has one receiver, the tail of edge c, so rows 0, 1, ...
+        # go out in init's order: a slice, which takes no copy, sends them
+        self._duals_out = _slots(self.init), slice(0, len(self.init))
 
         def remap(m, holders, kind):
             cols = [at[holders[r], kind, c] for r, c in _terms(m)]
@@ -204,68 +250,65 @@ class NetworkSim:
         self._dual_terms = remap(plan.z_rows, range(plan.n_nodes), "w")
         self._update_map = remap(plan.z_cols, owner, "x")
         self._turns = []
-        for (singles, batch), (ids, rows, recv_slots) in zip(plan.schedule, levels):
+        for (singles, batch), (ids, keys) in zip(plan.schedule, levels):
             singles = [(op, d_i, i, [at[i, "x", h] for h in nbrs]) for op, d_i, i, nbrs in singles]
             if batch is not None:
                 hinge_rows, hinges, into, two_over_d = batch
                 batch = hinge_rows, hinges, remap(into, hinge_rows.tolist(), "x"), two_over_d
-            send_slots = [slot[i, j, "x"] for i in ids for j in outs[i]]
+            send_slots = [slot[j, "x", i] for i in ids for j in outs[i]]
             senders = [i for i in ids if outs[i]]
             if len(senders) == 1:  # a sender's estimates are adjacent in the table
                 send_slots, send_rows = slice(send_slots[0], send_slots[-1] + 1), senders[0]
             elif senders:
-                send_slots = np.array(send_slots, dtype=int)
+                send_slots = _slots(send_slots)
                 send_rows = np.array([i for i in ids for _ in outs[i]], dtype=int)
             else:
                 send_rows = None
-            self._turns.append((rows, recv_slots, singles, batch, send_slots, send_rows))
+            self._turns.append((received(keys), singles, batch, send_slots, send_rows))
 
     def rounds(self, n):
         """Simulate n sweeps on a fresh network, yielding (x, w) per round:
         its fresh (N, dim) estimates and (rows, dim) duals, which the
         simulator never writes again.  n must be a non-negative integer.
-        The run is a copy of the simulator with a slot buffer of its own.
-        A round's messages are the rows of self.sends, and round 0's, the
-        dual initialization, its rows self.init; no message is an object of
-        its own.  A round receives every dual at its start, and its turns
-        carry only estimates.  Non-finite estimates raise the centralized
-        step's :class:`NumericalError` before the update."""
+        The run is a copy of the simulator with an operand buffer and a slot
+        mask of its own.  A round's messages are the rows of self.sends, and
+        round 0's, the dual initialization, its rows self.init; no message
+        is an object of its own.  A round receives every dual at its start,
+        and its turns carry only estimates.  Non-finite estimates raise the
+        centralized step's :class:`NumericalError` before the update."""
         n = _round_count(n)
         run = copy.copy(self)
-        run.buf = np.empty((len(self.sends), self.plan.dim))
-        run.full = np.zeros(len(self.sends), dtype=bool)
+        run.operand = np.empty((self._update_map.shape[1], self.plan.dim))
+        run.buf, run.held = run.operand[self._slot_rows], 0
         return run._rounds(n)
 
     def _rounds(self, n):
         plan, dim, sigma, update = self.plan, self.plan.dim, self.cfg.sigma, self._update_map
-        (dual_rows, dual_recv), (late_rows, late) = self._dual_block, self._late
-        n_w = update.shape[0]
-        operand = np.empty((update.shape[1], dim))
+        operand, duals_in, late = self.operand, self._duals_in, self._late
+        (dual_slots, dual_sent), n_w = self._duals_out, update.shape[0]
         w_term, scratch = np.empty((plan.n_nodes, dim)), np.empty((plan.n_nodes, dim))
-        dual_slots = np.array(self.init, dtype=int)
-        dual_sent = np.array([self.sends[s][3] for s in self.init], dtype=int)
         # round 0: owners initialize their duals and send them out
         w = np.zeros((n_w, dim))
         if len(dual_slots):
             self._send(0, dual_slots, w[dual_sent])
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            if len(dual_recv):
-                self._recv(rnd, dual_recv, operand[dual_rows])
+            if len(duals_in):
+                self._recv(rnd, duals_in)
             operand[:n_w] = w
             self._dual_terms.product(operand, w_term)
             w_term *= plan.inv_d
             x = np.empty((plan.n_nodes, dim))
-            for rows, recv_slots, singles, batch, send_slots, send_rows in self._turns:
+            for recv_slots, singles, batch, send_slots, send_rows in self._turns:
                 if len(recv_slots):  # a level reads earlier levels
-                    self._recv(rnd, recv_slots, operand[rows])
+                    self._recv(rnd, recv_slots)
                 _solve_level(singles, batch, sigma, operand, w_term, x, scratch)
                 if send_rows is not None:
                     self._send(rnd, send_slots, x[send_rows])
             _check_finite(x, plan.ops, rnd - 1, plan.finite)
             operand[self._x_rows] = x
             if len(late):
-                self._recv(rnd, late, operand[late_rows])
+                self._recv(rnd, late)
             new = update.product(operand, np.empty((n_w, dim)))
             w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
             if len(dual_slots):

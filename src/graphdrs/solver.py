@@ -169,7 +169,7 @@ class _Csr:
                 and src.dtype == out.dtype == np.float64 and out.flags.c_contiguous):
             raise ValueError(f"need float64 ({n_cols}, k) and C-contiguous ({n_rows}, k) "
                              f"operands, got {src.dtype} {src.shape} and {out.dtype} {out.shape}")
-        flat = out.reshape(-1, copy=False)
+        flat = out.reshape(-1)  # a view: out is C-contiguous
         flat.fill(0.0)
         csr_matvecs(n_rows, n_cols, src.shape[1], self.indptr, self.indices, self.data,
                     src.reshape(-1), flat)

@@ -58,11 +58,25 @@ MUTANTS = [
      "at[holders[r], kind, c]", 'at[owner[c] if kind == "w" else holders[r], kind, c]',
      ["tests/test_sim.py::test_agents_read_their_dual_messages"]),
     ("the unread check removed", SIM,
-     "        if np.count_nonzero(full):", "        if False:",
+     "        if self.held & bits:", "        if False:",
      ["tests/test_sim.py::test_unread_message_names_round_agent_and_kind"]),
     ("the missing check removed", SIM,
-     "        if np.count_nonzero(full) < len(full):", "        if False:",
+     "        if (self.held & bits) != bits:", "        if False:",
      ["tests/test_sim.py::test_missing_message_names_round_agent_and_kind"]),
+    ("a slice mask one slot short", SIM,
+     "((1 << len(run)) - 1) << run.start", "((1 << len(run) - 1) - 1) << run.start",
+     ["tests/test_sim.py::test_tree_protocol_bit_identical"]),
+    ("a receive that clears its bits without checking", SIM,
+     "                    self._recv(rnd, recv_slots)\n",
+     "                    self.held &= ~recv_slots.bits\n",
+     ["tests/test_sim.py::test_missing_message_names_round_agent_and_kind"]),
+    # the late receives read x's block too, where x is by then; the levels read stale rows
+    ("a level reads x's block instead of its slot rows", SIM,
+     "at.update((key, n_w + s) for key, s in slot.items())",
+     'at.update((key, n_w + s if key[1] == "w" else at[key[2], "x", key[2]]) '
+     "for key, s in slot.items())",
+     ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise",
+      "tests/test_sim.py::test_stacked_agents_with_late_receives_or_no_inputs"]),
     ("a single agent reads its inputs off x, not its messages", SIM,
      '[at[i, "x", h] for h in nbrs]', '[at[h, "x", h] for h in nbrs]',
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
@@ -138,6 +152,18 @@ MUTANTS = [
      "pocketfft.dct(np.eye(p), 2, (0,), 1, None, 1, None)",
      "pocketfft.dct(np.eye(p), 2, (0,), 0, None, 1, None)",
      ["tests/test_compiled.py::test_grid_dct_equals_scipy_fft_dct"]),
+    ("dpotrs's positional lower flag set to 1", OPS,
+     "potrs(factor(tau), out, 0, 1)", "potrs(factor(tau), out, 1, 1)",
+     ["tests/test_compiled.py::test_random_spd_factors_and_solves_equal_scipy"]),
+    ("the symmetry check's rtol term dropped", OPS,
+     "<= 1e-10 + 1e-5 * np.abs(k_matrix.T)", "<= 1e-10",
+     ["tests/test_operators.py::test_symmetry_check_is_allclose_on_finite_k"]),
+    ("an out of another shape or dtype taken", OPS,
+     "elif out is not r and not (", "elif False and not (",
+     ["tests/test_operators.py::test_an_out_that_cannot_hold_the_result_is_rejected_by_name"]),
+    ("an indefinite factor's error names neither resolvent nor step", OPS,
+     "f\"resolvent 'quadratic' at step size {tau}: {info}-th ", "f\"{info}-th ",
+     ["tests/test_operators.py::test_an_indefinite_k_names_the_resolvent_and_step"]),
     ("the factor's finiteness check removed", OPS,
      "        if not np.isfinite(a).all():", "        if False:",
      ["tests/test_operators.py::test_quadratic_factor_overflow_names_the_operator_and_step"]),

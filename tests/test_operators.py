@@ -406,6 +406,47 @@ def test_quadratic_factor_overflow_names_the_operator_and_step():
     assert np.allclose(op(1.0, np.full(3, 2e10 + 1.0)), 1.0, rtol=1e-14, atol=0)  # still usable
 
 
+
+def test_an_indefinite_k_names_the_resolvent_and_step():
+    # numpy's bare "1-th leading minor of the array is not positive
+    # definite" named neither the resolvent nor the step size
+    op = prox_quadratic(-np.eye(3), 1.0)
+    message = ("resolvent 'quadratic' at step size 1.0: 1-th leading minor of "
+               "I + 2 tau weight K is not positive definite")
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}$"):
+        op(1.0, np.ones(3))
+    assert np.array_equal(op(0.0, np.ones(3)), np.ones(3))  # tau = 0 factors nothing
+
+
+OUT_CHECKED = {
+    "zero": lambda: zero_operator(4),
+    "capacity_projection": lambda: project_capacity([0], [1], 0.3, 4),
+    "group_l1": lambda: prox_group_l1(4),
+    "translated_quadratic": lambda: prox_translated_quadratic(np.zeros(4)),
+}
+
+
+@pytest.mark.parametrize("build", OUT_CHECKED.values(), ids=OUT_CHECKED.keys())
+def test_an_out_that_cannot_hold_the_result_is_rejected_by_name(build):
+    # an out of shape (6,) failed inside numpy, a (2, 2) one passed group_l1,
+    # and a float32 one was rounded in silence or failed as a bare TypeError
+    op, r = build(), np.arange(4.0)
+    frozen = np.empty(4)
+    frozen.flags.writeable = False
+    for out, got in [(np.empty(6), "float64 array of shape (6,)"),
+                     (np.empty((2, 2)), "float64 array of shape (2, 2)"),
+                     (np.empty(4, np.float32), "float32 array of shape (4,)"),
+                     (frozen, "read-only float64 array of shape (4,)"),
+                     ([0.0] * 4, "list")]:
+        message = (f"resolvent {op.name!r} needs out to be a writeable float64 array "
+                   f"of shape (4,), got {got}")
+        with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
+            op(1.0, r, out=out)
+    want, out, same = op(1.0, r), np.full(4, np.nan), r.copy()
+    assert op(1.0, r, out=out) is out and identical_bits(out, want)
+    assert op(1.0, same, out=same) is same and identical_bits(same, want)
+
+
 @pytest.mark.parametrize("build, n_taus, bound", [
     # a dim-50 factor is 20 kB: 200 of them held 4 MB when every tau was kept
     (lambda: prox_quadratic(np.eye(50), 0.5), 200, 20 * 50 * 50 * 8),
@@ -734,3 +775,50 @@ def test_stacked_hinge_rejects_another_row_count():
         message = f"resolvent 'hinge' has dimension 3, got an input of shape {shape}, not (2, 3)"
         with pytest.raises(OperatorError, match=re.escape(message)):
             hinges(1.0, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
+# prox_quadratic's symmetry test against np.allclose(K, K.T, atol=1e-10)
+
+SYMMETRY_VALUES = [0.0, -0.0, 1e-12, -1e-11, 1.0, -3.5, 1e3, -1e5, 1e300]
+# the gap of K[i, j] from K[j, i] in units of allclose's bound 1e-10 + 1e-5 |K[j, i]|,
+# on both sides of it; "flip" makes K[i, j] = -K[j, i], so ±0.0 pairs occur
+SYMMETRY_GAPS = [0.0, 0.5, -0.999999, 1.0, -1.0, 1.000001, 2.0, 1e6, "flip"]
+
+
+def gapped_matrix(values, gaps):
+    k = np.array(values, dtype=float)
+    for i in range(len(k)):
+        for j in range(i):
+            gap = gaps[i][j]
+            bound = 1e-10 + 1e-5 * abs(k[j, i])
+            k[i, j] = -k[j, i] if gap == "flip" else k[j, i] + gap * bound
+    return k
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from(SYMMETRY_VALUES) | st.floats(-1e6, 1e6), min_size=n,
+                      max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.sampled_from(SYMMETRY_GAPS), min_size=n, max_size=n),
+             min_size=n, max_size=n))))
+def test_symmetry_check_is_allclose_on_finite_k(case):
+    k = gapped_matrix(*case)
+    symmetric = bool(np.allclose(k, k.T, atol=1e-10))
+    if symmetric:
+        assert prox_quadratic(k, 1.0).dim == len(k)
+    else:
+        with pytest.raises(OperatorError, match="^K must be symmetric$"):
+            prox_quadratic(k, 1.0)
+
+
+@pytest.mark.parametrize("gap, symmetric", [(0.5, True), (1.000001, False)])
+def test_symmetry_check_keeps_allclose_relative_term(gap, symmetric):
+    # at |K| = 1e3 the relative term 1e-2 is what admits a gap of 5e-3
+    k = gapped_matrix([[1.0, 1e3], [1e3, 1.0]], [[0.0, 0.0], [gap, 0.0]])
+    assert np.allclose(k, k.T, atol=1e-10) is symmetric
+    if symmetric:
+        prox_quadratic(k, 1.0)
+    else:
+        with pytest.raises(OperatorError, match="^K must be symmetric$"):
+            prox_quadratic(k, 1.0)

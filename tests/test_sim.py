@@ -531,16 +531,17 @@ def test_zero_rounds_run_sends_only_the_initialization():
 
 def record_slot_calls(monkeypatch):
     """Route every _send and _recv through a recorder: (name, rnd, slots,
-    payload or out shape) per call, in call order."""
+    payload shape, or None for a receive, which reads in place) per call,
+    in call order."""
     calls, send, recv = [], NetworkSim._send, NetworkSim._recv
 
     def recording_send(self, rnd, slots, payload):
         calls.append(("send", rnd, slots, np.shape(payload)))
         send(self, rnd, slots, payload)
 
-    def recording_recv(self, rnd, slots, out):
-        calls.append(("recv", rnd, slots, out.shape))
-        recv(self, rnd, slots, out)
+    def recording_recv(self, rnd, slots):
+        calls.append(("recv", rnd, slots, None))
+        recv(self, rnd, slots)
 
     monkeypatch.setattr(NetworkSim, "_send", recording_send)
     monkeypatch.setattr(NetworkSim, "_recv", recording_recv)
@@ -571,7 +572,7 @@ def test_every_send_goes_through_one_send_path(monkeypatch, protocol, graph):
         if isinstance(slots, slice):  # one sender: its estimate, broadcast
             assert name == "send" and shape == (dim,)
             assert {sim.sends[s][0] for s in range(n_slots)[slots]} == {sim.sends[slots.start][0]}
-        else:
+        elif name == "send":
             assert shape == (k, dim)
     if graph == "svm":  # each official's turn sends one run of slots
         turns = [c for c in calls if c[:2] == ("send", 1)][:5]
