@@ -5,6 +5,7 @@ the node labeling is itself a topological ordering.  File formats use
 1-based labels (see :func:`parse_edge_lines`).
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,6 +14,13 @@ import numpy as np
 
 class GraphError(ValueError):
     """Invalid graph input (bad edge, disconnected support, ...)."""
+
+
+def _integer(v, what):
+    """v as an int, if it is an integer, numpy's included, but not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise GraphError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _check_connected(n_nodes, edges):
@@ -40,12 +48,14 @@ class OrderedDigraph:
     edges: tuple
 
     def __init__(self, n_nodes, edges):
+        n_nodes = n_nodes if type(n_nodes) is int else _integer(n_nodes, "node count")
         if n_nodes < 1:
             raise GraphError("need at least one node")
-        seen = set()
-        norm = []
+        seen, norm = set(), []
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = e[0], e[1]
+            if type(i) is not int or type(j) is not int:  # plain ints need no check
+                i, j = _integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < j < n_nodes):

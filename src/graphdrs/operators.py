@@ -76,6 +76,13 @@ def _array(name, a, ndim=1, finite=True):
     return a
 
 
+def _real(name, v, error=OperatorError):
+    """Raise error, naming name, unless v is a real number (not a bool)."""
+    # a plain float skips the ABC check, which takes about 1 us (an SVM builds 50 hinges)
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise error(f"{name} must be a real number, got {v!r}")
+
+
 def _n_blocks(dim, name):
     """dim // 2, the number of 2-vector blocks of a positive even dim."""
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 2 or dim % 2:
@@ -116,8 +123,7 @@ def prox_quadratic(k_matrix, weight):
     # np.allclose(K, K.T, atol=1e-10)'s own test on a finite K, at 40 % of its cost (n = 50)
     if not (np.abs(k_matrix - k_matrix.T) <= 1e-10 + 1e-5 * np.abs(k_matrix.T)).all():
         raise OperatorError("K must be symmetric")
-    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-        raise OperatorError(f"weight must be a real number, got {weight!r}")
+    _real("weight", weight)
     if not (math.isfinite(weight) and weight >= 0):
         raise OperatorError(f"weight must be nonnegative and finite, got {weight}")
     n = k_matrix.shape[0]
@@ -170,6 +176,7 @@ def prox_hinge_affine(s, offset=1.0):
     s_sq = float(s @ s)
     if not math.isfinite(s_sq):  # one dot tests s; an SVM builds a hinge per point
         _array("s", s)
+    _real("offset", offset)
     if not math.isfinite(offset):
         raise OperatorError(f"offset must be finite, got {offset}")
     if s_sq == 0.0:
@@ -278,6 +285,8 @@ def project_affine(lam, b, range_tol=1e-6):
     lam = _array("lam", np.asarray(lam.todense()) if hasattr(lam, "todense") else lam, ndim=2)
     b = _array("b", b)
     m, n = lam.shape
+    if m == 0:  # b.mean() below would warn
+        raise OperatorError(f"lam must have at least one row, got shape {lam.shape}")
     if b.shape != (m,):
         raise OperatorError(f"b must have length {m}")
     b = b - b.mean()
@@ -399,6 +408,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
     water = _index_set("water", water_idx, n)
     if np.intersect1d(bridge, water).size:
         raise OperatorError("bridge and water index sets overlap")
+    _real("capacity", cap)
     if not cap > 0:  # also rejects nan; inf clips nothing
         raise OperatorError(f"capacity must be positive, got {cap}")
 
@@ -429,6 +439,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
 def prox_translated_quadratic(c, mu=1.0):
     """Resolvent of the affine operator x -> mu (x - c); a test workhorse."""
     c = _array("c", c)
+    _real("mu", mu)
     if not (math.isfinite(mu) and mu > 0):
         raise OperatorError(f"mu must be positive and finite, got {mu}")
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graphs import BilevelGraph, OrderedDigraph
 from .operators import (
+    _real,
     grid_stencils,
     project_capacity,
     project_grid_divergence,
@@ -255,6 +256,8 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
         raise ValueError(f"per_official must be >= 1, got {per_official}")
     if n != officials * per_official:
         raise ValueError("need n = officials * per_official")
+    _real("kernel width", kernel_width, ValueError)
+    _real("gamma", gamma, ValueError)
     if not (math.isfinite(kernel_width) and kernel_width > 0):
         raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
     if not (math.isfinite(gamma) and gamma >= 0):

@@ -8,44 +8,20 @@ of tree edge c, or node c), which applies row c of the update map (Z^T, or
 the base Laplacian L) to the estimates it holds and sends the result to the
 column's other nonzero rows.  An agent sends its estimate to its state
 out-neighbours, then to every other owner of an update row that reads it
-(its base in-neighbours, for node-local duals), which receives it late.
+(its base in-neighbours, for node-local duals), which receives it late.  A
+round is a sweep, then one dual update, as the centralized step is; no dual
+row is read in the round that sends it.
 
-A round is a sweep, then one dual update, as the centralized step is.  A
-run holds what its agents read in one operand buffer, each row keyed
-(holder, kind, index), in three blocks: the duals w, each held by its
-owner; the slots, one per channel, each keyed by what its receiver reads
-there; and x.  A receiver reads its messages in place, on their slots'
-rows: a slot is rewritten only by the next send on its channel, which the
-flag check orders after the read.  The plan's own maps, remapped once onto
-those rows in their stored term order, do the sums: the dual-term map,
-scaled by 1/d_i, gives every agent's dual term, each level runs the sweep's
-level kernel, :func:`~graphdrs.solver._solve_level`, on the rows its agents
-received, and the update map gives every new dual row, sent by one
-scatter.  A level's turn receives, solves, and sends its estimates in one
-call: a lone sender's row onto its run of slots, else a scatter; an empty
-receive or send makes no slot call.  No dual row is read in the round that
-sends it, and a product keeps each map's term order, so simulated and
-centralized iterates are bit-identical.
-
-The traffic does not depend on the data: every round the same senders send
-to the same receivers in the same order.  So the simulator reads its send
-table off the plan once, when it is built: (src, dst, kind, payload row) per
-message of a round, in log order (by sender label: each sender's estimates,
-then its duals); round 0 sends the dual initialization.  Each row of the
-table is also a slot, the row of a run's slot block for its (src, dst,
-kind) channel, with bit s of the run's integer mask set while slot s holds
-an unread message: a receive from an empty slot, or a send onto a full
-one, raises :class:`ProtocolError`.  Every slot set of the tables carries
-its mask, made when the simulator is built; a slice's, one run of bits,
-is computed on the call.
-:meth:`NetworkSim.rounds`, the protocol loop, yields each round's fresh
-estimates and duals and keeps none, so its memory does not grow with the
-rounds; :meth:`NetworkSim.run` collects it and rebuilds the message log from
-the send table, each payload a view of its round's x or w row, which the
-simulator never writes again.  :func:`write_message_log` writes the table as
-CSV, one block per round.  Each run starts from a fresh network with an
-operand buffer and a mask of its own, so runs, even interleaved ones, share
-no message, and a second run repeats the first.
+Each message has a slot, one per channel, and a receiver reads it in place
+on its slot's row: a slot is rewritten only by the next send on its
+channel, and the flag check orders that send after the read.  A receive
+from an empty slot, or a send onto a full one, raises
+:class:`ProtocolError`.  The traffic does not depend on the data, so one
+send table, read off the plan when the simulator is built, lists every
+round's messages in log order: by sender label, each sender's estimates,
+then its duals; round 0 sends the dual initialization.  The agents solve
+with the sweep's own level kernel and the plan's own maps, each product in
+stored term order, so simulated and centralized iterates are bit-identical.
 """
 
 import copy
@@ -95,9 +71,7 @@ def _round_count(n):
 class _Slots(np.ndarray):
     """A slot set of the send or turn tables: an index array carrying its
     slots' bit mask, ``bits``, made once; an array derived from it carries
-    none (None), so its mask is computed on the call."""
-
-    bits = None
+    none, so its mask is computed on the call."""
 
 
 def _slots(slots):
@@ -115,22 +89,14 @@ def _bits(slots):
 class NetworkSim:
     """Synchronous event loop over one operand buffer and slot mask per run.
 
-    Agent i runs ops[i] and talks only along the bilevel graph: estimates
-    over state edges and reversed base edges, duals over base edges.  Its
-    channels, degrees and dimension come from plan, the :class:`StepPlan` of
-    the protocol's centralized form (incidence Z for tree, node-local for
-    general), which the protocol name only chooses.
-
-    The send table, ``sends``, read off the plan when the simulator is
-    built, lists a round's messages as (src, dst, kind, payload row) in log
-    order, and ``init`` round 0's slots, the dual initialization, in send
-    order.  Row s of the table is also the channel of slot s: a run is a
-    copy of the simulator with an operand buffer of its own, whose slot
-    block ``buf`` holds row s of slot s, and an int ``held`` whose bit s
-    says whether slot s holds a message nobody has read (``full`` decodes
-    it).  Every send of a run goes through :meth:`_send` and every receive
-    through :meth:`_recv`.  A round receives its duals at its start, so the
-    level turns carry only estimates.
+    ``plan`` is the :class:`StepPlan` of the protocol's centralized form,
+    which the protocol name only chooses.  ``sends`` lists a round's
+    messages as (src, dst, kind, payload row) in log order, row s being the
+    channel of slot s, and ``init`` round 0's slots.  A run is a copy of the
+    simulator with an operand buffer of its own, whose slot block ``buf``
+    holds slot s in row s, and an int ``held`` whose bit s is set while slot
+    s holds an unread message (``full`` decodes it).  Every send goes
+    through :meth:`_send` and every receive through :meth:`_recv`.
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -140,10 +106,8 @@ class NetworkSim:
             raise ValueError("tree protocol requires a tree base graph")
         z = incidence_decomposition(bg.base) if protocol == "tree" else None
         self.plan = StepPlan(bg, ops, z)
-        self.bg = bg
-        self.cfg = cfg
-        self.protocol = protocol
-        self._layout(*self._tables())
+        self.bg, self.cfg, self.protocol = bg, cfg, protocol
+        self._tables()
 
     # -- the slot flags -----------------------------------------------------
 
@@ -181,9 +145,7 @@ class NetworkSim:
         if (self.held & bits) != bits:  # one missing
             s = next(s for s in self._slot_list(slots) if not self.held >> s & 1)
             src, dst, kind, _ = self.sends[s]
-            raise ProtocolError(
-                f"agent {dst} at round {rnd}: missing {kind} message from {src}"
-            )
+            raise ProtocolError(f"agent {dst} at round {rnd}: missing {kind} message from {src}")
         self.held ^= bits  # all set: clears them
 
     @property
@@ -194,77 +156,62 @@ class NetworkSim:
     # -- the protocol -------------------------------------------------------
 
     def _tables(self):
-        """Read off the plan: the send table and round 0's slots (stored on
-        self), each dual row's owner and each agent's estimate receivers, in
-        send order.  Column c of Z is row c of one _Csr of Z^T, its nonzero
-        rows ascending: the last owns dual row c, the others receive it."""
-        plan, state = self.plan, self.bg.state
+        """Read the protocol off the plan in one pass: the send table, round
+        0's slots and the run's operand layout, with the maps over it.
+        Column c of Z is row c of one _Csr of Z^T, its nonzero rows
+        ascending: the last owns dual row c, the others receive it.  An
+        operand row is keyed (holder, kind, index), the agent holding the
+        dual row or estimate index, in three blocks: the owned duals, the
+        slots, each the key its receiver reads, and x.  remap carries a plan
+        _Csr, row r held by holders[r], onto those rows in its stored term
+        order; each level's entry is the plan's, built over them."""
+        plan, n = self.plan, self.plan.n_nodes
         zt = _Csr.dense(plan.z.T)
         owner = zt.indices[zt.indptr[1:] - 1].tolist()
-        readers = [set() for _ in range(plan.n_nodes)]  # owners of update rows reading x_j
-        for c, j in _terms(plan.z_cols):
-            readers[j].add(owner[c])
-        outs = [state.out_neighbors(i) for i in range(plan.n_nodes)]
-        outs = [js + sorted(readers[i] - {i, *js}) for i, js in enumerate(outs)]
+        # the update map's reads of estimates held elsewhere: their owners
+        # receive them, late unless a level reads them first
+        needs = {(owner[c], "x", j) for c, j in _terms(plan.z_cols) if owner[c] != j}
+        outs = [self.bg.state.out_neighbors(i) for i in range(n)]
+        for o, _, j in sorted(needs):
+            if o not in outs[j]:
+                outs[j].append(o)
         duals = [(owner[c], h, "w", c) for c, h in _terms(zt) if h != owner[c]]
         estimates = [(i, j, "x", i) for i, js in enumerate(outs) for j in js]
         # stable: each sender's estimates, then its duals
         self.sends = sorted(estimates + duals, key=itemgetter(0))
-        slot = {send: s for s, send in enumerate(self.sends)}
-        self.init = [slot[send] for send in duals]
-        return owner, outs
-
-    def _layout(self, owner, outs):
-        """Build the run's operand layout and the maps over it: a row is
-        keyed (holder, kind, index), the agent holding the dual row or
-        estimate index, in three blocks: the owned duals, the slots, each
-        the key its receiver reads, and x.  remap carries a plan _Csr, row r
-        held by holders[r], onto those rows in its stored term order."""
-        plan, n_w, n_slots = self.plan, len(owner), len(self.sends)
-        self._slot_rows = slice(n_w, n_w + n_slots)
-        self._x_rows = slice(n_w + n_slots, n_w + n_slots + plan.n_nodes)
-        # the slot of each received key, and the operand row of each key
         slot = {(dst, kind, row): s for s, (_, dst, kind, row) in enumerate(self.sends)}
+        # tree dual row c has one receiver, so init lists the rows in order
+        self.init = _slots([slot[dst, "w", c] for _, dst, _, c in duals])
+
+        x0 = len(owner) + len(self.sends)  # the blocks: owned duals | slots | x
+        self._slot_rows, self._x_rows = slice(len(owner), x0), slice(x0, x0 + n)
         at = {(o, "w", c): c for c, o in enumerate(owner)}
-        at.update(((i, "x", i), self._x_rows.start + i) for i in range(plan.n_nodes))
-        at.update((key, n_w + s) for key, s in slot.items())  # read in place
-
-        def received(keys):  # their slots, in order
-            return _slots([slot[key] for key in keys])
-
-        self._duals_in = received([(i, "w", c) for i, c in _terms(plan.z_rows) if owner[c] != i])
-        levels = []
-        for singles, batch in plan.schedule:
-            ids = [i for _, _, i, _ in singles] + ([] if batch is None else batch[0].tolist())
-            levels.append((ids, [(i, "x", h) for i in ids for h in plan.in_nbrs[i]]))
-        needs = {(owner[c], "x", j) for c, j in _terms(plan.z_cols) if owner[c] != j}
-        self._late = received(sorted(needs.difference(*(keys for _, keys in levels))))
-        # tree dual row c has one receiver, the tail of edge c, so rows 0, 1, ...
-        # go out in init's order: a slice, which takes no copy, sends them
-        self._duals_out = _slots(self.init), slice(0, len(self.init))
+        at.update(((i, "x", i), x0 + i) for i in range(n))
+        at.update((key, len(owner) + s) for key, s in slot.items())  # read in place
 
         def remap(m, holders, kind):
             cols = [at[holders[r], kind, c] for r, c in _terms(m)]
             return _Csr((m.shape[0], len(at)), m.rows, cols, m.data)
 
-        self._dual_terms = remap(plan.z_rows, range(plan.n_nodes), "w")
+        self._duals_in = _slots([slot[i, "w", c] for i, c in _terms(plan.z_rows) if owner[c] != i])
+        self._dual_terms = remap(plan.z_rows, range(n), "w")
         self._update_map = remap(plan.z_cols, owner, "x")
-        self._turns = []
-        for (singles, batch), (ids, keys) in zip(plan.schedule, levels):
-            singles = [(op, d_i, i, [at[i, "x", h] for h in nbrs]) for op, d_i, i, nbrs in singles]
-            if batch is not None:
-                hinge_rows, hinges, into, two_over_d = batch
-                batch = hinge_rows, hinges, remap(into, hinge_rows.tolist(), "x"), two_over_d
-            send_slots = [slot[j, "x", i] for i in ids for j in outs[i]]
-            senders = [i for i in ids if outs[i]]
-            if len(senders) == 1:  # a sender's estimates are adjacent in the table
+        self._turns, level_keys = [], set()
+        for nodes in plan.levels:
+            keys = [(i, "x", h) for i in nodes for h in plan.in_nbrs[i]]
+            level_keys.update(keys)
+            singles, batch = plan._level(nodes, lambda i, h: at[i, "x", h], len(at))
+            senders = [i for i in nodes for _ in outs[i]]  # of each send, in slot order
+            send_slots = [slot[j, "x", i] for i in nodes for j in outs[i]]
+            if len(set(senders)) == 1:  # a sender's estimates are adjacent in the table
                 send_slots, send_rows = slice(send_slots[0], send_slots[-1] + 1), senders[0]
             elif senders:
-                send_slots = _slots(send_slots)
-                send_rows = np.array([i for i in ids for _ in outs[i]], dtype=int)
+                send_slots, send_rows = _slots(send_slots), np.array(senders)
             else:
                 send_rows = None
-            self._turns.append((received(keys), singles, batch, send_slots, send_rows))
+            recv_slots = _slots([slot[k] for k in keys])
+            self._turns.append((recv_slots, singles, batch, send_slots, send_rows))
+        self._late = _slots([slot[k] for k in sorted(needs - level_keys)])
 
     def rounds(self, n):
         """Simulate n sweeps on a fresh network, yielding (x, w) per round:
@@ -284,18 +231,17 @@ class NetworkSim:
 
     def _rounds(self, n):
         plan, dim, sigma, update = self.plan, self.plan.dim, self.cfg.sigma, self._update_map
-        operand, duals_in, late = self.operand, self._duals_in, self._late
-        (dual_slots, dual_sent), n_w = self._duals_out, update.shape[0]
+        operand, duals_in, late, init = self.operand, self._duals_in, self._late, self.init
         w_term, scratch = np.empty((plan.n_nodes, dim)), np.empty((plan.n_nodes, dim))
-        # round 0: owners initialize their duals and send them out
-        w = np.zeros((n_w, dim))
-        if len(dual_slots):
-            self._send(0, dual_slots, w[dual_sent])
+        # round 0: owners initialize their duals and send them out, row c onto init[c]
+        w = np.zeros((update.shape[0], dim))
+        if len(init):
+            self._send(0, init, w)
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
             if len(duals_in):
                 self._recv(rnd, duals_in)
-            operand[:n_w] = w
+            operand[:len(w)] = w
             self._dual_terms.product(operand, w_term)
             w_term *= plan.inv_d
             x = np.empty((plan.n_nodes, dim))
@@ -309,10 +255,10 @@ class NetworkSim:
             operand[self._x_rows] = x
             if len(late):
                 self._recv(rnd, late)
-            new = update.product(operand, np.empty((n_w, dim)))
+            new = update.product(operand, np.empty_like(w))
             w = np.subtract(w, np.multiply(theta, new, out=new), out=new)
-            if len(dual_slots):
-                self._send(rnd, dual_slots, w[dual_sent])
+            if len(init):
+                self._send(rnd, init, w)
             yield x, w
 
     def run(self, rounds):

@@ -47,7 +47,7 @@ from .graphs import (
     p_matrix,
     sigma_matrix,
 )
-from .operators import stack_hinges
+from .operators import _real, stack_hinges
 
 csr_matvecs = load("scipy.sparse._sparsetools").csr_matvecs
 
@@ -68,9 +68,7 @@ class SolverConfig:
     def __post_init__(self):
         reals = ("sigma", "tol") if callable(self.theta) else ("sigma", "theta", "tol")
         for name in reals:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+            _real(name, getattr(self, name), ValueError)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not callable(self.theta) and not 0.0 < float(self.theta) < 2.0:
@@ -186,9 +184,11 @@ class StepPlan:
     sits one level below its shallowest out-neighbor, a sink on the last of
     longest-path + 1 levels, so one level's nodes never read each other.
     Each schedule entry, (singles, batch), holds a level's nodes as
-    :func:`_solve_level` reads them, built once: every node but a hinge as
-    (resolvent, d_i, i, its in-neighbors), and all its hinges as one batch
-    (rows, stacked resolvent, _Csr in-adjacency, 2/d_i), or None.  1/d_i
+    :func:`_solve_level` reads them, built once by :meth:`_level`: every
+    node but a hinge as (resolvent, d_i, i, the rows of its in-neighbors),
+    and all its hinges as one batch (rows, stacked resolvent, _Csr
+    in-adjacency, 2/d_i), or None.  The simulator builds its levels with
+    :meth:`_level` too, over the rows of its own operand buffer.  1/d_i
     (inv_d) and each batch's 2/d_i are full (rows, dim) arrays, not columns:
     numpy multiplies by a full-shape operand faster than by a broadcast one,
     to the same bits.
@@ -238,28 +238,27 @@ class StepPlan:
         self.levels = [[] for _ in range(max(height) + 1)]
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
-        self.schedule = [self._level(nodes) for nodes in self.levels]
+        self.schedule = [self._level(nodes, lambda i, h: h, n) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
         self.scratch = np.empty_like(self.w_term)
         self.finite = np.empty_like(self.w_term, bool)
 
-    def _level(self, nodes):
+    def _level(self, nodes, read, n_cols):
+        """The schedule entry of the level nodes over a read layout of
+        n_cols rows: node i reads in-neighbour h at row read(i, h), for the
+        sweep x's own row h of N.  The hinge in-adjacency stores each row's
+        terms in ascending h."""
         hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
-        singles = [(self.ops[i], self.degrees[i], i, self.in_nbrs[i])
+        singles = [(self.ops[i], self.degrees[i], i, [read(i, h) for h in self.in_nbrs[i]])
                    for i in nodes if i not in hinges]
         if not hinges:
             return singles, None
-        into = np.zeros((len(hinges), self.n_nodes))
-        for row, i in enumerate(hinges):
-            into[row, self.in_nbrs[i]] = 1.0
+        rows = [row for row, i in enumerate(hinges) for _ in self.in_nbrs[i]]
+        cols = [read(i, h) for i in hinges for h in self.in_nbrs[i]]
         d = np.array([self.degrees[i] for i in hinges], dtype=float)
-        batch = (
-            np.array(hinges),
-            stack_hinges([self.ops[i].hinge for i in hinges], d),
-            _Csr.dense(into),
-            np.repeat((2.0 / d)[:, None], self.dim, axis=1),
-        )
-        return singles, batch
+        into = _Csr((len(hinges), n_cols), rows, cols, np.ones(len(cols)))
+        return singles, (np.array(hinges), stack_hinges([self.ops[i].hinge for i in hinges], d),
+                         into, np.repeat((2.0 / d)[:, None], self.dim, axis=1))
 
 
 def _check_finite(x, ops, k, finite):
@@ -279,7 +278,8 @@ def _solve_level(singles, batch, sigma, src, w_term, x, scratch):
     i, rows) by :func:`node_solution` from src's rows, the batch's hinges by
     one product of their in-adjacency over src, into scratch, and one stacked
     call; w_term holds (1/d) Z w.  The sweep's src is x; the simulator's is
-    its operand buffer, rows and in-adjacency remapped onto it."""
+    its operand buffer, over whose rows :meth:`StepPlan._level` built the
+    entry."""
     for op, d_i, i, rows in singles:
         node_solution(op, sigma, d_i, [src[k] for k in rows], w_term[i], x[i])
     if batch is not None:

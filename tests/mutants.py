@@ -36,9 +36,9 @@ OPS = "operators.py"
 MUTANTS = [
     # -- the simulated round ---------------------------------------------
     ("dual terms summed out of z_rows order", SIM,
-     'remap(plan.z_rows, range(plan.n_nodes), "w")',
+     'remap(plan.z_rows, range(n), "w")',
      "remap(_Csr(plan.z_rows.shape, plan.z_rows.rows[::-1], plan.z_rows.indices[::-1], "
-     'plan.z_rows.data[::-1]), range(plan.n_nodes), "w")',
+     'plan.z_rows.data[::-1]), range(n), "w")',
      ["tests/test_sim.py::test_final_duals_equal_centralized_duals"]),
     # (2/d) / 2 is 1/d to the bit; the reference rounds solve each hinge alone
     ("inv_d skipped for the hinge rows", SOLVER,
@@ -51,8 +51,8 @@ MUTANTS = [
      "slice(send_slots[0], send_slots[-1] + 1)", "slice(send_slots[0], send_slots[-1])",
      ["tests/test_sim.py::test_tree_protocol_bit_identical"]),
     ("a dual term reads the owner's w, not its message", SIM,  # w is the operand's head
-     'remap(plan.z_rows, range(plan.n_nodes), "w")',
-     "_Csr((plan.n_nodes, len(at)), plan.z_rows.rows, plan.z_rows.indices, plan.z_rows.data)",
+     'remap(plan.z_rows, range(n), "w")',
+     "_Csr((n, len(at)), plan.z_rows.rows, plan.z_rows.indices, plan.z_rows.data)",
      ["tests/test_sim.py::test_agents_read_their_dual_messages"]),
     ("the dual-term map keyed by each term's owner, not the agent holding it", SIM,
      "at[holders[r], kind, c]", 'at[owner[c] if kind == "w" else holders[r], kind, c]',
@@ -72,21 +72,30 @@ MUTANTS = [
      ["tests/test_sim.py::test_missing_message_names_round_agent_and_kind"]),
     # the late receives read x's block too, where x is by then; the levels read stale rows
     ("a level reads x's block instead of its slot rows", SIM,
-     "at.update((key, n_w + s) for key, s in slot.items())",
-     'at.update((key, n_w + s if key[1] == "w" else at[key[2], "x", key[2]]) '
+     "at.update((key, len(owner) + s) for key, s in slot.items())",
+     'at.update((key, len(owner) + s if key[1] == "w" else at[key[2], "x", key[2]]) '
      "for key, s in slot.items())",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise",
       "tests/test_sim.py::test_stacked_agents_with_late_receives_or_no_inputs"]),
-    ("a single agent reads its inputs off x, not its messages", SIM,
-     '[at[i, "x", h] for h in nbrs]', '[at[h, "x", h] for h in nbrs]',
+    # StepPlan._level builds the simulator's levels too, reading at[i, "x", h]
+    ("a single agent reads its inputs off x, not its messages", SOLVER,
+     "[read(i, h) for h in self.in_nbrs[i]]", "[read(h, h) for h in self.in_nbrs[i]]",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
-    ("a level's single rows left as in-neighbour labels on the operand", SIM,
-     '[at[i, "x", h] for h in nbrs]', "nbrs",
+    ("a level's single rows left as in-neighbour labels on the operand", SOLVER,
+     "[read(i, h) for h in self.in_nbrs[i]]", "self.in_nbrs[i]",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
-    ("the hinges read their inputs off x, not their messages", SIM,
-     'remap(into, hinge_rows.tolist(), "x")',
-     "_Csr((len(hinge_rows), len(at)), into.rows, into.indices + self._x_rows.start, into.data)",
+    ("the hinges read their inputs off x, not their messages", SOLVER,
+     "cols = [read(i, h) for i in hinges", "cols = [read(h, h) for i in hinges",
      ["tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
+    # the sweep's read, in-neighbour h at row h, lands on the operand's duals and slots
+    ("the simulator's levels built with the default read (x's rows)", SIM,
+     'plan._level(nodes, lambda i, h: at[i, "x", h], len(at))',
+     "plan._level(nodes, lambda i, h: h, len(at))",
+     ["tests/test_sim.py::test_tree_protocol_bit_identical",
+      "tests/test_sim.py::test_svm_level_turns_equal_agent_turns_bitwise"]),
+    ("the late set taken from needs without removing the level keys", SIM,
+     "sorted(needs - level_keys)", "sorted(needs)",
+     ["tests/test_sim.py::test_stacked_agents_with_late_receives_or_no_inputs"]),
     ("no finiteness check in a simulated round", SIM,
      "            _check_finite(x, plan.ops, rnd - 1, plan.finite)\n", "",
      ["tests/test_sim.py::test_non_finite_round_fails_as_the_centralized_step"]),
@@ -96,6 +105,14 @@ MUTANTS = [
     ("a negative round count runs no round", SIM,
      "or n < 0:", "or n < -10:",
      ["tests/test_sim.py::test_round_count_must_be_a_non_negative_integer"]),
+    # -- the input checks ----------------------------------------------------
+    ("an edge label truncated again", "graphs.py",
+     '_integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")',
+     "int(i), int(j)",
+     ["tests/test_graphs.py::test_edge_labels_must_be_integers"]),
+    ("a bool mu accepted", OPS,
+     '    _real("mu", mu)\n', "",
+     ["tests/test_operators.py::test_scalar_arguments_must_be_real_numbers"]),
     # -- the centralized sweep -------------------------------------------
     ("a wrong 2/d_i in the input sum", SOLVER,
      "out *= 2.0 / d_i", "out *= 1.0 / d_i",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,31 @@ def test_edge_validation():
         OrderedDigraph(3, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(GraphError):
         OrderedDigraph(3, [(0, 1), (0, 3)])  # out of range
+
+
+@pytest.mark.parametrize("edge, bad", [
+    ((0, 1.9), 1.9),  # int() truncated it to the edge (0, 1)
+    ((0, True), True),
+    (("0", "1"), "0"),
+    ((np.float64(0.0), 1), np.float64(0.0)),
+])
+def test_edge_labels_must_be_integers(edge, bad):
+    message = f"a label of edge {edge!r} must be an integer, got {bad!r}"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        OrderedDigraph(3, [edge, (1, 2)])
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "3", None])
+def test_node_count_must_be_an_integer(n):
+    message = f"node count must be an integer, got {n!r}"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        OrderedDigraph(n, [])
+
+
+def test_numpy_integer_labels_become_ints():
+    g = OrderedDigraph(np.int64(3), np.array([[0, 1], [1, 2]]))
+    assert g == OrderedDigraph(3, [(0, 1), (1, 2)])
+    assert type(g.n_nodes) is int and {type(v) for e in g.edges for v in e} == {int}
 
 
 def test_connectivity_required():

@@ -24,7 +24,7 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.problems import default_transport_geometry, rect_cells
+from graphdrs.problems import build_svm, default_transport_geometry, rect_cells
 from oracles import bits, identical_bits, loop_divergence_matrix, scalar_hinge
 
 rng = np.random.default_rng(123)
@@ -98,6 +98,33 @@ def test_quadratic_weight_must_be_a_real_number(weight):
     with pytest.raises(OperatorError, match=message):
         prox_quadratic(np.eye(3), weight)
     assert prox_quadratic(np.eye(3), np.float64(0.5)).dim == 3
+
+
+SCALAR_ARGUMENTS = {
+    "mu": lambda v: prox_translated_quadratic(np.ones(3), v),
+    "offset": lambda v: prox_hinge_affine(np.ones(3), v),
+    "capacity": lambda v: project_capacity([0], [1], v, 8),
+    "gamma": lambda v: build_svm(15, 3, 5, gamma=v),
+    "kernel width": lambda v: build_svm(15, 3, 5, kernel_width=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None])
+@pytest.mark.parametrize("name", list(SCALAR_ARGUMENTS))
+def test_scalar_arguments_must_be_real_numbers(name, value):
+    # each took a bool as 1.0 or 0.0, or raised a bare TypeError naming nothing
+    message = f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        SCALAR_ARGUMENTS[name](value)
+    SCALAR_ARGUMENTS[name](np.float64(0.5))  # a numpy real still builds
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+def test_affine_projection_needs_a_constraint_row(shape):
+    # numpy's "Mean of empty slice" warning escaped from the empty b
+    message = f"^{re.escape(f'lam must have at least one row, got shape {shape}')}$"
+    with pytest.raises(OperatorError, match=message):
+        project_affine(np.zeros(shape), [])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -219,6 +246,7 @@ def test_projections_reject_malformed_data():
 GRID_SIDES = [3, 5, 12, 35]
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("p", GRID_SIDES)
 def test_grid_divergence_matches_dense_projection(p):
     local = np.random.default_rng(500 + p)
@@ -509,6 +537,7 @@ def norm_capacity(bridge, water, cap):
     return fn
 
 
+@pytest.mark.identity
 def test_block_norms_equal_linalg_norm_on_special_values():
     pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL])
     with np.errstate(over="ignore"):
@@ -521,6 +550,7 @@ block_arrays = arrays(
 )
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(block_arrays)
 def test_block_norms_equal_linalg_norm(blocks):
@@ -536,6 +566,7 @@ def kernel_pairs(cap, bridge=np.array([0, 2, 3, 6]), water=np.array([1, 5]), dim
     ]
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(
     arrays(np.float64, 16, elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))),
@@ -548,6 +579,7 @@ def test_block_kernels_equal_norm_forms(r, tau, cap):
             assert identical_bits(op(tau, r), ref(tau, r)), op.name
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("tau", TAUS)
 def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
     for scale in (1e-170, 1e-3, 1.0, 30.0, 1e160):
@@ -560,6 +592,7 @@ def test_block_kernels_equal_norm_forms_with_zero_blocks(tau):
                 assert identical_bits(op(tau, r), ref(tau, r)), (op.name, scale)
 
 
+@pytest.mark.identity
 def test_block_kernels_equal_norm_forms_at_transport_scale():
     # p = 35, the default geometry's bridge and water cells; each row mixes
     # signed zeros, NaN, infinities and blocks over the default capacity
@@ -604,6 +637,7 @@ def capacity_cases(draw):
     return bridge, water, cap, r
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(capacity_cases())
 def test_capacity_equals_norm_form_on_generated_index_sets(case):
@@ -690,6 +724,7 @@ def grid_case(p, seed):
 GRID_TOL = 1e-13  # relative to the largest entry
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(st.integers(3, 64), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
 def test_grid_projection_matches_pocketfft_form(p, tau, seed):
@@ -698,6 +733,7 @@ def test_grid_projection_matches_pocketfft_form(p, tau, seed):
     assert np.abs(op(tau, r) - want).max() <= GRID_TOL * np.abs(want).max()
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(st.integers(3, 64), st.integers(0, 2**32 - 1))
 def test_grid_projection_feasible_and_idempotent(p, seed):
@@ -716,6 +752,7 @@ def stencil_input(rng, size):
     return np.where(rng.random(size) < 0.3, special, x)
 
 
+@pytest.mark.identity
 @PROPERTY
 @given(st.integers(3, 64), st.integers(0, 2**32 - 1))
 def test_grid_stencils_equal_csr_products_bit_for_bit(p, seed):

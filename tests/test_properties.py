@@ -71,6 +71,8 @@ from oracles import (
     simulated_and_reference,
 )
 
+pytestmark = pytest.mark.identity  # the CI floor job runs this file whole
+
 SWEEPS = 4
 PROPERTY = settings.get_profile("derandomized")
 

@@ -53,6 +53,7 @@ def k4_bg(protocol):
     return tree_bg() if protocol == "tree" else BilevelGraph(g, g)
 
 
+@pytest.mark.identity
 def test_tree_protocol_bit_identical():
     bg = tree_bg()
     ops = quad_ops(4)
@@ -65,6 +66,7 @@ def test_tree_protocol_bit_identical():
         assert np.array_equal(result.x_history[rnd], x)
 
 
+@pytest.mark.identity
 def test_general_protocol_bit_identical():
     g = complete_digraph(4)
     bg = BilevelGraph(g, g)  # non-tree base
@@ -277,6 +279,7 @@ def tamper_x_from_1_to_3(monkeypatch, kind):
     monkeypatch.setattr(NetworkSim, "_send", fake_send)
 
 
+@pytest.mark.identity
 def test_missing_message_names_round_agent_and_kind(monkeypatch):
     tamper_x_from_1_to_3(monkeypatch, None)
     for protocol in ("tree", "general"):
@@ -299,6 +302,7 @@ def test_wrong_kind_message_names_round_agent_and_kind(monkeypatch):
             sim.run(2)
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("protocol, channel, message", [
     ("tree", (1, 3, "x"), "agent 1 at round 2: unread x message to 3"),
     ("general", (1, 3, "x"), "agent 1 at round 2: unread x message to 3"),
@@ -599,6 +603,7 @@ def test_empty_slot_sets_make_no_slot_call(monkeypatch):
     assert new[0] == old[0] and identical_bits(new[1], old[1])
 
 
+@pytest.mark.identity
 def test_dropped_dual_is_missing_at_the_next_rounds_start(monkeypatch):
     # a dual is read only at the start of the round after its send, before
     # any agent of that round sends an estimate
@@ -621,6 +626,7 @@ def test_dropped_dual_is_missing_at_the_next_rounds_start(monkeypatch):
     assert 2 not in sent
 
 
+@pytest.mark.identity
 def test_agents_read_their_dual_messages(monkeypatch):
     # duals shifted in transit move the estimates: a receiver's dual term
     # comes from its message, not from the owner's w
