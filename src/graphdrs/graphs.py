@@ -6,6 +6,7 @@ the node labeling is itself a topological ordering.  File formats use
 """
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,7 +54,12 @@ class OrderedDigraph:
             raise GraphError("need at least one node")
         seen, norm = set(), []
         for e in edges:
-            i, j = e[0], e[1]
+            try:
+                if type(e) is not tuple and not isinstance(e, (Sequence, np.ndarray)):
+                    raise TypeError  # a set or a mapping: its items come in no order the caller wrote
+                i, j = e
+            except (TypeError, ValueError):  # not two items of a sequence
+                raise GraphError(f"edge {e!r} must be a pair of node labels") from None
             if type(i) is not int or type(j) is not int:  # plain ints need no check
                 i, j = _integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")
             if i == j:
@@ -194,6 +200,7 @@ MAX_ENUM_NODES = 6
 def enumerate_connected_digraphs(n):
     """All connected ordered digraphs on n labeled nodes, each exactly once:
     the connected subgraphs of the complete graph."""
+    n = n if type(n) is int else _integer(n, "n")
     if not 2 <= n <= MAX_ENUM_NODES:
         raise GraphError(f"enumeration needs 2 <= n <= {MAX_ENUM_NODES}, got {n}")
     return connected_subgraphs(complete_digraph(n))

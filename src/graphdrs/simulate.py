@@ -19,9 +19,11 @@ from an empty slot, or a send onto a full one, raises
 :class:`ProtocolError`.  The traffic does not depend on the data, so one
 send table, read off the plan when the simulator is built, lists every
 round's messages in log order: by sender label, each sender's estimates,
-then its duals; round 0 sends the dual initialization.  The agents solve
-with the sweep's own level kernel and the plan's own maps, each product in
-stored term order, so simulated and centralized iterates are bit-identical.
+then its duals; round 0 sends the dual initialization.  One set of dual
+slots serves a round's dual sends and the next round's receive.  The
+agents solve with the sweep's own level kernel and the plan's own maps,
+each product in stored term order, so simulated and centralized iterates
+are bit-identical.
 """
 
 import copy
@@ -92,11 +94,12 @@ class NetworkSim:
     ``plan`` is the :class:`StepPlan` of the protocol's centralized form,
     which the protocol name only chooses.  ``sends`` lists a round's
     messages as (src, dst, kind, payload row) in log order, row s being the
-    channel of slot s, and ``init`` round 0's slots.  A run is a copy of the
-    simulator with an operand buffer of its own, whose slot block ``buf``
-    holds slot s in row s, and an int ``held`` whose bit s is set while slot
-    s holds an unread message (``full`` decodes it).  Every send goes
-    through :meth:`_send` and every receive through :meth:`_recv`.
+    channel of slot s, and ``init`` the dual slots: round 0's sends, then
+    every round's dual sends and the next round's receive.  A run is a
+    copy of the simulator with an operand buffer of its own, whose slot
+    block ``buf`` holds slot s in row s, and an int ``held`` whose bit s is
+    set while slot s holds an unread message (``full`` decodes it).  Every
+    send goes through :meth:`_send` and every receive through :meth:`_recv`.
     """
 
     def __init__(self, bg, ops, cfg, protocol="tree"):
@@ -156,15 +159,17 @@ class NetworkSim:
     # -- the protocol -------------------------------------------------------
 
     def _tables(self):
-        """Read the protocol off the plan in one pass: the send table, round
-        0's slots and the run's operand layout, with the maps over it.
+        """Read the protocol off the plan in one pass: the send table, the
+        dual slots, each turn's slot sets and the run's operand layout, with
+        the maps over it.
         Column c of Z is row c of one _Csr of Z^T, its nonzero rows
         ascending: the last owns dual row c, the others receive it.  An
         operand row is keyed (holder, kind, index), the agent holding the
         dual row or estimate index, in three blocks: the owned duals, the
         slots, each the key its receiver reads, and x.  remap carries a plan
         _Csr, row r held by holders[r], onto those rows in its stored term
-        order; each level's entry is the plan's, built over them."""
+        order; the dual terms' row r is held by plan.order[r].  Each level's
+        entry is the plan's, built over them."""
         plan, n = self.plan, self.plan.n_nodes
         zt = _Csr.dense(plan.z.T)
         owner = zt.indices[zt.indptr[1:] - 1].tolist()
@@ -193,8 +198,7 @@ class NetworkSim:
             cols = [at[holders[r], kind, c] for r, c in _terms(m)]
             return _Csr((m.shape[0], len(at)), m.rows, cols, m.data)
 
-        self._duals_in = _slots([slot[i, "w", c] for i, c in _terms(plan.z_rows) if owner[c] != i])
-        self._dual_terms = remap(plan.z_rows, range(n), "w")
+        self._dual_terms = remap(plan.z_rows, plan.order, "w")
         self._update_map = remap(plan.z_cols, owner, "x")
         self._turns, level_keys = [], set()
         for nodes in plan.levels:
@@ -221,8 +225,9 @@ class NetworkSim:
         mask of its own.  A round's messages are the rows of self.sends, and
         round 0's, the dual initialization, its rows self.init; no message
         is an object of its own.  A round receives every dual at its start,
-        and its turns carry only estimates.  Non-finite estimates raise the
-        centralized step's :class:`NumericalError` before the update."""
+        from the slots it was sent onto, and its turns carry only estimates.
+        Non-finite estimates raise the centralized step's
+        :class:`NumericalError` before the update."""
         n = _round_count(n)
         run = copy.copy(self)
         run.operand = np.empty((self._update_map.shape[1], self.plan.dim))
@@ -231,7 +236,7 @@ class NetworkSim:
 
     def _rounds(self, n):
         plan, dim, sigma, update = self.plan, self.plan.dim, self.cfg.sigma, self._update_map
-        operand, duals_in, late, init = self.operand, self._duals_in, self._late, self.init
+        operand, late, init = self.operand, self._late, self.init
         w_term, scratch = np.empty((plan.n_nodes, dim)), np.empty((plan.n_nodes, dim))
         # round 0: owners initialize their duals and send them out, row c onto init[c]
         w = np.zeros((update.shape[0], dim))
@@ -239,8 +244,8 @@ class NetworkSim:
             self._send(0, init, w)
         for rnd in range(1, n + 1):
             theta = self.cfg.theta_at(rnd - 1)
-            if len(duals_in):
-                self._recv(rnd, duals_in)
+            if len(init):  # the duals sent at the end of the last round
+                self._recv(rnd, init)
             operand[:len(w)] = w
             self._dual_terms.product(operand, w_term)
             w_term *= plan.inv_d

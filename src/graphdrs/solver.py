@@ -185,22 +185,26 @@ class StepPlan:
     longest-path + 1 levels, so one level's nodes never read each other.
     Each schedule entry, (singles, batch), holds a level's nodes as
     :func:`_solve_level` reads them, built once by :meth:`_level`: every
-    node but a hinge as (resolvent, d_i, i, the rows of its in-neighbors),
-    and all its hinges as one batch (rows, stacked resolvent, _Csr
-    in-adjacency, 2/d_i), or None.  The simulator builds its levels with
-    :meth:`_level` too, over the rows of its own operand buffer.  1/d_i
-    (inv_d) and each batch's 2/d_i are full (rows, dim) arrays, not columns:
-    numpy multiplies by a full-shape operand faster than by a broadcast one,
-    to the same bits.
+    node but a hinge as (resolvent, d_i, i, the rows of its in-neighbors,
+    its dual-term row), and all its hinges as one batch (rows, stacked
+    resolvent, _Csr in-adjacency, 2/d_i, the slice of their dual-term rows),
+    or None.  The simulator builds its levels with :meth:`_level` too, over
+    the rows of its own operand buffer.  The dual-term rows (z_rows, inv_d
+    and w_term) are in schedule order, ``order``: each level's single nodes,
+    then its hinges next to each other, so a batch adds its dual terms from
+    one slice of w_term; each row keeps its stored terms, so its product
+    keeps its bits.  1/d_i (inv_d) and each batch's 2/d_i are full (rows,
+    dim) arrays, not columns: numpy multiplies by a full-shape operand faster
+    than by a broadcast one, to the same bits.
     Without z the duals are node-local: Z = I and the update map z_cols is
     the base Laplacian L.  A plan belongs to its graph, Z and the N >= 2
     operators ops (a lone node has no degree to scale by), which must all
     fix one dimension, dim.
 
     The plan owns one workspace of (N, dim) arrays: a step writes (1/d) Z w
-    into w_term, the hinge input sums into scratch and tests x in finite; the
-    run loop's diagnostics then reuse scratch.  So a plan serves one step at
-    a time.
+    into w_term, node order[t]'s in row t, the hinge input sums into scratch
+    and tests x in finite; the run loop's diagnostics then reuse scratch.  So
+    a plan serves one step at a time.
     """
 
     def __init__(self, bg, ops, z=None):
@@ -226,11 +230,7 @@ class StepPlan:
                 i, j = bad[0].tolist()
                 raise ValueError(f"Z[{i}, {j}] must be finite, got {z[i, j]}")
             self.z, to_duals = z, z.T
-        self.z_rows, self.z_cols = _Csr.dense(self.z), _Csr.dense(to_duals)
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
-        degrees = bg.state.degrees()
-        self.degrees = degrees.tolist()
-        self.inv_d = np.repeat(1.0 / degrees[:, None], self.dim, axis=1)
         height = [0] * n  # longest state path from each node to a sink
         for i in reversed(range(n)):
             outs = bg.state.out_neighbors(i)
@@ -238,6 +238,14 @@ class StepPlan:
         self.levels = [[] for _ in range(max(height) + 1)]
         for i, h in enumerate(height):
             self.levels[-1 - h].append(i)
+        self.is_hinge = [getattr(op, "hinge", None) is not None for op in self.ops]
+        by_kind = self.is_hinge.__getitem__  # stable: a level's singles, then its hinges
+        self.order = [i for nodes in self.levels for i in sorted(nodes, key=by_kind)]
+        self.term_row = np.argsort(self.order).tolist()
+        self.z_rows, self.z_cols = _Csr.dense(self.z[self.order]), _Csr.dense(to_duals)
+        degrees = bg.state.degrees()
+        self.degrees = degrees.tolist()
+        self.inv_d = np.repeat(1.0 / degrees[self.order, None], self.dim, axis=1)
         self.schedule = [self._level(nodes, lambda i, h: h, n) for nodes in self.levels]
         self.w_term = np.empty((n, self.dim))
         self.scratch = np.empty_like(self.w_term)
@@ -248,17 +256,19 @@ class StepPlan:
         n_cols rows: node i reads in-neighbour h at row read(i, h), for the
         sweep x's own row h of N.  The hinge in-adjacency stores each row's
         terms in ascending h."""
-        hinges = [i for i in nodes if getattr(self.ops[i], "hinge", None) is not None]
-        singles = [(self.ops[i], self.degrees[i], i, [read(i, h) for h in self.in_nbrs[i]])
-                   for i in nodes if i not in hinges]
+        hinges = [i for i in nodes if self.is_hinge[i]]
+        singles = [(self.ops[i], self.degrees[i], i, [read(i, h) for h in self.in_nbrs[i]],
+                    self.term_row[i]) for i in nodes if not self.is_hinge[i]]
         if not hinges:
             return singles, None
         rows = [row for row, i in enumerate(hinges) for _ in self.in_nbrs[i]]
         cols = [read(i, h) for i in hinges for h in self.in_nbrs[i]]
         d = np.array([self.degrees[i] for i in hinges], dtype=float)
         into = _Csr((len(hinges), n_cols), rows, cols, np.ones(len(cols)))
+        first = self.term_row[hinges[0]]  # the level's hinge rows are adjacent
         return singles, (np.array(hinges), stack_hinges([self.ops[i].hinge for i in hinges], d),
-                         into, np.repeat((2.0 / d)[:, None], self.dim, axis=1))
+                         into, np.repeat((2.0 / d)[:, None], self.dim, axis=1),
+                         slice(first, first + len(hinges)))
 
 
 def _check_finite(x, ops, k, finite):
@@ -275,18 +285,19 @@ def _check_finite(x, ops, k, finite):
 
 def _solve_level(singles, batch, sigma, src, w_term, x, scratch):
     """Solve one schedule entry into its rows of x: each single (op, d_i,
-    i, rows) by :func:`node_solution` from src's rows, the batch's hinges by
-    one product of their in-adjacency over src, into scratch, and one stacked
-    call; w_term holds (1/d) Z w.  The sweep's src is x; the simulator's is
-    its operand buffer, over whose rows :meth:`StepPlan._level` built the
-    entry."""
-    for op, d_i, i, rows in singles:
-        node_solution(op, sigma, d_i, [src[k] for k in rows], w_term[i], x[i])
+    i, rows, t) by :func:`node_solution` from src's rows and dual-term row
+    t, the batch's hinges by one product of their in-adjacency over src,
+    into scratch, plus their slice of dual-term rows, and one stacked call;
+    w_term holds (1/d) Z w in the plan's row order.  The sweep's src is x;
+    the simulator's is its operand buffer, over whose rows
+    :meth:`StepPlan._level` built the entry."""
+    for op, d_i, i, rows, t in singles:
+        node_solution(op, sigma, d_i, [src[k] for k in rows], w_term[t], x[i])
     if batch is not None:
-        rows, hinges, into, two_over_d = batch
+        rows, hinges, into, two_over_d, terms = batch
         r = into.product(src, scratch[: len(two_over_d)])
         r *= two_over_d
-        r += w_term[rows]
+        r += w_term[terms]
         x[rows] = hinges(sigma, r, out=r)
 
 

@@ -36,13 +36,13 @@ OPS = "operators.py"
 MUTANTS = [
     # -- the simulated round ---------------------------------------------
     ("dual terms summed out of z_rows order", SIM,
-     'remap(plan.z_rows, range(n), "w")',
+     'remap(plan.z_rows, plan.order, "w")',
      "remap(_Csr(plan.z_rows.shape, plan.z_rows.rows[::-1], plan.z_rows.indices[::-1], "
-     'plan.z_rows.data[::-1]), range(n), "w")',
+     'plan.z_rows.data[::-1]), plan.order, "w")',
      ["tests/test_sim.py::test_final_duals_equal_centralized_duals"]),
     # (2/d) / 2 is 1/d to the bit; the reference rounds solve each hinge alone
     ("inv_d skipped for the hinge rows", SOLVER,
-     "r += w_term[rows]", "r += w_term[rows] / (two_over_d / 2)",
+     "r += w_term[terms]", "r += w_term[terms] / (two_over_d / 2)",
      ["tests/test_sim.py::test_stacked_agents_with_late_receives_or_no_inputs"]),  # SVM: d = 1
     ("the empty-set skip also skips a one-slot set", SIM,
      "if len(recv_slots):", "if len(recv_slots) > 1:",
@@ -51,7 +51,7 @@ MUTANTS = [
      "slice(send_slots[0], send_slots[-1] + 1)", "slice(send_slots[0], send_slots[-1])",
      ["tests/test_sim.py::test_tree_protocol_bit_identical"]),
     ("a dual term reads the owner's w, not its message", SIM,  # w is the operand's head
-     'remap(plan.z_rows, range(n), "w")',
+     'remap(plan.z_rows, plan.order, "w")',
      "_Csr((n, len(at)), plan.z_rows.rows, plan.z_rows.indices, plan.z_rows.data)",
      ["tests/test_sim.py::test_agents_read_their_dual_messages"]),
     ("the dual-term map keyed by each term's owner, not the agent holding it", SIM,
@@ -105,11 +105,24 @@ MUTANTS = [
     ("a negative round count runs no round", SIM,
      "or n < 0:", "or n < -10:",
      ["tests/test_sim.py::test_round_count_must_be_a_non_negative_integer"]),
+    # -- the CLI -------------------------------------------------------------
+    ("a replay check that never measures a deviation", "cli.py",
+     "if x_sim.tobytes() != x.tobytes():", "if False:",
+     ["tests/test_cli.py::test_simulate_reports_a_perturbed_replay_round_exactly"]),
     # -- the input checks ----------------------------------------------------
     ("an edge label truncated again", "graphs.py",
      '_integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")',
      "int(i), int(j)",
      ["tests/test_graphs.py::test_edge_labels_must_be_integers"]),
+    ("an edge read as its first two items", "graphs.py",
+     "                i, j = e\n", "                i, j = e[0], e[1]\n",
+     ["tests/test_graphs.py::test_an_edge_must_be_a_pair"]),
+    ("a set or a mapping taken as an edge", "graphs.py",
+     "if type(e) is not tuple and not isinstance(e, (Sequence, np.ndarray)):", "if False:",
+     ["tests/test_graphs.py::test_an_edge_must_be_a_pair"]),
+    ("a float enumeration size let through", "graphs.py",
+     'n = n if type(n) is int else _integer(n, "n")', "n = n",
+     ["tests/test_graphs.py::test_enumeration_size_must_be_an_integer"]),
     ("a bool mu accepted", OPS,
      '    _real("mu", mu)\n', "",
      ["tests/test_operators.py::test_scalar_arguments_must_be_real_numbers"]),
@@ -120,6 +133,11 @@ MUTANTS = [
     ("tau_i = sigma instead of sigma/d_i", SOLVER,
      "op(sigma / d_i, out, out=out)", "op(sigma, out, out=out)",
      ["tests/test_solver.py::test_ryu_transcription"]),
+    # SVM: the hinges' slice starts after the five officials' rows, so it stays in range
+    ("the hinge dual-term slice shifted by one row", SOLVER,
+     "slice(first, first + len(hinges))", "slice(first - 1, first - 1 + len(hinges))",
+     ["tests/test_solver.py::test_svm_hinges_are_one_stacked_call_on_the_last_level",
+      "tests/test_properties.py::test_interleaved_hinge_levels_equal_per_node_sweep_bitwise"]),
     ("the dual update written into the caller's w", SOLVER,
      "np.subtract(w, w_new, out=w_new)", "np.subtract(w, w_new, out=w)",
      ["tests/test_solver.py::test_step_returns_fresh_arrays_and_one_plan_serves_two_dims"]),
@@ -133,8 +151,8 @@ MUTANTS = [
      "np.add(w_term, 0.0, out=out)", "np.copyto(out, w_term)",
      ["tests/test_solver.py::test_node_solution_sums_signed_zeros_from_plus_zero"]),
     ("the full-shape 1/d_i built from in-degrees", SOLVER,
-     "np.repeat(1.0 / degrees[:, None]",
-     "np.repeat(1.0 / np.array([max(len(h), 1) for h in self.in_nbrs])[:, None]",
+     "np.repeat(1.0 / degrees[self.order, None]",
+     "np.repeat(1.0 / np.array([max(len(h), 1) for h in self.in_nbrs])[self.order, None]",
      ["tests/test_solver.py::test_ryu_transcription"]),
     # -- the resolvents ----------------------------------------------------
     ("a column multiply reading the other flux column", OPS,

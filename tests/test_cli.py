@@ -292,6 +292,28 @@ def test_simulate_memory_does_not_grow_with_rounds(graph_file, quad_cfg, tmp_pat
     assert at_2000 - at_200 <= 256 * 1024
 
 
+def test_simulate_reports_a_perturbed_replay_round_exactly(graph_file, quad_cfg, tmp_path,
+                                                           capsys, monkeypatch):
+    # the replay's round 3 moved by 2^-20 at one entry, every other round equal
+    step, moved = cli.step_general, []
+
+    def perturbed(plan, sigma, theta, w, k):
+        x, w_new, update = step(plan, sigma, theta, w, k)
+        if k == 3:
+            moved.append(x[2, 1])
+            x = x.copy()
+            x[2, 1] += 2.0 ** -20
+        return x, w_new, update
+
+    monkeypatch.setattr(cli, "step_general", perturbed)
+    out = tmp_path / "log.csv"
+    assert main(["simulate", "--graph", graph_file, "--config", quad_cfg,
+                 "--rounds", "6", "--out", str(out)]) == 0
+    assert len(moved) == 1 and 2.0 ** -20 < abs(moved[0]) < 1.0  # so the shift is exact
+    assert "# max_deviation = 9.5367431640625e-07\n" in out.read_text()
+    assert " max_deviation=9.5367431640625e-07 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("failure, message", [
     ("dropped message", "agent 1 at round 3: missing x message from 0"),
     ("non-finite step", "non-finite solution estimate at iteration 2: node 0 "

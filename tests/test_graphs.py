@@ -44,6 +44,23 @@ def test_edge_labels_must_be_integers(edge, bad):
         OrderedDigraph(3, [edge, (1, 2)])
 
 
+@pytest.mark.parametrize("edge", [
+    (0, 1, 5),  # read as (0, 1), the 5 dropped
+    (0,),
+    (),
+    5,
+    None,
+    [0, 1, 2],
+    np.array([0, 1, 2]),
+    {0, 1},  # two items, but in no order of the caller's
+    {1: "b", 0: "a"},
+])
+def test_an_edge_must_be_a_pair(edge):
+    message = f"edge {edge!r} must be a pair of node labels"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        OrderedDigraph(3, [edge, (1, 2)])
+
+
 @pytest.mark.parametrize("n", [True, 2.5, "3", None])
 def test_node_count_must_be_an_integer(n):
     message = f"node count must be an integer, got {n!r}"
@@ -135,6 +152,14 @@ def test_enumeration_counts():
     for n in (1, 0, -2):
         with pytest.raises(GraphError, match="2 <= n"):
             enumerate_connected_digraphs(n)
+
+
+@pytest.mark.parametrize("n", [4.0, True, np.float64(4.0), "4", None])
+def test_enumeration_size_must_be_an_integer(n):
+    message = f"n must be an integer, got {n!r}"
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        enumerate_connected_digraphs(n)
+    assert len(enumerate_connected_digraphs(np.int64(4))) == 38
 
 
 def test_connected_subgraphs_of_complete4():

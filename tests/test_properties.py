@@ -12,8 +12,10 @@ it.  Every catalogue resolvent is checked for firm nonexpansiveness on
 generated inputs, and for the out= contract: alias-safe, and no scratch
 state carried from one call to the next.  The level schedule is checked to
 put each node on the latest level it can take, after all of its state
-in-neighbors.  The sweeps and the simulator's level turns, each a level's
-agents at once with its hinges stacked, are checked against one node or
+in-neighbors, and the dual-term rows to follow it, each level's hinges
+next to each other, also where hinge labels interleave with the others
+over several levels.  The sweeps and the simulator's level turns, each a
+level's agents at once with its hinges stacked, are checked against one node or
 agent at a time in label order, each hinge by the scalar oracle kernel, bit
 for bit and message for message, and the coupling matrix against its entry
 loop.
@@ -297,6 +299,93 @@ def test_step_general_equals_per_node_sweep_bitwise(problem, factorization):
         assert same_bits(ztx, ztx_ref)
         assert same_bits(w_new, w - theta * ztx_ref)
         w = with_signed_zeros(rng, w_new)
+
+
+@st.composite
+def interleaved_problems(draw):
+    """(bilevel graph, resolvents, levels, rng): 2 or 3 levels of 3 or 4
+    nodes, labelled level by level, each level's resolvents alternating
+    hinge and quadratic, so that every level holds a hinge and hinge labels
+    interleave with the others'.  State edges join consecutive levels only:
+    a level's first node feeds every node of the next, which keeps the graph
+    connected, and every node feeds one of the next, so each node lies on
+    the level it was drawn on.  The base is the state graph or a spanning
+    tree of it."""
+    sizes = draw(st.lists(st.integers(3, 4), min_size=2, max_size=3))
+    starts = np.cumsum([0, *sizes]).tolist()
+    levels = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+    edges = set()
+    for above, below in zip(levels, levels[1:]):
+        edges |= {(above[0], j) for j in below}  # connects the levels
+        edges |= {(i, draw(st.sampled_from(below))) for i in above}  # no node drops a level
+        edges |= set(draw(st.lists(st.tuples(st.sampled_from(above), st.sampled_from(below)),
+                                   max_size=4)))
+    n, edges = starts[-1], sorted(edges)
+    base = edges
+    if draw(st.booleans()):  # a spanning tree, greedy over the edges in a drawn order
+        comp, base = list(range(n)), []
+        for i, j in draw(st.permutations(edges)):
+            if comp[i] != comp[j]:
+                old = comp[j]
+                comp = [comp[i] if c == old else c for c in comp]
+                base.append((i, j))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hinge_first = draw(st.booleans())
+    ops = []
+    for level in levels:
+        for pos, _ in enumerate(level):
+            if pos % 2 == hinge_first:
+                a = rng.standard_normal((dim, dim))
+                ops.append(prox_quadratic(a @ a.T, rng.uniform(0.1, 2.0)))
+            else:
+                ops.append(prox_hinge_affine(rng.standard_normal(dim), rng.uniform(-1.0, 1.0)))
+    bg = BilevelGraph(OrderedDigraph(n, edges), OrderedDigraph(n, base))
+    return bg, ops, levels, rng
+
+
+@PROPERTY
+@given(interleaved_problems())
+def test_dual_term_rows_are_in_level_order_with_hinges_adjacent(problem):
+    bg, ops, levels, _ = problem
+    hinge = [op.name == "hinge" for op in ops]
+    order = [i for nodes in levels for kind in (False, True) for i in nodes if hinge[i] == kind]
+    degrees = bg.state.degrees()
+    for z in (spectral_decomposition(bg.base), None):
+        plan = StepPlan(bg, ops, z)
+        assert plan.levels == levels and plan.order == order
+        assert plan.z_rows.shape == plan.z.shape
+        assert np.array_equal(plan.z_rows.product(np.eye(plan.z.shape[1]), np.empty(plan.z.shape)),
+                              plan.z[order])
+        assert np.array_equal(plan.inv_d, np.repeat(1.0 / degrees[order, None], plan.dim, axis=1))
+        for (singles, batch), nodes in zip(plan.schedule, levels):
+            assert [i for _, _, i, _, _ in singles] == [i for i in nodes if not hinge[i]]
+            assert all(order[t] == i for _, _, i, _, t in singles)
+            rows, terms = batch[0].tolist(), batch[4]
+            assert rows == [i for i in nodes if hinge[i]] and order[terms] == rows
+            assert terms.step is None
+
+
+@PROPERTY
+@given(interleaved_problems(), st.sampled_from([1.0, 0.7, 1.6]))
+def test_interleaved_hinge_levels_equal_per_node_sweep_bitwise(problem, theta):
+    bg, ops, _, rng = problem
+    n, dim = bg.n_nodes, ops[0].dim
+    forms = [spectral_decomposition(bg.base), None]
+    if bg.base.is_tree():
+        forms.append(incidence_decomposition(bg.base))
+    for z in forms:
+        plan = StepPlan(bg, ops, z)
+        z_ref, to_duals = (np.eye(n), laplacian(bg.base)) if z is None else (z, z.T)
+        sigma = rng.uniform(0.3, 3.0)
+        w = with_signed_zeros(rng, rng.standard_normal((z_ref.shape[1], dim)))
+        for k in range(SWEEPS):
+            x, w_new, update = step_general(plan, sigma, theta, w, k)
+            x_ref = reference_sweep(bg, z_ref, ops, sigma, w)
+            assert same_bits(x, x_ref)
+            assert same_bits(update, loop_gather(to_duals, x_ref))
+            assert same_bits(w_new, w - theta * update)
+            w = with_signed_zeros(rng, w_new)
 
 
 @PROPERTY

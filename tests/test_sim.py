@@ -398,7 +398,7 @@ def test_sweep_and_round_share_one_level_kernel(monkeypatch, case, protocol):
     monkeypatch.setattr(simulate_module, "_solve_level", recording)
     cfg = SolverConfig(sigma=0.8, theta=1.3)
     sim = NetworkSim(bg, ops, cfg, protocol)
-    assert [sorted([i for _, _, i, _ in singles] + ([] if b is None else b[0].tolist()))
+    assert [sorted([i for _, _, i, _, _ in singles] + ([] if b is None else b[0].tolist()))
             for singles, b in sim.plan.schedule] == sim.plan.levels
     w = np.zeros((sim.plan.z.shape[1], sim.plan.dim))
     rounds = sim.rounds(3)

@@ -565,7 +565,7 @@ def test_svm_hinges_are_one_stacked_call_on_the_last_level(monkeypatch):
     z = incidence_decomposition(bg.base)
     for plan, z_ref in ((StepPlan(bg, ops, z), z), (StepPlan(bg, ops), np.eye(bg.n_nodes))):
         schedule = plan.schedule
-        assert [[i for _, _, i, _ in singles] for singles, _ in schedule] == [
+        assert [[i for _, _, i, _, _ in singles] for singles, _ in schedule] == [
             [0], [11], [22], [33], [44], []]
         assert [batch is None for _, batch in schedule] == [True] * 5 + [False]
         assert list(schedule[-1][1][0]) == hinges
@@ -733,6 +733,8 @@ def test_step_returns_fresh_arrays_and_one_plan_serves_two_dims():
     plan = StepPlan(bg, ops, z)
     w = 0.5 * rng.standard_normal((54, 50))
     first = step_general(plan, 0.7, 1.4, w, 0)
+    arrays = (w, *first)
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
     kept = [a.copy() for a in first]
     step_general(plan, 0.7, 1.4, first[1], 1)
     assert all(same_bits(a, b) for a, b in zip(first, kept))
