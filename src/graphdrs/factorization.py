@@ -9,6 +9,7 @@ recovered by :func:`align`.
 
 import numpy as np
 
+from ._checks import real
 from .graphs import laplacian
 
 KERNEL_REL_TOL = 1e-9
@@ -59,6 +60,7 @@ def choose_decomposition(base):
 
 def align(z1, z2, tol=1e-8):
     """Orthogonal O with z1 = z2 @ O, for two factorizations of one Laplacian."""
+    real("tol", tol, FactorizationError)
     if z1.shape != z2.shape:
         raise FactorizationError("shape mismatch between decompositions")
     l1, l2 = z1 @ z1.T, z2 @ z2.T

@@ -5,23 +5,17 @@ the node labeling is itself a topological ordering.  File formats use
 1-based labels (see :func:`parse_edge_lines`).
 """
 
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._checks import integer
+
 
 class GraphError(ValueError):
     """Invalid graph input (bad edge, disconnected support, ...)."""
-
-
-def _integer(v, what):
-    """v as an int, if it is an integer, numpy's included, but not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise GraphError(f"{what} must be an integer, got {v!r}")
-    return int(v)
 
 
 def _check_connected(n_nodes, edges):
@@ -49,7 +43,7 @@ class OrderedDigraph:
     edges: tuple
 
     def __init__(self, n_nodes, edges):
-        n_nodes = n_nodes if type(n_nodes) is int else _integer(n_nodes, "node count")
+        n_nodes = n_nodes if type(n_nodes) is int else integer("node count", n_nodes, GraphError)
         if n_nodes < 1:
             raise GraphError("need at least one node")
         seen, norm = set(), []
@@ -61,7 +55,7 @@ class OrderedDigraph:
             except (TypeError, ValueError):  # not two items of a sequence
                 raise GraphError(f"edge {e!r} must be a pair of node labels") from None
             if type(i) is not int or type(j) is not int:  # plain ints need no check
-                i, j = _integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")
+                i, j = (integer(f"a label of edge {e!r}", v, GraphError) for v in (i, j))
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < j < n_nodes):
@@ -200,7 +194,7 @@ MAX_ENUM_NODES = 6
 def enumerate_connected_digraphs(n):
     """All connected ordered digraphs on n labeled nodes, each exactly once:
     the connected subgraphs of the complete graph."""
-    n = n if type(n) is int else _integer(n, "n")
+    n = n if type(n) is int else integer("n", n, GraphError)
     if not 2 <= n <= MAX_ENUM_NODES:
         raise GraphError(f"enumeration needs 2 <= n <= {MAX_ENUM_NODES}, got {n}")
     return connected_subgraphs(complete_digraph(n))

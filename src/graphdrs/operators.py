@@ -18,6 +18,7 @@ import numbers
 
 import numpy as np
 
+from ._checks import array, integer, real
 from ._compiled import load
 
 TAU_CACHE = 16  # step sizes with kept factors; the SVM sweep's 10 sigmas fit
@@ -32,12 +33,11 @@ class Resolvent:
     fn(tau, r, out) writes J_tau(r) into out, and r may be out."""
 
     def __init__(self, dim, fn, name="resolvent", rows=None):
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-            raise OperatorError(f"{name} dimension must be a positive integer, got {dim!r}")
-        self.dim = dim
+        self.dim = integer(f"{name} dimension", dim, OperatorError, "positive")
         self.name = name
         self._fn = fn
-        self._shape = (dim,) if rows is None else (rows, dim)
+        self._shape = (dim,) if rows is None else (
+            integer("rows", rows, OperatorError, "positive"), dim)  # stacked hinges
 
     def __call__(self, tau, r, out=None):
         if not 0 <= tau < math.inf:  # NaN fails this too
@@ -60,27 +60,6 @@ class Resolvent:
 
     def __repr__(self):
         return f"Resolvent({self.name}, dim={self.dim})"
-
-
-def _array(name, a, ndim=1, finite=True):
-    """a as a float array; an OperatorError names any number of dimensions
-    but ndim and, when finite, a's first non-finite entry."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != ndim:
-        kind = "vector" if ndim == 1 else "matrix"
-        raise OperatorError(f"{name} must be a {ndim}-D {kind}, got shape {a.shape}")
-    bad = np.argwhere(~np.isfinite(a)) if finite else ()
-    if len(bad):
-        at = tuple(bad[0].tolist())
-        raise OperatorError(f"{name}[{', '.join(map(str, at))}] must be finite, got {a[at]}")
-    return a
-
-
-def _real(name, v, error=OperatorError):
-    """Raise error, naming name, unless v is a real number (not a bool)."""
-    # a plain float skips the ABC check, which takes about 1 us (an SVM builds 50 hinges)
-    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-        raise error(f"{name} must be a real number, got {v!r}")
 
 
 def _n_blocks(dim, name):
@@ -119,13 +98,11 @@ def prox_quadratic(k_matrix, weight):
     k_matrix = np.asarray(k_matrix, dtype=float)
     if k_matrix.ndim != 2 or k_matrix.shape[0] != k_matrix.shape[1]:
         raise OperatorError("K must be square")
-    _array("K", k_matrix, ndim=2)  # before symmetry, which NaN or inf fails too
+    array("K", k_matrix, OperatorError, ndim=2)  # before symmetry, which NaN or inf fails too
     # np.allclose(K, K.T, atol=1e-10)'s own test on a finite K, at 40 % of its cost (n = 50)
     if not (np.abs(k_matrix - k_matrix.T) <= 1e-10 + 1e-5 * np.abs(k_matrix.T)).all():
         raise OperatorError("K must be symmetric")
-    _real("weight", weight)
-    if not (math.isfinite(weight) and weight >= 0):
-        raise OperatorError(f"weight must be nonnegative and finite, got {weight}")
+    real("weight", weight, OperatorError, "nonnegative and finite")
     n = k_matrix.shape[0]
     eye = np.eye(n)
     potrs = lapack.dpotrs
@@ -172,13 +149,11 @@ def prox_hinge_affine(s, offset=1.0):
     kink value offset in between.  A call is the :func:`stack_hinges` kernel
     on its row ``.hinge`` = (s, offset), divisor 1, built on the first call.
     """
-    s = _array("s", s, finite=False)
+    s = array("s", s, OperatorError, finite=False)
     s_sq = float(s @ s)
     if not math.isfinite(s_sq):  # one dot tests s; an SVM builds a hinge per point
-        _array("s", s)
-    _real("offset", offset)
-    if not math.isfinite(offset):
-        raise OperatorError(f"offset must be finite, got {offset}")
+        array("s", s, OperatorError)
+    real("offset", offset, OperatorError, "finite")
     if s_sq == 0.0:
         raise OperatorError("direction vector s must be nonzero")
     row, kernel = (s, float(offset)), None
@@ -282,8 +257,9 @@ def project_affine(lam, b, range_tol=1e-6):
     pair of probability densities must sum to zero up to discretization
     error); construction fails if the corrected b is not in the range of lam.
     """
-    lam = _array("lam", np.asarray(lam.todense()) if hasattr(lam, "todense") else lam, ndim=2)
-    b = _array("b", b)
+    lam = np.asarray(lam.todense()) if hasattr(lam, "todense") else lam
+    lam, b = array("lam", lam, OperatorError, ndim=2), array("b", b, OperatorError)
+    real("range_tol", range_tol, OperatorError)
     m, n = lam.shape
     if m == 0:  # b.mean() below would warn
         raise OperatorError(f"lam must have at least one row, got shape {lam.shape}")
@@ -354,7 +330,7 @@ def project_grid_divergence(p, b):
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise OperatorError(f"need an integer grid side p >= 1, got p = {p!r}")
     m = p * p
-    b = _array("b", b)
+    b = array("b", b, OperatorError)
     if b.shape != (m,):
         raise OperatorError(f"need b of length {m} for grid side {p}, got shape {b.shape}")
     b = b - b.mean()
@@ -408,7 +384,7 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
     water = _index_set("water", water_idx, n)
     if np.intersect1d(bridge, water).size:
         raise OperatorError("bridge and water index sets overlap")
-    _real("capacity", cap)
+    real("capacity", cap, OperatorError)
     if not cap > 0:  # also rejects nan; inf clips nothing
         raise OperatorError(f"capacity must be positive, got {cap}")
 
@@ -438,10 +414,8 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
 
 def prox_translated_quadratic(c, mu=1.0):
     """Resolvent of the affine operator x -> mu (x - c); a test workhorse."""
-    c = _array("c", c)
-    _real("mu", mu)
-    if not (math.isfinite(mu) and mu > 0):
-        raise OperatorError(f"mu must be positive and finite, got {mu}")
+    c = array("c", c, OperatorError)
+    real("mu", mu, OperatorError, "positive and finite")
 
     def fn(tau, r, out):
         np.add(r, tau * mu * c, out=out)

@@ -8,14 +8,13 @@ kernelized hinge-loss classifier split across a ring of "officials" each
 serving a star of label-holding agents.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .graphs import BilevelGraph, OrderedDigraph
 from .operators import (
-    _real,
     grid_stencils,
     project_capacity,
     project_grid_divergence,
@@ -49,7 +48,8 @@ class TransportInstance:
 
 def gaussian_density(p, center, width, zero_cells=()):
     """Gaussian blob on the grid, clipped on the given cells, sum normalized to 1."""
-    if not width > 0:  # NaN fails this too; an infinite width gives a uniform density
+    # NaN fails this too; an infinite width gives a uniform density
+    if not real("blob width", width, ValueError) > 0:
         raise ValueError(f"blob width must be > 0, got {width}")
     rr, cc = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     dens = np.exp(-((rr - center[0]) ** 2 + (cc - center[1]) ** 2) / (2.0 * width**2))
@@ -103,6 +103,7 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
     from :func:`default_transport_geometry`).  Operator order: divergence
     projection, 3/2-power prox, group-l1 prox, capacity projection.
     """
+    p = integer("p", p, ValueError, "positive")
     geo = default_transport_geometry(p)
     if bridge is None:
         bridge = geo["bridge"]
@@ -250,18 +251,17 @@ def build_svm(n, officials, per_official, gamma=0.1, kernel_width=1.0, seed=0):
     Official c carries the quadratic term weighted by its share of the total
     official degree; agent (c, i) carries one hinge term.
     """
+    for name, v in (("n", n), ("officials", officials), ("per_official", per_official)):
+        integer(name, v, ValueError)
     if officials < 1:
         raise ValueError(f"officials must be >= 1, got {officials}")
     if per_official < 1:
         raise ValueError(f"per_official must be >= 1, got {per_official}")
     if n != officials * per_official:
         raise ValueError("need n = officials * per_official")
-    _real("kernel width", kernel_width, ValueError)
-    _real("gamma", gamma, ValueError)
-    if not (math.isfinite(kernel_width) and kernel_width > 0):
-        raise ValueError(f"kernel width must be positive and finite, got {kernel_width}")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    real("kernel width", kernel_width, ValueError, "positive and finite")
+    real("gamma", gamma, ValueError, "nonnegative and finite")
+    integer("seed", seed, ValueError, "non-negative")
     points, labels = svm_dataset(n, seed=seed)
     kernel = gaussian_kernel(points, kernel_width)
     partition = tuple(

@@ -27,12 +27,12 @@ are bit-identical.
 """
 
 import copy
-import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
+from ._checks import integer
 from .factorization import incidence_decomposition
 from .solver import StepPlan, _check_finite, _Csr, _solve_level
 from .solver import node_solution  # noqa: F401 -- bench/test_tracing.py checks this alias
@@ -61,13 +61,6 @@ class SimResult:
 def _terms(m):
     """(row, col) of each stored term of the _Csr m, in stored order."""
     return zip(m.rows.tolist(), m.indices.tolist())
-
-
-def _round_count(n):
-    """n as an int, if it is a non-negative integer (not a bool)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"rounds must be a non-negative integer, got {n!r}")
-    return int(n)
 
 
 class _Slots(np.ndarray):
@@ -228,7 +221,7 @@ class NetworkSim:
         from the slots it was sent onto, and its turns carry only estimates.
         Non-finite estimates raise the centralized step's
         :class:`NumericalError` before the update."""
-        n = _round_count(n)
+        n = integer("rounds", n, ValueError, "non-negative")
         run = copy.copy(self)
         run.operand = np.empty((self._update_map.shape[1], self.plan.dim))
         run.buf, run.held = run.operand[self._slot_rows], 0
@@ -282,7 +275,8 @@ class NetworkSim:
 
     def total_messages(self, rounds):
         """The messages a run of rounds sends, round 0's included."""
-        return len(self.init) + _round_count(rounds) * len(self.sends)
+        rounds = integer("rounds", rounds, ValueError, "non-negative")
+        return len(self.init) + rounds * len(self.sends)
 
 
 def run_tree_protocol(bg, ops, cfg, rounds):
@@ -297,7 +291,7 @@ def write_message_log(sim, rounds, fh):
     """CSV export of sim's run of rounds with 1-based node labels:
     round,from,to,kind.  Round 0's dual initialization, then each round's
     send table stamped with the round number, written as one block."""
-    rounds = _round_count(rounds)
+    rounds = integer("rounds", rounds, ValueError, "non-negative")
     rows = [f"{{0}},{src + 1},{dst + 1},{kind}\n" for src, dst, kind, _ in sim.sends]
     fh.write("round,from,to,kind\n")
     fh.write("".join(rows[s] for s in sim.init).format(0))

@@ -32,11 +32,11 @@ centralized and simulated runs agree bit for bit.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import array, integer, real
 from ._compiled import load
 from .factorization import external_decomposition, incidence_decomposition
 from .graphs import (
@@ -47,7 +47,7 @@ from .graphs import (
     p_matrix,
     sigma_matrix,
 )
-from .operators import _real, stack_hinges
+from .operators import stack_hinges
 
 csr_matvecs = load("scipy.sparse._sparsetools").csr_matvecs
 
@@ -66,18 +66,11 @@ class SolverConfig:
     tol: float = 0.0  # stop when ||Z^T x||^2 < tol; 0 disables early stopping
 
     def __post_init__(self):
-        reals = ("sigma", "tol") if callable(self.theta) else ("sigma", "theta", "tol")
-        for name in reals:
-            _real(name, getattr(self, name), ValueError)
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not callable(self.theta) and not 0.0 < float(self.theta) < 2.0:
-            raise ValueError("constant relaxation must lie in (0, 2)")
-        it = self.max_iter
-        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {it!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
+        real("sigma", self.sigma, ValueError, "positive and finite")
+        if not callable(self.theta) and not 0.0 < real("theta", self.theta, ValueError) < 2.0:
+            raise ValueError(f"constant relaxation theta must lie in (0, 2), got {self.theta}")
+        integer("max_iter", self.max_iter, ValueError, "positive")
+        real("tol", self.tol, ValueError, "nonnegative and finite")
 
     def theta_at(self, k):
         if callable(self.theta):
@@ -225,11 +218,8 @@ class StepPlan:
             z = np.asarray(z, dtype=float)
             if z.shape != (n, n - 1):
                 raise ValueError(f"Z must be {n}x{n - 1}, got {z.shape}")
-            bad = np.argwhere(~np.isfinite(z))
-            if len(bad):
-                i, j = bad[0].tolist()
-                raise ValueError(f"Z[{i}, {j}] must be finite, got {z[i, j]}")
-            self.z, to_duals = z, z.T
+            self.z, to_duals = array("Z", z, ValueError, ndim=2), z.T
+        self.w_shape = (self.z.shape[1], self.dim)  # the duals': one row per column of Z
         self.in_nbrs = [bg.state.in_neighbors(i) for i in range(n)]
         height = [0] * n  # longest state path from each node to a sink
         for i in reversed(range(n)):
@@ -307,8 +297,9 @@ def _sweep(plan, sigma, w, k):
     A level's hinge nodes are one stacked call, every other node one
     :func:`node_solution`; both give the bits of the per-node form.
     """
-    if w.shape[1:] != (plan.dim,):  # one column would broadcast into w_term
-        raise ValueError(f"duals must have {plan.dim} columns, got shape {w.shape}")
+    if w.shape != plan.w_shape:  # one column would broadcast into w_term
+        raise ValueError(f"duals w must be {plan.w_shape[0]} rows of {plan.dim} columns, "
+                         f"got shape {w.shape}")
     w_term = plan.z_rows.product(w, plan.w_term)
     w_term *= plan.inv_d
     x = np.empty_like(w_term)
@@ -376,7 +367,7 @@ def compute_subgradients(bg, z, sigma, w, x):
 def _initial_dual(plan, w0):
     """w0 as a float array, or zeros when None, checked to be one row per
     column of Z by the plan's dim, and node-local duals to sum to zero."""
-    shape = plan.z.shape[1], plan.dim
+    shape = plan.w_shape
     node_local = shape[0] == plan.n_nodes
     if w0 is None:
         return np.zeros(shape)
@@ -384,9 +375,7 @@ def _initial_dual(plan, w0):
     if w.shape != shape:
         rows = "N" if node_local else "N-1"
         raise ValueError(f"w0 must have shape ({rows}, dim) = {shape}, got {w.shape}")
-    if not np.isfinite(w).all():
-        bad = tuple(np.argwhere(~np.isfinite(w))[0].tolist())
-        raise ValueError(f"w0{list(bad)} must be finite, got {w[bad]}")
+    array("w0", w, ValueError, ndim=2)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     if node_local and np.abs(w.sum(axis=0)).max(initial=0.0) > 1e-9 * scale:
         raise ValueError("node-local duals must sum to zero")
@@ -447,7 +436,7 @@ def make_classical_drs():
 
 def make_ryu(n):
     """Complete state graph with a star base rooted at the last node."""
-    if n < 3:
+    if integer("n", n, ValueError) < 3:
         raise ValueError("need n >= 3")
     base = OrderedDigraph(n, [(i, n - 1) for i in range(n - 1)])
     return BilevelGraph(complete_digraph(n), base)
@@ -455,7 +444,7 @@ def make_ryu(n):
 
 def make_malitsky_tam(n):
     """Sequential tree base, state closed by the (first, last) edge."""
-    if n < 3:
+    if integer("n", n, ValueError) < 3:
         raise ValueError("need n >= 3")
     chain = [(i, i + 1) for i in range(n - 1)]
     return BilevelGraph(

@@ -3,8 +3,10 @@
 Each row of ``MUTANTS`` is (name, file under src/graphdrs, exact old text,
 new text, test node ids).  For each row the battery copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a temporary directory, applies the
-edit to the copy, and runs ``pytest -x`` on the row's node ids there with
-``PYTHONPATH`` pointed at the copied ``src/``.  A row fails when its old
+edit to the copy, re-registers the copied ``derandomized`` hypothesis
+profile without its shrink phase (``NO_SHRINK``, appended to the copy's
+``tests/conftest.py``), and runs ``pytest -x`` on the row's node ids there
+with ``PYTHONPATH`` pointed at the copied ``src/``.  A row fails when its old
 text does not occur exactly once in its file (the row is stale: the code it
 mutates has changed) or when its tests pass on the mutant (it survives).
 A verdict assumes the listed tests pass on the unedited tree, which Tier-1
@@ -32,6 +34,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "simulate.py"
 SOLVER = "solver.py"
 OPS = "operators.py"
+CHECKS = "_checks.py"
+
+# appended to the copy's tests/conftest.py: a property test that catches a
+# mutant reports its first failing example unshrunk, as the verdict needs no
+# minimal one (a shrink took 50 s against 1-3 s for a row without one)
+NO_SHRINK = """
+from hypothesis import Phase
+
+settings.register_profile("derandomized", settings.get_profile("derandomized"),
+                          phases=[p for p in Phase if p is not Phase.shrink])
+"""
 
 MUTANTS = [
     # -- the simulated round ---------------------------------------------
@@ -103,7 +116,7 @@ MUTANTS = [
      "        run = copy.copy(self)\n", "        run = self\n",
      ["tests/test_sim.py::test_interleaved_runs_each_equal_a_fresh_run"]),
     ("a negative round count runs no round", SIM,
-     "or n < 0:", "or n < -10:",
+     'integer("rounds", n, ValueError, "non-negative")', 'integer("rounds", n, ValueError)',
      ["tests/test_sim.py::test_round_count_must_be_a_non_negative_integer"]),
     # -- the CLI -------------------------------------------------------------
     ("a replay check that never measures a deviation", "cli.py",
@@ -111,8 +124,7 @@ MUTANTS = [
      ["tests/test_cli.py::test_simulate_reports_a_perturbed_replay_round_exactly"]),
     # -- the input checks ----------------------------------------------------
     ("an edge label truncated again", "graphs.py",
-     '_integer(i, f"a label of edge {e!r}"), _integer(j, f"a label of edge {e!r}")',
-     "int(i), int(j)",
+     '(integer(f"a label of edge {e!r}", v, GraphError) for v in (i, j))', "int(i), int(j)",
      ["tests/test_graphs.py::test_edge_labels_must_be_integers"]),
     ("an edge read as its first two items", "graphs.py",
      "                i, j = e\n", "                i, j = e[0], e[1]\n",
@@ -121,11 +133,37 @@ MUTANTS = [
      "if type(e) is not tuple and not isinstance(e, (Sequence, np.ndarray)):", "if False:",
      ["tests/test_graphs.py::test_an_edge_must_be_a_pair"]),
     ("a float enumeration size let through", "graphs.py",
-     'n = n if type(n) is int else _integer(n, "n")', "n = n",
+     'n = n if type(n) is int else integer("n", n, GraphError)', "n = n",
      ["tests/test_graphs.py::test_enumeration_size_must_be_an_integer"]),
     ("a bool mu accepted", OPS,
-     '    _real("mu", mu)\n', "",
+     'real("mu", mu, OperatorError', 'real("mu", float(mu), OperatorError',
      ["tests/test_operators.py::test_scalar_arguments_must_be_real_numbers"]),
+    # -- the shared argument checks --------------------------------------
+    ("integer lets a bool through", CHECKS,
+     "(isinstance(v, bool) or not isinstance(v, numbers.Integral))",
+     "not isinstance(v, numbers.Integral)",
+     ["tests/test_solver.py::test_config_rejects_non_integer_max_iter"]),
+    ("integer reads \"positive\" as >= 0", CHECKS,
+     '"positive": 1}', '"positive": 0}',
+     ["tests/test_operators.py::test_resolvent_dimension_must_be_a_positive_integer"]),
+    ("real drops the finiteness test for a signed check", CHECKS,
+     "math.isfinite(v) and (", '(math.isfinite(v) or need != "finite") and (',
+     ["tests/test_solver.py::test_config_rejects_non_finite"]),
+    ("array names the last non-finite entry instead of the first", CHECKS,
+     "[0].tolist()", "[-1].tolist()",
+     ["tests/test_operators.py::test_quadratic_rejects_non_finite_k_by_entry"]),
+    ("an SVM count taken without an integer check", "problems.py",
+     "        integer(name, v, ValueError)\n", "        pass\n",
+     ["tests/test_problems.py::test_build_svm_names_a_count_or_seed_before_drawing_the_dataset"]),
+    ("the SVM seed handed to numpy unchecked", "problems.py",
+     'integer("seed", seed, ValueError, "non-negative")', "seed",
+     ["tests/test_problems.py::test_build_svm_names_a_count_or_seed_before_drawing_the_dataset"]),
+    ("a float grid side let into build_transport", "problems.py",
+     'p = integer("p", p, ValueError, "positive")', "p = p",
+     ["tests/test_problems.py::test_build_transport_checks_the_grid_side_first"]),
+    ("the duals' row count left to the dual-term product", SOLVER,
+     "if w.shape != plan.w_shape:", "if w.shape[1:] != plan.w_shape[1:]:",
+     ["tests/test_solver.py::test_step_names_duals_with_the_wrong_row_count"]),
     # -- the centralized sweep -------------------------------------------
     ("a wrong 2/d_i in the input sum", SOLVER,
      "out *= 2.0 / d_i", "out *= 1.0 / d_i",
@@ -220,6 +258,8 @@ def check(name, file, old, new, tests):
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
+        with open(tmp / "tests" / "conftest.py", "a") as fh:
+            fh.write(NO_SHRINK)
         path = tmp / "src" / "graphdrs" / file
         text = path.read_text()
         if text.count(old) != 1:

@@ -24,7 +24,12 @@ from graphdrs.operators import (
     stack_hinges,
     zero_operator,
 )
-from graphdrs.problems import build_svm, default_transport_geometry, rect_cells
+from graphdrs.problems import (
+    build_svm,
+    default_transport_geometry,
+    gaussian_density,
+    rect_cells,
+)
 from oracles import bits, identical_bits, loop_divergence_matrix, scalar_hinge
 
 rng = np.random.default_rng(123)
@@ -106,6 +111,7 @@ SCALAR_ARGUMENTS = {
     "capacity": lambda v: project_capacity([0], [1], v, 8),
     "gamma": lambda v: build_svm(15, 3, 5, gamma=v),
     "kernel width": lambda v: build_svm(15, 3, 5, kernel_width=v),
+    "blob width": lambda v: gaussian_density(4, (1, 1), v),
 }
 
 

@@ -326,3 +326,42 @@ def test_transport_config_bounds_the_grid(p, bound):
 def test_build_svm_needs_an_agent_per_official():
     with pytest.raises(ValueError, match="per_official must be >= 1, got 0"):
         build_svm(0, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"officials": 5.0}, "officials must be an integer, got 5.0"),  # a bare TypeError
+        ({"per_official": 10.0}, "per_official must be an integer, got 10.0"),
+        ({"n": 50.0}, "n must be an integer, got 50.0"),
+        ({"officials": True}, "officials must be an integer, got True"),
+        ({"officials": "5"}, "officials must be an integer, got '5'"),
+        # numpy's SeedSequence error
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),  # drew seed 1
+        ({"seed": None}, "seed must be a non-negative integer, got None"),  # drew a fresh seed
+    ],
+)
+def test_build_svm_names_a_count_or_seed_before_drawing_the_dataset(monkeypatch, kwargs, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the dataset was drawn")
+
+    monkeypatch.setattr(graphdrs.problems, "svm_dataset", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_svm(**({"n": 50, "officials": 5, "per_official": 10} | kwargs))
+
+
+def test_build_svm_takes_numpy_integer_counts_and_seed():
+    want, _, _ = build_svm(12, 3, 4, seed=2)
+    got, _, _ = build_svm(np.int64(12), np.int32(3), np.int64(4), seed=np.uint8(2))
+    assert np.array_equal(got.kernel, want.kernel) and got.partition == want.partition
+
+
+@pytest.mark.parametrize("p", [35.0, True, 0, -1, "8", None, np.float64(8.0)])
+def test_build_transport_checks_the_grid_side_first(p):
+    # 35.0 raised a bare TypeError; True, 0 and -1 a rectangle outside the grid
+    message = f"p must be a positive integer, got {p!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_transport(p)
+

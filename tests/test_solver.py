@@ -116,6 +116,24 @@ def test_config_rejects_non_real_values(kwargs, name):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("theta", [math.nan, 0.0, 2.0, -1.0, math.inf, np.float64(2.5)])
+def test_constant_relaxation_out_of_range_names_theta_and_its_value(theta):
+    # the message named neither theta nor its value
+    message = f"constant relaxation theta must lie in (0, 2), got {theta}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(sigma=1.0, theta=theta)
+
+
+@pytest.mark.parametrize("make", [make_ryu, make_malitsky_tam])
+@pytest.mark.parametrize("n", [3.0, 4.5, math.nan, True, "4", None])
+def test_named_graphs_need_an_integer_node_count(make, n):
+    # a float raised a bare TypeError, True read as 1 ("need n >= 3")
+    message = f"n must be an integer, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(n)
+    assert make(np.int64(4)).n_nodes == 4
+
+
 def test_config_accepts_numpy_floats():
     cfg = SolverConfig(sigma=np.float64(0.5), theta=np.float32(1.5), tol=np.float64(0))
     assert (cfg.sigma, cfg.theta_at(0), cfg.tol) == (0.5, 1.5, 0.0)
@@ -747,6 +765,19 @@ def test_step_rejects_duals_of_another_dimension(shape):
     plan = StepPlan(bg, quad_ops([np.zeros(3)] * 4), tree_decomposition(bg))
     with pytest.raises(ValueError, match=re.escape(f"3 columns, got shape {shape}")):
         step_general(plan, 1.0, 1.0, np.zeros(shape))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("node_local", [False, True])
+def test_step_names_duals_with_the_wrong_row_count(node_local, extra):
+    # a wrong row count failed inside the dual-term product, naming neither w
+    # nor the shape it needs
+    bg = make_malitsky_tam(4)
+    plan = StepPlan(bg, quad_ops([np.zeros(3)] * 4), None if node_local else tree_decomposition(bg))
+    rows = (4 if node_local else 3) + extra
+    message = f"duals w must be {rows - extra} rows of 3 columns, got shape {(rows, 3)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        step_general(plan, 1.0, 1.0, np.zeros((rows, 3)))
 
 
 @pytest.mark.parametrize("node_local", [False, True])
