@@ -24,7 +24,14 @@ from pathlib import Path
 
 def load(name):
     """The extension module ``name``, a dotted name under scipy such as
-    ``"scipy.linalg._flapack"``, loaded alone from its file in scipy's tree."""
+    ``"scipy.linalg._flapack"``, loaded alone from its file in scipy's tree.
+
+    A later import of the package reuses the module but does not bind it as
+    the package's attribute: after ``import scipy.linalg``,
+    ``hasattr(scipy.linalg, "_flapack")`` is False, while
+    ``from scipy.linalg import _flapack`` returns the loaded module.  A
+    module with no file raises ImportError naming it and the folder searched.
+    """
     module = sys.modules.get(name)
     if module is not None:
         return module

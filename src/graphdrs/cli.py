@@ -225,6 +225,10 @@ def cmd_svm(args):
 
 
 def cmd_simulate(args):
+    """Step sim.plan in lockstep with the simulated rounds for the
+    max_deviation report, then open --out and write the message log from
+    the send table: nothing is kept per round, so memory does not grow with
+    --rounds, and a round that fails leaves --out as it was."""
     if args.rounds < 1:
         raise InputError(f"--rounds must be >= 1, got {args.rounds}")
     ops, bg, _ = _build_problem(args.config, args.graph, args.seed)

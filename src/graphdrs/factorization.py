@@ -60,7 +60,7 @@ def choose_decomposition(base):
 
 def align(z1, z2, tol=1e-8):
     """Orthogonal O with z1 = z2 @ O, for two factorizations of one Laplacian."""
-    real("tol", tol, FactorizationError)
+    real("tol", tol, FactorizationError, "nonnegative and finite")
     if z1.shape != z2.shape:
         raise FactorizationError("shape mismatch between decompositions")
     l1, l2 = z1 @ z1.T, z2 @ z2.T

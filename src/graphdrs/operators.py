@@ -8,8 +8,9 @@ Every resolvent fixes its dimension, a positive integer, when it is built,
 and rejects an input of shape other than (dim,), or (k, dim) for k stacked
 hinges.  ``op(tau, r, out=None)`` writes into ``out`` (allocated when None),
 a writeable float64 array of r's shape, and returns it; ``r`` may be
-``out``, which is not checked.  Kernels keep temporaries in scratch made
-once, at construction, so calls on one resolvent must not overlap.
+``out``, which is not checked; a call in place, as every sweep makes,
+copies nothing onto itself.  Kernels keep temporaries in scratch made once,
+at construction, so calls on one resolvent must not overlap.
 """
 
 import functools
@@ -259,7 +260,7 @@ def project_affine(lam, b, range_tol=1e-6):
     """
     lam = np.asarray(lam.todense()) if hasattr(lam, "todense") else lam
     lam, b = array("lam", lam, OperatorError, ndim=2), array("b", b, OperatorError)
-    real("range_tol", range_tol, OperatorError)
+    real("range_tol", range_tol, OperatorError, "nonnegative and finite")
     m, n = lam.shape
     if m == 0:  # b.mean() below would warn
         raise OperatorError(f"lam must have at least one row, got shape {lam.shape}")
@@ -324,8 +325,10 @@ def project_grid_divergence(p, b):
 
     The map of :func:`project_affine` (b recentered, zero mode dropped)
     without forming div: div @ div.T is the 5-point Neumann Laplacian,
-    diagonalized by the orthonormal 2-D DCT-II X -> C X C^T.  A call costs
-    four p x p matrix products and the two grid stencils.
+    diagonalized by the orthonormal 2-D DCT-II X -> C X C^T.  C is built
+    here by one DCT; a call costs four p x p matrix products (C X C^T and
+    C^T X C) and the two grid stencils, and makes no FFT call and no sparse
+    product.
     """
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise OperatorError(f"need an integer grid side p >= 1, got p = {p!r}")
@@ -377,7 +380,8 @@ def project_capacity(bridge_idx, water_idx, cap, dim):
 
     Of the 2-vector blocks of R^dim, those indexed by water_idx map to zero,
     those indexed by bridge_idx are radially clipped to norm cap, all others
-    pass through; tau plays no role.
+    pass through; tau plays no role.  The water and bridge entries are flat
+    index maps built here: a call zeroes, gathers and scatters them.
     """
     n = _n_blocks(dim, "capacity_projection")
     bridge = _index_set("bridge", bridge_idx, n)

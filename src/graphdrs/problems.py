@@ -124,8 +124,11 @@ def build_transport(p, mu_spec=None, nu_spec=None, bridge=None, water=None,
     def density_of(name, spec, default_center):
         if spec is None:
             return gaussian_density(p, default_center, geo["blob_width"], water_cells)
-        if isinstance(spec, tuple) and len(spec) == 2 and np.isscalar(spec[1]):
-            return gaussian_density(p, spec[0], spec[1], water_cells)
+        if isinstance(spec, tuple) and len(spec) == 2:  # a density has p^2 != 2 entries
+            try:
+                return gaussian_density(p, spec[0], spec[1], water_cells)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         dens = np.asarray(spec, dtype=float)
         if dens.shape != (p * p,):
             raise ValueError(f"{name} must have shape ({p * p},) for grid side {p}, "

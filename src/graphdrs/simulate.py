@@ -215,9 +215,10 @@ class NetworkSim:
         its fresh (N, dim) estimates and (rows, dim) duals, which the
         simulator never writes again.  n must be a non-negative integer.
         The run is a copy of the simulator with an operand buffer and a slot
-        mask of its own.  A round's messages are the rows of self.sends, and
-        round 0's, the dual initialization, its rows self.init; no message
-        is an object of its own.  A round receives every dual at its start,
+        mask of its own, so two live runs, even interleaved, share no
+        message.  A round's messages are the rows of self.sends, and round
+        0's, the dual initialization, its rows self.init; no message is an
+        object of its own.  A round receives every dual at its start,
         from the slots it was sent onto, and its turns carry only estimates.
         Non-finite estimates raise the centralized step's
         :class:`NumericalError` before the update."""
@@ -262,7 +263,8 @@ class NetworkSim:
     def run(self, rounds):
         """Collect :meth:`rounds`: the estimates into x_history, and the
         messages into self.log, rebuilt from the send table, each payload a
-        view of its round's fresh x or w row."""
+        view of its round's fresh x or w row.  run(0) sends only round 0's
+        dual initialization."""
         kept = list(self.rounds(rounds))
         x_history = np.empty((rounds, self.plan.n_nodes, self.plan.dim))
         w = np.zeros((self.plan.z.shape[1], self.plan.dim))  # round 0's duals

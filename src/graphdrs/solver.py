@@ -28,7 +28,10 @@ in one stacked resolvent call (:func:`~graphdrs.operators.stack_hinges`) and
 every other node by one :func:`node_solution`.  The message-passing
 simulator runs that kernel on the estimates its agents received; the
 stacked and CSR forms repeat the per-node operations elementwise, so
-centralized and simulated runs agree bit for bit.
+centralized and simulated runs agree bit for bit.  On the SVM layout each
+official takes a level of its own and all hinge agents share the last: 6
+resolvent calls a sweep for 5 officials and 50 agents.  Any order that
+runs each node after its state in-neighbors gives the same iterates.
 """
 
 import math
@@ -136,7 +139,9 @@ class _Csr:
     that scipy's CSR ``@`` ends in: each row summed from zero, one term at a
     time in stored order.  That loop checks no bounds, so indices are
     checked here and operands in :meth:`product`.  ``rows`` holds each
-    stored entry's row."""
+    stored entry's row.  Property tests pin this order against a per-row
+    loop and against ``scipy.sparse.csr_matrix(m) @ src``; the simulator's
+    bit-identity rests on it."""
 
     def __init__(self, shape, rows, cols, vals):
         rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
@@ -313,8 +318,13 @@ def step_general(plan, sigma, theta, w, k=0):
     """One sweep over plan; returns (x, w_new, update), fresh arrays that
     no later step on the plan overwrites.
 
-    The update is Z^T x, or L x for a node-local plan.
+    The update is Z^T x, or L x for a node-local plan.  sigma must be a
+    positive finite real and theta a real in (0, 2); a ValueError names the
+    one that is not.
     """
+    real("sigma", sigma, ValueError, "positive and finite")
+    if not 0.0 < real("theta", theta, ValueError) < 2.0:
+        raise ValueError(f"theta must lie in (0, 2), got {theta}")
     x = _sweep(plan, sigma, w, k)
     update = plan.z_cols.product(x, np.empty((plan.z_cols.shape[0], plan.dim)))
     w_new = np.multiply(theta, update)
@@ -388,7 +398,8 @@ def _iterate(plan, cfg, w, objective):
     The residual ||Z^T x||^2 comes from the step's update: its squared norm,
     or <x, L x> for node-local duals.  Each sweep sums the subgradients of x
     as two row vectors applied to w and x; the full a is built once, for the
-    last sweep.  The diagnostics work in the plan's scratch buffer.
+    last sweep.  The mean of x is taken once a sweep, for the variance and
+    the objective.  The diagnostics work in the plan's scratch buffer.
     """
     subgradients, m_sum = _subgradient_map(plan.bg, cfg.sigma)
     z_sum = plan.z.sum(axis=0)

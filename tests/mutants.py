@@ -164,6 +164,28 @@ MUTANTS = [
     ("the duals' row count left to the dual-term product", SOLVER,
      "if w.shape != plan.w_shape:", "if w.shape[1:] != plan.w_shape[1:]:",
      ["tests/test_solver.py::test_step_names_duals_with_the_wrong_row_count"]),
+    ("a step takes any sigma", SOLVER,
+     '    real("sigma", sigma, ValueError, "positive and finite")\n', "",
+     ["tests/test_solver.py::test_a_step_names_a_bad_sigma_or_theta"]),
+    ("a step takes a theta of 2 or more", SOLVER,
+     'if not 0.0 < real("theta", theta, ValueError) < 2.0:',
+     'if not 0.0 < real("theta", theta, ValueError):',
+     ["tests/test_solver.py::test_a_step_names_a_bad_sigma_or_theta"]),
+    ("a NaN or negative range tolerance taken", OPS,
+     'real("range_tol", range_tol, OperatorError, "nonnegative and finite")',
+     'real("range_tol", range_tol, OperatorError)',
+     ["tests/test_operators.py::test_affine_range_tolerance_must_be_nonnegative_and_finite"]),
+    ("a NaN or negative alignment tolerance taken", "factorization.py",
+     'real("tol", tol, FactorizationError, "nonnegative and finite")',
+     'real("tol", tol, FactorizationError)',
+     ["tests/test_factorization.py::test_align_tolerance_must_be_nonnegative_and_finite"]),
+    ("a (center, width) pair told by a scalar width again", "problems.py",
+     "if isinstance(spec, tuple) and len(spec) == 2:",
+     "if isinstance(spec, tuple) and len(spec) == 2 and np.isscalar(spec[1]):",
+     ["tests/test_problems.py::test_a_bad_blob_width_names_its_density"]),
+    ("a bad blob width that names neither density", "problems.py",
+     'raise ValueError(f"{name}: {exc}") from None', "raise",
+     ["tests/test_problems.py::test_a_bad_blob_width_names_its_density"]),
     # -- the centralized sweep -------------------------------------------
     ("a wrong 2/d_i in the input sum", SOLVER,
      "out *= 2.0 / d_i", "out *= 1.0 / d_i",

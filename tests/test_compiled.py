@@ -129,6 +129,23 @@ def test_packages_imported_later_reuse_the_loaded_modules():
                                 "[1.414213562373, 0.0]"]
 
 
+def test_a_later_package_import_does_not_bind_the_loaded_module():
+    # the module is reused through sys.modules, not set as the parent's attribute
+    out = run_fresh(
+        "import importlib, sys\n"
+        "from graphdrs._compiled import load\n"
+        f"names = {EXTENSIONS!r}\n"
+        "loaded = [load(name) for name in names]\n"
+        "import scipy.fft, scipy.linalg, scipy.sparse\n"
+        "for name, module in zip(names, loaded):\n"
+        "    parent, _, last = name.rpartition('.')\n"
+        "    found = {}\n"
+        "    exec(f'from {parent} import {last} as m', found)\n"
+        "    print(hasattr(importlib.import_module(parent), last), found['m'] is module)\n"
+    )
+    assert out.splitlines() == ["False True"] * 3
+
+
 def test_solves_and_a_simulated_round_import_none_of_the_packages():
     out = run_fresh(
         "import sys\n"

@@ -60,6 +60,16 @@ def _sim_args():
     return bg, ops, graphdrs.SolverConfig(sigma=1.0, max_iter=2)
 
 
+def _step_general(sigma, theta):
+    bg, ops, _ = _sim_args()
+    return graphdrs.step_general(graphdrs.StepPlan(bg, ops), sigma, theta, np.zeros((3, 2)))
+
+
+def _step_tree(sigma, theta):
+    bg, ops, _ = _sim_args()
+    return graphdrs.step_tree(bg, ops, sigma, theta, np.zeros((2, 2)))
+
+
 # export: (a call taking the scalar arguments by name, {argument: (a valid
 # value, the word a message that names the argument uses)})
 SCALARS = {
@@ -90,6 +100,8 @@ SCALARS = {
     "SolverConfig": (graphdrs.SolverConfig, {
         "sigma": (1.0, "sigma"), "theta": (1.5, "theta"), "max_iter": (5, "max_iter"),
         "tol": (1e-9, "tol")}),
+    "step_general": (_step_general, {"sigma": (1.0, "sigma"), "theta": (1.5, "theta")}),
+    "step_tree": (_step_tree, {"sigma": (1.0, "sigma"), "theta": (1.5, "theta")}),
     "make_ryu": (graphdrs.make_ryu, {"n": (4, "n")}),
     "make_malitsky_tam": (graphdrs.make_malitsky_tam, {"n": (4, "n")}),
     "align": (lambda tol: graphdrs.align(K, K, tol), {"tol": (1e-8, "tol")}),
@@ -100,9 +112,6 @@ SCALARS = {
     "run_general_protocol": (lambda rounds: graphdrs.run_general_protocol(*_sim_args(), rounds),
                              {"rounds": (2, "rounds")}),
 }
-# a negative tolerance fails the check it bounds, whose message names the
-# check, not the tolerance: whether such a tolerance is an error is open
-TOLERANCE_GAPS = {"project_affine": "range_tol", "align": "tol"}
 UNCHECKED = {
     # no scalar argument (read_bilevel_graph's path is opened as given)
     "FactorizationError", "GraphError", "NumericalError", "OperatorError", "ProtocolError",
@@ -112,8 +121,6 @@ UNCHECKED = {
     "run", "spectral_decomposition", "state_variance", "tree_decomposition", "unbalance",
     # records the builders and the run loop fill, not checked
     "SolverState", "SvmInstance", "TraceRecord", "TransportInstance",
-    # per-sweep kernels: run passes them the sigma and theta SolverConfig checked
-    "step_general", "step_tree",
 }
 
 
@@ -133,9 +140,6 @@ def test_scalar_arguments_are_taken_or_rejected_by_name(export, data):
         try:
             call(**drawn)
         except ValueError as exc:
-            gap = TOLERANCE_GAPS.get(export)
-            if gap and drawn[gap] in (-1, -math.inf):
-                return
             named = [name for name, (valid, word) in args.items()
                      if drawn[name] is not valid and re.search(rf"\b{word}\b", str(exc))]
             assert named, f"{exc!r} names none of the drawn arguments"

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,17 @@ def test_align_rejects_mismatched_laplacians():
     d2 = spectral_decomposition(OrderedDigraph(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(FactorizationError):
         align(d1, d2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1, -1e-9, math.inf])
+def test_align_tolerance_must_be_nonnegative_and_finite(tol):
+    # nan accepted any pair of factorizations; -1 rejected every pair as
+    # "do not share a Laplacian"
+    d = spectral_decomposition(complete_digraph(3))
+    message = f"^{re.escape(f'tol must be nonnegative and finite, got {tol}')}$"
+    with pytest.raises(FactorizationError, match=message):
+        align(d, d, tol)
+    assert align(d, d, 0).shape == (2, 2)
 
 
 def test_validate_rejects_bad_matrix():

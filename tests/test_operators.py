@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -123,6 +124,15 @@ def test_scalar_arguments_must_be_real_numbers(name, value):
     with pytest.raises(ValueError, match=message):
         SCALAR_ARGUMENTS[name](value)
     SCALAR_ARGUMENTS[name](np.float64(0.5))  # a numpy real still builds
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1, -1e-9, math.inf])
+def test_affine_range_tolerance_must_be_nonnegative_and_finite(tol):
+    # nan turned the range check off; -1 failed it as "residual 0"
+    message = f"^{re.escape(f'range_tol must be nonnegative and finite, got {tol}')}$"
+    with pytest.raises(OperatorError, match=message):
+        project_affine(np.eye(2), [1.0, -1.0], tol)
+    assert project_affine(np.eye(2), [1.0, -1.0], 0).dim == 2
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])

@@ -115,6 +115,16 @@ def test_explicit_densities_are_checked_by_name(name, dens, message):
             build_transport(6, bridge=[], water=[], **spec)
 
 
+@pytest.mark.parametrize("name", ["mu", "nu"])
+@pytest.mark.parametrize("width", [None, [1.5], "1.5"])
+def test_a_bad_blob_width_names_its_density(name, width):
+    # a None or list width was read as an explicit density and failed in numpy
+    spec = {f"{name}_spec": ((2, 3), width)}
+    message = f"{name}: blob width must be a real number, got {width!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_transport(6, bridge=[], water=[], **spec)
+
+
 def test_explicit_densities_are_normalized():
     dens = np.arange(36.0)
     inst, _ = build_transport(6, mu_spec=dens, nu_spec=[1.0] * 36, bridge=[], water=[])

@@ -1,4 +1,5 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and the
+README names no private identifier."""
 
 import re
 from pathlib import Path
@@ -21,3 +22,9 @@ def test_readme_library_example_runs(capsys):
     # four symmetric centers: the estimates agree on their mean, the origin
     assert np.abs(names["state"].x).max() < 1e-6
     assert names["trace"][-1].variance < 1e-12
+
+
+def test_readme_names_no_private_identifier():
+    # README states the contract; private names belong to the docstrings
+    private = re.findall(r"\b_[A-Za-z]\w*", README.read_text())
+    assert not private, private

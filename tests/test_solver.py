@@ -780,6 +780,30 @@ def test_step_names_duals_with_the_wrong_row_count(node_local, extra):
         step_general(plan, 1.0, 1.0, np.zeros((rows, 3)))
 
 
+@pytest.mark.parametrize("sigma, theta, message", [
+    (-1, 1.0, "sigma must be positive and finite, got -1"),
+    (0.0, 1.0, "sigma must be positive and finite, got 0.0"),
+    (math.inf, 1.0, "sigma must be positive and finite, got inf"),
+    ("1", 1.0, "sigma must be a real number, got '1'"),
+    (1.0, math.nan, "theta must lie in (0, 2), got nan"),
+    (1.0, 5, "theta must lie in (0, 2), got 5"),
+    (1.0, 0.0, "theta must lie in (0, 2), got 0.0"),
+    (1.0, None, "theta must be a real number, got None"),
+])
+@pytest.mark.parametrize("tree", [False, True])
+def test_a_step_names_a_bad_sigma_or_theta(sigma, theta, message, tree):
+    # sigma = -1 failed in the resolvent as a step size of -0.5 and "1" as a
+    # bare TypeError; theta = nan gave non-finite duals and theta = 5 passed
+    bg = make_malitsky_tam(4)
+    ops = quad_ops([np.zeros(3)] * 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if tree:
+            step_tree(bg, ops, sigma, theta, np.zeros((3, 3)))
+        else:
+            step_general(StepPlan(bg, ops, tree_decomposition(bg)), sigma, theta,
+                         np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize("node_local", [False, True])
 def test_mismatched_operator_dimensions_name_the_node(node_local):
     bg = make_malitsky_tam(3)
